@@ -44,8 +44,3 @@ def load_theory(name: str) -> Theory:
     """Load one of the bundled example theories by stem name."""
     data = resources.files(__package__).joinpath("theories", f"{name}.tpc").read_text()
     return parse_theory(data)
-
-
-def bundled_theories():
-    root = resources.files(__package__).joinpath("theories")
-    return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".tpc"))

@@ -31,8 +31,6 @@ def scalar_of(value) -> int:
         return value
     if isinstance(value, tuple):
         return len(value)
-    if value.__class__.__name__ == "_Unit":
-        return 0
     raise TypeError(f"not an index value: {value!r}")
 
 
@@ -56,10 +54,6 @@ class AffineExpr:
     @staticmethod
     def var(name: str) -> "AffineExpr":
         return AffineExpr(0, ((1, IndexTerm(name)),))
-
-    @staticmethod
-    def length(name: str) -> "AffineExpr":
-        return AffineExpr.var(name)
 
     @staticmethod
     def element(name: str, selector: "AffineExpr") -> "AffineExpr":
@@ -106,12 +100,6 @@ class AffineExpr:
 
     def variables(self) -> set:
         return {it.var for it in self.index_terms()}
-
-    def coeff(self, it: IndexTerm) -> int:
-        for c, t in self.terms:
-            if t == it:
-                return c
-        return 0
 
     def evaluate(self, env: dict) -> int:
         """env maps variable names to ints or (nested) tuples of ints."""

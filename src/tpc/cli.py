@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from . import __version__, load_theory
-from .errors import NotLinearizable, TpcError, Unsupported
+from .errors import InternalMismatch, NotLinearizable, TpcError, Unsupported
 from .inclusion import includes
-from .oracle import SearchBudget, find_proof, reachable_set
+from .oracle import SearchBudget, decide_oracle, find_proof, reachable_set
 from .pipeline import pipeline
 from .schemes import build_scheme, parse_scheme, print_scheme
 from .sigma import sigma
@@ -112,8 +112,17 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _make_procedure(args, th):
-    return pipeline(th, selfcheck=not args.no_selfcheck)
+def _by_method(args, th, generated, oracle):
+    """generated(procedure) or oracle(budget), as --method picks; under
+    auto, any synthesis give-up falls back to the oracle."""
+    if args.method != "oracle":
+        try:
+            return generated(pipeline(th, selfcheck=not args.no_selfcheck))
+        except (NotLinearizable, Unsupported, InternalMismatch):
+            if args.method == "generated":
+                raise
+            log.info("synthesis failed, falling back to oracle search")
+    return oracle(_budget(args))
 
 
 def _cmd_prove(args) -> int:
@@ -121,16 +130,9 @@ def _cmd_prove(args) -> int:
     goal = parse_term(args.goal) if args.goal else th.goal
     if goal is None:
         raise TpcError("theory has no goal; pass --goal TERM")
-    if args.method == "oracle":
-        proof = find_proof(th, goal, _budget(args))
-    else:
-        try:
-            proof = _make_procedure(args, th).prove(goal)
-        except (NotLinearizable, Unsupported):
-            if args.method == "generated":
-                raise
-            log.info("synthesis failed, falling back to oracle search")
-            proof = find_proof(th, goal, _budget(args))
+    proof = _by_method(
+        args, th, lambda proc: proc.prove(goal), lambda budget: find_proof(th, goal, budget)
+    )
     if proof is None:
         _emit(args, {"proof": None}, "no proof")
         return 1
@@ -143,20 +145,9 @@ def _cmd_decide(args) -> int:
     th = _theory(args.file)
     t = parse_term(getattr(args, "from"))
     d = parse_term(args.to)
-    if args.method == "oracle":
-        from .oracle import decide_oracle
-
-        verdict = decide_oracle(th, t, d, _budget(args))
-    else:
-        try:
-            verdict = _make_procedure(args, th).decide(d, t)
-        except (NotLinearizable, Unsupported):
-            if args.method == "generated":
-                raise
-            log.info("synthesis failed, falling back to oracle search")
-            from .oracle import decide_oracle
-
-            verdict = decide_oracle(th, t, d, _budget(args))
+    verdict = _by_method(
+        args, th, lambda proc: proc.decide(d, t), lambda budget: decide_oracle(th, t, d, budget)
+    )
     _emit(args, {"decision": verdict}, "true" if verdict else "false")
     return 0 if verdict else 1
 
@@ -204,7 +195,6 @@ def _parser() -> argparse.ArgumentParser:
         description="Membership deciders for truncated-predicate-calculus theories.",
     )
     p.add_argument("--json", action="store_true", help="structured JSON output")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     p.add_argument("--max-depth", type=int, default=None, help="proof search depth bound")
     p.add_argument("--max-tree-size", type=int, default=512, help="tree size bound for search")
     p.add_argument("--no-selfcheck", action="store_true", help="skip the oracle self-check")
@@ -256,10 +246,6 @@ def main(argv=None) -> int:
     level = os.environ.get("TPC_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _parser().parse_args(argv)
-    if args.seed is not None:
-        import random
-
-        random.seed(args.seed)
     try:
         return args.func(args)
     except (NotLinearizable, Unsupported) as exc:

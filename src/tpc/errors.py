@@ -72,10 +72,6 @@ class Unsupported(TpcError):
     pass
 
 
-class Unimplemented(TpcError):
-    """Raised when evaluating deliberately deferred atom forms."""
-
-
 class Ambiguous(TpcError):
     """Tuning could not resolve remaining index variables unambiguously."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .affine import AffineExpr
 from .errors import Ambiguous, InternalMismatch, Underdetermined
 from .mathsolver import Equation, solve_concrete
-from .paths import EqualsLR, GroundL, GroundR, IterGroup, eval_atomset
+from .paths import EqualsLR, GroundL, GroundR, IterGroup, apply_segments, eval_atomset
 from .schemes import instantiate
 from .sigma import Branch, SymbolicCharFn
 from .terms import Proof, Term, replay
@@ -55,18 +55,6 @@ class TuneResult:
     assignment: dict  # scalars to ints, multi-indexes to tuples of ints
 
 
-def _apply_const(segments, tree, env):
-    for seg in segments:
-        n = seg.count.evaluate(env)
-        if n < 0:
-            return None
-        for _ in range(n):
-            tree = seg.step.apply(tree)
-            if tree is None:
-                return None
-    return tree
-
-
 def _is_known(expr: AffineExpr, env) -> bool:
     try:
         expr.evaluate(env)
@@ -80,14 +68,14 @@ def _count_equation(segments, base: Term, target: Term, env):
     count is unknown.  Returns (count expression, observed count) or None
     when no count matches."""
     idx = next(i for i, s in enumerate(segments) if not _is_known(s.count, env))
-    tree = _apply_const(segments[:idx], base, env)
+    tree = apply_segments(segments[:idx], base, env)
     if tree is None:
         return None
     step = segments[idx].step
     suffix = segments[idx + 1:]
     j = 0
     while tree is not None and j <= _COUNT_CAP:
-        if _apply_const(suffix, tree, env) == target:
+        if apply_segments(suffix, tree, env) == target:
             # sizes strictly decrease along the run, so this j is unique
             return segments[idx].count, j
         tree = step.apply(tree)
@@ -118,7 +106,7 @@ def _tune_atom(atom, t, d, env, equations) -> bool:
         if any(not _is_known(s.count, env) for s in segs)
     ]
     if not unknown:
-        vals = [_apply_const(segs, base, env) for segs, base in sides]
+        vals = [apply_segments(segs, base, env) for segs, base in sides]
         return vals[0] is not None and vals[0] == vals[1]
     if len(unknown) != 1:
         raise Ambiguous("both sides of an atom have undetermined counts")
@@ -126,7 +114,7 @@ def _tune_atom(atom, t, d, env, equations) -> bool:
     (ksegs, kbase) = sides[1 - unknown[0]]
     if sum(1 for s in usegs if not _is_known(s.count, env)) != 1:
         raise Ambiguous("an atom has two undetermined counts on one side")
-    target = _apply_const(ksegs, kbase, env) if ksegs else kbase
+    target = apply_segments(ksegs, kbase, env)
     if target is None:
         return False
     got = _count_equation(usegs, ubase, target, env)

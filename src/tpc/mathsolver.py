@@ -1,6 +1,7 @@
 """Exact linear solving over index variables.
 
-Three entry points:
+One row-reduction kernel, ``reduce_rows``, pivots chosen keys out of
+sparse Fraction rows.  Three front-ends share it:
 
 * ``eliminate`` projects scalar existentials out of an equation system,
   returning the region of parameter values for which a natural solution
@@ -8,8 +9,11 @@ Three entry points:
   values required nonnegative).
 * ``solve_concrete`` pins down fully determined natural values, used by
   tuning.
-* ``solve_multiindex`` isolates one unknown multi-index hierarchically:
-  the length equation first, then one element per equation family.
+* ``sigma._fit`` solves for the feature coefficients of a repetition
+  count (free coordinates zero, integral or no fit).
+
+``solve_multiindex`` isolates one unknown multi-index hierarchically:
+the length equation first, then one element per equation family.
 
 All arithmetic is exact (Fractions internally, integers in results).
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .affine import AffineExpr, IndexTerm, ZERO
 from .errors import Underdetermined, Unsupported
@@ -178,6 +182,30 @@ def _row_sub(row: dict, key, sol: dict):
         del row[k]
 
 
+def reduce_rows(rows: list, keys) -> tuple:
+    """Gauss-Jordan over sparse rows (key -> Fraction, constant under
+    None, each row meaning "sum = 0"): pivots each of *keys* out, in
+    order, skipping keys no remaining row mentions.  Returns (solved,
+    rest): solved maps each pivoted key to the row it equals, in the
+    unpivoted keys and the constant; rest holds the unused rows with every
+    pivoted key substituted away.  Consumes *rows*."""
+    solved = {}
+    for key in keys:
+        pivot = next((r for r in rows if r.get(key)), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        c = pivot.pop(key)
+        sol = {k: -v / c for k, v in pivot.items()}
+        sol.setdefault(None, Fraction(0))
+        for r in rows:
+            _row_sub(r, key, sol)
+        for s in solved.values():
+            _row_sub(s, key, sol)
+        solved[key] = sol
+    return solved, rows
+
+
 def _row_denom(row: dict) -> int:
     return lcm(*(v.denominator for v in row.values())) if row else 1
 
@@ -234,21 +262,8 @@ def eliminate(system: ConditionSystem) -> Region:
         else:
             raise Unsupported(f"cannot eliminate through {type(cond).__name__}")
 
-    solutions = {}
-    for name in system.existentials:
-        key = IndexTerm(name)
-        pivot = next((r for r in rows if r.get(key)), None)
-        if pivot is None:
-            continue  # unconstrained: pick 0, always a natural
-        rows.remove(pivot)
-        c = pivot.pop(key)
-        sol = {k: -v / c for k, v in pivot.items()}
-        sol.setdefault(None, Fraction(0))
-        for r in rows:
-            _row_sub(r, key, sol)
-        for s in solutions.values():
-            _row_sub(s, key, sol)
-        solutions[name] = sol
+    # an existential no equation mentions is unconstrained: pick 0
+    solved, rows = reduce_rows(rows, [IndexTerm(name) for name in system.existentials])
 
     raw = []
     unsat = False
@@ -260,13 +275,10 @@ def eliminate(system: ConditionSystem) -> Region:
                 raw.append(_split_equation(expr))
             continue
         raw.append(_split_equation(expr))
-    for name in system.existentials:
-        sol = solutions.get(name)
-        if sol is None:
-            continue
+    for key, sol in solved.items():
         leftover = {k for k in sol if isinstance(k, IndexTerm) and k.var in system.existentials}
         if leftover:
-            raise Unsupported(f"existential {name} not isolated: depends on {leftover}")
+            raise Unsupported(f"existential {key.var} not isolated: depends on {leftover}")
         d = _row_denom(sol)
         scaled = _row_to_expr(sol, d)
         if d > 1:
@@ -301,22 +313,11 @@ def solve_concrete(equations, unknowns) -> dict:
     """The unique natural assignment of *unknowns* satisfying all
     *equations*; None when inconsistent or not natural, Underdetermined
     when the system does not pin every unknown down."""
-    rows = [_row_of(eq.diff) for eq in equations]
     keys = [IndexTerm(u) for u in unknowns]
-    solutions = {}
-    for key in keys:
-        pivot = next((r for r in rows if r.get(key)), None)
-        if pivot is None:
-            raise Underdetermined(f"{key.var} is not determined")
-        rows.remove(pivot)
-        c = pivot.pop(key)
-        sol = {k: -v / c for k, v in pivot.items()}
-        sol.setdefault(None, Fraction(0))
-        for r in rows:
-            _row_sub(r, key, sol)
-        for s in solutions.values():
-            _row_sub(s, key, sol)
-        solutions[key.var] = sol
+    solved, rows = reduce_rows([_row_of(eq.diff) for eq in equations], keys)
+    missing = next((key for key in keys if key not in solved), None)
+    if missing is not None:
+        raise Underdetermined(f"{missing.var} is not determined")
     for r in rows:
         nonconst = {k: v for k, v in r.items() if k is not None}
         if nonconst:
@@ -324,14 +325,14 @@ def solve_concrete(equations, unknowns) -> dict:
         if r.get(None, Fraction(0)) != 0:
             return None
     out = {}
-    for name, sol in solutions.items():
+    for key, sol in solved.items():
         extra = {k for k in sol if k is not None}
         if extra:
-            raise Underdetermined(f"{name} depends on {extra}")
+            raise Underdetermined(f"{key.var} depends on {extra}")
         v = sol[None]
         if v.denominator != 1 or v < 0:
             return None
-        out[name] = int(v)
+        out[key.var] = int(v)
     return out
 
 

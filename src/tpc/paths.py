@@ -11,10 +11,9 @@ tree pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .affine import AffineExpr, ONE, ZERO
-from .errors import Unimplemented
 from .terms import App, Clause, Term, Var, compose_clauses, free_vars, match, print_term
 
 
@@ -102,10 +101,6 @@ class SymbolicPath:
     def concrete(steps) -> "SymbolicPath":
         return SymbolicPath.of(*(Segment(s, ONE) for s in steps))
 
-    @property
-    def is_concrete(self) -> bool:
-        return all(seg.count.is_const for seg in self.segments)
-
     def expand(self, env: dict):
         """Unit-step tuple under *env*; None when a count is negative."""
         out = []
@@ -117,14 +112,7 @@ class SymbolicPath:
         return tuple(out)
 
     def apply(self, tree: Term, env: dict = None):
-        steps = self.expand(env or {})
-        if steps is None:
-            return None
-        for step in steps:
-            tree = step.apply(tree)
-            if tree is None:
-                return None
-        return tree
+        return apply_segments(self.segments, tree, env or {})
 
     def to_clause(self) -> Clause:
         """Concrete paths only: the single merged projection clause."""
@@ -161,6 +149,20 @@ class SymbolicPath:
 IDENTITY_PATH = SymbolicPath(())
 
 
+def apply_segments(segments, tree: Term, env: dict):
+    """Walks *tree* down the segments under *env*; None when a count is
+    negative or a step does not match."""
+    for seg in segments:
+        n = seg.count.evaluate(env)
+        if n < 0:
+            return None
+        for _ in range(n):
+            tree = seg.step.apply(tree)
+            if tree is None:
+                return None
+    return tree
+
+
 def path_of_steps(*steps) -> SymbolicPath:
     return SymbolicPath.concrete(steps)
 
@@ -192,10 +194,6 @@ def power_path(p: SymbolicPath, n: int) -> SymbolicPath:
     return out
 
 
-def apply_path(p: SymbolicPath, t: Term):
-    return p.apply(t)
-
-
 # ---------------------------------------------------------------------------
 # atoms
 
@@ -225,24 +223,6 @@ class GroundR:
 
     def __str__(self):
         return f"GroundR({self.path}, {print_term(self.template)})"
-
-
-@dataclass(frozen=True)
-class EqualsLL:
-    left: SymbolicPath
-    right: SymbolicPath
-
-    def __str__(self):
-        return f"EqualsLL({self.left}, {self.right})"
-
-
-@dataclass(frozen=True)
-class EqualsRR:
-    left: SymbolicPath
-    right: SymbolicPath
-
-    def __str__(self):
-        return f"EqualsRR({self.left}, {self.right})"
 
 
 @dataclass(frozen=True)
@@ -360,8 +340,6 @@ def _eval_atom(atom, env: dict, t: Term, d: Term) -> bool:
         return atom.path.apply(t, env) == atom.template
     if isinstance(atom, GroundR):
         return atom.path.apply(d, env) == atom.template
-    if isinstance(atom, (EqualsLL, EqualsRR)):
-        raise Unimplemented(f"{type(atom).__name__} evaluation is deferred")
     if isinstance(atom, IterGroup):
         try:
             lo = atom.lower.evaluate(env)

@@ -9,9 +9,9 @@ brute-force search before the procedure is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .delta import ReductionTrace, order_axioms, reduce_scheme
+from .delta import order_axioms, reduce_scheme
 from .errors import InternalMismatch
 from .final import decide, extract_proof, tune
 from .oracle import SearchBudget, reachable_set

@@ -8,6 +8,7 @@ expression; enumerating multi-indexes walks the whole proof space.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -385,14 +386,12 @@ def enumerate_indices(e: IterExpr, budget: int):
 
 
 def build_scheme(axiom_names) -> IterExpr:
-    """Step 1 gives a1*; step n wraps the previous scheme as (alpha.an)*.alpha."""
+    """wrap_scheme folded over the names from eps: step 1 gives a1*, step n
+    wraps the previous scheme as (alpha.an)*.alpha."""
     names = list(axiom_names)
     if not names:
         raise ValueError("axiom list must be non-empty")
-    scheme = Star(Axiom(names[0]))
-    for name in names[1:]:
-        scheme = dot(Star(dot(scheme, Axiom(name))), scheme)
-    return scheme
+    return functools.reduce(wrap_scheme, names, EPS)
 
 
 def wrap_scheme(alpha: IterExpr, axiom_name: str) -> IterExpr:

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .affine import AffineExpr, ONE
 from .errors import NotLinearizable
+from .mathsolver import reduce_rows
 from .paths import (
     AtomSet,
     EqualsLR,
@@ -28,7 +29,6 @@ from .paths import (
     GroundR,
     IterGroup,
     Segment,
-    Step,
     SymbolicPath,
     VarDecl,
     eval_atomset,
@@ -186,50 +186,29 @@ def _concrete_atoms(theory, names) -> list:
 # affine fitting
 
 
-def _solve_exact(rows, ys):
-    """Exact solution of rows . beta = ys (free coordinates zero); None
-    when inconsistent."""
-    cols = len(rows[0]) if rows else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(y)] for row, y in zip(rows, ys)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][cols] != 0:
-            return None
-    beta = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        beta[c] = aug[i][cols]
-    return beta
-
-
 def _fit(observations, features):
     """observations: (env, count) pairs; features: AffineExprs.  Returns
-    the fitted AffineExpr or None."""
+    the fitted AffineExpr (free coefficients zero) or None when no
+    integral fit exists."""
+    rows = []
     try:
-        rows = [[f.evaluate(env) for f in features] for env, _ in observations]
+        for env, count in observations:
+            row = {None: Fraction(-count)}
+            for col, f in enumerate(features):
+                v = f.evaluate(env)
+                if v:
+                    row[col] = Fraction(v)
+            rows.append(row)
     except (IndexError, KeyError):
         return None
-    ys = [count for _, count in observations]
-    beta = _solve_exact(rows, ys)
-    if beta is None or any(b.denominator != 1 for b in beta):
+    solved, rest = reduce_rows(rows, range(len(features)))
+    if any(r[None] for r in rest):
         return None
     expr = AffineExpr.const_(0)
-    for b, f in zip(beta, features):
+    for col, f in enumerate(features):
+        b = solved[col][None] if col in solved else 0
+        if b.denominator != 1:
+            return None
         expr = expr + f * int(b)
     return expr
 

@@ -9,7 +9,6 @@ printing are all iterative.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 

@@ -18,7 +18,6 @@ from tpc.inclusion import includes
 from tpc.mathsolver import Congruence, eval_region, eval_system, solve_multiindex
 from tpc.oracle import SearchBudget, find_proof, reachable_set
 from tpc.paths import Step, compose_paths, path_of_steps, power_path, split_axiom
-from tpc.pipeline import pipeline
 from tpc.schemes import (
     build_scheme,
     enumerate_indices,

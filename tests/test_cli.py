@@ -28,6 +28,12 @@ class TestExitCodes:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_auto_falls_back_when_selfcheck_fails(self, capsys):
+        # rotate's procedure fails its oracle self-check (InternalMismatch)
+        start = "P(R(R(R(R(E, D4), D3), D2), D1), Y0)"
+        assert main(["decide", "rotate", "--from", start, "--to", start]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["decide", "fg", "--from", "P(Z, Z)"])

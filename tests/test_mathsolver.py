@@ -1,7 +1,5 @@
 """Existential elimination, concrete solving, and multi-index isolation."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +11,6 @@ from tpc.mathsolver import (
     ElementFamily,
     Equation,
     Ineq,
-    Region,
     eliminate,
     eval_condition,
     eval_region,

@@ -4,18 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tpc.affine import AffineExpr
-from tpc.errors import Unimplemented
 from tpc.paths import (
     EqualsLR,
-    EqualsLL,
-    GroundL,
-    GroundR,
     IDENTITY_PATH,
     IterGroup,
     Segment,
     Step,
     SymbolicPath,
-    apply_path,
     compose_paths,
     eval_atomset,
     path_of_steps,
@@ -23,7 +18,7 @@ from tpc.paths import (
     same_path,
     split_axiom,
 )
-from tpc.terms import Clause, parse_term, print_term
+from tpc.terms import Clause, parse_term
 
 
 def step(text, var):
@@ -216,13 +211,6 @@ class TestEval:
         assert eval_atomset(AtomSet((g,)), {"m": 3}, t, t)
         assert not eval_atomset(AtomSet((g,)), {"m": 4}, t, t)
         assert eval_atomset(AtomSet((g,)), {"m": 0}, t, parse_term("Z"))
-
-    def test_deferred_atoms_raise(self):
-        from tpc.paths import AtomSet
-
-        a = EqualsLL(IDENTITY_PATH, IDENTITY_PATH)
-        with pytest.raises(Unimplemented):
-            eval_atomset(AtomSet((a,)), {}, parse_term("A"), parse_term("A"))
 
     def test_multiindex_element_selector(self):
         f = step("F(x)", "x")

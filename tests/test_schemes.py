@@ -3,7 +3,6 @@ import pytest
 from tpc import (
     Axiom,
     Dot,
-    EPS,
     Star,
     UNIT,
     build_scheme,

@@ -8,7 +8,7 @@ from tpc import load_theory
 from tpc.affine import AffineExpr
 from tpc.errors import NotLinearizable
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import EqualsLR, IterGroup
+from tpc.paths import EqualsLR
 from tpc.schemes import build_scheme, instantiate, parse_scheme, reduce_specific
 from tpc.sigma import sigma
 from tpc.terms import apply_clause
