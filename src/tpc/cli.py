@@ -2,7 +2,8 @@
 synthesized decision procedures.
 
 Exit codes: 0 success, 1 negative decision or nothing found, 2 usage
-error, 3 synthesis gave up (NotLinearizable/Unsupported).
+error, 3 the generated procedure gave up (NotLinearizable/Unsupported
+during synthesis, Ambiguous during tuning).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, load_theory
-from .errors import InternalMismatch, NotLinearizable, TpcError, Unsupported
+from .errors import Ambiguous, InternalMismatch, NotLinearizable, TpcError, Unsupported
 from .inclusion import includes
 from .oracle import SearchBudget, decide_oracle, find_proof, reachable_set
 from .pipeline import pipeline
@@ -114,14 +115,15 @@ def _cmd_oracle(args) -> int:
 
 def _by_method(args, th, generated, oracle):
     """generated(procedure) or oracle(budget), as --method picks; under
-    auto, any synthesis give-up falls back to the oracle."""
+    auto, a give-up in synthesis, self-check or tuning falls back to the
+    oracle."""
     if args.method != "oracle":
         try:
             return generated(pipeline(th, selfcheck=not args.no_selfcheck))
-        except (NotLinearizable, Unsupported, InternalMismatch):
+        except (NotLinearizable, Unsupported, InternalMismatch, Ambiguous):
             if args.method == "generated":
                 raise
-            log.info("synthesis failed, falling back to oracle search")
+            log.info("generated procedure gave up, falling back to oracle search")
     return oracle(_budget(args))
 
 
@@ -248,7 +250,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotLinearizable, Unsupported) as exc:
+    except (NotLinearizable, Unsupported, Ambiguous) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TpcError as exc:

@@ -11,6 +11,7 @@ tree pairs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .affine import AffineExpr, ONE, ZERO
@@ -269,16 +270,21 @@ def _occurrences(t: Term, name: str, at=()):
         yield from _occurrences(c, name, at + (i,))
 
 
+@functools.lru_cache(maxsize=1024)
+def _unit_step(functor: str, arity: int, child_idx: int) -> Step:
+    """The step into child *child_idx* of a *functor* node; every sibling
+    is pruned to a fresh variable.  Depends on nothing but its arguments,
+    so one table serves every theory."""
+    children = tuple(Var("hole") if i == child_idx else Var(f"s{i}") for i in range(arity))
+    return Step(App(functor, children), "hole")
+
+
 def _unit_steps(t: Term, pos) -> tuple:
-    """Unit steps from the root of *t* to the node at *pos*; every sibling
-    is pruned to a fresh variable."""
+    """Unit steps from the root of *t* to the node at *pos*."""
     steps = []
     node = t
     for child_idx in pos:
-        children = []
-        for i in range(len(node.children)):
-            children.append(Var("hole") if i == child_idx else Var(f"s{i}"))
-        steps.append(Step(App(node.functor, tuple(children)), "hole"))
+        steps.append(_unit_step(node.functor, len(node.children), child_idx))
         node = node.children[child_idx]
     return tuple(steps)
 

@@ -167,8 +167,10 @@ def _rle(path: SymbolicPath) -> tuple:
     return tuple(out)
 
 
-def _concrete_atoms(theory, names) -> list:
-    clause = reduce_specific(theory, names)
+def _concrete_atoms(theory, names, prefix) -> list:
+    """The atoms of one sample; *prefix* is the reduce_specific state
+    shared by the samples of one branch."""
+    clause = reduce_specific(theory, names, prefix)
     if clause is None:
         return None
     out = []
@@ -341,9 +343,10 @@ def _synthesize_branch(theory, scheme) -> Branch:
     fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
     verify_envs = _sample_grid(decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
 
+    prefix = []
     samples = []
     for env in fit_envs:
-        atoms = _concrete_atoms(theory, instantiate(scheme, _build_index(builder, env)))
+        atoms = _concrete_atoms(theory, instantiate(scheme, _build_index(builder, env)), prefix)
         if atoms is None:
             raise NotLinearizable("an instance composes to the empty relation", scheme)
         samples.append((env, atoms))
@@ -408,7 +411,7 @@ def _synthesize_branch(theory, scheme) -> Branch:
             ordered.extend(conjuncts[key])
 
     branch = Branch(scheme, decls, builder, AtomSet(tuple(ordered), decls))
-    _verify_branch(theory, branch, verify_envs)
+    _verify_branch(theory, branch, verify_envs, prefix)
     return branch
 
 
@@ -484,9 +487,9 @@ def _expand_symbolic(atoms, env, out):
             out.append((type(atom).__name__, _canon_steps(p), _canon_steps(()), atom.template))
 
 
-def _verify_branch(theory, branch: Branch, envs):
+def _verify_branch(theory, branch: Branch, envs, prefix):
     for env in envs:
-        atoms = _concrete_atoms(theory, instantiate(branch.scheme, branch.index_of(env)))
+        atoms = _concrete_atoms(theory, instantiate(branch.scheme, branch.index_of(env)), prefix)
         if atoms is None:
             raise NotLinearizable("a held-out instance composes to the empty relation", branch.scheme)
         expected = sorted(_shape_concrete(a) for a in atoms)

@@ -229,7 +229,7 @@ def match(pattern: Term, tree: Term, binding=None):
 def substitute(pattern: Term, binding: dict) -> Term:
     if isinstance(pattern, Var):
         return binding.get(pattern.name, pattern)
-    if not free_vars(pattern):
+    if pattern.is_ground:
         return pattern
     return App(pattern.functor, tuple(substitute(c, binding) for c in pattern.children))
 

@@ -34,6 +34,18 @@ class TestExitCodes:
         assert main(["decide", "rotate", "--from", start, "--to", start]) == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    def test_auto_falls_back_when_tuning_is_ambiguous(self, capsys):
+        # without the self-check, rotate's procedure raises Ambiguous on its start
+        start = "P(R(R(R(R(E, D4), D3), D2), D1), Y0)"
+        assert main(["--no-selfcheck", "decide", "rotate", "--from", start, "--to", start]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+
+    def test_ambiguous_tuning_is_a_give_up(self, capsys):
+        start = "P(R(R(R(R(E, D4), D3), D2), D1), Y0)"
+        argv = ["--no-selfcheck", "decide", "rotate", "--method", "generated", "--from", start, "--to", start]
+        assert main(argv) == 3
+        assert "undetermined" in capsys.readouterr().err
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["decide", "fg", "--from", "P(Z, Z)"])

@@ -16,6 +16,7 @@ from tpc.paths import (
     path_of_steps,
     power_path,
     same_path,
+    _unit_steps,
     split_axiom,
 )
 from tpc.terms import Clause, parse_term
@@ -106,6 +107,28 @@ class TestSplit:
             ("[P(x, y)->y]", "[P(x, y)->y].[R(x, y)->x]"),
             ("[P(x, y)->x].[R(x, y)->y]", "[P(x, y)->y].[R(x, y)->y]"),
         }
+
+    def test_rotation_clause_atoms_are_built_from_shared_steps(self):
+        c = Clause("b", parse_term("P(R(x, z), y)"), parse_term("P(x, R(y, z))"))
+        px, py = step("P(x, y)", "x"), step("P(x, y)", "y")
+        rx, ry = step("R(x, y)", "x"), step("R(x, y)", "y")
+        first = split_axiom(c).conjuncts
+        assert first == (
+            EqualsLR(path_of_steps(px, rx), path_of_steps(px)),
+            EqualsLR(path_of_steps(py), path_of_steps(py, rx)),
+            EqualsLR(path_of_steps(px, ry), path_of_steps(py, ry)),
+        )
+        for a, b in zip(first, split_axiom(c).conjuncts):
+            for p, q in ((a.left, b.left), (a.right, b.right)):
+                assert all(s.step is u.step for s, u in zip(p.segments, q.segments))
+
+    def test_unit_steps_are_reused(self):
+        tree = parse_term("P(R(R(x, D1), D2), y)")
+        first = _unit_steps(tree, (0, 0, 1))
+        second = _unit_steps(tree, (0, 0, 1))
+        assert first == (step("P(x, y)", "x"), step("R(x, y)", "x"), step("R(x, y)", "y"))
+        assert all(a is b for a, b in zip(first, second))
+        assert first[1] is _unit_steps(parse_term("R(u, v)"), (0,))[0]
 
     def test_ground_fact_clause(self):
         c = Clause("p3", parse_term("x"), parse_term("And(Parent(Adam, John), x)"))

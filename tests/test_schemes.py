@@ -134,6 +134,32 @@ class TestReduceSpecific:
         got = reduce_specific(th, ["l1", "l1"])
         assert got.same_relation(Clause("", parse_term("And(And(x, y), z)"), parse_term("x")))
 
+    def test_shared_prefix_state_matches_fresh_folds(self):
+        th = load_theory("ancestor")
+        long = ("p3", "a1", "p2", "a2", "p1", "a2", "l1")
+        calls = [
+            long,
+            long[:4],  # a proper prefix
+            long[:3] + ("p1", "l2", "l2"),  # diverges mid-way
+            (),
+            ("a1", "a1"),  # the empty relation
+            ("a1", "a1", "a2"),
+        ]
+        state = []
+        for seq in calls:
+            got = reduce_specific(th, seq, state)
+            want = reduce_specific(th, seq)
+            if want is None:
+                assert got is None
+            else:
+                assert got.same_relation(want)
+            assert len(state) <= len(seq)
+        assert reduce_specific(th, ("a1", "a1")) is None
+        assert reduce_specific(th, long, state).same_relation(
+            Clause("", parse_term("x"), parse_term("Ancestor(Adam, Olga)"))
+        )
+        assert len(state) == len(long)
+
 
 class TestSyntax:
     def test_round_trip(self):

@@ -22,7 +22,7 @@ from tpc.errors import (
     NonGroundStart,
     TheorySyntaxError,
 )
-from tpc.terms import IDENTITY
+from tpc.terms import IDENTITY, substitute
 
 
 def t(text):
@@ -93,6 +93,27 @@ class TestApply:
         c = clause("c", "P(x, x)", "x")
         assert apply_clause(c, t("P(F(Z), F(Z))")) == t("F(Z)")
         assert apply_clause(c, t("P(F(Z), Z)")) is None
+
+
+def _rebuild(pattern, binding):
+    # structural substitution that rebuilds every App node
+    if isinstance(pattern, Var):
+        return binding.get(pattern.name, pattern)
+    return App(pattern.functor, tuple(_rebuild(c, binding) for c in pattern.children))
+
+
+class TestSubstitute:
+    def test_ground_pattern_is_returned_as_is(self):
+        ground = t("And(Parent(Adam, John), S)")
+        assert substitute(ground, {"x": t("Z")}) is ground
+
+    def test_ground_subtrees_are_shared(self):
+        pattern = t("And(Parent(Adam, John), And(x, F(y, G(Z))))")
+        binding = {"x": t("Q(Z)"), "y": Var("w")}
+        got = substitute(pattern, binding)
+        assert got == _rebuild(pattern, binding) == t("And(Parent(Adam, John), And(Q(Z), F(w, G(Z))))")
+        assert got.children[0] is pattern.children[0]
+        assert got.children[1].children[1].children[1] is pattern.children[1].children[1].children[1]
 
 
 class TestCompose:
