@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexTerm:
     """A scalar-valued reference: variable, multi-index length, or element."""
 
@@ -34,7 +34,7 @@ def scalar_of(value) -> int:
     raise TypeError(f"not an index value: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineExpr:
     const: int = 0
     terms: tuple = ()  # ((coeff, IndexTerm), ...) sorted, no zero coeffs

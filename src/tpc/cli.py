@@ -3,7 +3,8 @@ synthesized decision procedures.
 
 Exit codes: 0 success, 1 negative decision or nothing found, 2 usage
 error, 3 the generated procedure gave up (NotLinearizable/Unsupported
-during synthesis, Ambiguous during tuning).
+during synthesis, InternalMismatch when it fails its self-check or a
+replay, Ambiguous during tuning).
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotLinearizable, Unsupported, Ambiguous) as exc:
+    except (NotLinearizable, Unsupported, InternalMismatch, Ambiguous) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TpcError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .affine import AffineExpr
 from .errors import Ambiguous, InternalMismatch, Underdetermined
 from .mathsolver import Equation, solve_concrete
-from .paths import EqualsLR, GroundL, GroundR, IterGroup, apply_segments, eval_atomset
+from .paths import IterGroup, apply_segments, eval_atomset
 from .schemes import instantiate
 from .sigma import Branch, SymbolicCharFn
 from .terms import Proof, Term, replay
@@ -83,23 +83,10 @@ def _count_equation(segments, base: Term, target: Term, env):
     return None
 
 
-def _atom_paths(atom, t, d):
-    """(segments, base, target-side segments, target base) layout for
-    counting: returns (unknown-side segments, its tree, known-side
-    segments, its tree) or ground variants."""
-    if isinstance(atom, EqualsLR):
-        return [(atom.left.segments, t), (atom.right.segments, d)]
-    if isinstance(atom, GroundL):
-        return [(atom.path.segments, t), ((), atom.template)]
-    if isinstance(atom, GroundR):
-        return [(atom.path.segments, d), ((), atom.template)]
-    raise TypeError(atom)
-
-
 def _tune_atom(atom, t, d, env, equations) -> bool:
     """Extracts one equation (or a consistency check) from a non-iterated
     atom; False when the atom cannot hold."""
-    sides = _atom_paths(atom, t, d)
+    sides = [(path.segments, tree) for path, tree in atom.sides(t, d)]
     unknown = [
         i
         for i, (segs, _) in enumerate(sides)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .affine import AffineExpr, IndexTerm
 from .errors import Unsupported
 from .mathsolver import ConditionSystem, Equation, Region, eliminate
-from .paths import EqualsLR, GroundL, GroundR, SymbolicPath
+from .paths import IterGroup, Segment, SymbolicPath
 from .sigma import Branch, SymbolicCharFn
 
 
@@ -37,8 +37,6 @@ def _rename_expr(e: AffineExpr, mapping: dict) -> AffineExpr:
 
 
 def _rename_path(p: SymbolicPath, mapping: dict) -> SymbolicPath:
-    from .paths import Segment
-
     return SymbolicPath.of(
         *(Segment(seg.step, _rename_expr(seg.count, mapping)) for seg in p.segments)
     )
@@ -73,20 +71,14 @@ def _atom_equations(fa, ga):
     None when the atoms are not of the same shape."""
     if type(fa) is not type(ga):
         return None
-    if isinstance(fa, EqualsLR):
-        left = _align(fa.left, ga.left)
-        right = _align(fa.right, ga.right)
-        if left is None or right is None:
+    pairs = []
+    for (fp, ftree), (gp, gtree) in zip(fa.sides(), ga.sides()):
+        if ftree != gtree:
             return None
-        pairs = left + right
-    elif isinstance(fa, (GroundL, GroundR)):
-        if fa.template != ga.template:
+        aligned = _align(fp, gp)
+        if aligned is None:
             return None
-        pairs = _align(fa.path, ga.path)
-        if pairs is None:
-            return None
-    else:
-        raise Unsupported(f"cannot align {type(fa).__name__} atoms")
+        pairs.extend(aligned)
     return [Equation(fc, gc) for fc, gc in pairs if fc != gc]
 
 
@@ -139,14 +131,6 @@ def includes(f, g) -> InclusionResult:
 
 
 def _rename_atom(atom, mapping):
-    from .paths import IterGroup
-
-    if isinstance(atom, EqualsLR):
-        return EqualsLR(_rename_path(atom.left, mapping), _rename_path(atom.right, mapping))
-    if isinstance(atom, GroundL):
-        return GroundL(_rename_path(atom.path, mapping), atom.template)
-    if isinstance(atom, GroundR):
-        return GroundR(_rename_path(atom.path, mapping), atom.template)
     if isinstance(atom, IterGroup):
         raise Unsupported("iterated atom groups are not alignable")
-    raise TypeError(atom)
+    return atom.with_paths(*(_rename_path(path, mapping) for path, _ in atom.sides()))

@@ -15,14 +15,15 @@ import functools
 from dataclasses import dataclass
 
 from .affine import AffineExpr, ONE, ZERO
-from .terms import App, Clause, Term, Var, compose_clauses, free_vars, match, print_term
+from .errors import FreeRhsVariable
+from .terms import IDENTITY, App, Clause, Term, Var, compose_clauses, match, print_term
 
 
 # ---------------------------------------------------------------------------
 # steps and paths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One projection clause [p -> v]; variables canonically renamed."""
 
@@ -30,27 +31,12 @@ class Step:
     var: str
 
     def __post_init__(self):
-        mapping = {}
-
-        def visit(t):
-            if isinstance(t, Var):
-                if t.name not in mapping:
-                    mapping[t.name] = f"v{len(mapping)}"
-            else:
-                for c in t.children:
-                    visit(c)
-
-        visit(self.lhs)
-        if self.var not in mapping:
-            raise ValueError(f"step target {self.var!r} does not occur in {print_term(self.lhs)}")
-
-        def rename(t):
-            if isinstance(t, Var):
-                return Var(mapping[t.name])
-            return App(t.functor, tuple(rename(c) for c in t.children))
-
-        object.__setattr__(self, "lhs", rename(self.lhs))
-        object.__setattr__(self, "var", mapping[self.var])
+        try:
+            c = Clause("", self.lhs, Var(self.var)).canonical()
+        except FreeRhsVariable:
+            raise ValueError(f"step target {self.var!r} does not occur in {print_term(self.lhs)}") from None
+        object.__setattr__(self, "lhs", c.lhs)
+        object.__setattr__(self, "var", c.rhs.name)
 
     def apply(self, tree: Term):
         binding = match(self.lhs, tree)
@@ -72,13 +58,13 @@ def _display(t: Term) -> Term:
     return App(t.functor, tuple(_display(c) for c in t.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     step: Step
     count: AffineExpr = ONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicPath:
     """A step sequence with affine repetition counts; () is the identity."""
 
@@ -117,11 +103,9 @@ class SymbolicPath:
 
     def to_clause(self) -> Clause:
         """Concrete paths only: the single merged projection clause."""
-        clause = Clause("", Var("x"), Var("x"))
-        for step in self.expand({}):
-            clause = compose_clauses(clause, step.as_clause())
-            if clause is None:
-                raise ValueError("path steps do not compose")
+        clause = _fold_steps(self.expand({}))
+        if clause is None:
+            raise ValueError("path steps do not compose")
         return clause
 
     def substitute(self, mapping) -> "SymbolicPath":
@@ -173,14 +157,22 @@ def same_path(p: SymbolicPath, q: SymbolicPath) -> bool:
     return p.to_clause().same_relation(q.to_clause())
 
 
-def compose_paths(p: SymbolicPath, q: SymbolicPath) -> SymbolicPath:
-    """Single-step path equal to applying p then q; None if they do not
-    compose."""
-    clause = Clause("", Var("x"), Var("x"))
-    for step in list(p.expand({})) + list(q.expand({})):
+def _fold_steps(steps):
+    """The clause applying *steps* in order; None if they do not compose."""
+    clause = IDENTITY
+    for step in steps:
         clause = compose_clauses(clause, step.as_clause())
         if clause is None:
             return None
+    return clause
+
+
+def compose_paths(p: SymbolicPath, q: SymbolicPath) -> SymbolicPath:
+    """Single-step path equal to applying p then q; None if they do not
+    compose."""
+    clause = _fold_steps(p.expand({}) + q.expand({}))
+    if clause is None:
+        return None
     if isinstance(clause.lhs, Var):
         return IDENTITY_PATH
     return SymbolicPath.concrete((Step(clause.lhs, clause.rhs.name),))
@@ -199,28 +191,53 @@ def power_path(p: SymbolicPath, n: int) -> SymbolicPath:
 # atoms
 
 
-@dataclass(frozen=True)
+# Every atom compares what its two sides read: ``sides(t, d)`` gives each
+# side as (path, tree it reads), and ``with_paths`` rebuilds the atom with
+# new paths for those sides.  A ground atom's second side is the identity
+# path on its template.  Called without trees, ``sides`` puts None where a
+# side reads t or d, so the second tree is the template or None.
+
+
+@dataclass(frozen=True, slots=True)
 class EqualsLR:
     left: SymbolicPath
     right: SymbolicPath
+
+    def sides(self, t: Term = None, d: Term = None):
+        return (self.left, t), (self.right, d)
+
+    def with_paths(self, left: SymbolicPath, right: SymbolicPath) -> "EqualsLR":
+        return EqualsLR(left, right)
 
     def __str__(self):
         return f"EqualsLR({self.left}, {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundL:
     path: SymbolicPath
     template: Term
+
+    def sides(self, t: Term = None, d: Term = None):
+        return (self.path, t), (IDENTITY_PATH, self.template)
+
+    def with_paths(self, path: SymbolicPath, _identity: SymbolicPath = None) -> "GroundL":
+        return GroundL(path, self.template)
 
     def __str__(self):
         return f"GroundL({self.path}, {print_term(self.template)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundR:
     path: SymbolicPath
     template: Term
+
+    def sides(self, t: Term = None, d: Term = None):
+        return (self.path, d), (IDENTITY_PATH, self.template)
+
+    def with_paths(self, path: SymbolicPath, _identity: SymbolicPath = None) -> "GroundR":
+        return GroundR(path, self.template)
 
     def __str__(self):
         return f"GroundR({self.path}, {print_term(self.template)})"
@@ -338,14 +355,6 @@ def split_axiom(c: Clause) -> AtomSet:
 
 
 def _eval_atom(atom, env: dict, t: Term, d: Term) -> bool:
-    if isinstance(atom, EqualsLR):
-        lv = atom.left.apply(t, env)
-        rv = atom.right.apply(d, env)
-        return lv is not None and rv is not None and lv == rv
-    if isinstance(atom, GroundL):
-        return atom.path.apply(t, env) == atom.template
-    if isinstance(atom, GroundR):
-        return atom.path.apply(d, env) == atom.template
     if isinstance(atom, IterGroup):
         try:
             lo = atom.lower.evaluate(env)
@@ -359,7 +368,9 @@ def _eval_atom(atom, env: dict, t: Term, d: Term) -> bool:
                 if not _eval_atom(a, inner, t, d):
                     return False
         return True
-    raise TypeError(f"not an atom: {atom!r}")
+    (lp, lt), (rp, rt) = atom.sides(t, d)
+    lv = lp.apply(lt, env)
+    return lv is not None and lv == rp.apply(rt, env)
 
 
 def eval_atomset(s: AtomSet, assign: dict, t: Term, d: Term) -> bool:

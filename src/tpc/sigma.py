@@ -10,12 +10,16 @@ atoms across samples into families, fits every repetition count as an
 affine expression in the index features (constants, scalar counts,
 multi-index lengths, and inside iterated families the position i and the
 element value m[i]), and then verifies the fitted form against held-out
-samples.  Anything that fails to fit or verify raises NotLinearizable.
+samples.  Verification expands the fitted atoms at each held-out index
+and compares them, as a multiset, with the atoms split from that sample:
+each atom is compared by its class, the unit steps of each side and its
+template.  Anything that fails to fit or verify raises NotLinearizable.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,9 +28,6 @@ from .errors import NotLinearizable
 from .mathsolver import reduce_rows
 from .paths import (
     AtomSet,
-    EqualsLR,
-    GroundL,
-    GroundR,
     IterGroup,
     Segment,
     SymbolicPath,
@@ -48,7 +49,7 @@ from .schemes import (
     reduce_specific,
     shape_of,
 )
-from .terms import Clause, Term, Var, compose_clauses, print_term
+from .terms import Term
 
 _SCALAR_NAMES = ("n", "k", "j", "l")
 _MULTI_NAMES = ("m", "u", "w")
@@ -139,49 +140,22 @@ def _sample_grid(decls, scalar_pool, multi_pool, cap):
 # concrete atoms (one sample)
 
 
-@dataclass(frozen=True)
-class _ConcreteAtom:
-    kind: str  # "EqualsLR" | "GroundL" | "GroundR"
-    left: tuple  # run-length encoded: ((Step, count), ...)
-    right: tuple  # runs for EqualsLR, else ()
-    template: Term = None
-
-    @property
-    def key(self):
-        return (
-            self.kind,
-            tuple(s for s, _ in self.left),
-            tuple(s for s, _ in self.right),
-            self.template,
-        )
-
-
-def _rle(path: SymbolicPath) -> tuple:
-    out = []
-    for seg in path.segments:
-        assert seg.count.is_const
-        if out and out[-1][0] == seg.step:
-            out[-1] = (seg.step, out[-1][1] + seg.count.const)
-        else:
-            out.append((seg.step, seg.count.const))
-    return tuple(out)
-
-
-def _concrete_atoms(theory, names, prefix) -> list:
+def _concrete_atoms(theory, names, prefix):
     """The atoms of one sample; *prefix* is the reduce_specific state
     shared by the samples of one branch."""
     clause = reduce_specific(theory, names, prefix)
-    if clause is None:
-        return None
-    out = []
-    for atom in split_axiom(clause).conjuncts:
-        if isinstance(atom, EqualsLR):
-            out.append(_ConcreteAtom("EqualsLR", _rle(atom.left), _rle(atom.right)))
-        elif isinstance(atom, GroundL):
-            out.append(_ConcreteAtom("GroundL", _rle(atom.path), (), atom.template))
-        else:
-            out.append(_ConcreteAtom("GroundR", _rle(atom.path), (), atom.template))
-    return out
+    return None if clause is None else split_axiom(clause).conjuncts
+
+
+def _skeleton(path: SymbolicPath) -> tuple:
+    return tuple(seg.step for seg in path.segments)
+
+
+def _family_key(atom):
+    """Class, step skeleton of each side and template (None for EqualsLR)
+    of a concrete atom."""
+    (left, _), (right, template) = atom.sides()
+    return (type(atom), _skeleton(left), _skeleton(right), template)
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +204,24 @@ def _sub_skeleton(a, b):
     return all(step in it for step in a)
 
 
-def _embed(runs, skeleton):
-    """Leftmost embedding of RLE runs into a step skeleton; None if the
-    runs are not a subsequence."""
+def _embed(path: SymbolicPath, skeleton):
+    """Leftmost embedding of a concrete path's segment counts into a step
+    skeleton; None if its steps are not a subsequence."""
     out = [0] * len(skeleton)
     si = 0
-    for step, cnt in runs:
-        while si < len(skeleton) and skeleton[si] != step:
+    for seg in path.segments:
+        while si < len(skeleton) and skeleton[si] != seg.step:
             si += 1
         if si == len(skeleton):
             return None
-        out[si] = cnt
+        out[si] = seg.count.const
         si += 1
     return out
 
 
 def _merge_keys(keys):
     """Partition compatible keys around maximal skeletons.  Two keys are
-    compatible when they share kind and template and both step tuples of
+    compatible when they share class and template and both step tuples of
     one embed into the other's."""
     keys = list(keys)
     merged = {}  # representative key -> list of member keys
@@ -309,31 +283,28 @@ class SymbolicCharFn:
         return " | ".join(str(b) for b in self.branches)
 
 
-def _family_atom(kind, template, left_skel, right_skel, left_exprs, right_exprs):
-    if kind == "EqualsLR":
-        return EqualsLR(_path_from(left_skel, left_exprs), _path_from(right_skel, right_exprs))
-    path = _path_from(left_skel, left_exprs)
-    return GroundL(path, template) if kind == "GroundL" else GroundR(path, template)
+def _family_atom(member, key, fitted):
+    """*member*, one atom of the family *key*, rebuilt with the fitted
+    paths."""
+    return member.with_paths(*(_path_from(skel, exprs) for skel, exprs in zip(key[1:3], fitted)))
 
 
 def _fit_family_runs(key, observations, features, scheme):
-    """observations: (env, atom) with atom runs exactly matching key's
+    """observations: (env, atom) with atom steps embedding in key's
     skeletons.  Fits one expression per run on each side."""
-    left_exprs, right_exprs = [], []
-    for side, skel, store in (("left", key[1], left_exprs), ("right", key[2], right_exprs)):
+    fitted = []
+    for side, skel in enumerate(key[1:3]):
+        counts = [_embed(atom.sides()[side][0], skel) for _, atom in observations]
+        if None in counts:
+            raise NotLinearizable("atom does not embed in its family skeleton", scheme)
+        exprs = []
         for ri in range(len(skel)):
-            obs = []
-            for env, atom in observations:
-                runs = atom.left if side == "left" else atom.right
-                counts = _embed(runs, skel)
-                if counts is None:
-                    raise NotLinearizable("atom does not embed in its family skeleton", scheme)
-                obs.append((env, counts[ri]))
-            expr = _fit(obs, features)
+            expr = _fit([(env, c[ri]) for (env, _), c in zip(observations, counts)], features)
             if expr is None:
                 return None
-            store.append(expr)
-    return left_exprs, right_exprs
+            exprs.append(expr)
+        fitted.append(exprs)
+    return fitted
 
 
 def _synthesize_branch(theory, scheme) -> Branch:
@@ -351,29 +322,31 @@ def _synthesize_branch(theory, scheme) -> Branch:
             raise NotLinearizable("an instance composes to the empty relation", scheme)
         samples.append((env, atoms))
 
-    # group occurrences by exact key, in order of appearance
-    order = []
+    # group occurrences by exact key; first_atom holds the keys in order
+    # of appearance, each with the atom a fitted family is rebuilt from
+    first_atom = {}
     groups = {}
     for si, (env, atoms) in enumerate(samples):
         for pos, atom in enumerate(atoms):
-            if atom.key not in groups:
-                groups[atom.key] = [[] for _ in samples]
-                order.append(atom.key)
-            groups[atom.key][si].append((pos, atom))
+            key = _family_key(atom)
+            if key not in groups:
+                groups[key] = [[] for _ in samples]
+                first_atom[key] = atom
+            groups[key][si].append((pos, atom))
 
     base = _base_features(decls)
     multis = [d.name for d in decls if d.kind == "multi"]
     conjuncts = {}  # key -> list of symbolic atoms (placed at first appearance)
     failing = []
 
-    for key in order:
+    for key in first_atom:
         per_sample = groups[key]
         counts = {len(lst) for lst in per_sample}
         if counts == {1}:
             obs = [(env, lst[0][1]) for (env, _), lst in zip(samples, per_sample)]
             fitted = _fit_family_runs(key, obs, base, scheme)
             if fitted is not None:
-                conjuncts[key] = [_family_atom(key[0], key[3], key[1], key[2], *fitted)]
+                conjuncts[key] = [_family_atom(first_atom[key], key, fitted)]
                 continue
         failing.append(key)
 
@@ -399,12 +372,12 @@ def _synthesize_branch(theory, scheme) -> Branch:
             fitted = _fit_iterated(rep, samples, occ, base, multis, itervar, scheme)
             if fitted is None:
                 raise NotLinearizable("repetition counts are not affine in the index", scheme)
-            body = _family_atom(rep[0], rep[3], rep[1], rep[2], *fitted)
+            body = _family_atom(first_atom[rep], rep, fitted)
             conjuncts[rep] = [IterGroup(itervar, ONE, upper, (body,))]
 
     ordered = []
     seen = set()
-    for key in order:
+    for key in first_atom:
         key = rep_of.get(key, key)
         if key in conjuncts and key not in seen:
             seen.add(key)
@@ -450,52 +423,40 @@ def _fit_iterated(key, samples, occ, base, multis, itervar, scheme):
 # verification
 
 
-def _canon_steps(steps) -> str:
-    clause = Clause("", Var("x"), Var("x"))
-    for step in steps:
-        clause = compose_clauses(clause, step.as_clause())
-        if clause is None:
-            return "<empty>"
-    c = clause.canonical()
-    return f"{print_term(c.lhs)} -> {print_term(c.rhs)}"
+def _unit_form(atom, env):
+    """Class, unit steps of each side under *env*, and template (None for
+    EqualsLR) of a non-iterated atom."""
+    (left, _), (right, template) = atom.sides()
+    form = (type(atom), left.expand(env), right.expand(env), template)
+    if None in form[1:3]:
+        raise NotLinearizable("a fitted count went negative during verification")
+    return form
 
 
-def _shape_concrete(atom: _ConcreteAtom):
-    left = _canon_steps(s for s, c in atom.left for _ in range(c))
-    right = _canon_steps(s for s, c in atom.right for _ in range(c))
-    return (atom.kind, left, right, atom.template)
-
-
-def _expand_symbolic(atoms, env, out):
+def _expand_symbolic(atoms, env, out: Counter):
     for atom in atoms:
         if isinstance(atom, IterGroup):
             lo = atom.lower.evaluate(env)
             hi = atom.upper.evaluate(env)
             for i in range(lo, hi + 1):
                 _expand_symbolic(atom.body, {**env, atom.itervar: i}, out)
-            continue
-        if isinstance(atom, EqualsLR):
-            l = atom.left.expand(env)
-            r = atom.right.expand(env)
-            if l is None or r is None:
-                raise NotLinearizable("a fitted count went negative during verification")
-            out.append(("EqualsLR", _canon_steps(l), _canon_steps(r), None))
         else:
-            p = atom.path.expand(env)
-            if p is None:
-                raise NotLinearizable("a fitted count went negative during verification")
-            out.append((type(atom).__name__, _canon_steps(p), _canon_steps(()), atom.template))
+            out[_unit_form(atom, env)] += 1
 
 
 def _verify_branch(theory, branch: Branch, envs, prefix):
+    """At each env the fitted atoms must expand to exactly the multiset of
+    the held-out sample's atoms.  Every step comes from
+    ``paths._unit_step``, so a side's unit-step sequence and the clause it
+    composes to determine each other, and comparing steps needs no clause
+    composition."""
     for env in envs:
         atoms = _concrete_atoms(theory, instantiate(branch.scheme, branch.index_of(env)), prefix)
         if atoms is None:
             raise NotLinearizable("a held-out instance composes to the empty relation", branch.scheme)
-        expected = sorted(_shape_concrete(a) for a in atoms)
-        got = []
+        got = Counter()
         _expand_symbolic(branch.atoms.conjuncts, env, got)
-        if sorted(got) != expected:
+        if got != Counter(_unit_form(a, {}) for a in atoms):
             raise NotLinearizable("fitted form failed held-out verification", branch.scheme)
 
 

@@ -46,6 +46,12 @@ class TestExitCodes:
         assert main(argv) == 3
         assert "undetermined" in capsys.readouterr().err
 
+    def test_failed_selfcheck_is_a_give_up(self, capsys):
+        start = "P(R(R(R(R(E, D4), D3), D2), D1), Y0)"
+        argv = ["decide", "rotate", "--method", "generated", "--from", start, "--to", start]
+        assert main(argv) == 3
+        assert "rejects a reachable sentence" in capsys.readouterr().err
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["decide", "fg", "--from", "P(Z, Z)"])

@@ -5,13 +5,15 @@ import itertools
 import pytest
 
 from tpc import load_theory
+from tpc.affine import AffineExpr
 from tpc.errors import Unsupported
-from tpc.inclusion import includes
+from tpc.inclusion import _atom_equations, includes
 from tpc.mathsolver import Congruence, eval_region
 from tpc.oracle import SearchBudget, reachable_set
+from tpc.paths import GroundL, GroundR, Segment, Step, SymbolicPath
 from tpc.schemes import instantiate, parse_scheme, reduce_specific
 from tpc.sigma import sigma
-from tpc.terms import apply_clause
+from tpc.terms import apply_clause, parse_term
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,22 @@ class TestWorkedQueries:
         g = sigma(rot, parse_scheme("a*"))
         with pytest.raises(Unsupported):
             includes(f, g)
+
+
+class TestAtomEquations:
+    PATH = SymbolicPath.of(Segment(Step(parse_term("And(x, y)"), "y"), AffineExpr.var("n")))
+    ADAM = parse_term("Parent(Adam, John)")
+
+    def test_same_ground_atoms_align(self):
+        eqs = _atom_equations(GroundR(self.PATH, self.ADAM), GroundR(self.PATH, self.ADAM))
+        assert eqs == []
+
+    def test_ground_sides_must_agree(self):
+        assert _atom_equations(GroundL(self.PATH, self.ADAM), GroundR(self.PATH, self.ADAM)) is None
+
+    def test_templates_must_agree(self):
+        other = parse_term("Parent(Peter, Olga)")
+        assert _atom_equations(GroundR(self.PATH, self.ADAM), GroundR(self.PATH, other)) is None
 
 
 SOUNDNESS_CASES = [

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from tpc.affine import AffineExpr
 from tpc.paths import (
+    AtomSet,
     EqualsLR,
+    GroundL,
+    GroundR,
     IDENTITY_PATH,
     IterGroup,
     Segment,
@@ -227,8 +230,6 @@ class TestEval:
                 SymbolicPath.of(Segment(f, i)),
             ),
         )
-        from tpc.paths import AtomSet
-
         g = IterGroup("i", AffineExpr.const_(1), AffineExpr.var("m"), body)
         t = parse_term("F(F(F(Z)))")
         assert eval_atomset(AtomSet((g,)), {"m": 3}, t, t)
@@ -237,8 +238,6 @@ class TestEval:
 
     def test_multiindex_element_selector(self):
         f = step("F(x)", "x")
-        from tpc.paths import AtomSet
-
         a = EqualsLR(
             SymbolicPath.of(Segment(f, AffineExpr.element("m", AffineExpr.const_(1)))),
             IDENTITY_PATH,
@@ -247,6 +246,25 @@ class TestEval:
         assert eval_atomset(AtomSet((a,)), {"m": (2, 5)}, t, parse_term("Z"))
         # out-of-range selector is simply false, not an error
         assert not eval_atomset(AtomSet((a,)), {"m": ()}, t, parse_term("Z"))
+
+
+class TestSides:
+    PX = path_of_steps(step("P(x, y)", "x"))
+    T, D = parse_term("P(A, B)"), parse_term("P(B, A)")
+
+    def test_ground_atoms_read_their_own_side(self):
+        a, b = parse_term("A"), parse_term("B")
+        assert eval_atomset(AtomSet((GroundL(self.PX, a),)), {}, self.T, self.D)
+        assert not eval_atomset(AtomSet((GroundR(self.PX, a),)), {}, self.T, self.D)
+        assert eval_atomset(AtomSet((GroundR(self.PX, b),)), {}, self.T, self.D)
+        assert GroundR(self.PX, b).sides(self.T, self.D) == ((self.PX, self.D), (IDENTITY_PATH, b))
+
+    def test_with_paths_rebuilds_from_sides(self):
+        py = path_of_steps(step("P(x, y)", "y"))
+        a = parse_term("A")
+        for atom in (EqualsLR(self.PX, py), GroundL(self.PX, a), GroundR(self.PX, a)):
+            assert atom.with_paths(*(path for path, _ in atom.sides())) == atom
+            assert atom.with_paths(py, IDENTITY_PATH).sides()[0][0] == py
 
 
 @settings(max_examples=60, deadline=None)

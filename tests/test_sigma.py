@@ -1,5 +1,6 @@
 """Characteristic-function synthesis: worked forms and oracle agreement."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -8,9 +9,9 @@ from tpc import load_theory
 from tpc.affine import AffineExpr
 from tpc.errors import NotLinearizable
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import EqualsLR
+from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath
 from tpc.schemes import build_scheme, instantiate, parse_scheme, reduce_specific
-from tpc.sigma import sigma
+from tpc.sigma import _MAX_VERIFY_SAMPLES, _MULTI_VERIFY, _SCALAR_VERIFY, _sample_grid, _verify_branch, sigma
 from tpc.terms import apply_clause
 
 
@@ -94,6 +95,38 @@ class TestNotLinearizable:
         fg = load_theory("fg")
         with pytest.raises(NotLinearizable):
             sigma(fg, parse_scheme("(a*.b)*"))
+
+
+class TestHeldOutVerification:
+    """Held-out verification rejects a form that differs from the samples
+    in a single count or a single atom class."""
+
+    @staticmethod
+    def verify(theory, branch, conjuncts):
+        envs = _sample_grid(branch.decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
+        changed = dataclasses.replace(branch, atoms=AtomSet(tuple(conjuncts), branch.atoms.free_vars))
+        _verify_branch(theory, changed, envs, [])
+
+    def test_off_by_one_count_is_rejected(self):
+        fg = load_theory("fg")
+        (branch,) = sigma(fg, parse_scheme("a*")).branches
+        first, second = branch.atoms.conjuncts
+        *head, last = first.right.segments
+        assert last.count == AffineExpr.var("n") * 2
+        self.verify(fg, branch, (first, second))
+        wrong = SymbolicPath.of(*head, Segment(last.step, last.count + 1))
+        with pytest.raises(NotLinearizable, match="held-out"):
+            self.verify(fg, branch, (first.with_paths(first.left, wrong), second))
+
+    def test_ground_side_is_checked(self):
+        anc = load_theory("ancestor")
+        (branch,) = sigma(anc, parse_scheme("p3*")).branches
+        conj = list(branch.atoms.conjuncts)
+        assert [type(a) for a in conj] == [EqualsLR, GroundR, IterGroup]
+        self.verify(anc, branch, conj)
+        conj[1] = GroundL(conj[1].path, conj[1].template)
+        with pytest.raises(NotLinearizable, match="held-out"):
+            self.verify(anc, branch, conj)
 
 
 def env_grid(decls, scalars, multis):
