@@ -15,7 +15,7 @@ from .affine import AffineExpr, IndexTerm
 from .errors import Unsupported
 from .mathsolver import ConditionSystem, Equation, Region, eliminate
 from .paths import IterGroup, Segment, SymbolicPath
-from .sigma import Branch, SymbolicCharFn
+from .sigma import _MULTI_NAMES, _SCALAR_NAMES, Branch, SymbolicCharFn, _fresh
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,9 @@ def includes(f, g) -> InclusionResult:
     mapping = {}
     for d in gb.decls:
         name = d.name
-        if name in taken or name in mapping.values():
-            pool = "nkjl" if d.kind == "scalar" else "muw"
-            name = next(
-                c for c in list(pool) + [f"{pool[0]}{i}" for i in range(2, 99)]
-                if c not in taken and c not in mapping.values()
-            )
+        if name in taken:
+            name = _fresh(taken, _SCALAR_NAMES if d.kind == "scalar" else _MULTI_NAMES)
+        taken.add(name)
         mapping[d.name] = name
 
     equations = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .affine import AffineExpr, ONE, ZERO
 from .errors import FreeRhsVariable
-from .terms import IDENTITY, App, Clause, Term, Var, compose_clauses, match, print_term
+from .terms import IDENTITY, App, Clause, Term, Var, compose_clauses, match, print_term, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +46,11 @@ class Step:
         return Clause("", self.lhs, Var(self.var))
 
     def __str__(self):
-        return f"[{print_term(_display(self.lhs))}->{_DISPLAY_NAMES.get(self.var, self.var)}]"
+        var = _DISPLAY_VARS.get(self.var, self.var)
+        return f"[{print_term(substitute(self.lhs, _DISPLAY_VARS))}->{var}]"
 
 
-_DISPLAY_NAMES = {f"v{i}": n for i, n in enumerate("xyzwpqrst")}
-
-
-def _display(t: Term) -> Term:
-    if isinstance(t, Var):
-        return Var(_DISPLAY_NAMES.get(t.name, t.name))
-    return App(t.functor, tuple(_display(c) for c in t.children))
+_DISPLAY_VARS = {f"v{i}": Var(n) for i, n in enumerate("xyzwpqrst")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,15 +273,6 @@ class AtomSet:
 # splitting clauses into atoms
 
 
-def _occurrences(t: Term, name: str, at=()):
-    if isinstance(t, Var):
-        if t.name == name:
-            yield at
-        return
-    for i, c in enumerate(t.children):
-        yield from _occurrences(c, name, at + (i,))
-
-
 @functools.lru_cache(maxsize=1024)
 def _unit_step(functor: str, arity: int, child_idx: int) -> Step:
     """The step into child *child_idx* of a *functor* node; every sibling
@@ -306,47 +292,42 @@ def _unit_steps(t: Term, pos) -> tuple:
     return tuple(steps)
 
 
-def _max_ground_subterms(t: Term, at=()):
-    if isinstance(t, Var):
-        return
-    if t.is_ground:
-        yield at, t
-        return
-    for i, c in enumerate(t.children):
-        yield from _max_ground_subterms(c, at + (i,))
+def _positions(t: Term):
+    """One walk over *t*: the positions of each variable, keyed in order of
+    first occurrence, and each maximal ground subterm with its position,
+    all in left-to-right order.  Iterative."""
+    var_at = {}
+    ground = []
+    todo = [((), t)]
+    while todo:
+        at, node = todo.pop()
+        if isinstance(node, Var):
+            var_at.setdefault(node.name, []).append(at)
+        elif node.is_ground:
+            ground.append((at, node))
+        else:
+            todo.extend((at + (i,), c) for i, c in reversed(tuple(enumerate(node.children))))
+    return var_at, ground
 
 
 def split_axiom(c: Clause) -> AtomSet:
     """The conjunction of atoms equivalent to root application of *c*:
     one EqualsLR per (lhs occurrence, rhs occurrence) pair of each rhs
     variable, plus GroundL/GroundR atoms for maximal ground subterms."""
-    atoms = []
-    rhs_vars = []
-    seen = set()
+    lhs_vars, lhs_ground = _positions(c.lhs)
+    rhs_vars, rhs_ground = _positions(c.rhs)
 
-    def order_vars(t):
-        if isinstance(t, Var):
-            if t.name not in seen:
-                seen.add(t.name)
-                rhs_vars.append(t.name)
-        else:
-            for ch in t.children:
-                order_vars(ch)
+    def path(t, pos):
+        return SymbolicPath.concrete(_unit_steps(t, pos))
 
-    order_vars(c.rhs)
-    for v in rhs_vars:
-        for rpos in _occurrences(c.rhs, v):
-            for lpos in _occurrences(c.lhs, v):
-                atoms.append(
-                    EqualsLR(
-                        SymbolicPath.concrete(_unit_steps(c.lhs, lpos)),
-                        SymbolicPath.concrete(_unit_steps(c.rhs, rpos)),
-                    )
-                )
-    for pos, sub in _max_ground_subterms(c.lhs):
-        atoms.append(GroundL(SymbolicPath.concrete(_unit_steps(c.lhs, pos)), sub))
-    for pos, sub in _max_ground_subterms(c.rhs):
-        atoms.append(GroundR(SymbolicPath.concrete(_unit_steps(c.rhs, pos)), sub))
+    atoms = [
+        EqualsLR(path(c.lhs, lpos), path(c.rhs, rpos))
+        for v, rposs in rhs_vars.items()
+        for rpos in rposs
+        for lpos in lhs_vars[v]
+    ]
+    atoms += [GroundL(path(c.lhs, pos), sub) for pos, sub in lhs_ground]
+    atoms += [GroundR(path(c.rhs, pos), sub) for pos, sub in rhs_ground]
     return AtomSet(tuple(atoms), ())
 
 

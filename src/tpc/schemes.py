@@ -417,13 +417,15 @@ def reduce_specific(th: Theory, seq, prefix=None):
     while k < len(prefix) and k < len(seq) and prefix[k][0] == seq[k]:
         k += 1
     del prefix[k:]
+    if not seq:
+        return IDENTITY.canonical()
     clause = prefix[-1][1] if prefix else IDENTITY
     for name in seq[k:]:
         clause = compose_clauses(clause, th.axiom(name))
         if clause is None:
             return None
         prefix.append((name, clause))
-    return clause.canonical()
+    return clause
 
 
 # ---------------------------------------------------------------------------

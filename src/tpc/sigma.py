@@ -80,11 +80,11 @@ def _layout(e: IterExpr, decls: list):
     if isinstance(e, Star):
         body = shape_of(e.body)
         if body == UNIT_SHAPE:
-            name = _fresh(decls, _SCALAR_NAMES)
+            name = _fresh({d.name for d in decls}, _SCALAR_NAMES)
             decls.append(VarDecl(name, "scalar"))
             return ("scalar", name)
         if body == ListOf(UNIT_SHAPE):
-            name = _fresh(decls, _MULTI_NAMES)
+            name = _fresh({d.name for d in decls}, _MULTI_NAMES)
             decls.append(VarDecl(name, "multi"))
             return ("multi", name)
         raise NotLinearizable("index nesting too deep to lay out", e)
@@ -101,8 +101,8 @@ def _layout(e: IterExpr, decls: list):
     raise TypeError(e)
 
 
-def _fresh(decls, preferred):
-    taken = {d.name for d in decls}
+def _fresh(taken, preferred):
+    """The first of *preferred*, then of preferred[0] + "2", "3", ..., not in *taken*."""
     for name in preferred:
         if name not in taken:
             return name
@@ -353,7 +353,7 @@ def _synthesize_branch(theory, scheme) -> Branch:
     merged = _merge_keys(failing) if failing else {}
     rep_of = {key: rep for rep, members in merged.items() for key in members}
     if failing:
-        itervar = _fresh(list(decls), ("i", "i2", "i3"))
+        itervar = _fresh({d.name for d in decls}, ("i", "i2", "i3"))
         for rep, members in merged.items():
             member_set = set(members)
             # per sample, the member occurrences in original atom order

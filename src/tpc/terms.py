@@ -3,8 +3,12 @@
 Sentences are ground trees; axioms are clause pairs ``p -> q`` with
 ``vars(rhs) <= vars(lhs)``, applied at the root only.  Everything here is
 immutable and safe to share.  Trees can get very deep (chains of thousands
-of nodes), so hashing is precomputed bottom-up and equality, parsing and
-printing are all iterative.
+of nodes), so hashing is precomputed bottom-up, and equality, parsing,
+printing, matching, unification and the clause walks (free variables, and
+resolving and renaming in ``Clause.canonical`` and ``compose_clauses``) are
+all iterative.  ``substitute`` still recurses, but only over the pattern,
+an axiom or a path step, so axioms deeper than about 500 nodes remain out
+of scope.
 """
 
 from __future__ import annotations
@@ -254,7 +258,7 @@ def _occurs(name: str, t: Term, subst: dict) -> bool:
 
 def unify(a: Term, b: Term, subst=None):
     """Syntactic unification with occurs check.  Returns a substitution
-    (triangular form; resolve with :func:`resolve`) or None."""
+    (triangular form; resolve with :func:`_rebuild`) or None."""
     if subst is None:
         subst = {}
     stack = [(a, b)]
@@ -280,11 +284,38 @@ def unify(a: Term, b: Term, subst=None):
     return subst
 
 
-def resolve(t: Term, subst: dict) -> Term:
-    t = _walk(t, subst)
-    if isinstance(t, Var):
-        return t
-    return App(t.functor, tuple(resolve(c, subst) for c in t.children))
+def _rebuild(t: Term, subst: dict, names: dict) -> Term:
+    """*t* resolved through the unifier *subst*, with each variable renamed
+    to the next of v0, v1, ... in left-to-right order.  *names* maps the
+    variables seen so far to their new names; share it between the sides
+    of a clause.  A subtree that comes out unchanged, ground ones among
+    them, is returned as it is.  Iterative."""
+    done = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is tuple:  # (app,): its children are done
+            (node,) = node
+            arity = len(node.children)
+            children = tuple(done[-arity:])
+            del done[-arity:]
+            # items compare by identity first, and a rebuilt child differs
+            # from the one it replaces, so this costs no deep comparison
+            done.append(node if children == node.children else App(node.functor, children))
+            continue
+        node = _walk(node, subst)
+        if isinstance(node, Var):
+            new = names.get(node.name)
+            if new is None:
+                new = f"v{len(names)}"
+                new = names[node.name] = node if node.name == new else Var(new)
+            done.append(new)
+        elif node.is_ground:
+            done.append(node)
+        else:
+            todo.append((node,))
+            todo.extend(reversed(node.children))
+    return done[0]
 
 
 @dataclass(frozen=True)
@@ -301,25 +332,10 @@ class Clause:
         if extra:
             raise FreeRhsVariable(sorted(extra)[0], self.name)
 
-    def rename(self, suffix: str) -> "Clause":
-        mapping = {v: Var(v + suffix) for v in free_vars(self.lhs) | free_vars(self.rhs)}
-        return Clause(self.name, substitute(self.lhs, mapping), substitute(self.rhs, mapping))
-
     def canonical(self) -> "Clause":
         """Variables renamed v0, v1, ... in DFS order over lhs then rhs."""
-        mapping = {}
-
-        def visit(t):
-            if isinstance(t, Var):
-                if t.name not in mapping:
-                    mapping[t.name] = Var(f"v{len(mapping)}")
-            else:
-                for c in t.children:
-                    visit(c)
-
-        visit(self.lhs)
-        visit(self.rhs)
-        return Clause(self.name, substitute(self.lhs, mapping), substitute(self.rhs, mapping))
+        names = {}
+        return Clause(self.name, _rebuild(self.lhs, {}, names), _rebuild(self.rhs, {}, names))
 
     def same_relation(self, other: "Clause") -> bool:
         a, b = self.canonical(), other.canonical()
@@ -342,14 +358,16 @@ def apply_clause(c: Clause, t: Term):
 
 def compose_clauses(c1: Clause, c2: Clause):
     """The clause equivalent to applying c1 then c2, or None if the
-    composed relation is empty."""
-    a = c1.rename("_1")
-    b = c2.rename("_2")
-    subst = unify(a.rhs, b.lhs)
+    composed relation is empty.  The result is canonical."""
+    # c2 is renamed apart with a primed suffix, which no parsed or
+    # canonical name carries; vars(rhs) <= vars(lhs) for every clause
+    apart = {v: Var(v + "'") for v in free_vars(c2.lhs)}
+    subst = unify(c1.rhs, substitute(c2.lhs, apart))
     if subst is None:
         return None
     name = f"{c1.name}.{c2.name}" if c1.name and c2.name else (c1.name or c2.name)
-    return Clause(name, resolve(a.lhs, subst), resolve(b.rhs, subst)).canonical()
+    names = {}
+    return Clause(name, _rebuild(c1.lhs, subst, names), _rebuild(substitute(c2.rhs, apart), subst, names))
 
 
 def _check_arities(terms, arities, owner):

@@ -63,6 +63,20 @@ class TestWorkedQueries:
             includes(f, g)
 
 
+@pytest.mark.parametrize(
+    "ftext, gtext, existentials",
+    [
+        ("a*.b*", "b*.a*", ("j", "l")),
+        ("a*.b*.a*.b*", "a*.b*", ("n2", "n3")),
+        ("a*.b*.a*.b*.a*", "a*.b*", ("n3", "n4")),
+    ],
+)
+def test_clashing_names_are_renamed_fresh(fg, ftext, gtext, existentials):
+    res = includes(sigma(fg, parse_scheme(ftext)), sigma(fg, parse_scheme(gtext)))
+    assert res.system.existentials == existentials
+    assert res.universal
+
+
 class TestAtomEquations:
     PATH = SymbolicPath.of(Segment(Step(parse_term("And(x, y)"), "y"), AffineExpr.var("n")))
     ADAM = parse_term("Parent(Adam, John)")

@@ -17,6 +17,7 @@ from tpc import (
     shape_of,
 )
 from tpc.errors import ShapeError
+from tpc.paths import split_axiom
 from tpc.schemes import Choice, ListOf, TupleShape, UNIT_SHAPE, parse_index
 from tpc.terms import Clause
 
@@ -159,6 +160,14 @@ class TestReduceSpecific:
             Clause("", parse_term("x"), parse_term("Ancestor(Adam, Olga)"))
         )
         assert len(state) == len(long)
+
+    def test_deep_chain_is_iterative(self):
+        # far past the recursion limit: composing, renaming and splitting
+        # all walk the clause iteratively
+        got = reduce_specific(load_theory("chain"), ["a"] * 3000)
+        assert got.rhs.size == 3002
+        assert got == got.canonical()
+        assert str(split_axiom(got)) == "EqualsLR([P(x)->x], [P(x)->x].[F(x)->x]^3000)"
 
 
 class TestSyntax:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tpc import (
     App,
@@ -22,7 +23,7 @@ from tpc.errors import (
     NonGroundStart,
     TheorySyntaxError,
 )
-from tpc.terms import IDENTITY, substitute
+from tpc.terms import IDENTITY, free_vars, substitute, unify
 
 
 def t(text):
@@ -139,6 +140,85 @@ class TestCompose:
         c1 = clause("", "P(x)", "Q(x)")
         c2 = clause("", "R(x)", "P(x)")
         assert compose_clauses(c1, c2) is None
+
+
+def _reference_canonical(name, lhs, rhs):
+    # variables renamed v0, v1, ... in recursive DFS order over lhs then rhs
+    mapping = {}
+
+    def visit(t):
+        if isinstance(t, Var):
+            if t.name not in mapping:
+                mapping[t.name] = Var(f"v{len(mapping)}")
+        else:
+            for c in t.children:
+                visit(c)
+
+    visit(lhs)
+    visit(rhs)
+    return Clause(name, substitute(lhs, mapping), substitute(rhs, mapping))
+
+
+def _reference_compose(c1, c2):
+    # rename both clauses apart, unify, resolve recursively, canonicalise
+    def rename(c, suffix):
+        mapping = {v: Var(v + suffix) for v in free_vars(c.lhs) | free_vars(c.rhs)}
+        return substitute(c.lhs, mapping), substitute(c.rhs, mapping)
+
+    def resolve(t):
+        while isinstance(t, Var) and t.name in subst:
+            t = subst[t.name]
+        if isinstance(t, Var):
+            return t
+        return App(t.functor, tuple(resolve(c) for c in t.children))
+
+    lhs1, rhs1 = rename(c1, "_1")
+    lhs2, rhs2 = rename(c2, "_2")
+    subst = unify(rhs1, lhs2)
+    if subst is None:
+        return None
+    name = f"{c1.name}.{c2.name}" if c1.name and c2.name else (c1.name or c2.name)
+    return _reference_canonical(name, resolve(lhs1), resolve(rhs2))
+
+
+# both clauses draw from one pool, so they share names, some of which carry
+# the suffixes renaming apart once used, and some are canonical names
+_NAMES = ("x", "y", "z", "x_1", "y_2", "x_2", "v0", "v1")
+
+
+_TERMS = st.recursive(
+    st.sampled_from([Var(n) for n in _NAMES] + [App("Z")]),
+    lambda kids: st.one_of(
+        st.builds(lambda a: App("F", (a,)), kids),
+        st.builds(lambda a, b: App("G", (a, b)), kids, kids),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _clauses(draw):
+    lhs, rhs = draw(_TERMS), draw(_TERMS)
+    # point each rhs variable the lhs lacks at one it has, or at Z
+    have = sorted(free_vars(lhs))
+    lacks = sorted(free_vars(rhs) - set(have))
+    fix = {v: Var(have[i % len(have)]) if have else App("Z") for i, v in enumerate(lacks)}
+    return Clause(draw(st.sampled_from(("", "a", "b"))), lhs, substitute(rhs, fix))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_clauses(), _clauses())
+@example(clause("a", "F(x)", "F(x)"), clause("b", "G(x, y)", "y"))  # no unifier
+@example(clause("a", "G(x, y)", "G(x, x)"), clause("b", "G(y, F(y))", "y"))  # occurs check
+@example(clause("a", "G(x_2, x)", "G(x, x_2)"), clause("", "G(x, x_1)", "F(x_1)"))
+def test_compose_matches_rename_both_reference(c1, c2):
+    got = compose_clauses(c1, c2)
+    want = _reference_compose(c1, c2)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.name, got.lhs, got.rhs) == (want.name, want.lhs, want.rhs)
+    assert c1.canonical() == _reference_canonical(c1.name, c1.lhs, c1.rhs)
 
 
 class TestProofs:
