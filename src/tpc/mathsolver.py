@@ -9,8 +9,9 @@ sparse Fraction rows.  Three front-ends share it:
   values required nonnegative).
 * ``solve_concrete`` pins down fully determined natural values, used by
   tuning.
-* ``sigma._fit`` solves for the feature coefficients of a repetition
-  count (free coordinates zero, integral or no fit).
+* ``sigma._design`` reduces a feature matrix once, to solve each
+  repetition count for its feature coefficients (free coordinates zero,
+  integral or no fit).
 
 ``solve_multiindex`` isolates one unknown multi-index hierarchically:
 the length equation first, then one element per equation family.
@@ -278,7 +279,8 @@ def eliminate(system: ConditionSystem) -> Region:
     for key, sol in solved.items():
         leftover = {k for k in sol if isinstance(k, IndexTerm) and k.var in system.existentials}
         if leftover:
-            raise Unsupported(f"existential {key.var} not isolated: depends on {leftover}")
+            names = ", ".join(sorted(map(str, leftover)))
+            raise Unsupported(f"existential {key.var} not isolated: depends on {names}")
         d = _row_denom(sol)
         scaled = _row_to_expr(sol, d)
         if d > 1:

@@ -12,6 +12,7 @@ tree pairs.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .affine import AffineExpr, ONE, ZERO
@@ -81,7 +82,11 @@ class SymbolicPath:
 
     @staticmethod
     def concrete(steps) -> "SymbolicPath":
-        return SymbolicPath.of(*(Segment(s, ONE) for s in steps))
+        """The path of a unit-step sequence: one segment per run of equal
+        steps, counted directly."""
+        return SymbolicPath(tuple(
+            Segment(step, AffineExpr.const_(sum(1 for _ in run))) for step, run in itertools.groupby(steps)
+        ))
 
     def expand(self, env: dict):
         """Unit-step tuple under *env*; None when a count is negative."""

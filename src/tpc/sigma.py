@@ -10,18 +10,23 @@ atoms across samples into families, fits every repetition count as an
 affine expression in the index features (constants, scalar counts,
 multi-index lengths, and inside iterated families the position i and the
 element value m[i]), and then verifies the fitted form against held-out
-samples.  Verification expands the fitted atoms at each held-out index
-and compares them, as a multiset, with the atoms split from that sample:
-each atom is compared by its class, the unit steps of each side and its
-template.  Anything that fails to fit or verify raises NotLinearizable.
+samples.  Each design, the feature matrix of one list of sample envs, is
+reduced once; every count fitted over it is solved from the basis rows
+and checked on all rows in integers.  Verification expands the fitted
+atoms at each held-out index and compares them, as a multiset, with the
+atoms split from that sample: each atom is compared by its class, the
+unit steps of each side and its template.  Anything that fails to fit or
+verify raises NotLinearizable.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .affine import AffineExpr, ONE
 from .errors import NotLinearizable
@@ -162,31 +167,49 @@ def _family_key(atom):
 # affine fitting
 
 
-def _fit(observations, features):
-    """observations: (env, count) pairs; features: AffineExprs.  Returns
-    the fitted AffineExpr (free coefficients zero) or None when no
-    integral fit exists."""
-    rows = []
+def _design(envs, features):
+    """Reduces the feature matrix of one list of sample envs once and
+    returns its ``fit``: a count per env to the fitted AffineExpr, or None
+    when no integral fit exists.  The pivots are the features independent
+    of the ones before them.  ``fit`` solves their coefficients from the
+    basis rows, free coefficients zero, and checks them on every row in
+    integers.  A consistent system's free-zero solution depends only on
+    the row space, so this is what reducing each count's system gives."""
     try:
-        for env, count in observations:
-            row = {None: Fraction(-count)}
-            for col, f in enumerate(features):
-                v = f.evaluate(env)
-                if v:
-                    row[col] = Fraction(v)
-            rows.append(row)
+        rows = [tuple(f.evaluate(env) for f in features) for env in envs]
     except (IndexError, KeyError):
-        return None
-    solved, rest = reduce_rows(rows, range(len(features)))
-    if any(r[None] for r in rest):
-        return None
-    expr = AffineExpr.const_(0)
-    for col, f in enumerate(features):
-        b = solved[col][None] if col in solved else 0
-        if b.denominator != 1:
-            return None
-        expr = expr + f * int(b)
-    return expr
+        return lambda counts: None
+    # row i reads "row . coeffs + t_i = 0" with t_i = -count_i, so a solved
+    # pivot gives its coefficient over the counts; a repeated row adds
+    # nothing to the row space and is left out
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    tagged = [
+        {col: Fraction(v) for col, v in enumerate(row) if v} | {("t", i): Fraction(1)}
+        for row, i in first.items()
+    ]
+    solved, _ = reduce_rows(tagged, range(len(features)))
+    denom = lcm(*(v.denominator for sol in solved.values() for v in sol.values()))
+    solution = [
+        [(k[1], int(-v * denom)) for k, v in sol.items() if isinstance(k, tuple)] for sol in solved.values()
+    ]
+    pivot_rows = [tuple(row[col] for col in solved) for row in rows]
+
+    def fit(counts):
+        # rounded down; only the exact solution, if integral, holds on the
+        # basis rows
+        coeffs = [sum(a * counts[i] for i, a in combo) // denom for combo in solution]
+        for row, count in zip(pivot_rows, counts):
+            if sum(map(operator.mul, row, coeffs)) != count:
+                return None
+        expr = AffineExpr.const_(0)
+        for col, b in zip(solved, coeffs):
+            if b:
+                expr = expr + features[col] * b
+        return expr
+
+    return fit
 
 
 def _base_features(decls):
@@ -289,20 +312,18 @@ def _family_atom(member, key, fitted):
     return member.with_paths(*(_path_from(skel, exprs) for skel, exprs in zip(key[1:3], fitted)))
 
 
-def _fit_family_runs(key, observations, features, scheme):
-    """observations: (env, atom) with atom steps embedding in key's
-    skeletons.  Fits one expression per run on each side."""
+def _fit_family_runs(key, atoms, fit, scheme):
+    """*atoms*, one per env of the design *fit* belongs to, have steps
+    embedding in key's skeletons.  Fits one expression per run on each
+    side."""
     fitted = []
     for side, skel in enumerate(key[1:3]):
-        counts = [_embed(atom.sides()[side][0], skel) for _, atom in observations]
+        counts = [_embed(atom.sides()[side][0], skel) for atom in atoms]
         if None in counts:
             raise NotLinearizable("atom does not embed in its family skeleton", scheme)
-        exprs = []
-        for ri in range(len(skel)):
-            expr = _fit([(env, c[ri]) for (env, _), c in zip(observations, counts)], features)
-            if expr is None:
-                return None
-            exprs.append(expr)
+        exprs = [fit([c[ri] for c in counts]) for ri in range(len(skel))]
+        if None in exprs:
+            return None
         fitted.append(exprs)
     return fitted
 
@@ -335,6 +356,7 @@ def _synthesize_branch(theory, scheme) -> Branch:
             groups[key][si].append((pos, atom))
 
     base = _base_features(decls)
+    base_fit = _design([env for env, _ in samples], base)
     multis = [d.name for d in decls if d.kind == "multi"]
     conjuncts = {}  # key -> list of symbolic atoms (placed at first appearance)
     failing = []
@@ -343,45 +365,34 @@ def _synthesize_branch(theory, scheme) -> Branch:
         per_sample = groups[key]
         counts = {len(lst) for lst in per_sample}
         if counts == {1}:
-            obs = [(env, lst[0][1]) for (env, _), lst in zip(samples, per_sample)]
-            fitted = _fit_family_runs(key, obs, base, scheme)
+            fitted = _fit_family_runs(key, [lst[0][1] for lst in per_sample], base_fit, scheme)
             if fitted is not None:
                 conjuncts[key] = [_family_atom(first_atom[key], key, fitted)]
                 continue
         failing.append(key)
 
-    merged = _merge_keys(failing) if failing else {}
+    merged = _merge_keys(failing)
     rep_of = {key: rep for rep, members in merged.items() for key in members}
-    if failing:
-        itervar = _fresh({d.name for d in decls}, ("i", "i2", "i3"))
-        for rep, members in merged.items():
-            member_set = set(members)
-            # per sample, the member occurrences in original atom order
-            occ = []
-            for si in range(len(samples)):
-                rows = sorted(
-                    (pos, atom)
-                    for key in member_set
-                    for pos, atom in groups[key][si]
-                )
-                occ.append([atom for _, atom in rows])
-            # group size must be affine in the base features
-            upper = _fit([(env, len(o)) for (env, _), o in zip(samples, occ)], base)
-            if upper is None:
-                raise NotLinearizable("family size is not affine in the index", scheme)
-            fitted = _fit_iterated(rep, samples, occ, base, multis, itervar, scheme)
-            if fitted is None:
-                raise NotLinearizable("repetition counts are not affine in the index", scheme)
-            body = _family_atom(first_atom[rep], rep, fitted)
-            conjuncts[rep] = [IterGroup(itervar, ONE, upper, (body,))]
+    itervar = _fresh({d.name for d in decls}, ("i", "i2", "i3"))
+    for rep, members in merged.items():
+        # per sample, the member occurrences in original atom order
+        occ = [
+            [atom for _, atom in sorted(occurrence for key in members for occurrence in groups[key][si])]
+            for si in range(len(samples))
+        ]
+        # group size must be affine in the base features
+        upper = base_fit([len(o) for o in occ])
+        if upper is None:
+            raise NotLinearizable("family size is not affine in the index", scheme)
+        fitted = _fit_iterated(rep, samples, occ, base, multis, itervar, scheme)
+        if fitted is None:
+            raise NotLinearizable("repetition counts are not affine in the index", scheme)
+        body = _family_atom(first_atom[rep], rep, fitted)
+        conjuncts[rep] = [IterGroup(itervar, ONE, upper, (body,))]
 
     ordered = []
-    seen = set()
-    for key in first_atom:
-        key = rep_of.get(key, key)
-        if key in conjuncts and key not in seen:
-            seen.add(key)
-            ordered.extend(conjuncts[key])
+    for key in dict.fromkeys(rep_of.get(key, key) for key in first_atom):
+        ordered.extend(conjuncts[key])
 
     branch = Branch(scheme, decls, builder, AtomSet(tuple(ordered), decls))
     _verify_branch(theory, branch, verify_envs, prefix)
@@ -393,25 +404,14 @@ def _fit_iterated(key, samples, occ, base, multis, itervar, scheme):
     position and, per multi-index, the element at that position (tried
     both from the front and from the back)."""
     pos = AffineExpr.var(itervar)
-    selector_choices = [()]
-    for w in multis:
-        selector_choices = [
-            prev + (sel,)
-            for prev in selector_choices
-            for sel in (
-                AffineExpr.element(w, pos),
-                AffineExpr.element(w, AffineExpr.var(w) + 1 - pos),
-            )
-        ]
-    for sels in selector_choices:
-        features = base + [pos] + list(sels)
-        obs = []
-        ok = True
-        for (env, _), atoms in zip(samples, occ):
-            for i, atom in enumerate(atoms, start=1):
-                obs.append(({**env, itervar: i}, atom))
+    choices = [
+        (AffineExpr.element(w, pos), AffineExpr.element(w, AffineExpr.var(w) + 1 - pos)) for w in multis
+    ]
+    envs = [{**env, itervar: i} for (env, _), o in zip(samples, occ) for i in range(1, len(o) + 1)]
+    atoms = [atom for o in occ for atom in o]
+    for sels in itertools.product(*choices):
         try:
-            fitted = _fit_family_runs(key, obs, features, scheme)
+            fitted = _fit_family_runs(key, atoms, _design(envs, base + [pos] + list(sels)), scheme)
         except NotLinearizable:
             return None
         if fitted is not None:

@@ -1,9 +1,14 @@
 """Command-line surface: output shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tpc
 from tpc.cli import main
 
 FG_PAIR = [
@@ -116,3 +121,23 @@ class TestCommands:
         f = tmp_path / "tiny.tpc"
         f.write_text("start: Q(Z)\na: Q(x) -> Q(H(x))\n")
         assert main(["decide", str(f), "--from", "Q(Z)", "--to", "Q(H(H(Z)))"]) == 0
+
+
+class TestDeterministicMessages:
+    INCLUDES = ["includes", "chain", "--left", "a*", "--right", "a*.a*.a*.a*.a*.a*"]
+
+    @staticmethod
+    def run(argv, hash_seed):
+        src = str(Path(tpc.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-m", "tpc.cli", *argv], capture_output=True, text=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_unsupported_message_ignores_the_hash_seed(self, json_flag):
+        runs = {self.run(json_flag + self.INCLUDES, seed) for seed in (0, 1)}
+        assert len(runs) == 1
+        ((code, _, err),) = runs
+        assert code == 3
+        assert "existential k not isolated: depends on j, l, n2, n3, n4" in err

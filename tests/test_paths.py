@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpc.affine import AffineExpr
+from tpc.affine import ONE, AffineExpr
 from tpc.paths import (
     AtomSet,
     EqualsLR,
@@ -96,6 +96,40 @@ class TestComposition:
         p = SymbolicPath.of(Segment(step("P(x, y)", "x")), Segment(f, n + n))
         assert str(p) == "[P(x, y)->x].[F(x)->x]^{2n}"
         assert str(IDENTITY_PATH) == "[x->x]"
+
+
+def merged_unit_path(steps):
+    return SymbolicPath.of(*(Segment(s, ONE) for s in steps))
+
+
+class TestConcrete:
+    """concrete() counts runs of equal steps directly; it gives what
+    merging unit segments one at a time gives."""
+
+    F, PX, PY = ("F(x)", "x"), ("P(x, y)", "x"), ("P(x, y)", "y")
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [(), (F,), (F, PX, F, PX, F), (PX, PY) * 3, (F,) * 500, (PX,) + (F,) * 40 + (PY, PY)],
+        ids=["empty", "single", "alternating", "alternating-pair", "long-run", "runs"],
+    )
+    def test_equals_merged_unit_segments(self, pattern):
+        # a fresh Step per element: runs are found by equality, not identity
+        steps = [step(*s) for s in pattern]
+        assert SymbolicPath.concrete(steps) == merged_unit_path(steps)
+
+    def test_empty_is_identity(self):
+        assert SymbolicPath.concrete(()) == IDENTITY_PATH
+
+    def test_long_run_is_one_segment(self):
+        (seg,) = SymbolicPath.concrete([step("F(x)", "x")] * 500).segments
+        assert seg.count == AffineExpr.const_(500)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([F, PX, PY]), max_size=30))
+    def test_any_sequence(self, pattern):
+        steps = [step(*s) for s in pattern]
+        assert SymbolicPath.concrete(steps) == merged_unit_path(steps)
 
 
 class TestSplit:

@@ -2,16 +2,27 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tpc import load_theory
-from tpc.affine import AffineExpr
+from tpc.affine import ONE, AffineExpr
 from tpc.errors import NotLinearizable
+from tpc.mathsolver import reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath
 from tpc.schemes import build_scheme, instantiate, parse_scheme, reduce_specific
-from tpc.sigma import _MAX_VERIFY_SAMPLES, _MULTI_VERIFY, _SCALAR_VERIFY, _sample_grid, _verify_branch, sigma
+from tpc.sigma import (
+    _MAX_VERIFY_SAMPLES,
+    _MULTI_VERIFY,
+    _SCALAR_VERIFY,
+    _design,
+    _sample_grid,
+    _verify_branch,
+    sigma,
+)
 from tpc.terms import apply_clause
 
 
@@ -170,3 +181,129 @@ def test_charfn_agrees_with_reduction(theory_name, scheme_text, scalars):
                 if holds != rewrites:
                     mismatches += 1
     assert mismatches == 0
+
+
+# ---------------------------------------------------------------------------
+# the fit over a design agrees with reducing each count's system afresh
+
+
+def reference_fit(observations, features):
+    """One augmented system per count column, row-reduced from scratch:
+    the fitted AffineExpr (free coefficients zero) or None when no
+    integral fit exists."""
+    rows = []
+    try:
+        for env, count in observations:
+            row = {None: Fraction(-count)}
+            for col, f in enumerate(features):
+                v = f.evaluate(env)
+                if v:
+                    row[col] = Fraction(v)
+            rows.append(row)
+    except (IndexError, KeyError):
+        return None
+    solved, rest = reduce_rows(rows, range(len(features)))
+    if any(r[None] for r in rest):
+        return None
+    expr = AffineExpr.const_(0)
+    for col, f in enumerate(features):
+        b = solved[col][None] if col in solved else 0
+        if b.denominator != 1:
+            return None
+        expr = expr + f * int(b)
+    return expr
+
+
+N, K, M, I = (AffineExpr.var(v) for v in "nkmi")
+FEATURE_POOL = [
+    ONE,
+    N,
+    K,
+    M,
+    N * 2,  # with an odd count, a half coefficient
+    N + K,  # dependent on n and k
+    ONE * 2,
+    AffineExpr.const_(0),  # a zero column
+    I,
+    AffineExpr.element("m", I),
+    AffineExpr.element("m", M + 1 - I),
+    AffineExpr.element("m", I + 1),  # out of range at i = len(m)
+]
+
+envs_st = st.lists(
+    st.fixed_dictionaries({
+        "n": st.integers(0, 3),
+        "k": st.integers(0, 3),
+        "m": st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+        "i": st.integers(1, 3),
+    }).map(lambda env: {**env, "i": min(env["i"], len(env["m"]))}),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def count_columns(draw, envs, features):
+    """Count columns over *envs*: exact affine combinations of the features
+    (integral or half-integral coefficients, floored), some perturbed in
+    one row, and arbitrary ones."""
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["affine", "perturbed", "arbitrary"]))
+        if kind == "arbitrary":
+            columns.append(draw(st.lists(st.integers(-3, 6), min_size=len(envs), max_size=len(envs))))
+            continue
+        coeffs = [Fraction(draw(st.integers(-2, 2)), draw(st.sampled_from([1, 1, 2]))) for _ in features]
+        try:
+            column = [int(sum(c * f.evaluate(env) for c, f in zip(coeffs, features)) // 1) for env in envs]
+        except (IndexError, KeyError):
+            column = [0] * len(envs)
+        if kind == "perturbed":
+            column[draw(st.integers(0, len(envs) - 1))] += 1
+        columns.append(column)
+    return columns
+
+
+@st.composite
+def designs(draw):
+    envs = draw(envs_st)
+    features = draw(st.lists(st.sampled_from(FEATURE_POOL), min_size=1, max_size=5))
+    return envs, features, draw(count_columns(envs, features))
+
+
+N_ENVS = [{"n": n, "k": 0, "m": (1,), "i": 1} for n in range(4)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(designs())
+# rank-deficient: a duplicate and a zero column
+@example((N_ENVS, [ONE, N, N, AffineExpr.const_(0)], [[2 * n + 1 for n in range(4)]]))
+# inconsistent: not affine in n
+@example((N_ENVS, [ONE, N], [[n * n for n in range(4)]]))
+# non-integral: count n over the feature 2n
+@example((N_ENVS, [N * 2], [[n for n in range(4)]]))
+# an element selector out of range
+@example(([{"m": (1, 2), "i": 2}], [AffineExpr.element("m", I + 1)], [[1]]))
+def test_design_fit_matches_reference(case):
+    envs, features, columns = case
+    fit = _design(envs, features)
+    for counts in columns:
+        assert fit(counts) == reference_fit(list(zip(envs, counts)), features)
+
+
+class TestDesignFit:
+    def test_rank_deficient_takes_the_first_pivot(self):
+        fit = _design(N_ENVS, [ONE, N, N, AffineExpr.const_(0)])
+        assert fit([2 * n + 1 for n in range(4)]) == N * 2 + 1
+
+    def test_inconsistent_counts_have_no_fit(self):
+        assert _design(N_ENVS, [ONE, N])([n * n for n in range(4)]) is None
+
+    def test_non_integral_solution_has_no_fit(self):
+        fit = _design(N_ENVS, [N * 2])
+        assert fit([n for n in range(4)]) is None
+        assert fit([4 * n for n in range(4)]) == N * 4
+
+    def test_selector_out_of_range_has_no_fit(self):
+        fit = _design([{"m": (1, 2), "i": 2}], [AffineExpr.element("m", I + 1)])
+        assert fit([1]) is None
