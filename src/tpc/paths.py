@@ -103,7 +103,7 @@ class SymbolicPath:
 
     def to_clause(self) -> Clause:
         """Concrete paths only: the single merged projection clause."""
-        clause = _fold_steps(self.expand({}))
+        clause = compose_clauses(IDENTITY, *(step.as_clause() for step in self.expand({})))
         if clause is None:
             raise ValueError("path steps do not compose")
         return clause
@@ -157,20 +157,10 @@ def same_path(p: SymbolicPath, q: SymbolicPath) -> bool:
     return p.to_clause().same_relation(q.to_clause())
 
 
-def _fold_steps(steps):
-    """The clause applying *steps* in order; None if they do not compose."""
-    clause = IDENTITY
-    for step in steps:
-        clause = compose_clauses(clause, step.as_clause())
-        if clause is None:
-            return None
-    return clause
-
-
 def compose_paths(p: SymbolicPath, q: SymbolicPath) -> SymbolicPath:
     """Single-step path equal to applying p then q; None if they do not
     compose."""
-    clause = _fold_steps(p.expand({}) + q.expand({}))
+    clause = compose_clauses(IDENTITY, *(step.as_clause() for step in p.expand({}) + q.expand({})))
     if clause is None:
         return None
     if isinstance(clause.lhs, Var):
@@ -287,52 +277,50 @@ def _unit_step(functor: str, arity: int, child_idx: int) -> Step:
     return Step(App(functor, children), "hole")
 
 
-def _unit_steps(t: Term, pos) -> tuple:
-    """Unit steps from the root of *t* to the node at *pos*."""
-    steps = []
-    node = t
-    for child_idx in pos:
-        steps.append(_unit_step(node.functor, len(node.children), child_idx))
-        node = node.children[child_idx]
-    return tuple(steps)
-
-
-def _positions(t: Term):
-    """One walk over *t*: the positions of each variable, keyed in order of
-    first occurrence, and each maximal ground subterm with its position,
-    all in left-to-right order.  Iterative."""
+def _paths(t: Term):
+    """One walk over *t*: the path to each occurrence of each variable,
+    keyed in order of first occurrence, and each maximal ground subterm
+    with its path, all in left-to-right order.  Each path is carried down
+    the walk as a linked list of runs ``(runs before, step key, step,
+    count)``, where a step key is the argument tuple of ``_unit_step``, so
+    a leaf's path costs its number of runs, not its depth.  Iterative."""
     var_at = {}
     ground = []
-    todo = [((), t)]
+    todo = [(t, None)]
     while todo:
-        at, node = todo.pop()
+        node, runs = todo.pop()
         if isinstance(node, Var):
-            var_at.setdefault(node.name, []).append(at)
+            var_at.setdefault(node.name, []).append(_runs_path(runs))
         elif node.is_ground:
-            ground.append((at, node))
+            ground.append((_runs_path(runs), node))
         else:
-            todo.extend((at + (i,), c) for i, c in reversed(tuple(enumerate(node.children))))
+            arity = len(node.children)
+            for i in range(arity - 1, -1, -1):
+                key = (node.functor, arity, i)
+                if runs is not None and runs[1] == key:
+                    todo.append((node.children[i], (runs[0], key, runs[2], runs[3] + 1)))
+                else:
+                    todo.append((node.children[i], (runs, key, _unit_step(*key), 1)))
     return var_at, ground
+
+
+def _runs_path(runs) -> SymbolicPath:
+    segments = []
+    while runs is not None:
+        runs, _, step, n = runs
+        segments.append(Segment(step, AffineExpr.const_(n)))
+    return SymbolicPath(tuple(reversed(segments)))
 
 
 def split_axiom(c: Clause) -> AtomSet:
     """The conjunction of atoms equivalent to root application of *c*:
     one EqualsLR per (lhs occurrence, rhs occurrence) pair of each rhs
     variable, plus GroundL/GroundR atoms for maximal ground subterms."""
-    lhs_vars, lhs_ground = _positions(c.lhs)
-    rhs_vars, rhs_ground = _positions(c.rhs)
-
-    def path(t, pos):
-        return SymbolicPath.concrete(_unit_steps(t, pos))
-
-    atoms = [
-        EqualsLR(path(c.lhs, lpos), path(c.rhs, rpos))
-        for v, rposs in rhs_vars.items()
-        for rpos in rposs
-        for lpos in lhs_vars[v]
-    ]
-    atoms += [GroundL(path(c.lhs, pos), sub) for pos, sub in lhs_ground]
-    atoms += [GroundR(path(c.rhs, pos), sub) for pos, sub in rhs_ground]
+    lhs_vars, lhs_ground = _paths(c.lhs)
+    rhs_vars, rhs_ground = _paths(c.rhs)
+    atoms = [EqualsLR(lpath, rpath) for v, rpaths in rhs_vars.items() for rpath in rpaths for lpath in lhs_vars[v]]
+    atoms += [GroundL(path, sub) for path, sub in lhs_ground]
+    atoms += [GroundR(path, sub) for path, sub in rhs_ground]
     return AtomSet(tuple(atoms), ())
 
 

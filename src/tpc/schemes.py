@@ -400,32 +400,22 @@ def wrap_scheme(alpha: IterExpr, axiom_name: str) -> IterExpr:
 
 
 def reduce_specific(th: Theory, seq, prefix=None):
-    """Left fold of clause composition; the empty sequence is the identity
-    clause.  None when the composed relation is empty.
+    """Left fold of clause composition from the identity clause, which
+    names the result; the empty sequence is the identity clause.  None when
+    the composed relation is empty.
 
     *prefix*, when given, is a caller-owned list that carries the fold from
-    one call to the next: entry i is ``(seq[i], clause of seq[:i + 1])``.
-    A call resumes after the longest prefix its *seq* shares with the
-    entries, truncates the list there and appends the steps it composes,
-    so the list never holds more entries than the current *seq* has names.
+    one call to the next: the ``state`` of :func:`compose_clauses` over the
+    axioms of *seq*.  It never holds more entries than *seq* has names.
     The entries are only valid for the theory that made them; use one list
     per theory."""
     seq = tuple(seq)
-    if prefix is None:
-        prefix = []
-    k = 0
-    while k < len(prefix) and k < len(seq) and prefix[k][0] == seq[k]:
-        k += 1
-    del prefix[k:]
     if not seq:
+        if prefix:
+            del prefix[:]
         return IDENTITY.canonical()
-    clause = prefix[-1][1] if prefix else IDENTITY
-    for name in seq[k:]:
-        clause = compose_clauses(clause, th.axiom(name))
-        if clause is None:
-            return None
-        prefix.append((name, clause))
-    return clause
+    clause = compose_clauses(*map(th.axiom, seq), state=prefix)
+    return None if clause is None else clause.with_name(f"{IDENTITY.name}.{clause.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,27 @@
 value is an atom set: a pair of trees is related by some instance of the
 scheme exactly when the atoms hold under the corresponding assignment.
 
-The construction samples the scheme at small concrete indexes, reduces
-each instance to a single clause, splits it into path atoms, aligns the
-atoms across samples into families, fits every repetition count as an
-affine expression in the index features (constants, scalar counts,
-multi-index lengths, and inside iterated families the position i and the
-element value m[i]), and then verifies the fitted form against held-out
-samples.  Each design, the feature matrix of one list of sample envs, is
-reduced once; every count fitted over it is solved from the basis rows
-and checked on all rows in integers.  Verification expands the fitted
-atoms at each held-out index and compares them, as a multiset, with the
-atoms split from that sample: each atom is compared by its class, the
-unit steps of each side and its template.  Anything that fails to fit or
-verify raises NotLinearizable.
+The construction samples the scheme at small concrete indexes (every
+combination of pool values, or an evenly strided subset that still
+varies every variable), reduces each instance to a single clause, splits
+it into path atoms, aligns the atoms across samples into families, fits
+every repetition count as an affine expression in the index features
+(constants, scalar counts, multi-index lengths, and inside iterated
+families the position i and the element value m[i]), and then verifies
+the fitted form against held-out samples.  Each design, the feature
+matrix of one list of sample envs, is reduced once; every count fitted
+over it is solved from the basis rows and checked on all rows in
+integers.  Verification expands the fitted atoms at each held-out index
+and compares them, as a multiset, with the atoms split from that sample:
+each atom is compared by its class, the unit steps of each side and its
+template.  Anything that fails to fit or verify raises NotLinearizable.
+
+The samples of a branch share one ``reduce_specific`` state and are
+composed in sorted order of their axiom sequences, so each resumes from
+the longest prefix any earlier one left.  Fitting stops at the first
+instance that composes to the empty relation; everything else, the
+samples, the families and every check, keeps the order of the grid, so
+the first failure reported is the same whatever the composition order.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .affine import AffineExpr, ONE
 from .errors import NotLinearizable
@@ -131,25 +139,39 @@ def _build_index(spec, env):
 
 
 def _sample_grid(decls, scalar_pool, multi_pool, cap):
+    """Every combination of pool values, or *cap* of them when there are
+    more: combos[i * stride mod len] for i < cap, with stride the least
+    integer >= len / cap that is coprime to len.  They are distinct, and
+    the innermost variable, whose pool size divides len, takes every
+    value; a stride sharing a factor with that size would freeze it.  The
+    tests check that every variable takes every value in each layout of
+    up to four variables on the fit pools and six on the verify pools."""
     pools = []
     for d in decls:
         pools.append(scalar_pool if d.kind == "scalar" else multi_pool)
     combos = list(itertools.product(*pools)) if decls else [()]
     if len(combos) > cap:
         stride = -(-len(combos) // cap)
-        combos = combos[::stride]
+        while gcd(stride, len(combos)) != 1:
+            stride += 1
+        combos = [combos[i * stride % len(combos)] for i in range(cap)]
     return [dict(zip((d.name for d in decls), combo)) for combo in combos]
 
 
 # ---------------------------------------------------------------------------
-# concrete atoms (one sample)
+# concrete atoms of the samples
 
 
-def _concrete_atoms(theory, names, prefix):
-    """The atoms of one sample; *prefix* is the reduce_specific state
-    shared by the samples of one branch."""
-    clause = reduce_specific(theory, names, prefix)
-    return None if clause is None else split_axiom(clause).conjuncts
+def _sample_atoms(theory, scheme, builder, envs, prefix):
+    """Yields (position in *envs*, atoms or None when empty) of each env's
+    instance.  The instances are composed in sorted order of their axiom
+    sequences, so that each resumes from the longest prefix the
+    reduce_specific state *prefix*, shared by the samples of one branch,
+    can offer: the state acts as a trie."""
+    seqs = [instantiate(scheme, _build_index(builder, env)) for env in envs]
+    for i in sorted(range(len(seqs)), key=seqs.__getitem__):
+        clause = reduce_specific(theory, seqs[i], prefix)
+        yield i, None if clause is None else split_axiom(clause).conjuncts
 
 
 def _skeleton(path: SymbolicPath) -> tuple:
@@ -336,12 +358,12 @@ def _synthesize_branch(theory, scheme) -> Branch:
     verify_envs = _sample_grid(decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
 
     prefix = []
-    samples = []
-    for env in fit_envs:
-        atoms = _concrete_atoms(theory, instantiate(scheme, _build_index(builder, env)), prefix)
+    fit_atoms = [None] * len(fit_envs)
+    for i, atoms in _sample_atoms(theory, scheme, builder, fit_envs, prefix):
         if atoms is None:
             raise NotLinearizable("an instance composes to the empty relation", scheme)
-        samples.append((env, atoms))
+        fit_atoms[i] = atoms
+    samples = list(zip(fit_envs, fit_atoms))
 
     # group occurrences by exact key; first_atom holds the keys in order
     # of appearance, each with the atom a fitted family is rebuilt from
@@ -450,8 +472,11 @@ def _verify_branch(theory, branch: Branch, envs, prefix):
     ``paths._unit_step``, so a side's unit-step sequence and the clause it
     composes to determine each other, and comparing steps needs no clause
     composition."""
-    for env in envs:
-        atoms = _concrete_atoms(theory, instantiate(branch.scheme, branch.index_of(env)), prefix)
+    held_out = [None] * len(envs)
+    for i, atoms in _sample_atoms(theory, branch.scheme, branch.builder, envs, prefix):
+        held_out[i] = atoms
+    # checked in grid order, so the first failure is the one reported
+    for env, atoms in zip(envs, held_out):
         if atoms is None:
             raise NotLinearizable("a held-out instance composes to the empty relation", branch.scheme)
         got = Counter()

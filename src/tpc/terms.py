@@ -4,11 +4,18 @@ Sentences are ground trees; axioms are clause pairs ``p -> q`` with
 ``vars(rhs) <= vars(lhs)``, applied at the root only.  Everything here is
 immutable and safe to share.  Trees can get very deep (chains of thousands
 of nodes), so hashing is precomputed bottom-up, and equality, parsing,
-printing, matching, unification and the clause walks (free variables, and
-resolving and renaming in ``Clause.canonical`` and ``compose_clauses``) are
-all iterative.  ``substitute`` still recurses, but only over the pattern,
-an axiom or a path step, so axioms deeper than about 500 nodes remain out
-of scope.
+printing, matching, unification, the occurs check and the clause walks
+(free variables, and resolving and renaming in ``Clause.canonical`` and
+``compose_clauses``) are all iterative.  ``substitute`` still recurses,
+but only over the pattern, an axiom or a path step, so axioms deeper than
+about 500 nodes remain out of scope.
+
+``compose_clauses`` is the one clause fold: it keeps one substitution for
+the whole fold, so a step costs the size of its clause and only the result
+is resolved, and a caller-owned state lets the next fold resume from a
+shared prefix.  The occurs check of a step's fresh variable follows only
+the bindings that step made, until the step binds an older variable; from
+then on it follows every binding.
 """
 
 from __future__ import annotations
@@ -244,23 +251,35 @@ def _walk(t: Term, subst: dict) -> Term:
     return t
 
 
-def _occurs(name: str, t: Term, subst: dict) -> bool:
+def _occurs(name: str, t: Term, subst: dict, follow=None) -> bool:
+    """Does variable *name* occur in *t* resolved through *subst*?  With
+    *follow*, only the bindings of the variables named in it are followed;
+    any other variable is taken as it stands."""
     stack = [t]
     while stack:
-        node = _walk(stack.pop(), subst)
+        node = stack.pop()
+        while isinstance(node, Var) and node.name in subst and (follow is None or node.name in follow):
+            node = subst[node.name]
         if isinstance(node, Var):
             if node.name == name:
                 return True
-        else:
+        elif not node.is_ground:
             stack.extend(node.children)
     return False
 
 
-def unify(a: Term, b: Term, subst=None):
-    """Syntactic unification with occurs check.  Returns a substitution
-    (triangular form; resolve with :func:`_rebuild`) or None."""
-    if subst is None:
-        subst = {}
+def unify(a: Term, b: Term, subst: dict, fresh, trail: list):
+    """Syntactic unification with occurs check, extending the triangular
+    substitution *subst* (resolve with :func:`_rebuild`).  Returns it, or
+    None when *a* and *b* do not unify.
+
+    *fresh* names variables that no binding in *subst* mentions yet.  Of
+    two variables a fresh one is bound, and until a variable that is not
+    fresh gets bound, the occurs check for a fresh one follows only the
+    bindings of fresh variables, since no other binding can lead to one.
+    *trail* gets the name of each variable bound, also when unification
+    fails, so that the caller can undo the bindings."""
+    follow = fresh  # None from the first binding of a variable not in fresh
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -268,15 +287,15 @@ def unify(a: Term, b: Term, subst=None):
         y = _walk(y, subst)
         if x is y or x == y:
             continue
+        if isinstance(y, Var) and (y.name in fresh or not isinstance(x, Var)):
+            x, y = y, x
         if isinstance(x, Var):
-            if _occurs(x.name, y, subst):
+            if x.name not in fresh:
+                follow = None
+            if _occurs(x.name, y, subst, follow):
                 return None
             subst[x.name] = y
-            continue
-        if isinstance(y, Var):
-            if _occurs(y.name, x, subst):
-                return None
-            subst[y.name] = x
+            trail.append(x.name)
             continue
         if x.functor != y.functor or len(x.children) != len(y.children):
             return None
@@ -341,8 +360,19 @@ class Clause:
         a, b = self.canonical(), other.canonical()
         return a.lhs == b.lhs and a.rhs == b.rhs
 
+    def with_name(self, name: str) -> "Clause":
+        return _clause(name, self.lhs, self.rhs)
+
     def __str__(self):
         return f"{print_term(self.lhs)} -> {print_term(self.rhs)}"
+
+
+def _clause(name: str, lhs: Term, rhs: Term) -> Clause:
+    """A Clause built without the free-variable check of ``__post_init__``,
+    for sides that pass it by construction."""
+    c = object.__new__(Clause)
+    c.__dict__.update(name=name, lhs=lhs, rhs=rhs)
+    return c
 
 
 IDENTITY = Clause("eps", Var("x"), Var("x"))
@@ -356,18 +386,47 @@ def apply_clause(c: Clause, t: Term):
     return substitute(c.rhs, binding)
 
 
-def compose_clauses(c1: Clause, c2: Clause):
-    """The clause equivalent to applying c1 then c2, or None if the
-    composed relation is empty.  The result is canonical."""
-    # c2 is renamed apart with a primed suffix, which no parsed or
-    # canonical name carries; vars(rhs) <= vars(lhs) for every clause
-    apart = {v: Var(v + "'") for v in free_vars(c2.lhs)}
-    subst = unify(c1.rhs, substitute(c2.lhs, apart))
-    if subst is None:
-        return None
-    name = f"{c1.name}.{c2.name}" if c1.name and c2.name else (c1.name or c2.name)
+def compose_clauses(first: Clause, *rest: Clause, state=None):
+    """The clause equivalent to applying the clauses in order, or None if
+    the composed relation is empty.  The result is canonical and named by
+    the clauses' non-empty names joined with dots.
+
+    One triangular substitution serves the whole fold.  Step i renames
+    clause i apart with the suffix ``'i``, which no parsed or canonical
+    name carries, and unifies the previous step's renamed rhs, unresolved,
+    with the renamed lhs, so a step costs the size of its clause, not of
+    the fold.  Only the result is resolved and renamed.
+
+    *state*, when given, is a caller-owned list that carries the fold from
+    one call to the next: entry i is ``(clause i, its renamed lhs, its
+    renamed rhs, the variables its step bound, the substitution)``.  A call
+    resumes after the longest prefix of its clauses that the entries hold,
+    undoes the bindings of the entries it drops and appends an entry per
+    step it composes, so the list never holds more entries than clauses."""
+    clauses = (first,) + rest
+    if state is None:
+        state = []
+    k = 0
+    while k < len(state) and k < len(clauses) and state[k][0] == clauses[k]:
+        k += 1
+    for _, _, _, bound, subst in state[k:]:
+        for name in bound:
+            del subst[name]
+    del state[k:]
+    subst = state[0][4] if state else {}
+    for i in range(k, len(clauses)):
+        c = clauses[i]
+        apart = {v: Var(f"{v}'{i}") for v in free_vars(c.lhs)}
+        lhs, rhs = substitute(c.lhs, apart), substitute(c.rhs, apart)
+        bound = []
+        if state and unify(state[-1][2], lhs, subst, {v.name for v in apart.values()}, bound) is None:
+            for name in bound:
+                del subst[name]
+            return None
+        state.append((c, lhs, rhs, bound, subst))
     names = {}
-    return Clause(name, _rebuild(c1.lhs, subst, names), _rebuild(substitute(c2.rhs, apart), subst, names))
+    lhs = _rebuild(state[0][1], subst, names)
+    return _clause(".".join(c.name for c in clauses if c.name), lhs, _rebuild(state[-1][2], subst, names))
 
 
 def _check_arities(terms, arities, owner):

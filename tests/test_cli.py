@@ -65,6 +65,11 @@ class TestExitCodes:
     def test_unknown_theory(self, capsys):
         assert main(["parse", "no_such_theory"]) == 2
 
+    def test_unknown_axiom_after_an_empty_prefix(self, capsys):
+        # a1.a1 composes to the empty relation, but zz is a usage error
+        assert main(["sigma", "ancestor", "--scheme", "a1.a1.zz"]) == 2
+        assert "unknown axiom 'zz'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_parse_roundtrip(self, capsys):

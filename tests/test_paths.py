@@ -1,7 +1,7 @@
 """Path composition identities, clause splitting, and atom evaluation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tpc.affine import ONE, AffineExpr
 from tpc.paths import (
@@ -19,10 +19,12 @@ from tpc.paths import (
     path_of_steps,
     power_path,
     same_path,
-    _unit_steps,
+    _unit_step,
     split_axiom,
 )
-from tpc.terms import Clause, parse_term
+from tpc import load_theory
+from tpc.schemes import reduce_specific
+from tpc.terms import App, Clause, Var, free_vars, parse_term, substitute
 
 
 def step(text, var):
@@ -130,6 +132,82 @@ class TestConcrete:
     def test_any_sequence(self, pattern):
         steps = [step(*s) for s in pattern]
         assert SymbolicPath.concrete(steps) == merged_unit_path(steps)
+
+
+# The split as it was before it built run-length paths during its walk:
+# one walk collects positions, and each position's unit steps are rebuilt
+# from the root, then merged into runs.
+
+
+def _unit_steps(t, pos):
+    steps = []
+    node = t
+    for child_idx in pos:
+        steps.append(_unit_step(node.functor, len(node.children), child_idx))
+        node = node.children[child_idx]
+    return tuple(steps)
+
+
+def _reference_positions(t):
+    var_at = {}
+    ground = []
+    todo = [((), t)]
+    while todo:
+        at, node = todo.pop()
+        if isinstance(node, Var):
+            var_at.setdefault(node.name, []).append(at)
+        elif node.is_ground:
+            ground.append((at, node))
+        else:
+            todo.extend((at + (i,), c) for i, c in reversed(tuple(enumerate(node.children))))
+    return var_at, ground
+
+
+def _reference_split(c):
+    lhs_vars, lhs_ground = _reference_positions(c.lhs)
+    rhs_vars, rhs_ground = _reference_positions(c.rhs)
+
+    def path(t, pos):
+        return SymbolicPath.concrete(_unit_steps(t, pos))
+
+    atoms = [
+        EqualsLR(path(c.lhs, lpos), path(c.rhs, rpos))
+        for v, rposs in rhs_vars.items()
+        for rpos in rposs
+        for lpos in lhs_vars[v]
+    ]
+    atoms += [GroundL(path(c.lhs, pos), sub) for pos, sub in lhs_ground]
+    atoms += [GroundR(path(c.rhs, pos), sub) for pos, sub in rhs_ground]
+    return AtomSet(tuple(atoms), ())
+
+
+# nodes whose steps repeat (F/1, the left of G/2, the right of And/2) and
+# whose steps alternate, with repeated variables and ground leaves
+_SPLIT_TERMS = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), App("Z"), App("A")]),
+    lambda kids: st.one_of(
+        st.builds(lambda a: App("F", (a,)), kids),
+        st.builds(lambda a, b: App("G", (a, b)), kids, kids),
+        st.builds(lambda a, b: App("And", (a, b)), kids, kids),
+    ),
+    max_leaves=12,
+)
+
+_ANCESTOR = load_theory("ancestor")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SPLIT_TERMS, _SPLIT_TERMS)
+@example(  # ancestor's And spine, where each leaf's path has two runs
+    reduce_specific(_ANCESTOR, ("p3", "p2", "p1", "p3", "p2", "l2", "l2")).lhs,
+    reduce_specific(_ANCESTOR, ("p3", "p2", "p1", "p3", "p2", "l2", "l2")).rhs,
+)
+@example(parse_term("F(F(F(G(F(F(x)), y))))"), parse_term("G(F(F(y)), F(x))"))
+def test_split_matches_per_position_reference(lhs, rhs):
+    # rhs variables the lhs lacks are dropped to Z, so the clause is valid
+    rhs = substitute(rhs, {v: App("Z") for v in free_vars(rhs) - free_vars(lhs)})
+    c = Clause("", lhs, rhs)
+    assert split_axiom(c) == _reference_split(c)
 
 
 class TestSplit:

@@ -1,4 +1,7 @@
+import time
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tpc import (
     Axiom,
@@ -12,6 +15,7 @@ from tpc import (
     load_theory,
     parse_scheme,
     parse_term,
+    parse_theory,
     print_scheme,
     reduce_specific,
     shape_of,
@@ -19,7 +23,7 @@ from tpc import (
 from tpc.errors import ShapeError
 from tpc.paths import split_axiom
 from tpc.schemes import Choice, ListOf, TupleShape, UNIT_SHAPE, parse_index
-from tpc.terms import Clause
+from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars, substitute
 
 AB_STAR = parse_scheme("(a*.b)*.a*")
 
@@ -163,11 +167,127 @@ class TestReduceSpecific:
 
     def test_deep_chain_is_iterative(self):
         # far past the recursion limit: composing, renaming and splitting
-        # all walk the clause iteratively
+        # all walk the clause iteratively, in time linear in its size
+        start = time.perf_counter()
         got = reduce_specific(load_theory("chain"), ["a"] * 3000)
         assert got.rhs.size == 3002
         assert got == got.canonical()
         assert str(split_axiom(got)) == "EqualsLR([P(x)->x], [P(x)->x].[F(x)->x]^3000)"
+        # a fold that walked the whole clause at every step took about 6 s
+        assert time.perf_counter() - start < 3
+
+
+# The fold as it was before it kept one substitution: one compose_clauses
+# per step, which renames the next axiom apart with a prime, unifies with a
+# full occurs check and resolves and renames the whole clause.
+
+
+def _stepwise_unify(a, b):
+    subst = {}
+
+    def walk(t):
+        while isinstance(t, Var) and t.name in subst:
+            t = subst[t.name]
+        return t
+
+    def occurs(name, t):
+        stack = [t]
+        while stack:
+            node = walk(stack.pop())
+            if isinstance(node, Var):
+                if node.name == name:
+                    return True
+            else:
+                stack.extend(node.children)
+        return False
+
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        x, y = walk(x), walk(y)
+        if x is y or x == y:
+            continue
+        if isinstance(x, Var):
+            if occurs(x.name, y):
+                return None
+            subst[x.name] = y
+            continue
+        if isinstance(y, Var):
+            if occurs(y.name, x):
+                return None
+            subst[y.name] = x
+            continue
+        if x.functor != y.functor or len(x.children) != len(y.children):
+            return None
+        stack.extend(zip(x.children, y.children))
+    return subst
+
+
+def _stepwise_compose(c1, c2):
+    apart = {v: Var(v + "'") for v in free_vars(c2.lhs)}
+    subst = _stepwise_unify(c1.rhs, substitute(c2.lhs, apart))
+    if subst is None:
+        return None
+    name = f"{c1.name}.{c2.name}" if c1.name and c2.name else (c1.name or c2.name)
+    names = {}
+    return Clause(name, _rebuild(c1.lhs, subst, names), _rebuild(substitute(c2.rhs, apart), subst, names))
+
+
+def _stepwise_fold(th, seq):
+    if not seq:
+        return IDENTITY.canonical()
+    clause = IDENTITY
+    for name in seq:
+        clause = _stepwise_compose(clause, th.axiom(name))
+        if clause is None:
+            return None
+    return clause
+
+
+# the six bundled theories and one whose rhs repeats a variable
+_FOLD_THEORIES = {name: load_theory(name) for name in ("chain", "fg", "mod2", "rotate", "rotate3", "ancestor")}
+_FOLD_THEORIES["nonlinear"] = parse_theory(
+    "start: S\nd: x -> F(x, x)\ne: F(G(y), y) -> y\ng: x -> G(x)\nh: F(x, y) -> G(y)\n"
+)
+_ANCESTOR_LONG = ("p3", "a1", "p2", "a2", "p1", "a2", "l1")
+
+
+@st.composite
+def _fold_calls(draw):
+    """A theory and a run of sequences, each keeping some prefix of the one
+    before it and adding axioms of its own."""
+    name = draw(st.sampled_from(sorted(_FOLD_THEORIES)))
+    axioms = [ax.name for ax in _FOLD_THEORIES[name].axioms]
+    seqs = [()]
+    for _ in range(draw(st.integers(1, 6))):
+        keep = draw(st.integers(0, len(seqs[-1])))
+        seqs.append(seqs[-1][:keep] + tuple(draw(st.lists(st.sampled_from(axioms), max_size=8))))
+    return name, seqs[1:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fold_calls())
+@example(  # a proper prefix, a divergence mid-way, then the full sequence again
+    ("ancestor", [_ANCESTOR_LONG, _ANCESTOR_LONG[:4], _ANCESTOR_LONG[:3] + ("p1", "l2", "l2"), _ANCESTOR_LONG])
+)
+@example(  # a2 binds p and a before it fails, and a1 renames its p the same way
+    ("ancestor", [("p2", "p1", "a2"), ("p2", "p1", "a1", "l1"), ("p2", "p1", "a2", "l2")])
+)
+@example(  # the occurs check fails: y = G(y)
+    ("nonlinear", [("d", "e"), ("d",), ("g", "d", "e"), ("g", "d", "h", "d")])
+)
+def test_fold_matches_stepwise_fold(call):
+    name, seqs = call
+    th = _FOLD_THEORIES[name]
+    state = []
+    for seq in seqs:
+        got = reduce_specific(th, seq, state)
+        want = _stepwise_fold(th, seq)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.name, got.lhs, got.rhs) == (want.name, want.lhs, want.rhs)
+        assert len(state) <= len(seq)
 
 
 class TestSyntax:

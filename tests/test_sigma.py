@@ -12,13 +12,18 @@ from tpc.affine import ONE, AffineExpr
 from tpc.errors import NotLinearizable
 from tpc.mathsolver import reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath
+from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl
 from tpc.schemes import build_scheme, instantiate, parse_scheme, reduce_specific
+import tpc.sigma
 from tpc.sigma import (
+    _MAX_FIT_SAMPLES,
     _MAX_VERIFY_SAMPLES,
+    _MULTI_FIT,
     _MULTI_VERIFY,
+    _SCALAR_FIT,
     _SCALAR_VERIFY,
     _design,
+    _layout,
     _sample_grid,
     _verify_branch,
     sigma,
@@ -106,6 +111,48 @@ class TestNotLinearizable:
         fg = load_theory("fg")
         with pytest.raises(NotLinearizable):
             sigma(fg, parse_scheme("(a*.b)*"))
+
+
+class TestSampling:
+    GRIDS = (
+        (_SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES),
+        (_SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES),
+    )
+
+    @staticmethod
+    def assert_covers(decls, scalar_pool, multi_pool, cap):
+        envs = _sample_grid(decls, scalar_pool, multi_pool, cap)
+        combos = {tuple(env[d.name] for d in decls) for env in envs}
+        assert len(combos) == len(envs) <= cap
+        for d in decls:
+            assert {env[d.name] for env in envs} == set(scalar_pool if d.kind == "scalar" else multi_pool)
+        return envs
+
+    def test_thinned_fit_grid_varies_every_variable(self):
+        # a stride of 3 over these 11 * 3 * 11 * 3 fit combos kept k = 1 in
+        # all 363 samples, so no fit could see k
+        decls = []
+        _layout(parse_scheme("(a*.b)*.a*.c.(a*.b)*.a*.c"), decls)
+        assert [(d.name, d.kind) for d in decls] == [("m", "multi"), ("n", "scalar"), ("u", "multi"), ("k", "scalar")]
+        assert len(self.assert_covers(decls, *self.GRIDS[0])) == 400
+        assert len(self.assert_covers(decls, *self.GRIDS[1])) == 64
+
+    def test_every_small_layout_is_covered(self):
+        for grid, most in zip(self.GRIDS, (4, 6)):
+            for n in range(1, most + 1):
+                for kinds in itertools.product(("scalar", "multi"), repeat=n):
+                    self.assert_covers([VarDecl(f"x{i}", kind) for i, kind in enumerate(kinds)], *grid)
+
+    def test_stops_at_the_first_empty_sample(self, monkeypatch):
+        # a1 leaves an Ancestor atom on top, which a1 cannot take again
+        composed = []
+        reduce_specific = tpc.sigma.reduce_specific
+        monkeypatch.setattr(
+            tpc.sigma, "reduce_specific", lambda th, seq, prefix: composed.append(seq) or reduce_specific(th, seq, prefix)
+        )
+        with pytest.raises(NotLinearizable, match="an instance composes to the empty relation"):
+            sigma(load_theory("ancestor"), parse_scheme("l1*.a1.a1"))
+        assert composed == [["l1", "a1", "a1"]]
 
 
 class TestHeldOutVerification:

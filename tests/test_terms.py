@@ -136,6 +136,16 @@ class TestCompose:
         assert compose_clauses(IDENTITY, c).same_relation(c)
         assert compose_clauses(c, IDENTITY).same_relation(c)
 
+    def test_occurs_check_follows_older_bindings_once_an_older_variable_is_bound(self):
+        # x'0 := G(y'2) binds a variable that is not fresh, so the check of
+        # y'2 := K(c'1) must follow c'1 := H(x'0), made before
+        subst = {"a'1": Var("x'0"), "c'1": App("H", (Var("x'0"),))}
+        trail = []
+        rhs = App("F", (App("K", (Var("c'1"),)), Var("a'1")))
+        lhs = App("F", (Var("y'2"), App("G", (Var("y'2"),))))
+        assert unify(rhs, lhs, subst, {"y'2"}, trail) is None
+        assert trail == ["x'0"]
+
     def test_empty_composition(self):
         c1 = clause("", "P(x)", "Q(x)")
         c2 = clause("", "R(x)", "P(x)")
@@ -159,6 +169,40 @@ def _reference_canonical(name, lhs, rhs):
     return Clause(name, substitute(lhs, mapping), substitute(rhs, mapping))
 
 
+def _reference_unify(a, b):
+    # unification with a full occurs check, as it was before the fold kept
+    # one substitution
+    subst = {}
+
+    def walk(t):
+        while isinstance(t, Var) and t.name in subst:
+            t = subst[t.name]
+        return t
+
+    def occurs(name, t):
+        t = walk(t)
+        if isinstance(t, Var):
+            return t.name == name
+        return any(occurs(name, c) for c in t.children)
+
+    stack = [(a, b)]
+    while stack:
+        x, y = map(walk, stack.pop())
+        if x == y:
+            continue
+        if isinstance(y, Var):
+            x, y = y, x
+        if isinstance(x, Var):
+            if occurs(x.name, y):
+                return None
+            subst[x.name] = y
+        elif x.functor != y.functor or len(x.children) != len(y.children):
+            return None
+        else:
+            stack.extend(zip(x.children, y.children))
+    return subst
+
+
 def _reference_compose(c1, c2):
     # rename both clauses apart, unify, resolve recursively, canonicalise
     def rename(c, suffix):
@@ -174,7 +218,7 @@ def _reference_compose(c1, c2):
 
     lhs1, rhs1 = rename(c1, "_1")
     lhs2, rhs2 = rename(c2, "_2")
-    subst = unify(rhs1, lhs2)
+    subst = _reference_unify(rhs1, lhs2)
     if subst is None:
         return None
     name = f"{c1.name}.{c2.name}" if c1.name and c2.name else (c1.name or c2.name)
@@ -219,6 +263,41 @@ def test_compose_matches_rename_both_reference(c1, c2):
     else:
         assert (got.name, got.lhs, got.rhs) == (want.name, want.lhs, want.rhs)
     assert c1.canonical() == _reference_canonical(c1.name, c1.lhs, c1.rhs)
+
+
+def _reference_fold(clauses):
+    folded = clauses[0].canonical()
+    for c in clauses[1:]:
+        folded = _reference_compose(folded, c)
+        if folded is None:
+            return None
+    return folded
+
+
+def _same_fold(got, want):
+    if want is None:
+        return got is None
+    return (got.name, got.lhs, got.rhs) == (want.name, want.lhs, want.rhs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_clauses(), min_size=1, max_size=5), st.lists(_clauses(), max_size=3), st.integers(0, 5))
+@example(  # the second step unifies x with G(y), then y with G(y)
+    [clause("d", "x", "F(x, x)"), clause("e", "F(G(y), y)", "y")], [], 1
+)
+@example(  # the last step binds x to G(y), then y to K(c) with c bound to H(x) a step before
+    [clause("q", "x", "Q(x, H(x))"), clause("f", "Q(a, c)", "F(K(c), a)"), clause("e", "F(y, G(y))", "y")], [], 2
+)
+def test_fold_matches_stepwise_reference(clauses, other, keep):
+    """One fold over one substitution equals a composition per step, also
+    when it resumes from a shared state: after a prefix, after the full
+    list, after a list that diverges from it."""
+    assert _same_fold(compose_clauses(*clauses), _reference_fold(clauses))
+    state = []
+    keep = min(keep, len(clauses))
+    for call in (clauses[:keep] or clauses, clauses, clauses[:keep] + other or clauses):
+        assert _same_fold(compose_clauses(*call, state=state), _reference_fold(call))
+        assert len(state) <= len(call)
 
 
 class TestProofs:
