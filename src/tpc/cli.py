@@ -4,7 +4,9 @@ synthesized decision procedures.
 Exit codes: 0 success, 1 negative decision or nothing found, 2 usage
 error, 3 the generated procedure gave up (NotLinearizable/Unsupported
 during synthesis, InternalMismatch when it fails its self-check or a
-replay, Ambiguous during tuning).
+replay, Ambiguous during tuning).  Exits 2 and 3 print ``error: ...`` on
+stderr; under ``--json`` they also print a ``tpc/1`` object on stdout whose
+``error`` holds the exception type, its message and the exit code.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from .terms import (
 )
 
 SCHEMA = "tpc/1"
+
+# the typed give-ups of the generated procedure: exit 3, or under
+# --method auto a fall-back to the oracle
+GIVE_UPS = (NotLinearizable, Unsupported, InternalMismatch, Ambiguous)
 
 log = logging.getLogger("tpc")
 
@@ -121,7 +127,7 @@ def _by_method(args, th, generated, oracle):
     if args.method != "oracle":
         try:
             return generated(pipeline(th, selfcheck=not args.no_selfcheck))
-        except (NotLinearizable, Unsupported, InternalMismatch, Ambiguous):
+        except GIVE_UPS:
             if args.method == "generated":
                 raise
             log.info("generated procedure gave up, falling back to oracle search")
@@ -251,12 +257,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotLinearizable, Unsupported, InternalMismatch, Ambiguous) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except GIVE_UPS as exc:
+        return _fail(args, exc, 3)
     except TpcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, exc, 2)
+
+
+def _fail(args, exc: TpcError, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    if args.json:
+        _emit(args, {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}, "")
+    return code
 
 
 if __name__ == "__main__":

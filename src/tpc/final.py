@@ -4,11 +4,15 @@ Tuning pins the index variables down for one concrete tree pair.  Every
 atom whose paths contain exactly one unknown repetition count can be
 counted greedily: apply the known side to get the target subtree, walk
 the unknown run step by step, and stop at the unique depth where the
-known suffix reproduces the target.  Each count contributes one linear
+known suffix reproduces the target.  The counting walk reads tree sizes,
+which strictly decrease along a run: it gives up once the run's tree is
+smaller than the target, and when no suffix follows the run, it compares
+trees only at the target's size.  Each count contributes one linear
 equation; the scalar system is solved exactly, after which iterated
 groups are unrolled (their bounds are now concrete) to recover the
 elements of multi-indexes one position at a time.  A final full
-evaluation of the atom set guards against any bad fit.
+evaluation of the atom set guards against any bad fit, and every proof
+is replayed to its goal before it is returned.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .mathsolver import Equation, solve_concrete
 from .paths import IterGroup, apply_segments, eval_atomset
 from .schemes import instantiate
 from .sigma import Branch, SymbolicCharFn
-from .terms import Proof, Term, replay
+from .terms import Proof, Term, replay, term_size
 
 _COUNT_CAP = 10_000_000
 _FREE_BOUND = 8
@@ -73,11 +77,21 @@ def _count_equation(segments, base: Term, target: Term, env):
         return None
     step = segments[idx].step
     suffix = segments[idx + 1:]
+    size = term_size(target)
     j = 0
+    # sizes strictly decrease along the run, and the suffix only descends,
+    # so the first match is the only one, and none can follow once the
+    # run's tree is smaller than the target; with no suffix, only the tree
+    # of the target's size can match
     while tree is not None and j <= _COUNT_CAP:
-        if apply_segments(suffix, tree, env) == target:
-            # sizes strictly decrease along the run, so this j is unique
-            return segments[idx].count, j
+        n = term_size(tree)
+        if n < size:
+            return None
+        if suffix:
+            if apply_segments(suffix, tree, env) == target:
+                return segments[idx].count, j
+        elif n == size:
+            return (segments[idx].count, j) if tree == target else None
         tree = step.apply(tree)
         j += 1
     return None

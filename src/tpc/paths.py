@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .affine import AffineExpr, ONE, ZERO
 from .errors import FreeRhsVariable
@@ -26,10 +26,19 @@ from .terms import IDENTITY, App, Clause, Term, Var, compose_clauses, match, pri
 
 @dataclass(frozen=True, slots=True)
 class Step:
-    """One projection clause [p -> v]; variables canonically renamed."""
+    """One projection clause [p -> v]; variables canonically renamed.
+
+    A unit step, whose lhs is ``f(v0, ..., v{a-1})`` with distinct
+    variables, descends by itself: it tests the functor and the arity of
+    the tree and returns the child at the target's position, with no
+    ``match``.  Every step ``split_axiom`` makes is a unit step, and so is
+    any step ``compose_paths`` merges into that shape; other steps match
+    their lhs.  The descent is derived from the lhs, so it takes no part
+    in equality or hashing."""
 
     lhs: Term
     var: str
+    _unit: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -38,10 +47,20 @@ class Step:
             raise ValueError(f"step target {self.var!r} does not occur in {print_term(self.lhs)}") from None
         object.__setattr__(self, "lhs", c.lhs)
         object.__setattr__(self, "var", c.rhs.name)
+        children = c.lhs.children if isinstance(c.lhs, App) else ()
+        names = [v.name for v in children if isinstance(v, Var)]
+        if names and len(set(names)) == len(children):
+            unit = (c.lhs.functor, len(children), names.index(c.rhs.name))
+            object.__setattr__(self, "_unit", unit)
 
     def apply(self, tree: Term):
-        binding = match(self.lhs, tree)
-        return None if binding is None else binding[self.var]
+        if self._unit is None:
+            binding = match(self.lhs, tree)
+            return None if binding is None else binding[self.var]
+        functor, arity, child = self._unit
+        if isinstance(tree, App) and tree.functor == functor and len(tree.children) == arity:
+            return tree.children[child]
+        return None
 
     def as_clause(self) -> Clause:
         return Clause("", self.lhs, Var(self.var))

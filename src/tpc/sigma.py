@@ -34,7 +34,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .affine import AffineExpr, ONE
 from .errors import NotLinearizable
@@ -145,17 +145,27 @@ def _sample_grid(decls, scalar_pool, multi_pool, cap):
     the innermost variable, whose pool size divides len, takes every
     value; a stride sharing a factor with that size would freeze it.  The
     tests check that every variable takes every value in each layout of
-    up to four variables on the fit pools and six on the verify pools."""
-    pools = []
-    for d in decls:
-        pools.append(scalar_pool if d.kind == "scalar" else multi_pool)
-    combos = list(itertools.product(*pools)) if decls else [()]
-    if len(combos) > cap:
-        stride = -(-len(combos) // cap)
-        while gcd(stride, len(combos)) != 1:
+    up to five variables on the fit pools and six on the verify pools.
+
+    combos is the ``itertools.product`` of the pools, but it is never
+    listed: each kept index is decoded in mixed radix, last variable
+    fastest, so the cost is that of the kept samples."""
+    pools = [scalar_pool if d.kind == "scalar" else multi_pool for d in decls]
+    size = prod(len(p) for p in pools)
+    stride = 1
+    if size > cap:
+        stride = -(-size // cap)
+        while gcd(stride, size) != 1:
             stride += 1
-        combos = [combos[i * stride % len(combos)] for i in range(cap)]
-    return [dict(zip((d.name for d in decls), combo)) for combo in combos]
+    envs = []
+    for i in range(min(size, cap)):
+        k = i * stride % size
+        values = []
+        for pool in reversed(pools):
+            k, r = divmod(k, len(pool))
+            values.append(pool[r])
+        envs.append(dict(zip((d.name for d in decls), reversed(values))))
+    return envs
 
 
 # ---------------------------------------------------------------------------

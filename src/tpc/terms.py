@@ -10,6 +10,11 @@ printing, matching, unification, the occurs check and the clause walks
 but only over the pattern, an axiom or a path step, so axioms deeper than
 about 500 nodes remain out of scope.
 
+Replaying a proof builds a few nodes per step, so node construction is
+kept to one plain loop: ``App`` computes its size, groundness and child
+hashes in a single pass over its children, and ``substitute`` collects
+the rebuilt children in a loop, with no generator in either.
+
 ``compose_clauses`` is the one clause fold: it keeps one substitution for
 the whole fold, so a step costs the size of its clause and only the result
 is resolved, and a caller-owned state lets the next fold resume from a
@@ -67,10 +72,21 @@ class App(Term):
 
     def __init__(self, functor: str, children: tuple = ()):
         self.functor = functor
-        self.children = tuple(children)
-        self.size = 1 + sum(c.size if isinstance(c, App) else 1 for c in self.children)
-        self.is_ground = all(isinstance(c, App) and c.is_ground for c in self.children)
-        self._hash = hash(("app", functor, tuple(c._hash for c in self.children)))
+        self.children = children = tuple(children)
+        size = 1
+        ground = True
+        hashes = ()
+        for c in children:
+            if isinstance(c, App):
+                size += c.size
+                ground = ground and c.is_ground
+            else:
+                size += 1
+                ground = False
+            hashes += (c._hash,)
+        self.size = size
+        self.is_ground = ground
+        self._hash = hash(("app", functor, hashes))
 
     def __hash__(self):
         return self._hash
@@ -242,7 +258,10 @@ def substitute(pattern: Term, binding: dict) -> Term:
         return binding.get(pattern.name, pattern)
     if pattern.is_ground:
         return pattern
-    return App(pattern.functor, tuple(substitute(c, binding) for c in pattern.children))
+    children = ()
+    for c in pattern.children:
+        children += (substitute(c, binding),)
+    return App(pattern.functor, children)
 
 
 def _walk(t: Term, subst: dict) -> Term:

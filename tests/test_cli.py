@@ -31,7 +31,8 @@ class TestExitCodes:
     def test_synthesis_failure_is_reported(self, capsys):
         code = main(["decide", "ancestor", "--method", "generated", "--from", "S", "--to", "S"])
         assert code == 3
-        assert "error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err
 
     def test_auto_falls_back_when_selfcheck_fails(self, capsys):
         # rotate's procedure fails its oracle self-check (InternalMismatch)
@@ -69,6 +70,32 @@ class TestExitCodes:
         # a1.a1 composes to the empty relation, but zz is a usage error
         assert main(["sigma", "ancestor", "--scheme", "a1.a1.zz"]) == 2
         assert "unknown axiom 'zz'" in capsys.readouterr().err
+
+
+class TestJsonErrors:
+    @staticmethod
+    def error_of(capsys, argv, code):
+        assert main(["--json", *argv]) == code
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["schema"] == "tpc/1" and payload["version"] == tpc.__version__
+        assert payload["error"]["exit_code"] == code
+        assert err == f"error: {payload['error']['message']}\n"
+        return payload["error"]
+
+    def test_give_up_prints_an_error_object(self, capsys):
+        argv = ["decide", "rotate3", "--method", "generated", "--from", "S", "--to", "S"]
+        error = self.error_of(capsys, argv, 3)
+        assert error["type"] == "NotLinearizable"
+        assert error["message"].startswith("index nesting too deep")
+
+    def test_usage_error_prints_an_error_object(self, capsys):
+        error = self.error_of(capsys, ["parse", "no_such_theory"], 2)
+        assert error == {
+            "type": "TpcError",
+            "message": "no such theory file or bundled theory: no_such_theory",
+            "exit_code": 2,
+        }
 
 
 class TestCommands:

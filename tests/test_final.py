@@ -1,16 +1,18 @@
 """Index tuning, the decision procedure, and proof extraction."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tpc import load_theory
 from tpc.errors import Ambiguous
-from tpc.final import TuneResult, decide, extract_proof, tune
+from tpc.final import _COUNT_CAP, TuneResult, _count_equation, decide, extract_proof, tune
 from tpc.affine import AffineExpr
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import AtomSet, EqualsLR, Segment, Step, SymbolicPath, VarDecl
+from tpc.paths import AtomSet, EqualsLR, Segment, Step, SymbolicPath, VarDecl, _unit_step
+from tpc.pipeline import pipeline
 from tpc.schemes import parse_scheme
 from tpc.sigma import Branch, SymbolicCharFn, sigma
-from tpc.terms import parse_term, parse_theory, replay
+from tpc.terms import App, Proof, check_proof, match, parse_term, parse_theory, replay
 
 
 class TestScalarTuning:
@@ -145,3 +147,115 @@ class TestProofExtraction:
         th = load_theory("fg")
         fn = sigma(th, parse_scheme("b*.a*"))
         assert extract_proof(th, fn, th.start, parse_term("P(Z, G(Z))")) is None
+
+
+# The counting walk as it was before it skipped an empty suffix and cut
+# off at the target's size, with every step applied by matching its lhs.
+
+
+def _matched(step, tree):
+    binding = match(step.lhs, tree)
+    return None if binding is None else binding[step.var]
+
+
+def _reference_apply(segments, tree, env):
+    for seg in segments:
+        n = seg.count.evaluate(env)
+        if n < 0:
+            return None
+        for _ in range(n):
+            tree = _matched(seg.step, tree)
+            if tree is None:
+                return None
+    return tree
+
+
+def _reference_is_known(expr, env):
+    try:
+        expr.evaluate(env)
+        return True
+    except (KeyError, IndexError):
+        return False
+
+
+def _reference_count(segments, base, target, env):
+    idx = next(i for i, s in enumerate(segments) if not _reference_is_known(s.count, env))
+    tree = _reference_apply(segments[:idx], base, env)
+    if tree is None:
+        return None
+    step = segments[idx].step
+    suffix = segments[idx + 1:]
+    j = 0
+    while tree is not None and j <= _COUNT_CAP:
+        if _reference_apply(suffix, tree, env) == target:
+            return segments[idx].count, j
+        tree = _matched(step, tree)
+        j += 1
+    return None
+
+
+# a spine node is (functor, arity, child the spine goes on in); siblings
+# are constants, so F and G each come with arity 1 and 2 along a spine
+_SPINE_NODES = st.tuples(st.sampled_from("FG"), st.integers(1, 2)).flatmap(
+    lambda fa: st.tuples(st.just(fa[0]), st.just(fa[1]), st.integers(0, fa[1] - 1))
+)
+_COUNTS = st.one_of(st.integers(0, 3).map(AffineExpr.const_), st.just(AffineExpr.var("k")))
+
+
+def _spine(nodes):
+    """The spine's tree and every subtree along it, root first."""
+    trees = [App("Z")]
+    for functor, arity, child in reversed(nodes):
+        kids = tuple(trees[-1] if i == child else App("A") for i in range(arity))
+        trees.append(App(functor, kids))
+    return trees[::-1]
+
+
+@st.composite
+def _count_cases(draw):
+    nodes = draw(st.lists(_SPINE_NODES, max_size=12))
+    keys = draw(st.lists(_SPINE_NODES, min_size=1, max_size=3))
+    segments = [Segment(_unit_step(*key), draw(_COUNTS)) for key in keys]
+    unknown = draw(st.integers(0, len(segments) - 1))
+    segments[unknown] = Segment(segments[unknown].step, AffineExpr.var("n") * draw(st.integers(1, 2)))
+    trees = _spine(nodes)
+    target = draw(st.sampled_from(trees + [App("A"), App("F", (App("A"),))]))
+    return tuple(segments), trees[0], target
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_count_cases(), st.integers(0, 2))
+@example(  # F(A, _) has the step's functor but not its arity
+    ((Segment(_unit_step("F", 1, 0), AffineExpr.var("n")),), _spine([("F", 1, 0), ("F", 2, 0), ("F", 1, 0)])[0], App("Z")), 0
+)
+@example(  # a known suffix after the unknown run
+    (
+        (Segment(_unit_step("G", 1, 0), AffineExpr.var("n")), Segment(_unit_step("F", 2, 1), AffineExpr.var("k"))),
+        _spine([("G", 1, 0), ("G", 1, 0), ("F", 2, 1), ("F", 2, 1)])[0],
+        App("Z"),
+    ),
+    2,
+)
+def test_count_equation_matches_the_stepwise_walk(case, k):
+    segments, base, target = case
+    env = {"k": k}
+    assert _count_equation(segments, base, target, env) == _reference_count(segments, base, target, env)
+
+
+class TestLargeTrees:
+    def test_prove_replays_a_20k_node_tree(self):
+        fg = load_theory("fg")
+        proc = pipeline(fg)
+        fs, gs = App("Z"), App("Z")
+        for _ in range(12_000):
+            fs = App("F", (fs,))
+        for _ in range(8_000):
+            gs = App("G", (gs,))
+        tree = App("P", (fs, gs))
+        assert tree.size == 20_003
+        proof = proc.prove(tree)
+        assert isinstance(proof, Proof) and len(proof.steps) == 8_000
+        assert check_proof(fg, proof) == tree
+        assert proc.prove(App("P", (App("F", (fs,)), gs))) is not None
+        assert proc.prove(App("P", (fs, App("G", (gs,))))) is not None
+        assert proc.prove(App("P", (gs, fs))) is None

@@ -24,7 +24,7 @@ from tpc.paths import (
 )
 from tpc import load_theory
 from tpc.schemes import reduce_specific
-from tpc.terms import App, Clause, Var, free_vars, parse_term, substitute
+from tpc.terms import App, Clause, Var, free_vars, match, parse_term, substitute
 
 
 def step(text, var):
@@ -49,6 +49,62 @@ class TestSteps:
 
     def test_str(self):
         assert str(step("P(a, b)", "b")) == "[P(x, y)->y]"
+
+
+def _matched(s, tree):
+    # a step applied the general way, by matching its whole lhs
+    binding = match(s.lhs, tree)
+    return None if binding is None else binding[s.var]
+
+
+def _subtrees(tree):
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(node.children)
+
+
+# ground trees whose functors F and G each come with arities 1 to 3
+_GROUND = st.recursive(
+    st.sampled_from([App("A"), App("B")]),
+    lambda kids: st.builds(lambda f, cs: App(f, tuple(cs)), st.sampled_from("FG"), st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=8,
+)
+_UNIT_KEYS = st.tuples(st.sampled_from("FGA"), st.integers(1, 3)).flatmap(
+    lambda fa: st.tuples(st.just(fa[0]), st.just(fa[1]), st.integers(0, fa[1] - 1))
+)
+
+
+class TestUnitSteps:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_UNIT_KEYS, _GROUND)
+    @example(("F", 1, 0), App("F", (App("A"), App("B"))))  # right functor, wrong arity
+    @example(("F", 2, 1), App("F", (App("A"),)))  # a child past the tree's arity
+    @example(("A", 1, 0), App("A"))  # a constant
+    @example(("G", 2, 0), App("F", (App("A"), App("B"))))  # wrong functor
+    def test_descent_matches_match(self, key, tree):
+        s = _unit_step(*key)
+        for node in _subtrees(tree):
+            assert s.apply(node) is _matched(s, node)
+
+    def test_every_distinct_variable_lhs_descends(self):
+        # built by hand, by split_axiom and by compose_paths alike
+        by_hand = step("F(a, b, c)", "b")
+        assert by_hand == _unit_step("F", 3, 1) and hash(by_hand) == hash(_unit_step("F", 3, 1))
+        assert by_hand._unit == ("F", 3, 1)
+        (seg,) = compose_paths(IDENTITY_PATH, path_of_steps(by_hand)).segments
+        assert seg.step._unit == ("F", 3, 1)
+        (atom,) = split_axiom(Clause("", parse_term("P(x, F(y))"), parse_term("y"))).conjuncts
+        assert [seg.step._unit for seg in atom.left.segments] == [("P", 2, 1), ("F", 1, 0)]
+
+    @pytest.mark.parametrize("lhs, var", [("F(G(x), y)", "x"), ("F(x, x)", "x"), ("F(x, A)", "x")])
+    def test_other_steps_match(self, lhs, var):
+        s = step(lhs, var)
+        assert s._unit is None
+        for text in ("F(G(A), B)", "F(A, A)", "F(B, A)", "F(G(A))", "G(A, B)", "A"):
+            tree = parse_term(text)
+            assert s.apply(tree) is _matched(s, tree)
 
 
 class TestComposition:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -137,11 +138,44 @@ class TestSampling:
         assert len(self.assert_covers(decls, *self.GRIDS[0])) == 400
         assert len(self.assert_covers(decls, *self.GRIDS[1])) == 64
 
+    @staticmethod
+    def layouts(most):
+        for n in range(most + 1):
+            for kinds in itertools.product(("scalar", "multi"), repeat=n):
+                yield [VarDecl(f"x{i}", kind) for i, kind in enumerate(kinds)]
+
     def test_every_small_layout_is_covered(self):
+        for grid, most in zip(self.GRIDS, (5, 6)):
+            for decls in self.layouts(most):
+                if decls:
+                    self.assert_covers(decls, *grid)
+
+    @staticmethod
+    def listed_grid(decls, scalar_pool, multi_pool, cap):
+        # the grid as it was first written: list the whole product, then thin it
+        pools = [scalar_pool if d.kind == "scalar" else multi_pool for d in decls]
+        combos = list(itertools.product(*pools)) if decls else [()]
+        if len(combos) > cap:
+            stride = -(-len(combos) // cap)
+            while math.gcd(stride, len(combos)) != 1:
+                stride += 1
+            combos = [combos[i * stride % len(combos)] for i in range(cap)]
+        return [dict(zip((d.name for d in decls), combo)) for combo in combos]
+
+    def test_decoded_grid_matches_the_listed_grid(self):
         for grid, most in zip(self.GRIDS, (4, 6)):
-            for n in range(1, most + 1):
-                for kinds in itertools.product(("scalar", "multi"), repeat=n):
-                    self.assert_covers([VarDecl(f"x{i}", kind) for i, kind in enumerate(kinds)], *grid)
+            for decls in self.layouts(most):
+                got = _sample_grid(decls, *grid)
+                want = self.listed_grid(decls, *grid)
+                assert got == want
+                assert [list(env) for env in got] == [list(env) for env in want]
+
+    def test_wide_layout_does_not_list_the_product(self):
+        # 11 ** 9 fit combinations of nine multi-indexes: listing them is
+        # out of reach, decoding the 400 kept ones is not
+        decls = [VarDecl(f"x{i}", "multi") for i in range(9)]
+        envs = _sample_grid(decls, *self.GRIDS[0])
+        assert len({tuple(env.values()) for env in envs}) == len(envs) == _MAX_FIT_SAMPLES
 
     def test_stops_at_the_first_empty_sample(self, monkeypatch):
         # a1 leaves an Ancestor atom on top, which a1 cannot take again

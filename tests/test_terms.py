@@ -103,6 +103,40 @@ def _rebuild(pattern, binding):
     return App(pattern.functor, tuple(_rebuild(c, binding) for c in pattern.children))
 
 
+def _reference_fields(t):
+    # (size, is_ground, hash) of a node by the generator formulas App was
+    # first written with, computed recursively from the leaves
+    if isinstance(t, Var):
+        return 1, False, hash(("var", t.name))
+    fields = [_reference_fields(c) for c in t.children]
+    return (
+        1 + sum(f[0] for f in fields),
+        all(f[1] for f in fields),
+        hash(("app", t.functor, tuple(f[2] for f in fields))),
+    )
+
+
+_OPEN_TERMS = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), App("Z"), App("A")]),
+    lambda kids: st.builds(lambda f, cs: App(f, cs), st.sampled_from("FG"), st.lists(kids, max_size=3)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_OPEN_TERMS)
+@example(App("F", [App("Z"), Var("x")]))  # a list of children, one of them a variable
+@example(App("F", (App("G", (Var("x"),)), App("Z"))))  # a variable below a child
+def test_app_fields_match_the_generator_formulas(term):
+    todo = [term]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, App):
+            assert type(node.children) is tuple
+            assert (node.size, node.is_ground, hash(node)) == _reference_fields(node)
+            todo.extend(node.children)
+
+
 class TestSubstitute:
     def test_ground_pattern_is_returned_as_is(self):
         ground = t("And(Parent(Adam, John), S)")
