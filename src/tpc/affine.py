@@ -148,3 +148,14 @@ class AffineExpr:
 
 ZERO = AffineExpr.const_(0)
 ONE = AffineExpr.const_(1)
+
+
+def scopes(group, env: dict):
+    """The scopes of an iterated *group* (anything with ``itervar``,
+    ``lower`` and ``upper``): ``{**env, itervar: i}`` for each i from its
+    lower to its upper bound.  Both bounds are evaluated before this
+    returns, so a bound that cannot be evaluated raises here, not during
+    the walk."""
+    lo = group.lower.evaluate(env)
+    hi = group.upper.evaluate(env)
+    return ({**env, group.itervar: i} for i in range(lo, hi + 1))

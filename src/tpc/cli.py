@@ -19,13 +19,14 @@ import sys
 from pathlib import Path
 
 from . import __version__, load_theory
-from .errors import Ambiguous, InternalMismatch, NotLinearizable, TpcError, Unsupported
+from .errors import Ambiguous, InternalMismatch, NonGroundStart, NotLinearizable, TpcError, Unsupported
 from .inclusion import includes
 from .oracle import SearchBudget, decide_oracle, find_proof, reachable_set
 from .pipeline import pipeline
 from .schemes import build_scheme, parse_scheme, print_scheme
 from .sigma import sigma
 from .terms import (
+    App,
     check_proof,
     parse_term,
     parse_theory,
@@ -52,11 +53,16 @@ def _theory(spec: str):
         raise TpcError(f"no such theory file or bundled theory: {spec}") from None
 
 
+def _sentence(text: str):
+    """The ground tree written in *text*; sentences have no variables."""
+    term = parse_term(text)
+    if not (isinstance(term, App) and term.is_ground):
+        raise NonGroundStart(f"sentence {print_term(term)} is not ground")
+    return term
+
+
 def _budget(args) -> SearchBudget:
-    depth = args.max_depth if args.max_depth is not None else getattr(args, "depth", None)
-    if depth is None:
-        depth = 8
-    return SearchBudget(max_depth=depth, max_tree_size=args.max_tree_size)
+    return SearchBudget(max_depth=args.max_depth, max_tree_size=args.max_tree_size)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -108,7 +114,7 @@ def _cmd_oracle(args) -> int:
         trees = [print_term(t) for t in reachable_set(th, th.start, budget)]
         _emit(args, {"reachable": trees}, "\n".join(trees))
         return 0
-    goal = parse_term(args.goal) if args.goal else th.goal
+    goal = _sentence(args.goal) if args.goal else th.goal
     if goal is None:
         raise TpcError("theory has no goal; pass --goal TERM or use --dump")
     proof = find_proof(th, goal, budget)
@@ -136,7 +142,7 @@ def _by_method(args, th, generated, oracle):
 
 def _cmd_prove(args) -> int:
     th = _theory(args.file)
-    goal = parse_term(args.goal) if args.goal else th.goal
+    goal = _sentence(args.goal) if args.goal else th.goal
     if goal is None:
         raise TpcError("theory has no goal; pass --goal TERM")
     proof = _by_method(
@@ -152,8 +158,8 @@ def _cmd_prove(args) -> int:
 
 def _cmd_decide(args) -> int:
     th = _theory(args.file)
-    t = parse_term(getattr(args, "from"))
-    d = parse_term(args.to)
+    t = _sentence(getattr(args, "from"))
+    d = _sentence(args.to)
     verdict = _by_method(
         args, th, lambda proc: proc.decide(d, t), lambda budget: decide_oracle(th, t, d, budget)
     )
@@ -204,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Membership deciders for truncated-predicate-calculus theories.",
     )
     p.add_argument("--json", action="store_true", help="structured JSON output")
-    p.add_argument("--max-depth", type=int, default=None, help="proof search depth bound")
+    p.add_argument("--max-depth", type=int, default=8, help="proof search depth bound")
     p.add_argument("--max-tree-size", type=int, default=512, help="tree size bound for search")
     p.add_argument("--no-selfcheck", action="store_true", help="skip the oracle self-check")
     sub = p.add_subparsers(dest="command", required=True)
@@ -216,7 +222,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="brute-force proof search")
     sp.add_argument("file")
     sp.add_argument("--goal", default=None)
-    sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--dump", action="store_true", help="list reachable sentences")
     sp.set_defaults(func=_cmd_oracle)
 

@@ -173,7 +173,7 @@ def _try_everywhere(e: IterExpr, rule):
     return None
 
 
-def reduce_scheme(theory: Theory, scheme: IterExpr, max_steps: int = MAX_REDUCTION_STEPS):
+def reduce_scheme(theory: Theory, scheme: IterExpr):
     """Reduces *scheme* to a fixpoint of normalizations plus justified
     rewrites; returns (reduced scheme, trace)."""
     steps = []
@@ -240,25 +240,19 @@ def reduce_scheme(theory: Theory, scheme: IterExpr, max_steps: int = MAX_REDUCTI
             attempts.append(Attempt("doubling", e, query, str(exc)))
         return None
 
-    for _ in range(max_steps):
+    rules = (("absorption", r_absorption), ("commutation", r_commutation), ("doubling", r_doubling))
+    for _ in range(MAX_REDUCTION_STEPS):
         normalized = normalize(current)
         if normalized != current:
             current = record("normalize", current, normalized)
             continue
-        fired = False
-        for name, rule in (("absorption", r_absorption), ("commutation", r_commutation)):
+        for name, rule in rules:
             new = _try_everywhere(current, rule)
             if new is not None:
                 current = record(name, current, new)
-                fired = True
                 break
-        if fired:
-            continue
-        new = _try_everywhere(current, r_doubling)
-        if new is not None:
-            current = record("doubling", current, new)
-            continue
-        break
+        else:
+            break
 
     return current, ReductionTrace(scheme, tuple(steps), tuple(attempts))
 

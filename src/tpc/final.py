@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import AffineExpr
+from .affine import AffineExpr, scopes
 from .errors import Ambiguous, InternalMismatch, Underdetermined
 from .mathsolver import Equation, solve_concrete
 from .paths import IterGroup, apply_segments, eval_atomset
@@ -159,10 +159,7 @@ def _unroll_groups(branch: Branch, t, d, env):
     groups = [a for a in branch.atoms.conjuncts if isinstance(a, IterGroup)]
     multis = [v.name for v in branch.decls if v.kind == "multi"]
     for group in groups:
-        lo = group.lower.evaluate(env)
-        hi = group.upper.evaluate(env)
-        for i in range(lo, hi + 1):
-            scope = {**env, group.itervar: i}
+        for scope in scopes(group, env):
             for atom in group.body:
                 equations = []
                 if not _tune_atom(atom, t, d, scope, equations):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import AffineExpr, IndexTerm
+from .affine import ZERO, AffineExpr
 from .errors import Unsupported
 from .mathsolver import ConditionSystem, Equation, Region, eliminate
-from .paths import IterGroup, Segment, SymbolicPath
+from .paths import IterGroup, SymbolicPath, embed
 from .sigma import _MULTI_NAMES, _SCALAR_NAMES, Branch, SymbolicCharFn, _fresh
 
 
@@ -28,42 +28,17 @@ class InclusionResult:
         return self.region.is_universal
 
 
-def _rename_expr(e: AffineExpr, mapping: dict) -> AffineExpr:
-    terms = []
-    for c, it in e.terms:
-        sel = tuple(_rename_expr(s, mapping) for s in it.sel)
-        terms.append((c, IndexTerm(mapping.get(it.var, it.var), sel)))
-    return AffineExpr.of(e.const, *terms)
-
-
-def _rename_path(p: SymbolicPath, mapping: dict) -> SymbolicPath:
-    return SymbolicPath.of(
-        *(Segment(seg.step, _rename_expr(seg.count, mapping)) for seg in p.segments)
-    )
-
-
-def _runs(p: SymbolicPath):
-    return [(seg.step, seg.count) for seg in p.segments]
-
-
 def _align(p: SymbolicPath, q: SymbolicPath):
     """Pairs of counts that must be equal for the two paths to extract
     the same subtree on all trees; None if the step patterns differ."""
-    a, b = _runs(p), _runs(q)
-    if len(a) < len(b):
-        a, b = b, a
+    if len(p.segments) < len(q.segments):
+        p, q = q, p
     # embed the shorter run list into the longer one (missing runs are 0)
-    out = []
-    bi = 0
-    for step, count in a:
-        if bi < len(b) and b[bi][0] == step:
-            out.append((count, b[bi][1]))
-            bi += 1
-        else:
-            out.append((count, AffineExpr.const_(0)))
-    if bi != len(b):
+    slots = embed(q.steps(), p.steps())
+    if slots is None:
         return None
-    return out
+    counts = dict(zip(slots, (seg.count for seg in q.segments)))
+    return [(seg.count, counts.get(i, ZERO)) for i, seg in enumerate(p.segments)]
 
 
 def _atom_equations(fa, ga):
@@ -105,10 +80,15 @@ def includes(f, g) -> InclusionResult:
             name = _fresh(taken, _SCALAR_NAMES if d.kind == "scalar" else _MULTI_NAMES)
         taken.add(name)
         mapping[d.name] = name
+    # element selectors occur only inside iterated groups, which are
+    # rejected, so renaming the scalar terms renames every variable
+    renamed = {old: AffineExpr.var(new) for old, new in mapping.items()}
 
     equations = []
     for ga in gb.atoms.conjuncts:
-        ga = _rename_atom(ga, mapping)
+        if isinstance(ga, IterGroup):
+            raise Unsupported("iterated atom groups are not alignable")
+        ga = ga.with_paths(*(path.substitute(renamed) for path, _ in ga.sides()))
         matched = None
         for fa in fb.atoms.conjuncts:
             eqs = _atom_equations(fa, ga)
@@ -125,9 +105,3 @@ def includes(f, g) -> InclusionResult:
         conditions=tuple(equations),
     )
     return InclusionResult(system, eliminate(system))
-
-
-def _rename_atom(atom, mapping):
-    if isinstance(atom, IterGroup):
-        raise Unsupported("iterated atom groups are not alignable")
-    return atom.with_paths(*(_rename_path(path, mapping) for path, _ in atom.sides()))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .affine import AffineExpr, IndexTerm, ZERO
+from .affine import AffineExpr, IndexTerm, ZERO, scopes
 from .errors import Underdetermined, Unsupported
 
 
@@ -136,14 +136,7 @@ def eval_condition(cond, env: dict) -> bool:
         if isinstance(cond, Congruence):
             return cond.expr.evaluate(env) % cond.modulus == 0
         if isinstance(cond, ElementFamily):
-            lo = cond.lower.evaluate(env)
-            hi = cond.upper.evaluate(env)
-            for i in range(lo, hi + 1):
-                inner = dict(env)
-                inner[cond.itervar] = i
-                if not eval_condition(cond.body, inner):
-                    return False
-            return True
+            return all(eval_condition(cond.body, scope) for scope in scopes(cond, env))
     except (IndexError, KeyError):
         return False
     raise TypeError(f"not a condition: {cond!r}")
@@ -371,8 +364,8 @@ class MultiIndexSolution:
             if isinstance(el, Equation):
                 fill(el, env)
             else:
-                for i in range(el.lower.evaluate(env), el.upper.evaluate(env) + 1):
-                    fill(el.body, {**env, el.itervar: i})
+                for scope in scopes(el, env):
+                    fill(el.body, scope)
         if any(v is None for v in out):
             raise Underdetermined(f"{self.target} has unpinned elements")
         return tuple(out)

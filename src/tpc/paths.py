@@ -7,6 +7,13 @@ symbolic path is a step sequence where runs of one step carry an affine
 repetition count.  An atom set is the conjunction of path-equality atoms
 that characterizes a clause (or a whole iterative scheme) as a relation on
 tree pairs.
+
+Symbolic paths are walked one way each.  ``embed`` places one step
+sequence into another, each step at its leftmost free slot; sigma uses it
+to group atoms into families and to read their run counts, and inclusion
+to align two paths run by run.  The scopes of an iterated group, one env
+per value of its index variable, come from ``affine.scopes`` wherever a
+group is evaluated, expanded or tuned.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .affine import AffineExpr, ONE, ZERO
+from .affine import AffineExpr, ONE, ZERO, scopes
 from .errors import FreeRhsVariable
 from .terms import IDENTITY, App, Clause, Term, Var, compose_clauses, match, print_term, substitute
 
@@ -127,14 +134,12 @@ class SymbolicPath:
             raise ValueError("path steps do not compose")
         return clause
 
+    def steps(self) -> tuple:
+        """The step of each run: the path's skeleton."""
+        return tuple([seg.step for seg in self.segments])
+
     def substitute(self, mapping) -> "SymbolicPath":
         return SymbolicPath.of(*(Segment(s.step, s.count.substitute(mapping)) for s in self.segments))
-
-    def variables(self) -> set:
-        out = set()
-        for seg in self.segments:
-            out |= seg.count.variables()
-        return out
 
     def __str__(self):
         if not self.segments:
@@ -167,8 +172,19 @@ def apply_segments(segments, tree: Term, env: dict):
     return tree
 
 
-def path_of_steps(*steps) -> SymbolicPath:
-    return SymbolicPath.concrete(steps)
+def embed(steps, skeleton):
+    """The slot of *skeleton* each of *steps* takes when each is placed
+    at the leftmost slot after the one before it; None when *steps* is not
+    a subsequence of *skeleton*."""
+    slots = []
+    at = 0
+    for step in steps:
+        try:
+            at = skeleton.index(step, at) + 1
+        except ValueError:
+            return None
+        slots.append(at - 1)
+    return slots
 
 
 def same_path(p: SymbolicPath, q: SymbolicPath) -> bool:
@@ -275,7 +291,6 @@ class VarDecl:
 @dataclass(frozen=True)
 class AtomSet:
     conjuncts: tuple = ()
-    free_vars: tuple = ()
 
     def __str__(self):
         if len(self.conjuncts) == 1:
@@ -340,7 +355,7 @@ def split_axiom(c: Clause) -> AtomSet:
     atoms = [EqualsLR(lpath, rpath) for v, rpaths in rhs_vars.items() for rpath in rpaths for lpath in lhs_vars[v]]
     atoms += [GroundL(path, sub) for path, sub in lhs_ground]
     atoms += [GroundR(path, sub) for path, sub in rhs_ground]
-    return AtomSet(tuple(atoms), ())
+    return AtomSet(tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +365,10 @@ def split_axiom(c: Clause) -> AtomSet:
 def _eval_atom(atom, env: dict, t: Term, d: Term) -> bool:
     if isinstance(atom, IterGroup):
         try:
-            lo = atom.lower.evaluate(env)
-            hi = atom.upper.evaluate(env)
+            inner = scopes(atom, env)
         except (IndexError, KeyError):
             return False
-        for i in range(lo, hi + 1):
-            inner = dict(env)
-            inner[atom.itervar] = i
-            for a in atom.body:
-                if not _eval_atom(a, inner, t, d):
-                    return False
-        return True
+        return all(_eval_atom(a, scope, t, d) for scope in inner for a in atom.body)
     (lp, lt), (rp, rt) = atom.sides(t, d)
     lv = lp.apply(lt, env)
     return lv is not None and lv == rp.apply(rt, env)

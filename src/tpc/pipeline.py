@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .delta import order_axioms, reduce_scheme
 from .errors import InternalMismatch
-from .final import decide, extract_proof, tune
+from .final import decide, extract_proof
 from .oracle import SearchBudget, reachable_set
 from .schemes import EPS, IterExpr, wrap_scheme
 from .sigma import SymbolicCharFn, check_layout, sigma
@@ -35,9 +35,6 @@ class DecisionProcedure:
     def prove(self, d: Term, t: Term = None) -> Proof:
         start = t if t is not None else self.theory.start
         return extract_proof(self.theory, self.charfn, start, d)
-
-    def tune(self, d: Term, t: Term = None):
-        return tune(self.charfn, t if t is not None else self.theory.start, d)
 
 
 def _self_check(proc: DecisionProcedure, budget: SearchBudget) -> None:

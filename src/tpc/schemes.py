@@ -447,7 +447,7 @@ def parse_scheme(text: str) -> IterExpr:
         while peek() == "|":
             i += 1
             parts.append(parse_dot())
-        return parts[0] if len(parts) == 1 else Alt(tuple(parts))
+        return alt(*parts)
 
     def parse_dot():
         nonlocal i
@@ -455,7 +455,7 @@ def parse_scheme(text: str) -> IterExpr:
         while peek() == ".":
             i += 1
             parts.append(parse_star())
-        return dot(*parts) if len(parts) > 1 else parts[0]
+        return dot(*parts)
 
     def parse_star():
         nonlocal i

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .affine import AffineExpr, ONE
+from .affine import AffineExpr, ONE, scopes
 from .errors import NotLinearizable
 from .mathsolver import reduce_rows
 from .paths import (
@@ -45,7 +45,7 @@ from .paths import (
     Segment,
     SymbolicPath,
     VarDecl,
-    eval_atomset,
+    embed,
     split_axiom,
 )
 from .schemes import (
@@ -62,7 +62,6 @@ from .schemes import (
     reduce_specific,
     shape_of,
 )
-from .terms import Term
 
 _SCALAR_NAMES = ("n", "k", "j", "l")
 _MULTI_NAMES = ("m", "u", "w")
@@ -184,15 +183,11 @@ def _sample_atoms(theory, scheme, builder, envs, prefix):
         yield i, None if clause is None else split_axiom(clause).conjuncts
 
 
-def _skeleton(path: SymbolicPath) -> tuple:
-    return tuple(seg.step for seg in path.segments)
-
-
 def _family_key(atom):
     """Class, step skeleton of each side and template (None for EqualsLR)
     of a concrete atom."""
     (left, _), (right, template) = atom.sides()
-    return (type(atom), _skeleton(left), _skeleton(right), template)
+    return (type(atom), left.steps(), right.steps(), template)
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +248,6 @@ def _base_features(decls):
 # family alignment
 
 
-def _sub_skeleton(a, b):
-    """Is step tuple a an (ordered) subsequence of b?"""
-    it = iter(b)
-    return all(step in it for step in a)
-
-
-def _embed(path: SymbolicPath, skeleton):
-    """Leftmost embedding of a concrete path's segment counts into a step
-    skeleton; None if its steps are not a subsequence."""
-    out = [0] * len(skeleton)
-    si = 0
-    for seg in path.segments:
-        while si < len(skeleton) and skeleton[si] != seg.step:
-            si += 1
-        if si == len(skeleton):
-            return None
-        out[si] = seg.count.const
-        si += 1
-    return out
-
-
 def _merge_keys(keys):
     """Partition compatible keys around maximal skeletons.  Two keys are
     compatible when they share class and template and both step tuples of
@@ -286,8 +260,8 @@ def _merge_keys(keys):
             if (
                 key[0] == rep[0]
                 and key[3] == rep[3]
-                and _sub_skeleton(key[1], rep[1])
-                and _sub_skeleton(key[2], rep[2])
+                and embed(key[1], rep[1]) is not None
+                and embed(key[2], rep[2]) is not None
             ):
                 home = rep
                 break
@@ -315,9 +289,6 @@ class Branch:
     decls: tuple
     builder: tuple
     atoms: AtomSet
-
-    def holds(self, assign: dict, t: Term, d: Term) -> bool:
-        return eval_atomset(self.atoms, assign, t, d)
 
     def index_of(self, assign: dict):
         return _build_index(self.builder, assign)
@@ -347,13 +318,20 @@ def _family_atom(member, key, fitted):
 def _fit_family_runs(key, atoms, fit, scheme):
     """*atoms*, one per env of the design *fit* belongs to, have steps
     embedding in key's skeletons.  Fits one expression per run on each
-    side."""
+    side; a run an atom's path leaves out counts 0."""
     fitted = []
     for side, skel in enumerate(key[1:3]):
-        counts = [_embed(atom.sides()[side][0], skel) for atom in atoms]
-        if None in counts:
-            raise NotLinearizable("atom does not embed in its family skeleton", scheme)
-        exprs = [fit([c[ri] for c in counts]) for ri in range(len(skel))]
+        counts = []
+        for atom in atoms:
+            path = atom.sides()[side][0]
+            slots = embed(path.steps(), skel)
+            if slots is None:
+                raise NotLinearizable("atom does not embed in its family skeleton", scheme)
+            row = [0] * len(skel)
+            for slot, seg in zip(slots, path.segments):
+                row[slot] = seg.count.const
+            counts.append(row)
+        exprs = [fit([row[ri] for row in counts]) for ri in range(len(skel))]
         if None in exprs:
             return None
         fitted.append(exprs)
@@ -426,7 +404,7 @@ def _synthesize_branch(theory, scheme) -> Branch:
     for key in dict.fromkeys(rep_of.get(key, key) for key in first_atom):
         ordered.extend(conjuncts[key])
 
-    branch = Branch(scheme, decls, builder, AtomSet(tuple(ordered), decls))
+    branch = Branch(scheme, decls, builder, AtomSet(tuple(ordered)))
     _verify_branch(theory, branch, verify_envs, prefix)
     return branch
 
@@ -468,10 +446,8 @@ def _unit_form(atom, env):
 def _expand_symbolic(atoms, env, out: Counter):
     for atom in atoms:
         if isinstance(atom, IterGroup):
-            lo = atom.lower.evaluate(env)
-            hi = atom.upper.evaluate(env)
-            for i in range(lo, hi + 1):
-                _expand_symbolic(atom.body, {**env, atom.itervar: i}, out)
+            for scope in scopes(atom, env):
+                _expand_symbolic(atom.body, scope, out)
         else:
             out[_unit_form(atom, env)] += 1
 

@@ -17,7 +17,7 @@ from tpc.final import decide, extract_proof, tune
 from tpc.inclusion import includes
 from tpc.mathsolver import Congruence, eval_region, eval_system, solve_multiindex
 from tpc.oracle import SearchBudget, find_proof, reachable_set
-from tpc.paths import Step, compose_paths, path_of_steps, power_path, split_axiom
+from tpc.paths import Step, SymbolicPath, compose_paths, eval_atomset, power_path, split_axiom
 from tpc.schemes import (
     build_scheme,
     enumerate_indices,
@@ -101,10 +101,10 @@ def test_instantiation():
 
 @criterion(3, "path composition identities and the three-atom axiom split")
 def test_path_algebra():
-    p = path_of_steps(Step(parse_term("P(x, y)"), "x"))
-    q = path_of_steps(Step(parse_term("R(x, y)"), "y"))
+    p = SymbolicPath.concrete((Step(parse_term("P(x, y)"), "x"),))
+    q = SymbolicPath.concrete((Step(parse_term("R(x, y)"), "y"),))
     assert str(compose_paths(p, q)) == "[P(R(x, y), z)->y]"
-    f = path_of_steps(Step(parse_term("F(x)"), "x"))
+    f = SymbolicPath.concrete((Step(parse_term("F(x)"), "x"),))
     assert str(power_path(f, 4)) == "[F(F(F(F(x))))->x]"
     axiom = Clause("b", parse_term("P(R(x, z), y)"), parse_term("P(x, R(y, z))"))
     atoms = split_axiom(axiom).conjuncts
@@ -147,7 +147,7 @@ def test_sigma_forms_and_agreement():
             for t in trees:
                 want = apply_clause(clause, t) if clause is not None else None
                 for d in list(trees) + ([want] if want is not None else []):
-                    assert b.holds(assign, t, d) == (want is not None and d == want)
+                    assert eval_atomset(b.atoms, assign, t, d) == (want is not None and d == want)
 
 
 @criterion(5, "inclusion query is universal forward, conditional reversed")

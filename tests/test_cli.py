@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,13 @@ class TestExitCodes:
             main(["decide", "fg", "--from", "P(Z, Z)"])
         assert exc.value.code == 2
 
+    def test_non_ground_sentence_is_a_usage_error(self, capsys):
+        # a lowercase name is a variable, so P(x) is no sentence
+        argv = ["decide", "chain", "--method", "generated", "--from", "P(x)", "--to", "P(F(x))"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: sentence P(x) is not ground\n"
+
     def test_unknown_theory(self, capsys):
         assert main(["parse", "no_such_theory"]) == 2
 
@@ -89,6 +97,17 @@ class TestJsonErrors:
         assert error["type"] == "NotLinearizable"
         assert error["message"].startswith("index nesting too deep")
 
+    @pytest.mark.parametrize("argv", [
+        ["decide", "chain", "--method", "generated", "--from", "P(x)", "--to", "P(F(x))"],
+        ["decide", "chain", "--from", "P(Z)", "--to", "x"],
+        ["prove", "fg", "--goal", "P(F(y), Z)"],
+        ["oracle", "chain", "--goal", "P(F(x))"],
+    ], ids=["from", "to", "prove-goal", "oracle-goal"])
+    def test_non_ground_sentence_prints_an_error_object(self, capsys, argv):
+        error = self.error_of(capsys, argv, 2)
+        assert error["type"] == "NonGroundStart"
+        assert error["message"].endswith("is not ground")
+
     def test_usage_error_prints_an_error_object(self, capsys):
         error = self.error_of(capsys, ["parse", "no_such_theory"], 2)
         assert error == {
@@ -105,11 +124,11 @@ class TestCommands:
         assert "start: P(Z)" in out and "a: P(x) -> P(F(x))" in out
 
     def test_oracle_finds_seven_step_proof(self, capsys):
-        assert main(["oracle", "ancestor", "--depth", "8"]) == 0
+        assert main(["--max-depth", "8", "oracle", "ancestor"]) == 0
         assert capsys.readouterr().out.strip() == "p3.a1.p2.a2.p1.a2.l1"
 
     def test_oracle_dump(self, capsys):
-        assert main(["oracle", "chain", "--dump", "--depth", "2"]) == 0
+        assert main(["--max-depth", "2", "oracle", "chain", "--dump"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["P(Z)", "P(F(Z))", "P(F(F(Z)))"]
 
@@ -173,3 +192,23 @@ class TestDeterministicMessages:
         ((code, _, err),) = runs
         assert code == 3
         assert "existential k not isolated: depends on j, l, n2, n3, n4" in err
+
+
+def _readme_cli_lines():
+    """Every ``tpc ...`` line in the README's CLI section, as argv lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in section.splitlines() if line.startswith("tpc ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_examples_are_valid(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code != 2, capsys.readouterr().err
+
+
+def test_readme_lists_cli_examples():
+    assert len(_readme_cli_lines()) >= 8

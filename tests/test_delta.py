@@ -94,6 +94,13 @@ class TestReduce:
         assert print_scheme(trace.steps[0].after) == "(b*.a*.b|eps).a*"
         assert trace.replay() == red
 
+    def test_doubling_waits_for_commutation(self, fg):
+        # doubling would also fire here; it is tried only when neither
+        # absorption nor commutation does
+        red, trace = reduce_scheme(fg, parse_scheme("(a.a*.b)*"))
+        assert [str(s) for s in trace.steps] == ["commutation: (a.a*.b)* => (a.b.a*)*"]
+        assert print_scheme(red) == "(a.b.a*)*"
+
     def test_rotation_is_irreducible(self):
         rot = load_theory("rotate")
         scheme = parse_scheme("(a*.b)*.a*")

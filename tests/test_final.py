@@ -65,7 +65,7 @@ class TestScalarTuning:
             Segment(Step(parse_term("P(x, y)"), "y"), AffineExpr.var("k"))
         )
         decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
-        atoms = AtomSet((EqualsLR(left, right),), decls)
+        atoms = AtomSet((EqualsLR(left, right),))
         branch = Branch(parse_scheme("a*"), decls, ("unit",), atoms)
         fn = SymbolicCharFn(parse_scheme("a*"), (branch,))
         t = parse_term("P(Z, Z)")

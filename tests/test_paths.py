@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tpc.affine import ONE, AffineExpr
+from tpc.affine import ONE, AffineExpr, scopes
+from tpc.inclusion import _align
 from tpc.paths import (
     AtomSet,
     EqualsLR,
@@ -15,8 +16,8 @@ from tpc.paths import (
     Step,
     SymbolicPath,
     compose_paths,
+    embed,
     eval_atomset,
-    path_of_steps,
     power_path,
     same_path,
     _unit_step,
@@ -93,7 +94,7 @@ class TestUnitSteps:
         by_hand = step("F(a, b, c)", "b")
         assert by_hand == _unit_step("F", 3, 1) and hash(by_hand) == hash(_unit_step("F", 3, 1))
         assert by_hand._unit == ("F", 3, 1)
-        (seg,) = compose_paths(IDENTITY_PATH, path_of_steps(by_hand)).segments
+        (seg,) = compose_paths(IDENTITY_PATH, SymbolicPath.concrete((by_hand,))).segments
         assert seg.step._unit == ("F", 3, 1)
         (atom,) = split_axiom(Clause("", parse_term("P(x, F(y))"), parse_term("y"))).conjuncts
         assert [seg.step._unit for seg in atom.left.segments] == [("P", 2, 1), ("F", 1, 0)]
@@ -110,28 +111,28 @@ class TestUnitSteps:
 class TestComposition:
     def test_projection_pair(self):
         # [P(x,y)->x].[R(x,y)->y] = [P(R(x,y),z)->y]
-        p = path_of_steps(step("P(x, y)", "x"), step("R(x, y)", "y"))
-        q = path_of_steps(step("P(R(x, y), z)", "y"))
+        p = SymbolicPath.concrete((step("P(x, y)", "x"), step("R(x, y)", "y")))
+        q = SymbolicPath.concrete((step("P(R(x, y), z)", "y"),))
         assert same_path(p, q)
 
     def test_power_of_strip(self):
-        p = power_path(path_of_steps(step("F(x)", "x")), 4)
-        assert same_path(p, path_of_steps(step("F(F(F(F(x))))", "x")))
+        p = power_path(SymbolicPath.concrete((step("F(x)", "x"),)), 4)
+        assert same_path(p, SymbolicPath.concrete((step("F(F(F(F(x))))", "x"),)))
 
     def test_identity_is_neutral(self):
-        p = path_of_steps(step("F(x)", "x"))
+        p = SymbolicPath.concrete((step("F(x)", "x"),))
         assert compose_paths(IDENTITY_PATH, p) == p
         assert compose_paths(p, IDENTITY_PATH) == p
 
     def test_power_zero(self):
-        p = path_of_steps(step("F(x)", "x"))
+        p = SymbolicPath.concrete((step("F(x)", "x"),))
         assert power_path(p, 0) == IDENTITY_PATH
 
     def test_compose_deepens_pattern(self):
-        p = path_of_steps(step("F(x)", "x"))
-        q = path_of_steps(step("P(x, y)", "x"))
+        p = SymbolicPath.concrete((step("F(x)", "x"),))
+        q = SymbolicPath.concrete((step("P(x, y)", "x"),))
         r = compose_paths(p, q)
-        assert same_path(r, path_of_steps(step("F(P(x, y))", "x")))
+        assert same_path(r, SymbolicPath.concrete((step("F(P(x, y))", "x"),)))
 
     def test_symbolic_run_merging(self):
         f = step("F(x)", "x")
@@ -234,7 +235,7 @@ def _reference_split(c):
     ]
     atoms += [GroundL(path(c.lhs, pos), sub) for pos, sub in lhs_ground]
     atoms += [GroundR(path(c.rhs, pos), sub) for pos, sub in rhs_ground]
-    return AtomSet(tuple(atoms), ())
+    return AtomSet(tuple(atoms))
 
 
 # nodes whose steps repeat (F/1, the left of G/2, the right of And/2) and
@@ -285,9 +286,9 @@ class TestSplit:
         rx, ry = step("R(x, y)", "x"), step("R(x, y)", "y")
         first = split_axiom(c).conjuncts
         assert first == (
-            EqualsLR(path_of_steps(px, rx), path_of_steps(px)),
-            EqualsLR(path_of_steps(py), path_of_steps(py, rx)),
-            EqualsLR(path_of_steps(px, ry), path_of_steps(py, ry)),
+            EqualsLR(SymbolicPath.concrete((px, rx)), SymbolicPath.concrete((px,))),
+            EqualsLR(SymbolicPath.concrete((py,)), SymbolicPath.concrete((py, rx))),
+            EqualsLR(SymbolicPath.concrete((px, ry)), SymbolicPath.concrete((py, ry))),
         )
         for a, b in zip(first, split_axiom(c).conjuncts):
             for p, q in ((a.left, b.left), (a.right, b.right)):
@@ -417,7 +418,7 @@ class TestEval:
 
 
 class TestSides:
-    PX = path_of_steps(step("P(x, y)", "x"))
+    PX = SymbolicPath.concrete((step("P(x, y)", "x"),))
     T, D = parse_term("P(A, B)"), parse_term("P(B, A)")
 
     def test_ground_atoms_read_their_own_side(self):
@@ -428,17 +429,103 @@ class TestSides:
         assert GroundR(self.PX, b).sides(self.T, self.D) == ((self.PX, self.D), (IDENTITY_PATH, b))
 
     def test_with_paths_rebuilds_from_sides(self):
-        py = path_of_steps(step("P(x, y)", "y"))
+        py = SymbolicPath.concrete((step("P(x, y)", "y"),))
         a = parse_term("A")
         for atom in (EqualsLR(self.PX, py), GroundL(self.PX, a), GroundR(self.PX, a)):
             assert atom.with_paths(*(path for path, _ in atom.sides())) == atom
             assert atom.with_paths(py, IDENTITY_PATH).sides()[0][0] == py
 
 
+# The three leftmost embeddings ``embed`` replaced, as they were: sigma's
+# subsequence test and run-count placement, and inclusion's run alignment.
+
+
+def _old_sub_skeleton(a, b):
+    it = iter(b)
+    return all(step in it for step in a)
+
+
+def _old_embed(path, skeleton):
+    out = [0] * len(skeleton)
+    si = 0
+    for seg in path.segments:
+        while si < len(skeleton) and skeleton[si] != seg.step:
+            si += 1
+        if si == len(skeleton):
+            return None
+        out[si] = seg.count.const
+        si += 1
+    return out
+
+
+def _old_align(p, q):
+    a = [(seg.step, seg.count) for seg in p.segments]
+    b = [(seg.step, seg.count) for seg in q.segments]
+    if len(a) < len(b):
+        a, b = b, a
+    out = []
+    bi = 0
+    for step, count in a:
+        if bi < len(b) and b[bi][0] == step:
+            out.append((count, b[bi][1]))
+            bi += 1
+        else:
+            out.append((count, AffineExpr.const_(0)))
+    if bi != len(b):
+        return None
+    return out
+
+
+EMBED_STEPS = (_unit_step("F", 1, 0), _unit_step("G", 1, 0), _unit_step("P", 2, 0), _unit_step("P", 2, 1))
+EMBED_COUNTS = (ONE, AffineExpr.const_(3), AffineExpr.var("n"), AffineExpr.var("n") + 1)
+_run_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=7)
+
+
+def _path_of_runs(runs, counts=EMBED_COUNTS):
+    # runs are not merged: the walks never assume adjacent steps differ
+    return SymbolicPath(tuple(Segment(EMBED_STEPS[s], counts[c]) for s, c in runs))
+
+
+class TestEmbed:
+    def test_leftmost_slots(self):
+        f, g = EMBED_STEPS[:2]
+        assert embed((f,), (g, f, f)) == [1]
+        assert embed((f, f), (f, g, f)) == [0, 2]
+        assert embed((), (f,)) == [] and embed((), ()) == []
+        assert embed((g, f), (f, g)) is None and embed((f,), ()) is None
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_run_lists, _run_lists)
+    @example([(0, 0)], [(1, 0), (0, 1), (0, 2)])
+    @example([(0, 0), (1, 0)], [(1, 0), (0, 0)])
+    @example([], [])
+    def test_embed_matches_the_walks_it_replaced(self, a, b):
+        consts = tuple(AffineExpr.const_(c) for c in range(1, 5))
+        p, skeleton = _path_of_runs(a, consts), _path_of_runs(b).steps()
+        slots = embed(p.steps(), skeleton)
+        assert (slots is not None) == _old_sub_skeleton(p.steps(), skeleton)
+        if slots is None:
+            assert _old_embed(p, skeleton) is None
+        else:
+            placed = dict(zip(slots, (seg.count.const for seg in p.segments)))
+            assert [placed.get(i, 0) for i in range(len(skeleton))] == _old_embed(p, skeleton)
+        p, q = _path_of_runs(a), _path_of_runs(b)
+        assert _align(p, q) == _old_align(p, q)
+        assert _align(q, p) == _old_align(q, p)
+
+
+def test_scopes_evaluate_both_bounds_first():
+    group = IterGroup("i", ONE, AffineExpr.var("m"), ())
+    assert list(scopes(group, {"m": 2})) == [{"m": 2, "i": 1}, {"m": 2, "i": 2}]
+    assert list(scopes(group, {"m": 0, "i": 7})) == []
+    with pytest.raises(KeyError):
+        scopes(group, {})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6))
 def test_power_compose_coherence(a, b):
-    f = path_of_steps(step("F(x)", "x"))
+    f = SymbolicPath.concrete((step("F(x)", "x"),))
     lhs = power_path(f, a + b)
     rhs = compose_paths(power_path(f, a), power_path(f, b))
     if a + b == 0:

@@ -23,6 +23,7 @@ from tpc import (
 from tpc.errors import ShapeError
 from tpc.paths import split_axiom
 from tpc.schemes import Choice, ListOf, TupleShape, UNIT_SHAPE, parse_index
+from tpc.sigma import sigma
 from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars, substitute
 
 AB_STAR = parse_scheme("(a*.b)*.a*")
@@ -302,3 +303,12 @@ class TestSyntax:
 
     def test_eps_in_dot_vanishes(self):
         assert parse_scheme("a.eps.b") == parse_scheme("a.b")
+
+    def test_alternatives_flatten_and_deduplicate(self):
+        assert parse_scheme("(a|b)|a") == parse_scheme("a|b")
+        assert parse_scheme("a|(b|c)") == parse_scheme("a|b|c")
+        assert parse_scheme("a|a") == Axiom("a")
+
+    def test_nested_alternatives_reach_sigma(self):
+        fg = load_theory("fg")
+        assert str(sigma(fg, parse_scheme("(a|b)|a"))) == str(sigma(fg, parse_scheme("a|b")))

@@ -13,7 +13,7 @@ from tpc.affine import ONE, AffineExpr
 from tpc.errors import NotLinearizable
 from tpc.mathsolver import reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl
+from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, eval_atomset
 from tpc.schemes import build_scheme, instantiate, parse_scheme, reduce_specific
 import tpc.sigma
 from tpc.sigma import (
@@ -196,7 +196,7 @@ class TestHeldOutVerification:
     @staticmethod
     def verify(theory, branch, conjuncts):
         envs = _sample_grid(branch.decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
-        changed = dataclasses.replace(branch, atoms=AtomSet(tuple(conjuncts), branch.atoms.free_vars))
+        changed = dataclasses.replace(branch, atoms=AtomSet(tuple(conjuncts)))
         _verify_branch(theory, changed, envs, [])
 
     def test_off_by_one_count_is_rejected(self):
@@ -257,7 +257,7 @@ def test_charfn_agrees_with_reduction(theory_name, scheme_text, scalars):
         for t in trees:
             d = apply_clause(clause, t) if clause is not None else None
             for cand in trees:
-                holds = branch.holds(env, t, cand)
+                holds = eval_atomset(branch.atoms, env, t, cand)
                 rewrites = d is not None and cand == d
                 if holds != rewrites:
                     mismatches += 1
