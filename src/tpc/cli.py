@@ -19,19 +19,19 @@ import sys
 from pathlib import Path
 
 from . import __version__, load_theory
-from .errors import Ambiguous, InternalMismatch, NonGroundStart, NotLinearizable, TpcError, Unsupported
+from .errors import Ambiguous, InternalMismatch, NotLinearizable, TpcError, Unsupported
 from .inclusion import includes
 from .oracle import SearchBudget, decide_oracle, find_proof, reachable_set
 from .pipeline import pipeline
 from .schemes import build_scheme, parse_scheme, print_scheme
 from .sigma import sigma
 from .terms import (
-    App,
     check_proof,
     parse_term,
     parse_theory,
     print_term,
     print_theory,
+    sentence,
 )
 
 SCHEMA = "tpc/1"
@@ -55,10 +55,18 @@ def _theory(spec: str):
 
 def _sentence(text: str):
     """The ground tree written in *text*; sentences have no variables."""
-    term = parse_term(text)
-    if not (isinstance(term, App) and term.is_ground):
-        raise NonGroundStart(f"sentence {print_term(term)} is not ground")
-    return term
+    return sentence(parse_term(text))
+
+
+def _bound(text: str) -> int:
+    """A search bound: an int that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _budget(args) -> SearchBudget:
@@ -210,8 +218,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Membership deciders for truncated-predicate-calculus theories.",
     )
     p.add_argument("--json", action="store_true", help="structured JSON output")
-    p.add_argument("--max-depth", type=int, default=8, help="proof search depth bound")
-    p.add_argument("--max-tree-size", type=int, default=512, help="tree size bound for search")
+    p.add_argument("--max-depth", type=_bound, default=8, help="proof search depth bound")
+    p.add_argument("--max-tree-size", type=_bound, default=512, help="tree size bound for search")
     p.add_argument("--no-selfcheck", action="store_true", help="skip the oracle self-check")
     sub = p.add_subparsers(dest="command", required=True)
 

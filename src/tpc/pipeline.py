@@ -17,7 +17,7 @@ from .final import decide, extract_proof
 from .oracle import SearchBudget, reachable_set
 from .schemes import EPS, IterExpr, wrap_scheme
 from .sigma import SymbolicCharFn, check_layout, sigma
-from .terms import Proof, Term, Theory
+from .terms import Proof, Term, Theory, sentence
 
 _SELFCHECK_BUDGET = SearchBudget(max_depth=4, max_tree_size=24)
 
@@ -30,11 +30,16 @@ class DecisionProcedure:
     traces: tuple = ()  # one ReductionTrace per construction step
 
     def decide(self, d: Term, t: Term = None) -> bool:
-        return decide(self.charfn, t if t is not None else self.theory.start, d)
+        """Whether *t*, by default the start sentence, rewrites to *d*;
+        both are ground trees."""
+        start = self.theory.start if t is None else sentence(t)
+        return decide(self.charfn, start, sentence(d))
 
     def prove(self, d: Term, t: Term = None) -> Proof:
-        start = t if t is not None else self.theory.start
-        return extract_proof(self.theory, self.charfn, start, d)
+        """A replayed proof that *t*, by default the start sentence,
+        rewrites to *d*, or None; both are ground trees."""
+        start = self.theory.start if t is None else sentence(t)
+        return extract_proof(self.theory, self.charfn, start, sentence(d))
 
 
 def _self_check(proc: DecisionProcedure, budget: SearchBudget) -> None:

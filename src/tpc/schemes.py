@@ -4,6 +4,16 @@ An iterative expression is a regex-like term over axiom names with
 operators ``.`` (sequencing), ``*`` (iteration), ``|`` (choice) and
 ``eps``.  A multi-index picks one specific axiom sequence out of an
 expression; enumerating multi-indexes walks the whole proof space.
+
+The layout of a multi-index is decided here and nowhere else.  An axiom
+or eps takes no index (``UNIT``); a star takes the tuple of its body's
+indexes, or a plain count when its body takes none; a choice takes
+``(branch, index of that branch)``; a sequence takes the indexes of its
+parts that take one, joined: ``UNIT`` for none, a lone one as itself,
+several as their tuple.  ``takes_index`` says whether a part takes an
+index, and ``join_index``/``split_index`` join a sequence's index and
+split it back.  ``shape_of``, ``instantiate``, ``enumerate_indices`` and
+``index_from_stars`` all lay indexes out through these three.
 """
 
 from __future__ import annotations
@@ -132,46 +142,6 @@ def print_index(m) -> str:
     return "{" + ", ".join(print_index(x) for x in m) + "}"
 
 
-def parse_index(text: str):
-    """Parses the curly-brace index notation, e.g. ``{{2, 0, 1}, 3}``."""
-    tokens = re.findall(r"\{|\}|,|\d+|u|\S", text)
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TheorySyntaxError("unexpected end of multi-index")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_one():
-        tok = take()
-        if tok == "u":
-            return UNIT
-        if tok.isdigit():
-            return int(tok)
-        if tok == "{":
-            items = []
-            nonlocal pos
-            if pos < len(tokens) and tokens[pos] == "}":
-                pos += 1
-                return tuple(items)
-            while True:
-                items.append(parse_one())
-                tok = take()
-                if tok == "}":
-                    return tuple(items)
-                if tok != ",":
-                    raise TheorySyntaxError(f"expected ',' or '}}' in multi-index, got {tok!r}")
-        raise TheorySyntaxError(f"unexpected {tok!r} in multi-index")
-
-    out = parse_one()
-    if pos != len(tokens):
-        raise TheorySyntaxError("trailing input after multi-index")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # index shapes
 
@@ -203,18 +173,56 @@ class Choice(IndexShape):
 UNIT_SHAPE = UnitShape()
 
 
+def takes_index(e: IterExpr) -> bool:
+    """Whether *e* takes an index: a star or a choice does, an axiom or eps
+    does not, and a sequence does when one of its parts does."""
+    if isinstance(e, Dot):
+        return any(map(takes_index, e.parts))
+    return isinstance(e, (Star, Alt))
+
+
+def join_index(items, unit=UNIT, group=tuple):
+    """The index of a sequence from the indexes of its parts that take one,
+    left to right: *unit* for none, a lone one as itself, else *group* of
+    them.  ``shape_of`` joins shapes with UNIT_SHAPE and TupleShape."""
+    if not items:
+        return unit
+    if len(items) == 1:
+        return items[0]
+    return group(tuple(items))
+
+
+def split_index(parts, m) -> list:
+    """The inverse of join_index: per part of a sequence, its share of the
+    sequence's canonical index *m*, UNIT for a part that takes none."""
+    takers = [takes_index(p) for p in parts]
+    items = iter(m if sum(takers) > 1 else (m,))
+    return [next(items) if taker else UNIT for taker in takers]
+
+
+def index_from_stars(e: IterExpr, values):
+    """The index of *e*, a scheme with no choice, whose stars take
+    *values*, left to right: each a count, or a tuple of counts for a star
+    whose body takes an index.  Only the outermost stars take a value."""
+    values = iter(values)
+
+    def go(x):
+        if isinstance(x, Star):
+            return next(values)
+        if isinstance(x, Dot):
+            return join_index([go(p) for p in x.parts if takes_index(p)])
+        return UNIT
+
+    return go(e)
+
+
 def shape_of(e: IterExpr) -> IndexShape:
     if isinstance(e, (Axiom, Eps)):
         return UNIT_SHAPE
     if isinstance(e, Star):
         return ListOf(shape_of(e.body))
     if isinstance(e, Dot):
-        nonunit = [s for s in map(shape_of, e.parts) if s != UNIT_SHAPE]
-        if not nonunit:
-            return UNIT_SHAPE
-        if len(nonunit) == 1:
-            return nonunit[0]
-        return TupleShape(tuple(nonunit))
+        return join_index([shape_of(p) for p in e.parts if takes_index(p)], UNIT_SHAPE, TupleShape)
     if isinstance(e, Alt):
         return Choice(tuple(shape_of(p) for p in e.parts))
     raise TypeError(f"not an IterExpr: {e!r}")
@@ -227,6 +235,8 @@ def _coerce(shape: IndexShape, m, path):
         raise ShapeError(f"expected a unit index, got {print_index(m)}", path)
     if isinstance(shape, ListOf):
         if isinstance(m, int):
+            if m < 0:
+                raise ShapeError(f"a count cannot be negative, got {m}", path)
             if isinstance(shape.inner, UnitShape):
                 return (UNIT,) * m
             raise ShapeError(
@@ -236,8 +246,6 @@ def _coerce(shape: IndexShape, m, path):
             raise ShapeError("expected a list or number, got a unit placeholder", path)
         return tuple(_coerce(shape.inner, x, path + (i,)) for i, x in enumerate(m, start=1))
     if isinstance(shape, TupleShape):
-        if isinstance(m, int) and len(shape.parts) == 1:
-            m = (m,)
         if not isinstance(m, tuple) or len(m) != len(shape.parts):
             raise ShapeError(
                 f"expected {len(shape.parts)} index components, got {print_index(m)}", path
@@ -276,20 +284,9 @@ def _instantiate(e: IterExpr, c) -> list:
             out.extend(_instantiate(e.body, elem))
         return out
     if isinstance(e, Dot):
-        shapes = [shape_of(p) for p in e.parts]
-        nonunit = [p for p, s in zip(e.parts, shapes) if s != UNIT_SHAPE]
-        if len(nonunit) <= 1:
-            components = [c] if nonunit else []
-        else:
-            components = list(c)
         out = []
-        k = 0
-        for p, s in zip(e.parts, shapes):
-            if s == UNIT_SHAPE:
-                out.extend(_instantiate(p, UNIT))
-            else:
-                out.extend(_instantiate(p, components[k]))
-                k += 1
+        for p, sub in zip(e.parts, split_index(e.parts, c)):
+            out.extend(_instantiate(p, sub))
         return out
     if isinstance(e, Alt):
         branch, sub = c
@@ -342,7 +339,7 @@ def _gen_exact(e: IterExpr, L: int):
         yield from go(L, max_reps)
         return
     if isinstance(e, Dot):
-        shapes = [shape_of(p) for p in e.parts]
+        takers = [takes_index(p) for p in e.parts]
 
         def go(i, remaining):
             if i == len(e.parts):
@@ -354,19 +351,10 @@ def _gen_exact(e: IterExpr, L: int):
             for here in range(lo, remaining + 1):
                 for idx in _gen_exact(p, here):
                     for rest in go(i + 1, remaining - here):
-                        if shapes[i] == UNIT_SHAPE:
-                            yield rest
-                        else:
-                            yield (idx,) + rest
+                        yield (idx,) + rest if takers[i] else rest
 
-        nonunit_count = sum(1 for s in shapes if s != UNIT_SHAPE)
         for combo in go(0, L):
-            if nonunit_count == 0:
-                yield UNIT
-            elif nonunit_count == 1:
-                yield combo[0]
-            else:
-                yield combo
+            yield join_index(combo)
         return
     if isinstance(e, Alt):
         for b, p in enumerate(e.parts, start=1):

@@ -56,8 +56,8 @@ from .schemes import (
     IterExpr,
     ListOf,
     Star,
-    UNIT,
     UNIT_SHAPE,
+    index_from_stars,
     instantiate,
     reduce_specific,
     shape_of,
@@ -83,34 +83,25 @@ _MAX_VERIFY_SAMPLES = 64
 # variable layout
 
 
-def _layout(e: IterExpr, decls: list):
-    """Builder spec for constructing a concrete index from an assignment;
-    appends one VarDecl per index variable (in left-to-right scheme
-    order)."""
-    if isinstance(e, (Axiom, Eps)):
-        return ("unit",)
+def _layout(e: IterExpr, decls: list) -> None:
+    """Appends one VarDecl per star of *e*, left to right, in the order
+    ``index_from_stars`` takes their values: a scalar for a count, a
+    multi-index for a tuple of counts."""
     if isinstance(e, Star):
         body = shape_of(e.body)
         if body == UNIT_SHAPE:
-            name = _fresh({d.name for d in decls}, _SCALAR_NAMES)
-            decls.append(VarDecl(name, "scalar"))
-            return ("scalar", name)
-        if body == ListOf(UNIT_SHAPE):
-            name = _fresh({d.name for d in decls}, _MULTI_NAMES)
-            decls.append(VarDecl(name, "multi"))
-            return ("multi", name)
-        raise NotLinearizable("index nesting too deep to lay out", e)
-    if isinstance(e, Dot):
-        subs = [_layout(p, decls) for p in e.parts]
-        nonunit = tuple(s for s in subs if s != ("unit",))
-        if not nonunit:
-            return ("unit",)
-        if len(nonunit) == 1:
-            return nonunit[0]
-        return ("tuple", nonunit)
-    if isinstance(e, Alt):
+            decls.append(VarDecl(_fresh({d.name for d in decls}, _SCALAR_NAMES), "scalar"))
+        elif body == ListOf(UNIT_SHAPE):
+            decls.append(VarDecl(_fresh({d.name for d in decls}, _MULTI_NAMES), "multi"))
+        else:
+            raise NotLinearizable("index nesting too deep to lay out", e)
+    elif isinstance(e, Dot):
+        for p in e.parts:
+            _layout(p, decls)
+    elif isinstance(e, Alt):
         raise NotLinearizable("alternatives must be at the top level", e)
-    raise TypeError(e)
+    elif not isinstance(e, (Axiom, Eps)):
+        raise TypeError(e)
 
 
 def _fresh(taken, preferred):
@@ -122,19 +113,6 @@ def _fresh(taken, preferred):
     while f"{preferred[0]}{i}" in taken:
         i += 1
     return f"{preferred[0]}{i}"
-
-
-def _build_index(spec, env):
-    tag = spec[0]
-    if tag == "unit":
-        return UNIT
-    if tag == "scalar":
-        return env[spec[1]]
-    if tag == "multi":
-        return tuple(env[spec[1]])
-    if tag == "tuple":
-        return tuple(_build_index(s, env) for s in spec[1])
-    raise ValueError(spec)
 
 
 def _sample_grid(decls, scalar_pool, multi_pool, cap):
@@ -171,13 +149,13 @@ def _sample_grid(decls, scalar_pool, multi_pool, cap):
 # concrete atoms of the samples
 
 
-def _sample_atoms(theory, scheme, builder, envs, prefix):
+def _sample_atoms(theory, scheme, decls, envs, prefix):
     """Yields (position in *envs*, atoms or None when empty) of each env's
     instance.  The instances are composed in sorted order of their axiom
     sequences, so that each resumes from the longest prefix the
     reduce_specific state *prefix*, shared by the samples of one branch,
     can offer: the state acts as a trie."""
-    seqs = [instantiate(scheme, _build_index(builder, env)) for env in envs]
+    seqs = [instantiate(scheme, index_from_stars(scheme, [env[d.name] for d in decls])) for env in envs]
     for i in sorted(range(len(seqs)), key=seqs.__getitem__):
         clause = reduce_specific(theory, seqs[i], prefix)
         yield i, None if clause is None else split_axiom(clause).conjuncts
@@ -283,15 +261,14 @@ def _path_from(skeleton, exprs) -> SymbolicPath:
 @dataclass(frozen=True)
 class Branch:
     """One alternative of the characteristic function: its scheme, the
-    declared index variables, the index builder, and the atoms."""
+    declared index variables, one per star in order, and the atoms."""
 
     scheme: IterExpr
     decls: tuple
-    builder: tuple
     atoms: AtomSet
 
     def index_of(self, assign: dict):
-        return _build_index(self.builder, assign)
+        return index_from_stars(self.scheme, [assign[d.name] for d in self.decls])
 
     def __str__(self):
         lam = "".join(
@@ -340,14 +317,14 @@ def _fit_family_runs(key, atoms, fit, scheme):
 
 def _synthesize_branch(theory, scheme) -> Branch:
     decls = []
-    builder = _layout(scheme, decls)
+    _layout(scheme, decls)
     decls = tuple(decls)
     fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
     verify_envs = _sample_grid(decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
 
     prefix = []
     fit_atoms = [None] * len(fit_envs)
-    for i, atoms in _sample_atoms(theory, scheme, builder, fit_envs, prefix):
+    for i, atoms in _sample_atoms(theory, scheme, decls, fit_envs, prefix):
         if atoms is None:
             raise NotLinearizable("an instance composes to the empty relation", scheme)
         fit_atoms[i] = atoms
@@ -404,7 +381,7 @@ def _synthesize_branch(theory, scheme) -> Branch:
     for key in dict.fromkeys(rep_of.get(key, key) for key in first_atom):
         ordered.extend(conjuncts[key])
 
-    branch = Branch(scheme, decls, builder, AtomSet(tuple(ordered)))
+    branch = Branch(scheme, decls, AtomSet(tuple(ordered)))
     _verify_branch(theory, branch, verify_envs, prefix)
     return branch
 
@@ -459,7 +436,7 @@ def _verify_branch(theory, branch: Branch, envs, prefix):
     composes to determine each other, and comparing steps needs no clause
     composition."""
     held_out = [None] * len(envs)
-    for i, atoms in _sample_atoms(theory, branch.scheme, branch.builder, envs, prefix):
+    for i, atoms in _sample_atoms(theory, branch.scheme, branch.decls, envs, prefix):
         held_out[i] = atoms
     # checked in grid order, so the first failure is the one reported
     for env, atoms in zip(envs, held_out):

@@ -126,6 +126,14 @@ def term_size(t: Term) -> int:
     return t.size if isinstance(t, App) else 1
 
 
+def sentence(t: Term, role: str = "sentence") -> Term:
+    """*t*, which must be a ground tree; otherwise raises NonGroundStart,
+    naming *t* by its *role*."""
+    if not (isinstance(t, App) and t.is_ground):
+        raise NonGroundStart(f"{role} {print_term(t)} is not ground")
+    return t
+
+
 def print_term(t: Term) -> str:
     """Canonical minimal-whitespace form, e.g. ``F(x, y)``.  Iterative."""
     out = []
@@ -474,10 +482,9 @@ class Theory:
     _by_name: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.start, App) and self.start.is_ground):
-            raise NonGroundStart(f"start sentence {print_term(self.start)} is not ground")
-        if self.goal is not None and not (isinstance(self.goal, App) and self.goal.is_ground):
-            raise NonGroundStart(f"goal sentence {print_term(self.goal)} is not ground")
+        sentence(self.start, "start sentence")
+        if self.goal is not None:
+            sentence(self.goal, "goal sentence")
         object.__setattr__(self, "axioms", tuple(self.axioms))
         arities = {}
         _check_arities([self.start] + ([self.goal] if self.goal is not None else []), arities, "start")

@@ -64,6 +64,19 @@ class TestExitCodes:
             main(["decide", "fg", "--from", "P(Z, Z)"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--max-depth", "-1", "oracle", "chain"],
+        ["--max-tree-size", "-1", "decide", "chain", "--method", "oracle", "--from", "P(Z)", "--to", "P(F(Z))"],
+    ], ids=["max-depth", "max-tree-size"])
+    def test_negative_search_bound_is_a_usage_error(self, capsys, argv):
+        # exit 1 would read as a negative decision
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: tpc")
+        assert f"argument {argv[0]}: must be >= 0, got -1" in err
+
     def test_non_ground_sentence_is_a_usage_error(self, capsys):
         # a lowercase name is a variable, so P(x) is no sentence
         argv = ["decide", "chain", "--method", "generated", "--from", "P(x)", "--to", "P(F(x))"]

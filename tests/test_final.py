@@ -66,7 +66,7 @@ class TestScalarTuning:
         )
         decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
         atoms = AtomSet((EqualsLR(left, right),))
-        branch = Branch(parse_scheme("a*"), decls, ("unit",), atoms)
+        branch = Branch(parse_scheme("a*"), decls, atoms)
         fn = SymbolicCharFn(parse_scheme("a*"), (branch,))
         t = parse_term("P(Z, Z)")
         with pytest.raises(Ambiguous):

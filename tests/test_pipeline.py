@@ -1,9 +1,11 @@
 """End-to-end construction of decision procedures."""
 
+import re
+
 import pytest
 
 from tpc import load_theory
-from tpc.errors import InternalMismatch, NotLinearizable
+from tpc.errors import InternalMismatch, NonGroundStart, NotLinearizable
 from tpc.pipeline import DecisionProcedure, pipeline
 from tpc.terms import parse_term, parse_theory, replay
 
@@ -32,6 +34,20 @@ class TestPipeline:
         assert not proc.decide(parse_term("P(Z, G(Z))"))
         proof = proc.prove(d)
         assert replay(proc.theory, proc.theory.start, proof.steps) == d
+
+    @pytest.mark.parametrize("args,bad", [
+        (("P(F(x))", "P(x)"), "P(x)"),
+        (("P(F(x))",), "P(F(x))"),
+        (("P(x)", "P(F(Z))"), "P(x)"),
+        (("P(F(Z))", "P(F(x))"), "P(F(x))"),
+    ])
+    def test_non_ground_sentences_are_rejected(self, args, bad):
+        # chain's axiom P(x) -> P(F(x)) also relates P(x) to P(F(x)), so
+        # without the check the library decided and proved that pair
+        proc = pipeline(load_theory("chain"))
+        for query in (proc.decide, proc.prove):
+            with pytest.raises(NonGroundStart, match=rf"^sentence {re.escape(bad)} is not ground$"):
+                query(*map(parse_term, args))
 
     def test_nested_recursion_is_rejected(self):
         # ancestry-style fact generators force nested iteration, which has

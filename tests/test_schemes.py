@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tpc import (
+    EPS,
+    Alt,
     Axiom,
     Dot,
     Star,
@@ -22,7 +24,7 @@ from tpc import (
 )
 from tpc.errors import ShapeError
 from tpc.paths import split_axiom
-from tpc.schemes import Choice, ListOf, TupleShape, UNIT_SHAPE, parse_index
+from tpc.schemes import Choice, Eps, ListOf, TupleShape, UNIT_SHAPE, index_from_stars, index_key, min_length
 from tpc.sigma import sigma
 from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars, substitute
 
@@ -42,26 +44,40 @@ class TestShapes:
 
 class TestCoerce:
     def test_nat_index_canonicalizes(self):
-        got = coerce_index(AB_STAR, parse_index("{{2, 0, 1}, 3}"))
+        got = coerce_index(AB_STAR, ((2, 0, 1), 3))
         assert got == (((UNIT, UNIT), (), (UNIT,)), (UNIT, UNIT, UNIT))
 
     def test_nat_becomes_unit_list(self):
         assert coerce_index(parse_scheme("a*"), 0) == ()
         assert coerce_index(parse_scheme("a*"), 3) == (UNIT, UNIT, UNIT)
 
+    @pytest.mark.parametrize("scheme,index", [
+        ("a*", -2),
+        ("a.b*", -1),
+        ("(a*.b)*", (1, -1)),
+        ("(a*.b)*.a*", ((2,), -3)),
+        ("a*|b", (1, -1)),
+    ])
+    def test_negative_count_is_rejected(self, scheme, index):
+        # a negative count once read as zero repetitions
+        with pytest.raises(ShapeError, match="a count cannot be negative, got -"):
+            coerce_index(parse_scheme(scheme), index)
+        with pytest.raises(ShapeError, match="a count cannot be negative, got -"):
+            instantiate(parse_scheme(scheme), index)
+
     def test_choice_needs_two_components(self):
         with pytest.raises(ShapeError):
             coerce_index(parse_scheme("a|b"), (5,))
 
     def test_idempotent_on_canonical(self):
-        for scheme, raw in [(AB_STAR, parse_index("{{2, 0, 1}, 3}")), (parse_scheme("a*"), 4)]:
+        for scheme, raw in [(AB_STAR, ((2, 0, 1), 3)), (parse_scheme("a*"), 4)]:
             once = coerce_index(scheme, raw)
             assert coerce_index(scheme, once) == once
 
 
 class TestInstantiate:
     def test_worked_sequence(self):
-        got = instantiate(AB_STAR, parse_index("{{2, 0, 1}, 3}"))
+        got = instantiate(AB_STAR, ((2, 0, 1), 3))
         assert got == ["a", "a", "b", "b", "a", "b", "a", "a", "a"]
 
     def test_star_at_zero_is_epsilon(self):
@@ -70,10 +86,137 @@ class TestInstantiate:
     def test_leading_axioms_consume_nothing(self):
         assert instantiate(parse_scheme("a.b.a*.b"), 2) == ["a", "b", "a", "a", "b"]
 
+    def test_index_from_star_values(self):
+        index = index_from_stars(AB_STAR, [(2, 0, 1), 3])
+        assert index == ((2, 0, 1), 3)
+        assert instantiate(AB_STAR, index) == ["a", "a", "b", "b", "a", "b", "a", "a", "a"]
+        assert index_from_stars(parse_scheme("a.b.a*.b"), [2]) == 2
+        assert index_from_stars(parse_scheme("a.b"), []) is UNIT
+
     def test_alt_branch_selection(self):
         e = parse_scheme("a*|b")
         assert instantiate(e, (1, 2)) == ["a", "a"]
         assert instantiate(e, (2, UNIT)) == ["b"]
+
+
+# shape_of, _instantiate and _gen_exact as they were when each wrote out
+# the layout rule for itself, kept as the reference for the shared one
+
+
+def _ref_shape_of(e):
+    if isinstance(e, (Axiom, Eps)):
+        return UNIT_SHAPE
+    if isinstance(e, Star):
+        return ListOf(_ref_shape_of(e.body))
+    if isinstance(e, Dot):
+        nonunit = [s for s in map(_ref_shape_of, e.parts) if s != UNIT_SHAPE]
+        if not nonunit:
+            return UNIT_SHAPE
+        if len(nonunit) == 1:
+            return nonunit[0]
+        return TupleShape(tuple(nonunit))
+    return Choice(tuple(_ref_shape_of(p) for p in e.parts))
+
+
+def _ref_instantiate(e, c):
+    if isinstance(e, Axiom):
+        return [e.name]
+    if isinstance(e, Eps):
+        return []
+    if isinstance(e, Star):
+        return [name for elem in c for name in _ref_instantiate(e.body, elem)]
+    if isinstance(e, Dot):
+        shapes = [_ref_shape_of(p) for p in e.parts]
+        nonunit = [p for p, s in zip(e.parts, shapes) if s != UNIT_SHAPE]
+        components = ([c] if nonunit else []) if len(nonunit) <= 1 else list(c)
+        out = []
+        k = 0
+        for p, s in zip(e.parts, shapes):
+            if s == UNIT_SHAPE:
+                out.extend(_ref_instantiate(p, UNIT))
+            else:
+                out.extend(_ref_instantiate(p, components[k]))
+                k += 1
+        return out
+    branch, sub = c
+    return _ref_instantiate(e.parts[branch - 1], sub)
+
+
+def _ref_gen_exact(e, L):
+    if isinstance(e, Axiom):
+        if L == 1:
+            yield UNIT
+        return
+    if isinstance(e, Eps):
+        if L == 0:
+            yield UNIT
+        return
+    if isinstance(e, Star):
+        lo = min_length(e.body)
+        max_reps = L // lo if lo > 0 else L
+
+        def go(remaining, reps_left):
+            if remaining == 0:
+                yield ()
+            if reps_left == 0:
+                return
+            for first_len in range(lo, remaining + 1):
+                for head in _ref_gen_exact(e.body, first_len):
+                    for tail in go(remaining - first_len, reps_left - 1):
+                        yield (head,) + tail
+
+        yield from go(L, max_reps)
+        return
+    if isinstance(e, Dot):
+        shapes = [_ref_shape_of(p) for p in e.parts]
+
+        def go(i, remaining):
+            if i == len(e.parts):
+                if remaining == 0:
+                    yield ()
+                return
+            for here in range(min_length(e.parts[i]), remaining + 1):
+                for idx in _ref_gen_exact(e.parts[i], here):
+                    for rest in go(i + 1, remaining - here):
+                        yield rest if shapes[i] == UNIT_SHAPE else (idx,) + rest
+
+        nonunit_count = sum(1 for s in shapes if s != UNIT_SHAPE)
+        for combo in go(0, L):
+            yield UNIT if nonunit_count == 0 else combo[0] if nonunit_count == 1 else combo
+        return
+    for b, p in enumerate(e.parts, start=1):
+        for idx in _ref_gen_exact(p, L):
+            yield (b, idx)
+
+
+def _raw_schemes(depth):
+    """Schemes over a, b and eps of nesting depth <= *depth*, built without
+    the flattening constructors, so a sequence may hold eps, a nested
+    sequence or a single part that takes an index."""
+    leaves = st.sampled_from([Axiom("a"), Axiom("b"), EPS])
+    if depth == 0:
+        return leaves
+    sub = _raw_schemes(depth - 1)
+    parts = st.lists(sub, min_size=2, max_size=3).map(tuple)
+    return st.one_of(leaves, sub.map(Star), parts.map(Dot), parts.map(Alt))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_raw_schemes(3))
+@example(parse_scheme("(a*.b)*.a*"))
+@example(Dot((EPS, Star(Axiom("a")), Axiom("b"))))  # one part takes an index
+@example(Star(Dot((Axiom("a"), Dot((EPS, Axiom("b")))))))  # a star over parts that take none
+@example(Dot((Alt((Axiom("a"), Star(EPS))), Star(Dot((Star(Axiom("b")), Axiom("a")))))))
+def test_layout_matches_the_per_function_rule(e):
+    assert shape_of(e) == _ref_shape_of(e)
+    got = enumerate_indices(e, 4)
+    want = []
+    for L in range(5):
+        want.extend(sorted(set(_ref_gen_exact(e, L)), key=index_key))
+    assert got == want
+    for idx in got:
+        assert coerce_index(e, idx) == idx
+        assert instantiate(e, idx) == _ref_instantiate(e, idx)
 
 
 class TestBuildScheme:

@@ -14,9 +14,23 @@ from tpc.errors import NotLinearizable
 from tpc.mathsolver import reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, eval_atomset
-from tpc.schemes import build_scheme, instantiate, parse_scheme, reduce_specific
+from tpc.schemes import (
+    UNIT,
+    UNIT_SHAPE,
+    Axiom,
+    Dot,
+    Eps,
+    ListOf,
+    Star,
+    build_scheme,
+    instantiate,
+    parse_scheme,
+    reduce_specific,
+    shape_of,
+)
 import tpc.sigma
 from tpc.sigma import (
+    Branch,
     _MAX_FIT_SAMPLES,
     _MAX_VERIFY_SAMPLES,
     _MULTI_FIT,
@@ -24,6 +38,7 @@ from tpc.sigma import (
     _SCALAR_FIT,
     _SCALAR_VERIFY,
     _design,
+    _fresh,
     _layout,
     _sample_grid,
     _verify_branch,
@@ -187,6 +202,80 @@ class TestSampling:
         with pytest.raises(NotLinearizable, match="an instance composes to the empty relation"):
             sigma(load_theory("ancestor"), parse_scheme("l1*.a1.a1"))
         assert composed == [["l1", "a1", "a1"]]
+
+
+# _layout and _build_index as they were when sigma wrote out the layout rule
+# for itself as a builder spec, kept as the reference for index_of
+
+
+def _ref_layout(e, decls):
+    if isinstance(e, (Axiom, Eps)):
+        return ("unit",)
+    if isinstance(e, Star):
+        body = shape_of(e.body)
+        if body == UNIT_SHAPE:
+            name = _fresh({d.name for d in decls}, ("n", "k", "j", "l"))
+            decls.append(VarDecl(name, "scalar"))
+            return ("scalar", name)
+        if body == ListOf(UNIT_SHAPE):
+            name = _fresh({d.name for d in decls}, ("m", "u", "w"))
+            decls.append(VarDecl(name, "multi"))
+            return ("multi", name)
+        raise NotLinearizable("index nesting too deep to lay out", e)
+    if isinstance(e, Dot):
+        subs = [_ref_layout(p, decls) for p in e.parts]
+        nonunit = tuple(s for s in subs if s != ("unit",))
+        if not nonunit:
+            return ("unit",)
+        return nonunit[0] if len(nonunit) == 1 else ("tuple", nonunit)
+    raise NotLinearizable("alternatives must be at the top level", e)
+
+
+def _ref_build_index(spec, env):
+    tag = spec[0]
+    if tag == "unit":
+        return UNIT
+    if tag == "scalar":
+        return env[spec[1]]
+    if tag == "multi":
+        return tuple(env[spec[1]])
+    return tuple(_ref_build_index(s, env) for s in spec[1])
+
+
+class TestLayout:
+    @pytest.mark.parametrize("text", [
+        "eps",
+        "a.b",
+        "a*",
+        "a.b.a*.b",
+        "b*.a*",
+        "(a*.b)*",
+        "a.(a*.b)*.b",
+        "(a*)*",
+        "(a*.b)*.a*",
+        "((a.b)*.c)*.a.b*",
+        "a.(b.a*)*.c.b*.(a.c)*",
+        "(a*.b)*.a*.c.(a*.b)*.a*.c",
+    ])
+    def test_index_of_matches_the_builder_spec(self, text):
+        scheme = parse_scheme(text)
+        decls, want_decls = [], []
+        _layout(scheme, decls)
+        spec = _ref_layout(scheme, want_decls)
+        assert decls == want_decls
+        branch = Branch(scheme, tuple(decls), AtomSet(()))
+        for grid in TestSampling.GRIDS:
+            for env in _sample_grid(branch.decls, *grid):
+                assert branch.index_of(env) == _ref_build_index(spec, env)
+
+    @pytest.mark.parametrize("text", ["(a*.b*)*", "((a*.b)*.a)*", "(a|b)*", "a*.(b|a*)", "a.(b*.c|a)*"])
+    def test_rejections_match(self, text):
+        scheme = parse_scheme(text)
+        with pytest.raises(NotLinearizable) as got:
+            _layout(scheme, [])
+        with pytest.raises(NotLinearizable) as want:
+            _ref_layout(scheme, [])
+        assert str(got.value) == str(want.value)
 
 
 class TestHeldOutVerification:
