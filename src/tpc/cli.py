@@ -119,7 +119,8 @@ def _cmd_oracle(args) -> int:
     th = _theory(args.file)
     budget = _budget(args)
     if args.dump:
-        trees = [print_term(t) for t in reachable_set(th, th.start, budget)]
+        memo = {}
+        trees = [print_term(t, memo) for t in reachable_set(th, th.start, budget)]
         _emit(args, {"reachable": trees}, "\n".join(trees))
         return 0
     goal = _sentence(args.goal) if args.goal else th.goal

@@ -23,10 +23,6 @@ class SearchBudget:
             raise ValueError("search bounds must be >= 0")
 
 
-def _sort_key(t: Term):
-    return (term_size(t), print_term(t))
-
-
 def _bfs(th: Theory, start: Term, b: SearchBudget):
     """Yields (tree, depth, parent, axiom_name) in BFS order with duplicate
     suppression.  Expansion order: frontier order, then axiom declaration
@@ -56,8 +52,18 @@ def _bfs(th: Theory, start: Term, b: SearchBudget):
 
 def reachable_set(th: Theory, start: Term, b: SearchBudget):
     """All trees reachable by <= max_depth root applications, each within
-    max_tree_size, in canonical (size, text) order."""
-    return sorted((t for t, _, _, _ in _bfs(th, start, b)), key=_sort_key)
+    max_tree_size, in canonical order: by size, then by ``print_term``
+    text, byte for byte.  ``tpc oracle --dump`` prints this order, and
+    ``bench/run.py`` compares trees with its reference search in it.
+
+    Each tree's text is built from its subtrees' texts through one memo,
+    so each distinct subtree is printed once; the memo lives for this
+    call only."""
+    memo = {}
+    trees = sorted((t for t, _, _, _ in _bfs(th, start, b)), key=lambda t: print_term(t, memo))
+    # stable, so equal sizes keep text order; two sorts build no key tuples
+    trees.sort(key=term_size)
+    return trees
 
 
 def decide_oracle(th: Theory, t: Term, d: Term, b: SearchBudget) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .delta import order_axioms, reduce_scheme
-from .errors import InternalMismatch
+from .errors import Ambiguous, InternalMismatch
 from .final import decide, extract_proof
 from .oracle import SearchBudget, reachable_set
 from .schemes import EPS, IterExpr, wrap_scheme
@@ -43,9 +43,18 @@ class DecisionProcedure:
 
 
 def _self_check(proc: DecisionProcedure, budget: SearchBudget) -> None:
+    """Raises InternalMismatch when the procedure rejects, or cannot
+    decide, some sentence the oracle reaches within *budget*."""
+    # the sorted order is kept on purpose: it fixes which sentence fails first
     reachable = reachable_set(proc.theory, proc.theory.start, budget)
     for d in reachable:
-        if not proc.decide(d):
+        try:
+            accepted = proc.decide(d)
+        except Ambiguous as exc:
+            raise InternalMismatch(
+                f"procedure cannot decide a reachable sentence under {proc.scheme}"
+            ) from exc
+        if not accepted:
             raise InternalMismatch(
                 f"procedure rejects a reachable sentence under {proc.scheme}"
             )

@@ -134,8 +134,33 @@ def sentence(t: Term, role: str = "sentence") -> Term:
     return t
 
 
-def print_term(t: Term) -> str:
-    """Canonical minimal-whitespace form, e.g. ``F(x, y)``.  Iterative."""
+def print_term(t: Term, memo: dict = None) -> str:
+    """Canonical minimal-whitespace form, e.g. ``F(x, y)``.  Iterative.
+
+    *memo*, if given, is a caller-owned dict from node to text.  Each node
+    missing from it gets its text built from its children's texts and
+    stored, so a subtree shared by many printed trees is printed once for
+    as long as the caller keeps the memo.  Nodes are keyed by value (their
+    hash is cached), so equal subtrees share one entry.  A memoised text
+    copies its children's texts, which is quadratic on a deep chain, so
+    one tree on its own is printed in a single pass without a memo."""
+    if memo is not None:
+        text = memo.get(t)
+        if text is not None:
+            return text
+        stack = [t]
+        while stack:
+            node = stack[-1]
+            if isinstance(node, Var):
+                text = node.name
+            else:
+                texts = [memo.get(c) for c in node.children]
+                if None in texts:
+                    stack.extend(c for c, s in zip(node.children, texts) if s is None)
+                    continue
+                text = node.functor + "(" + ", ".join(texts) + ")" if texts else node.functor
+            memo[stack.pop()] = text
+        return text  # the last node built is t
     out = []
     stack = [t]
     while stack:

@@ -1,5 +1,6 @@
 """Command-line surface: output shapes and exit codes."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -185,6 +186,14 @@ class TestCommands:
         f = tmp_path / "tiny.tpc"
         f.write_text("start: Q(Z)\na: Q(x) -> Q(H(x))\n")
         assert main(["decide", str(f), "--from", "Q(Z)", "--to", "Q(H(H(Z)))"]) == 0
+
+
+def test_oracle_dump_is_pinned(capsys):
+    # reachable sentences in (size, text) order, one per line
+    assert main(["--max-depth", "8", "oracle", "ancestor", "--dump"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 62990
+    assert hashlib.sha256(out.encode()).hexdigest() == "dbb857f38c918678768b697983747aa5b670c71ee5be4d3abb17c975f7922ce5"
 
 
 class TestDeterministicMessages:

@@ -11,6 +11,8 @@ from tpc import (
     reachable_set,
 )
 from tpc.errors import BudgetExceeded
+from tpc.oracle import _bfs
+from tpc.terms import print_term, term_size
 
 t = parse_term
 
@@ -38,6 +40,15 @@ class TestReachableSet:
             cur = set(reachable_set(th, th.start, SearchBudget(max_depth=depth)))
             assert prev <= cur
             prev = cur
+
+    @pytest.mark.parametrize("name,depth", [("ancestor", 6), ("rotate", 12), ("rotate3", 12)])
+    def test_order_is_size_then_text(self, name, depth):
+        th = load_theory(name)
+        b = SearchBudget(max_depth=depth)
+        want = sorted((d for d, _, _, _ in _bfs(th, th.start, b)), key=lambda d: (term_size(d), print_term(d)))
+        got = reachable_set(th, th.start, b)
+        assert [print_term(d) for d in got] == [print_term(d) for d in want]
+        assert got == want
 
     def test_frontier_budget(self):
         th = load_theory("ancestor")

@@ -5,8 +5,9 @@ import re
 import pytest
 
 from tpc import load_theory
-from tpc.errors import InternalMismatch, NonGroundStart, NotLinearizable
-from tpc.pipeline import DecisionProcedure, pipeline
+from tpc.errors import Ambiguous, InternalMismatch, NonGroundStart, NotLinearizable
+from tpc.oracle import SearchBudget
+from tpc.pipeline import DecisionProcedure, _self_check, pipeline
 from tpc.terms import parse_term, parse_theory, replay
 
 
@@ -67,6 +68,14 @@ class TestPipeline:
         # of returning an unsound procedure
         with pytest.raises(InternalMismatch):
             pipeline(load_theory("rotate"))
+
+    def test_undecidable_reachable_sentence_fails_the_selfcheck(self):
+        # tuning cannot decide rotate's start tree; the self-check gives up
+        # with the same type whichever reachable sentence fails first
+        proc = pipeline(load_theory("rotate"), selfcheck=False)
+        with pytest.raises(InternalMismatch, match="cannot decide a reachable sentence") as exc:
+            _self_check(proc, SearchBudget(max_depth=0))
+        assert isinstance(exc.value.__cause__, Ambiguous)
 
     def test_selfcheck_can_be_skipped(self):
         proc = pipeline(load_theory("rotate"), selfcheck=False)

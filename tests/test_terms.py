@@ -23,7 +23,7 @@ from tpc.errors import (
     NonGroundStart,
     TheorySyntaxError,
 )
-from tpc.terms import IDENTITY, free_vars, substitute, unify
+from tpc.terms import IDENTITY, free_vars, substitute, term_size, unify
 
 
 def t(text):
@@ -135,6 +135,38 @@ def test_app_fields_match_the_generator_formulas(term):
             assert type(node.children) is tuple
             assert (node.size, node.is_ground, hash(node)) == _reference_fields(node)
             todo.extend(node.children)
+
+
+@st.composite
+def _shared_terms(draw):
+    """Terms built bottom-up from a pool of nodes, so subtree objects are
+    shared within and between terms, in a drawn order."""
+    pool = [Var("x"), Var("y")]
+    for _ in range(draw(st.integers(1, 12))):
+        kids = draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))
+        pool.append(App(draw(st.sampled_from("FG")), tuple(pool[i] for i in kids)))
+    return draw(st.permutations(pool))
+
+
+_X = Var("x")
+_FX = App("F", (_X,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_shared_terms())
+@example([App("G", (_FX, _FX, App("F", (Var("x"),)))), _FX, _X])  # one subtree twice in a tree, an equal copy
+@example([App("F"), App("F", (App("F"),)), App("F", (App("F"), App("F")))])  # one functor at arities 0-2
+def test_memoised_print_matches_print_term(terms):
+    memo = {}
+    assert [print_term(u, memo) for u in terms] == [print_term(u) for u in terms]
+    plain = sorted(terms, key=lambda u: (term_size(u), print_term(u)))
+    memo = {}
+    memoised = sorted(terms, key=lambda u: (term_size(u), print_term(u, memo)))
+    assert [id(u) for u in memoised] == [id(u) for u in plain]
+    # reachable_set's form: by text, then a stable sort by size
+    two_pass = sorted(terms, key=lambda u: print_term(u, memo))
+    two_pass.sort(key=term_size)
+    assert [id(u) for u in two_pass] == [id(u) for u in plain]
 
 
 class TestSubstitute:
