@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 negative decision or nothing found, 2 usage
 error, 3 the generated procedure gave up (NotLinearizable/Unsupported
 during synthesis, InternalMismatch when it fails its self-check or a
 replay, Ambiguous during tuning).  Exits 2 and 3 print ``error: ...`` on
-stderr; under ``--json`` they also print a ``tpc/1`` object on stdout whose
+stderr, or argparse's usage text for a command line that does not parse;
+under ``--json`` they also print a ``tpc/1`` object on stdout whose
 ``error`` holds the exception type, its message and the exit code.
 """
 
@@ -29,7 +30,6 @@ from .terms import (
     check_proof,
     parse_term,
     parse_theory,
-    print_term,
     print_theory,
     sentence,
 )
@@ -120,7 +120,7 @@ def _cmd_oracle(args) -> int:
     budget = _budget(args)
     if args.dump:
         memo = {}
-        trees = [print_term(t, memo) for t in reachable_set(th, th.start, budget)]
+        trees = [memo[t] for t in reachable_set(th, th.start, budget, memo)]
         _emit(args, {"reachable": trees}, "\n".join(trees))
         return 0
     goal = _sentence(args.goal) if args.goal else th.goal
@@ -213,8 +213,17 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage text on stderr, then a TpcError in place of its exit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise TpcError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tpc",
         description="Membership deciders for truncated-predicate-calculus theories.",
     )
@@ -268,7 +277,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("TPC_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except TpcError as exc:
+        # --json, or an abbreviation argparse takes for it, among raw arguments
+        if any(len(a) > 2 and "--json".startswith(a) for a in argv):
+            _emit(argparse.Namespace(json=True), _error_object(exc, 2), "")
+        raise SystemExit(2) from None
     try:
         return args.func(args)
     except GIVE_UPS as exc:
@@ -277,10 +293,14 @@ def main(argv=None) -> int:
         return _fail(args, exc, 2)
 
 
+def _error_object(exc: TpcError, code: int) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}
+
+
 def _fail(args, exc: TpcError, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     if args.json:
-        _emit(args, {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}, "")
+        _emit(args, _error_object(exc, code), "")
     return code
 
 

@@ -9,9 +9,7 @@ fire only after an inclusion query comes back universal:
 * absorption: ``(x*.y)*`` collapses to ``y*.x*.y | eps`` when one extra
   leading x is already covered, i.e. x.y.x*.y is included in y.x*.y;
 * commutation: a single y moves left across ``x*`` when x.y and y.x
-  describe the same relation;
-* doubling (attempted last, usually blocked): ``(..y)*`` collapses when
-  the doubled body is covered by one-sided extensions of itself.
+  describe the same relation.
 
 Every applied rule and every blocked attempt is recorded in a replayable
 trace.
@@ -78,7 +76,7 @@ class ReductionTrace:
 
 @lru_cache(maxsize=512)
 def _sigma_cached(theory: Theory, scheme: IterExpr):
-    return sigma(theory, scheme)
+    return sigma(theory, scheme, boundary=True)
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +217,7 @@ def reduce_scheme(theory: Theory, scheme: IterExpr):
                 continue
         return None
 
-    def r_doubling(e):
-        """Star over a body that absorption could not touch: check
-        whether body.body collapses to y.body | body.y (y the last
-        factor), which would let the star telescope."""
-        if not (isinstance(e, Star) and isinstance(e.body, Dot)):
-            return None
-        parts = e.body.parts
-        y = parts[-1]
-        if isinstance(y, (Star, Eps)):
-            return None
-        doubled = dot(*parts, *parts)
-        query = f"INCLUDES({print_scheme(doubled)}, {print_scheme(dot(y, *parts))})"
-        try:
-            f = _sigma_cached(theory, doubled)
-            g = _sigma_cached(theory, dot(y, *parts))
-            if includes(f, g).universal:
-                return dot(Star(y), *parts[:-1], Star(y))
-        except (NotLinearizable, Unsupported) as exc:
-            attempts.append(Attempt("doubling", e, query, str(exc)))
-        return None
-
-    rules = (("absorption", r_absorption), ("commutation", r_commutation), ("doubling", r_doubling))
+    rules = (("absorption", r_absorption), ("commutation", r_commutation))
     for _ in range(MAX_REDUCTION_STEPS):
         normalized = normalize(current)
         if normalized != current:

@@ -50,16 +50,18 @@ def _bfs(th: Theory, start: Term, b: SearchBudget):
         frontier = nxt
 
 
-def reachable_set(th: Theory, start: Term, b: SearchBudget):
+def reachable_set(th: Theory, start: Term, b: SearchBudget, memo: dict = None):
     """All trees reachable by <= max_depth root applications, each within
     max_tree_size, in canonical order: by size, then by ``print_term``
     text, byte for byte.  ``tpc oracle --dump`` prints this order, and
     ``bench/run.py`` compares trees with its reference search in it.
 
     Each tree's text is built from its subtrees' texts through one memo,
-    so each distinct subtree is printed once; the memo lives for this
-    call only."""
-    memo = {}
+    so each distinct subtree is printed once.  *memo*, when given, is a
+    caller-owned dict from node to text, as for :func:`print_term`; on
+    return it holds the text of every tree returned."""
+    if memo is None:
+        memo = {}
     trees = sorted((t for t, _, _, _ in _bfs(th, start, b)), key=lambda t: print_term(t, memo))
     # stable, so equal sizes keep text order; two sorts build no key tuples
     trees.sort(key=term_size)

@@ -74,6 +74,9 @@ _MULTI_FIT = (
     (1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 2, 1),
 )
 _MULTI_VERIFY = ((3,), (1, 3), (4, 1, 2), (2, 1, 3, 2))
+# the zero boundary, which no pool above reaches: counts of 0, empty multi-indexes
+_SCALAR_EDGE = (0, 1)
+_MULTI_EDGE = ((), (0,), (0, 1), (1, 0))
 
 _MAX_FIT_SAMPLES = 400
 _MAX_VERIFY_SAMPLES = 64
@@ -315,12 +318,21 @@ def _fit_family_runs(key, atoms, fit, scheme):
     return fitted
 
 
-def _synthesize_branch(theory, scheme) -> Branch:
+def _synthesize_branch(theory, scheme, boundary) -> Branch:
     decls = []
     _layout(scheme, decls)
     decls = tuple(decls)
     fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
     verify_envs = _sample_grid(decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
+    if boundary:
+        # an empty instance is left out: its clause v0 -> v0 relates every
+        # tree, and no fitted form splits like it
+        verify_envs += [
+            env
+            for env in _sample_grid(decls, _SCALAR_EDGE, _MULTI_EDGE, _MAX_VERIFY_SAMPLES)
+            if any(not v or isinstance(v, tuple) and 0 in v for v in env.values())
+            and instantiate(scheme, index_from_stars(scheme, [env[d.name] for d in decls]))
+        ]
 
     prefix = []
     fit_atoms = [None] * len(fit_envs)
@@ -460,8 +472,11 @@ def check_layout(scheme: IterExpr) -> None:
         _layout(part, [])
 
 
-def sigma(theory, scheme: IterExpr) -> SymbolicCharFn:
-    """The symbolic characteristic function of *scheme* over *theory*."""
+def sigma(theory, scheme: IterExpr, boundary=False) -> SymbolicCharFn:
+    """The symbolic characteristic function of *scheme* over *theory*.
+    With *boundary*, a form must also hold at zero counts, as scheme
+    reduction needs; rotate's forms fail there, and the pipeline's call
+    leaves them to its self-check."""
     tops = scheme.parts if isinstance(scheme, Alt) else (scheme,)
-    branches = tuple(_synthesize_branch(theory, part) for part in tops)
+    branches = tuple(_synthesize_branch(theory, part, boundary) for part in tops)
     return SymbolicCharFn(scheme, branches)

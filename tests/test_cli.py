@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 
 import tpc
+import tpc.cli
+import tpc.oracle
 from tpc.cli import main
+from tpc.oracle import SearchBudget, reachable_set
+from tpc.terms import print_term
 
 FG_PAIR = [
     "--from",
@@ -122,6 +126,21 @@ class TestJsonErrors:
         assert error["type"] == "NonGroundStart"
         assert error["message"].endswith("is not ground")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["decide", "fg", "--from", "P(Z, Z)"], "the following arguments are required: --to"),
+        (["--max-depth", "-1", "oracle", "chain"], "argument --max-depth: must be >= 0, got -1"),
+    ], ids=["missing-option", "negative-bound"])
+    def test_argparse_error_prints_an_error_object(self, capsys, argv, message):
+        # stderr keeps argparse's usage text; stdout adds the object
+        with pytest.raises(SystemExit) as exc:
+            main(["--json", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert payload["schema"] == "tpc/1"
+        assert payload["error"] == {"type": "TpcError", "message": message, "exit_code": 2}
+        assert err.startswith("usage: tpc") and err.endswith(f": error: {message}\n")
+
     def test_usage_error_prints_an_error_object(self, capsys):
         error = self.error_of(capsys, ["parse", "no_such_theory"], 2)
         assert error == {
@@ -194,6 +213,23 @@ def test_oracle_dump_is_pinned(capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 62990
     assert hashlib.sha256(out.encode()).hexdigest() == "dbb857f38c918678768b697983747aa5b670c71ee5be4d3abb17c975f7922ce5"
+
+
+def test_oracle_dump_prints_each_tree_once(capsys, monkeypatch):
+    # the texts come from reachable_set's memo, not from a second pass
+    th = tpc.load_theory("ancestor")
+    want = [print_term(t) for t in reachable_set(th, th.start, SearchBudget(max_depth=5, max_tree_size=512))]
+    calls = []
+
+    def counted(t, memo=None):
+        calls.append(t)
+        return print_term(t, memo)
+
+    monkeypatch.setattr(tpc.oracle, "print_term", counted)
+    monkeypatch.setattr(tpc.cli, "print_term", counted, raising=False)
+    assert main(["--max-depth", "5", "oracle", "ancestor", "--dump"]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+    assert len(calls) == len(want)
 
 
 class TestDeterministicMessages:

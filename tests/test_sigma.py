@@ -33,8 +33,10 @@ from tpc.sigma import (
     Branch,
     _MAX_FIT_SAMPLES,
     _MAX_VERIFY_SAMPLES,
+    _MULTI_EDGE,
     _MULTI_FIT,
     _MULTI_VERIFY,
+    _SCALAR_EDGE,
     _SCALAR_FIT,
     _SCALAR_VERIFY,
     _design,
@@ -44,7 +46,7 @@ from tpc.sigma import (
     _verify_branch,
     sigma,
 )
-from tpc.terms import apply_clause
+from tpc.terms import apply_clause, parse_theory
 
 
 def atoms_of(fn, branch=0):
@@ -133,6 +135,7 @@ class TestSampling:
     GRIDS = (
         (_SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES),
         (_SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES),
+        (_SCALAR_EDGE, _MULTI_EDGE, _MAX_VERIFY_SAMPLES),
     )
 
     @staticmethod
@@ -160,7 +163,7 @@ class TestSampling:
                 yield [VarDecl(f"x{i}", kind) for i, kind in enumerate(kinds)]
 
     def test_every_small_layout_is_covered(self):
-        for grid, most in zip(self.GRIDS, (5, 6)):
+        for grid, most in zip(self.GRIDS, (5, 6, 6)):
             for decls in self.layouts(most):
                 if decls:
                     self.assert_covers(decls, *grid)
@@ -178,7 +181,7 @@ class TestSampling:
         return [dict(zip((d.name for d in decls), combo)) for combo in combos]
 
     def test_decoded_grid_matches_the_listed_grid(self):
-        for grid, most in zip(self.GRIDS, (4, 6)):
+        for grid, most in zip(self.GRIDS, (4, 6, 6)):
             for decls in self.layouts(most):
                 got = _sample_grid(decls, *grid)
                 want = self.listed_grid(decls, *grid)
@@ -308,6 +311,29 @@ class TestHeldOutVerification:
         conj[1] = GroundL(conj[1].path, conj[1].template)
         with pytest.raises(NotLinearizable, match="held-out"):
             self.verify(anc, branch, conj)
+
+
+class TestBoundary:
+    """With boundary=True a form must also hold at zero counts, which the
+    fit and held-out pools never sample."""
+
+    # a erases its argument, so b.a^n.b ends in F(R(Z, Z)) for n >= 1 but
+    # in F(F(x)) for n = 0
+    ERASING = parse_theory("start: P(Z)\na: P(x) -> P(R(Z, Z))\nb: P(x) -> P(F(x))")
+
+    @pytest.mark.parametrize("text", ["b.a*.b", "a*.b", "(a*.b)*"])
+    def test_form_wrong_at_zero_is_rejected(self, text):
+        scheme = parse_scheme(text)
+        sigma(self.ERASING, scheme)  # the held-out grid alone accepts it
+        with pytest.raises(NotLinearizable, match="held-out verification"):
+            sigma(self.ERASING, scheme, boundary=True)
+
+    @pytest.mark.parametrize("name, text", [
+        ("chain", "a*"), ("fg", "b*.a*"), ("fg", "a.b.a*.b"), ("mod2", "a*.b"), ("ancestor", "p3*"),
+    ])
+    def test_forms_that_hold_at_zero_are_unchanged(self, name, text):
+        th, scheme = load_theory(name), parse_scheme(text)
+        assert sigma(th, scheme, boundary=True) == sigma(th, scheme)
 
 
 def env_grid(decls, scalars, multis):
