@@ -17,11 +17,10 @@ trace.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotLinearizable, TpcError, Unsupported, WeakOrderWarning
+from .errors import NotLinearizable, Unsupported
 from .inclusion import includes
 from .schemes import Alt, Axiom, Dot, EPS, Eps, IterExpr, Star, alt, dot, print_scheme
 from .sigma import sigma
@@ -76,7 +75,7 @@ class ReductionTrace:
 
 @lru_cache(maxsize=512)
 def _sigma_cached(theory: Theory, scheme: IterExpr):
-    return sigma(theory, scheme, boundary=True)
+    return sigma(theory, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +238,6 @@ def reduce_scheme(theory: Theory, scheme: IterExpr):
 
 
 def order_axioms(theory: Theory) -> list:
-    """Declared order, after checking that pairwise commutation forms a
-    weak order; a failure only warns, it never blocks the pipeline."""
-    names = [c.name for c in theory.axioms]
-    commute = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            try:
-                commute[(a, b)] = check_commutation(theory, Axiom(a), Axiom(b))
-            except (NotLinearizable, Unsupported, TpcError):
-                commute[(a, b)] = False
-
-    def same(a, b):
-        return commute.get((a, b), commute.get((b, a), False))
-
-    for a in names:
-        for b in names:
-            for c in names:
-                if len({a, b, c}) == 3 and same(a, b) and same(b, c) and not same(a, c):
-                    warnings.warn(
-                        f"axiom interchangeability is not transitive ({a}, {b}, {c})",
-                        WeakOrderWarning,
-                    )
-                    return names
-    return names
+    """The order in which ``pipeline`` folds the axioms in: the declared
+    one."""
+    return [c.name for c in theory.axioms]

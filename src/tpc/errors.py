@@ -82,7 +82,3 @@ class Underdetermined(TpcError):
 
 class InternalMismatch(TpcError):
     """A solver produced an answer that failed replay; indicates a bug."""
-
-
-class WeakOrderWarning(UserWarning):
-    """The pairwise axiom-ordering relation is not a weak order."""

@@ -11,13 +11,14 @@ it into path atoms, aligns the atoms across samples into families, fits
 every repetition count as an affine expression in the index features
 (constants, scalar counts, multi-index lengths, and inside iterated
 families the position i and the element value m[i]), and then verifies
-the fitted form against held-out samples.  Each design, the feature
-matrix of one list of sample envs, is reduced once; every count fitted
-over it is solved from the basis rows and checked on all rows in
-integers.  Verification expands the fitted atoms at each held-out index
-and compares them, as a multiset, with the atoms split from that sample:
-each atom is compared by its class, the unit steps of each side and its
-template.  Anything that fails to fit or verify raises NotLinearizable.
+the fitted form against held-out samples and at the zero boundary, which
+no fit sample reaches.  Each design, the feature matrix of one list of
+sample envs, is reduced once; every count fitted over it is solved from
+the basis rows and checked on all rows in integers.  Verification
+expands the fitted atoms at each held-out index and compares them, as a
+multiset, with the atoms split from that sample: each atom is compared by
+its class, the unit steps of each side and its template.  Anything that
+fails to fit or verify raises NotLinearizable.
 
 The samples of a branch share one ``reduce_specific`` state and are
 composed in sorted order of their axiom sequences, so each resumes from
@@ -318,23 +319,31 @@ def _fit_family_runs(key, atoms, fit, scheme):
     return fitted
 
 
-def _synthesize_branch(theory, scheme, boundary) -> Branch:
+def _synthesize_branch(theory, scheme) -> Branch:
     decls = []
     _layout(scheme, decls)
     decls = tuple(decls)
-    fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
-    verify_envs = _sample_grid(decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
-    if boundary:
-        # an empty instance is left out: its clause v0 -> v0 relates every
-        # tree, and no fitted form splits like it
-        verify_envs += [
-            env
-            for env in _sample_grid(decls, _SCALAR_EDGE, _MULTI_EDGE, _MAX_VERIFY_SAMPLES)
-            if any(not v or isinstance(v, tuple) and 0 in v for v in env.values())
-            and instantiate(scheme, index_from_stars(scheme, [env[d.name] for d in decls]))
-        ]
-
+    # fitted in its own frame, so that a give-up in verification does not
+    # keep the fit samples alive through its traceback
     prefix = []
+    branch = _fit_branch(theory, scheme, decls, prefix)
+    # the held-out grid, then the zero boundary less any empty instance:
+    # its clause v0 -> v0 relates every tree, and no fitted form splits
+    # like it
+    verify_envs = _sample_grid(decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES) + [
+        env
+        for env in _sample_grid(decls, _SCALAR_EDGE, _MULTI_EDGE, _MAX_VERIFY_SAMPLES)
+        if any(not v or isinstance(v, tuple) and 0 in v for v in env.values())
+        and instantiate(scheme, index_from_stars(scheme, [env[d.name] for d in decls]))
+    ]
+    _verify_branch(theory, branch, verify_envs, prefix)
+    return branch
+
+
+def _fit_branch(theory, scheme, decls, prefix) -> Branch:
+    """The atoms fitted over the fit grid, not yet verified; *prefix* is
+    the branch's reduce_specific state."""
+    fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
     fit_atoms = [None] * len(fit_envs)
     for i, atoms in _sample_atoms(theory, scheme, decls, fit_envs, prefix):
         if atoms is None:
@@ -393,9 +402,7 @@ def _synthesize_branch(theory, scheme, boundary) -> Branch:
     for key in dict.fromkeys(rep_of.get(key, key) for key in first_atom):
         ordered.extend(conjuncts[key])
 
-    branch = Branch(scheme, decls, AtomSet(tuple(ordered)))
-    _verify_branch(theory, branch, verify_envs, prefix)
-    return branch
+    return Branch(scheme, decls, AtomSet(tuple(ordered)))
 
 
 def _fit_iterated(key, samples, occ, base, multis, itervar, scheme):
@@ -441,23 +448,32 @@ def _expand_symbolic(atoms, env, out: Counter):
             out[_unit_form(atom, env)] += 1
 
 
-def _verify_branch(theory, branch: Branch, envs, prefix):
-    """At each env the fitted atoms must expand to exactly the multiset of
-    the held-out sample's atoms.  Every step comes from
+def _check_held_out(branch: Branch, env, atoms):
+    """The fitted atoms must expand at *env* to exactly the multiset of
+    the held-out sample's *atoms*.  Every step comes from
     ``paths._unit_step``, so a side's unit-step sequence and the clause it
     composes to determine each other, and comparing steps needs no clause
     composition."""
-    held_out = [None] * len(envs)
+    if atoms is None:
+        raise NotLinearizable("a held-out instance composes to the empty relation", branch.scheme)
+    got = Counter()
+    _expand_symbolic(branch.atoms.conjuncts, env, got)
+    if got != Counter(_unit_form(a, {}) for a in atoms):
+        raise NotLinearizable("fitted form failed held-out verification", branch.scheme)
+
+
+def _verify_branch(theory, branch: Branch, envs, prefix):
+    """Checks every held-out sample as it is composed, holding none after
+    its check, and raises the failure that comes first in grid order."""
+    first = None  # (position in envs, NotLinearizable)
     for i, atoms in _sample_atoms(theory, branch.scheme, branch.decls, envs, prefix):
-        held_out[i] = atoms
-    # checked in grid order, so the first failure is the one reported
-    for env, atoms in zip(envs, held_out):
-        if atoms is None:
-            raise NotLinearizable("a held-out instance composes to the empty relation", branch.scheme)
-        got = Counter()
-        _expand_symbolic(branch.atoms.conjuncts, env, got)
-        if got != Counter(_unit_form(a, {}) for a in atoms):
-            raise NotLinearizable("fitted form failed held-out verification", branch.scheme)
+        if first is None or i < first[0]:
+            try:
+                _check_held_out(branch, envs[i], atoms)
+            except NotLinearizable as exc:
+                first = (i, exc)
+    if first is not None:
+        raise first[1]
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +488,11 @@ def check_layout(scheme: IterExpr) -> None:
         _layout(part, [])
 
 
-def sigma(theory, scheme: IterExpr, boundary=False) -> SymbolicCharFn:
+def sigma(theory, scheme: IterExpr) -> SymbolicCharFn:
     """The symbolic characteristic function of *scheme* over *theory*.
-    With *boundary*, a form must also hold at zero counts, as scheme
-    reduction needs; rotate's forms fail there, and the pipeline's call
-    leaves them to its self-check."""
+    Each branch's form must hold at every held-out index and at the zero
+    boundary (counts of 0, empty multi-indexes, zero elements), except
+    where the instance is empty; otherwise NotLinearizable is raised."""
     tops = scheme.parts if isinstance(scheme, Alt) else (scheme,)
-    branches = tuple(_synthesize_branch(theory, part, boundary) for part in tops)
+    branches = tuple(_synthesize_branch(theory, part) for part in tops)
     return SymbolicCharFn(scheme, branches)

@@ -15,6 +15,7 @@ import tpc.cli
 import tpc.oracle
 from tpc.cli import main
 from tpc.oracle import SearchBudget, reachable_set
+from tpc.pipeline import _SELFCHECK_BUDGET, _self_check
 from tpc.terms import print_term
 
 FG_PAIR = [
@@ -40,29 +41,60 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "error" in err
 
-    def test_auto_falls_back_when_selfcheck_fails(self, capsys):
-        # rotate's procedure fails its oracle self-check (InternalMismatch)
-        start = "P(R(R(R(R(E, D4), D3), D2), D1), Y0)"
-        assert main(["decide", "rotate", "--from", start, "--to", start]) == 0
-        assert capsys.readouterr().out.strip() == "true"
-
-    def test_auto_falls_back_when_tuning_is_ambiguous(self, capsys):
-        # without the self-check, rotate's procedure raises Ambiguous on its start
-        start = "P(R(R(R(R(E, D4), D3), D2), D1), Y0)"
-        assert main(["--no-selfcheck", "decide", "rotate", "--from", start, "--to", start]) == 0
-        assert capsys.readouterr().out.strip() == "true"
-
-    def test_ambiguous_tuning_is_a_give_up(self, capsys):
-        start = "P(R(R(R(R(E, D4), D3), D2), D1), Y0)"
-        argv = ["--no-selfcheck", "decide", "rotate", "--method", "generated", "--from", start, "--to", start]
-        assert main(argv) == 3
-        assert "undetermined" in capsys.readouterr().err
-
-    def test_failed_selfcheck_is_a_give_up(self, capsys):
+    def test_rotation_gives_up(self, capsys):
         start = "P(R(R(R(R(E, D4), D3), D2), D1), Y0)"
         argv = ["decide", "rotate", "--method", "generated", "--from", start, "--to", start]
         assert main(argv) == 3
-        assert "rejects a reachable sentence" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: fitted form failed held-out verification: (a*.b)*.a*\n"
+        )
+        assert main(["decide", "rotate", "--from", start, "--to", start]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+
+    @staticmethod
+    def use_procedure(monkeypatch, proc):
+        """Makes the CLI's pipeline return *proc*, self-checked unless
+        --no-selfcheck is given."""
+
+        def build(theory, selfcheck=True):
+            if selfcheck:
+                _self_check(proc, _SELFCHECK_BUDGET)
+            return proc
+
+        monkeypatch.setattr(tpc.cli, "pipeline", build)
+
+    def test_auto_falls_back_when_selfcheck_fails(self, capsys, monkeypatch, rejecting_procedure):
+        self.use_procedure(monkeypatch, rejecting_procedure)
+        assert main(["decide", "chain", "--from", "P(Z)", "--to", "P(Z)"]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+
+    def test_auto_falls_back_when_tuning_is_ambiguous(self, capsys, monkeypatch, undecidable_procedure):
+        self.use_procedure(monkeypatch, undecidable_procedure)
+        assert main(["--no-selfcheck", "decide", "chain", "--from", "P(Z)", "--to", "P(F(Z))"]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+
+    def test_ambiguous_tuning_is_a_give_up(self, capsys, monkeypatch, undecidable_procedure):
+        self.use_procedure(monkeypatch, undecidable_procedure)
+        argv = ["--no-selfcheck", "decide", "chain", "--method", "generated", "--from", "P(Z)", "--to", "P(F(Z))"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: both sides of an atom have undetermined counts\n"
+
+    def test_failed_selfcheck_is_a_give_up(self, capsys, monkeypatch, rejecting_procedure):
+        self.use_procedure(monkeypatch, rejecting_procedure)
+        argv = ["decide", "chain", "--method", "generated", "--from", "P(Z)", "--to", "P(Z)"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: procedure rejects a reachable sentence under a.a*\n"
+
+    def test_form_wrong_at_zero_is_a_give_up(self, capsys, tmp_path):
+        # a erases, so (a*.b)*.a* fitted from counts >= 1 relates every
+        # tree to P(R(Z, Z)); the decider said P(F(Z)) does not reach itself
+        path = tmp_path / "erasing.tpc"
+        path.write_text("start: P(Z)\na: P(x) -> P(R(Z, Z))\nb: P(x) -> P(F(x))\n")
+        argv = ["--no-selfcheck", "decide", str(path), "--from", "P(F(Z))", "--to", "P(F(Z))"]
+        assert main([*argv, "--method", "generated"]) == 3
+        assert "held-out verification" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "true\n"
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:

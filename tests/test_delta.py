@@ -1,7 +1,5 @@
 """Scheme reduction, normalization identities, and axiom ordering."""
 
-import warnings
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,7 +12,6 @@ from tpc.delta import (
     check_absorption,
     check_commutation,
 )
-from tpc.errors import WeakOrderWarning
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.schemes import (
     Axiom,
@@ -29,8 +26,6 @@ from tpc.schemes import (
     reduce_specific,
 )
 from tpc.terms import apply_clause, parse_theory
-
-pytestmark = pytest.mark.filterwarnings("error::tpc.errors.WeakOrderWarning")
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +240,4 @@ class TestOrdering:
     def test_many_axioms(self):
         anc = load_theory("ancestor")
         names = [c.name for c in anc.axioms]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WeakOrderWarning)
-            assert order_axioms(anc) == names
+        assert order_axioms(anc) == names

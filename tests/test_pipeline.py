@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import tpc.pipeline
 from tpc import load_theory
 from tpc.errors import Ambiguous, InternalMismatch, NonGroundStart, NotLinearizable
 from tpc.oracle import SearchBudget
@@ -64,20 +65,37 @@ class TestPipeline:
 
     def test_rotation_boundary_is_caught(self):
         # the wrapped rotation scheme only admits an affine description
-        # away from the zero boundary; the self-check reports this instead
-        # of returning an unsound procedure
-        with pytest.raises(InternalMismatch):
+        # away from the zero boundary, so sigma rejects it there
+        with pytest.raises(NotLinearizable, match=r"^fitted form failed held-out verification: \(a\*\.b\)\*\.a\*$"):
             pipeline(load_theory("rotate"))
 
-    def test_undecidable_reachable_sentence_fails_the_selfcheck(self):
-        # tuning cannot decide rotate's start tree; the self-check gives up
-        # with the same type whichever reachable sentence fails first
-        proc = pipeline(load_theory("rotate"), selfcheck=False)
+    def test_erasing_form_wrong_at_zero_is_not_returned(self):
+        # b erases and a is the identity, so an instance of b*.a* with a
+        # b ends in P(Z) and one without relates every tree to itself; the
+        # form fitted from counts >= 1 said that P(F(Z)) does not reach
+        # itself, and the self-check window, one tree, could not see it
+        th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(Z)")
+        with pytest.raises(NotLinearizable, match="held-out verification"):
+            pipeline(th, selfcheck=False)
+
+    def test_rejected_reachable_sentence_fails_the_selfcheck(self, rejecting_procedure):
+        with pytest.raises(InternalMismatch, match=r"^procedure rejects a reachable sentence under a\.a\*$"):
+            _self_check(rejecting_procedure, SearchBudget(max_depth=0))
+
+    def test_undecidable_reachable_sentence_fails_the_selfcheck(self, undecidable_procedure):
+        # the self-check gives up with the same type whichever reachable
+        # sentence fails first
         with pytest.raises(InternalMismatch, match="cannot decide a reachable sentence") as exc:
-            _self_check(proc, SearchBudget(max_depth=0))
+            _self_check(undecidable_procedure, SearchBudget(max_depth=0))
         assert isinstance(exc.value.__cause__, Ambiguous)
 
-    def test_selfcheck_can_be_skipped(self):
-        proc = pipeline(load_theory("rotate"), selfcheck=False)
+    def test_selfcheck_can_be_skipped(self, monkeypatch):
+        def fail(proc, budget):
+            raise InternalMismatch("self-check ran")
+
+        monkeypatch.setattr(tpc.pipeline, "_self_check", fail)
+        with pytest.raises(InternalMismatch, match="self-check ran"):
+            pipeline(load_theory("chain"))
+        proc = pipeline(load_theory("chain"), selfcheck=False)
         assert isinstance(proc, DecisionProcedure)
-        assert str(proc.scheme) == "(a*.b)*.a*"
+        assert str(proc.scheme) == "a*"
