@@ -181,6 +181,16 @@ def reduce_scheme(theory: Theory, scheme: IterExpr):
         steps.append(TraceStep(rule, before, after))
         return after
 
+    def holds(rule, target, check, x, y, left, right):
+        """check(theory, x, y); a query sigma or inclusion cannot answer
+        counts as not holding and is recorded as a blocked attempt."""
+        try:
+            return check(theory, x, y)
+        except (NotLinearizable, Unsupported) as exc:
+            query = f"INCLUDES({print_scheme(left)}, {print_scheme(right)})"
+            attempts.append(Attempt(rule, target, query, str(exc)))
+            return False
+
     def r_absorption(e):
         if not (isinstance(e, Star) and isinstance(e.body, Dot)):
             return None
@@ -188,18 +198,8 @@ def reduce_scheme(theory: Theory, scheme: IterExpr):
         if not isinstance(parts[0], Star):
             return None
         x, y = parts[0].body, dot(*parts[1:])
-        try:
-            if check_absorption(theory, x, y):
-                return alt(dot(Star(y), Star(x), y), EPS)
-        except (NotLinearizable, Unsupported) as exc:
-            attempts.append(
-                Attempt(
-                    "absorption",
-                    e,
-                    f"INCLUDES({print_scheme(dot(x, y, Star(x), y))}, {print_scheme(dot(y, Star(x), y))})",
-                    str(exc),
-                )
-            )
+        if holds("absorption", e, check_absorption, x, y, dot(x, y, Star(x), y), dot(y, Star(x), y)):
+            return alt(dot(Star(y), Star(x), y), EPS)
         return None
 
     def r_commutation(e):
@@ -209,11 +209,8 @@ def reduce_scheme(theory: Theory, scheme: IterExpr):
             p, q = e.parts[i], e.parts[i + 1]
             if not isinstance(p, Star) or isinstance(q, (Star, Eps)) or q == p.body:
                 continue
-            try:
-                if check_commutation(theory, p.body, q):
-                    return dot(*e.parts[:i], q, p, *e.parts[i + 2:])
-            except (NotLinearizable, Unsupported):
-                continue
+            if holds("commutation", e, check_commutation, p.body, q, dot(p.body, q), dot(q, p.body)):
+                return dot(*e.parts[:i], q, p, *e.parts[i + 2:])
         return None
 
     rules = (("absorption", r_absorption), ("commutation", r_commutation))

@@ -77,7 +77,12 @@ class Ambiguous(TpcError):
 
 
 class Underdetermined(TpcError):
-    pass
+    """A linear system leaves an unknown free: ``free`` is the first one,
+    or None when the equations mention index terms that are not unknowns."""
+
+    def __init__(self, message, free=None):
+        self.free = free
+        super().__init__(message)
 
 
 class InternalMismatch(TpcError):

@@ -8,18 +8,21 @@ known suffix reproduces the target.  The counting walk reads tree sizes,
 which strictly decrease along a run: it gives up once the run's tree is
 smaller than the target, and when no suffix follows the run, it compares
 trees only at the target's size.  Each count contributes one linear
-equation; the scalar system is solved exactly, after which iterated
-groups are unrolled (their bounds are now concrete) to recover the
-elements of multi-indexes one position at a time.  A final full
-evaluation of the atom set guards against any bad fit, and every proof
-is replayed to its goal before it is returned.
+equation, and ``solve_concrete`` solves every system exactly.  The
+scalars and multi-index lengths come first; a count that system leaves
+free is pinned to its least value that works, 0 if no equation mentions
+it.  The iterated groups are then unrolled (their bounds are now
+concrete), and the equations of all their scopes are solved as one
+system over the elements of the multi-indexes.  A final full evaluation
+of the atom set guards against any bad fit, and every proof is replayed
+to its goal before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import AffineExpr, scopes
+from .affine import AffineExpr, IndexTerm, scopes
 from .errors import Ambiguous, InternalMismatch, Underdetermined
 from .mathsolver import Equation, solve_concrete
 from .paths import IterGroup, apply_segments, eval_atomset
@@ -31,26 +34,28 @@ _COUNT_CAP = 10_000_000
 _FREE_BOUND = 8
 
 
-def _solve_some(eqs, unknowns, i=0):
-    """Like solve_concrete, but an underdetermined system is resolved by
-    pinning free variables to small values (any witness will do; the
-    caller verifies the full atom set afterwards)."""
+def _solve_some(eqs, unknowns):
+    """solve_concrete, with each unknown it reports free pinned to its
+    least value that works: 0 for an unknown no equation mentions, else
+    0.._FREE_BOUND (any witness will do; the caller verifies the full atom
+    set afterwards).  Underdetermined when every pin fails."""
     try:
         return solve_concrete(eqs, unknowns)
-    except Underdetermined:
-        if i >= len(unknowns):
+    except Underdetermined as exc:
+        if exc.free is None:
             raise
-    for v in range(_FREE_BOUND + 1):
-        pin = Equation(AffineExpr.var(unknowns[i]), AffineExpr.const_(v))
+        failure = exc
+    free = IndexTerm(failure.free)
+    mentioned = any(free in eq.diff.index_terms() for eq in eqs)
+    for v in range(_FREE_BOUND + 1) if mentioned else (0,):
+        pin = Equation(AffineExpr.var(failure.free), AffineExpr.const_(v))
         try:
-            sol = _solve_some(eqs + [pin], unknowns, i + 1)
+            sol = _solve_some(eqs + [pin], unknowns)
         except Underdetermined:
-            sol = None
+            continue
         if sol is not None:
             return sol
-    # unknowns[i] may be determined with a value beyond the bound: leave
-    # it alone and pin the remaining variables instead
-    return _solve_some(eqs, unknowns, i + 1)
+    raise failure
 
 
 @dataclass(frozen=True)
@@ -146,48 +151,41 @@ def _solve_scalar_stage(branch: Branch, t, d):
         else:
             eqs.append(Equation(expr, AffineExpr.const_(j)))
     try:
-        sol = _solve_some(eqs, unknowns)
+        return _solve_some(eqs, unknowns)
     except Underdetermined as exc:
         raise Ambiguous(str(exc)) from exc
-    return sol
 
 
 def _unroll_groups(branch: Branch, t, d, env):
-    """Tunes multi-index elements position by position inside each
-    iterated group; replaces solved lengths by concrete tuples."""
-    elements = {}  # multi name -> {position: value}
-    groups = [a for a in branch.atoms.conjuncts if isinstance(a, IterGroup)]
-    multis = [v.name for v in branch.decls if v.kind == "multi"]
-    for group in groups:
+    """Tunes the multi-index elements inside the iterated groups, whose
+    bounds *env* makes concrete: the equations of every group scope, scope
+    scalars substituted, are solved as one system over the elements
+    m[1..len]; replaces solved lengths by concrete tuples."""
+    eqs = []
+    for group in branch.atoms.conjuncts:
+        if not isinstance(group, IterGroup):
+            continue
         for scope in scopes(group, env):
+            mapping = {k: AffineExpr.const_(v) for k, v in scope.items() if isinstance(v, int)}
+            equations = []
             for atom in group.body:
-                equations = []
                 if not _tune_atom(atom, t, d, scope, equations):
                     return None
-                mapping = {
-                    k: AffineExpr.const_(v) for k, v in scope.items() if isinstance(v, int)
-                }
-                for expr, j in equations:
-                    resid = expr.substitute(mapping)
-                    # the only unknown left must be a single element selector
-                    if len(resid.terms) != 1 or not resid.terms[0][1].sel:
-                        raise Ambiguous(f"cannot isolate an element in {resid}")
-                    coeff, it = resid.terms[0]
-                    rest = j - resid.const
-                    if rest % coeff != 0 or rest // coeff < 0:
-                        return None
-                    pos = it.sel[0].evaluate(scope)
-                    elements.setdefault(it.var, {})[pos] = rest // coeff
-    out = dict(env)
-    for name in multis:
-        length = env.get(name)
-        if not isinstance(length, int):
-            raise Ambiguous(f"length of {name} was not determined")
-        got = elements.get(name, {})
-        if length and set(got) != set(range(1, length + 1)):
-            raise Ambiguous(f"elements of {name} are not all pinned down")
-        out[name] = tuple(got[i] for i in range(1, length + 1))
-    return out
+            eqs += [Equation(expr.substitute(mapping), AffineExpr.const_(j)) for expr, j in equations]
+    elements = {
+        v.name: [IndexTerm(v.name, (AffineExpr.const_(i),)) for i in range(1, env[v.name] + 1)]
+        for v in branch.decls
+        if v.kind == "multi"
+    }
+    if not (eqs or elements):
+        return env
+    try:
+        sol = solve_concrete(eqs, [e for es in elements.values() for e in es])
+    except Underdetermined as exc:
+        raise Ambiguous(str(exc)) from exc
+    if sol is None:
+        return None
+    return {**env, **{m: tuple(sol[e] for e in es) for m, es in elements.items()}}
 
 
 def tune(fn: SymbolicCharFn, t: Term, d: Term) -> TuneResult:

@@ -7,8 +7,9 @@ sparse Fraction rows.  Three front-ends share it:
   returning the region of parameter values for which a natural solution
   exists (with integrality residues turned into congruences and solved
   values required nonnegative).
-* ``solve_concrete`` pins down fully determined natural values, used by
-  tuning.
+* ``solve_concrete`` pins down fully determined natural values: every
+  scalar count, multi-index length and element that tuning solves, with
+  the first unknown it leaves free reported for tuning to pin.
 * ``sigma._design`` reduces a feature matrix once, to solve each
   repetition count for its feature coefficients (free coordinates zero,
   integral or no fit).
@@ -306,28 +307,26 @@ def eliminate(system: ConditionSystem) -> Region:
 
 def solve_concrete(equations, unknowns) -> dict:
     """The unique natural assignment of *unknowns* satisfying all
-    *equations*; None when inconsistent or not natural, Underdetermined
-    when the system does not pin every unknown down."""
-    keys = [IndexTerm(u) for u in unknowns]
-    solved, rows = reduce_rows([_row_of(eq.diff) for eq in equations], keys)
+    *equations*, keyed as given: an unknown is a name (a scalar or a
+    multi-index length) or an index term such as the element ``m[3]``.
+    None when inconsistent or not natural.  The unknowns are pivoted
+    last-declared first; when the system does not pin every one down,
+    Underdetermined carries the first one left free as ``free``."""
+    keys = {u if isinstance(u, IndexTerm) else IndexTerm(u): u for u in unknowns}
+    solved, rows = reduce_rows([_row_of(eq.diff) for eq in equations], reversed(keys))
     missing = next((key for key in keys if key not in solved), None)
     if missing is not None:
-        raise Underdetermined(f"{missing.var} is not determined")
-    for r in rows:
-        nonconst = {k: v for k, v in r.items() if k is not None}
-        if nonconst:
-            raise Underdetermined("equations mention free index terms")
-        if r.get(None, Fraction(0)) != 0:
-            return None
+        raise Underdetermined(f"{missing} is not determined", keys[missing])
+    if any(len(r) > 1 for r in rows) or any(len(sol) > 1 for sol in solved.values()):
+        raise Underdetermined("equations mention index terms that are not unknowns")
+    if any(r[None] for r in rows):
+        return None
     out = {}
-    for key, sol in solved.items():
-        extra = {k for k in sol if k is not None}
-        if extra:
-            raise Underdetermined(f"{key.var} depends on {extra}")
-        v = sol[None]
+    for key, u in keys.items():
+        v = solved[key][None]
         if v.denominator != 1 or v < 0:
             return None
-        out[key.var] = int(v)
+        out[u] = v.numerator
     return out
 
 

@@ -129,8 +129,22 @@ class TestReduce:
         assert red == scheme
         assert [str(a) for a in trace.attempts] == [
             "absorption blocked at (a*.b)*: INCLUDES(a.b.a*.b, b.a*.b)"
-            " (fitted form failed held-out verification: a.b.a*.b)"
+            " (fitted form failed held-out verification: a.b.a*.b)",
+            "commutation blocked at a*.b: INCLUDES(a.b, b.a)"
+            " (no aligned atom for GroundR([x->x], P(R(Z, Z))))",
         ]
+
+    def test_blocked_commutation_is_recorded(self):
+        # a.b has no affine form here, so the commutation query cannot be
+        # answered; it is recorded like a blocked absorption
+        th = parse_theory("start: P(Z)\na: P(x) -> P(G(R(x, x)))\nb: P(x) -> P(R(F(x), x))")
+        scheme = parse_scheme("a*.b.a*")
+        red, trace = reduce_scheme(th, scheme)
+        assert red == scheme
+        (attempt,) = trace.attempts
+        assert str(attempt).startswith(
+            "commutation blocked at a*.b.a*: INCLUDES(a.b, b.a) (no aligned atom for "
+        )
 
     def test_reduction_preserves_relation(self, fg):
         """Original and reduced schemes generate the same goal sets from

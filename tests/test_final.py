@@ -7,6 +7,7 @@ from tpc import load_theory
 from tpc.errors import Ambiguous
 from tpc.final import _COUNT_CAP, TuneResult, _count_equation, decide, extract_proof, tune
 from tpc.affine import AffineExpr
+from tpc.mathsolver import solve_concrete
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, Segment, Step, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
@@ -71,6 +72,30 @@ class TestScalarTuning:
         t = parse_term("P(Z, Z)")
         with pytest.raises(Ambiguous):
             tune(fn, t, t)
+
+    def test_identity_axiom_pins_only_free_counts(self, monkeypatch):
+        # a is the identity, so every a* count in the scheme is free; pinning
+        # each in turn, determined or not, took over 100 000 solves for one
+        # decide here
+        calls = []
+
+        def fresh_tune(*args):
+            calls.clear()
+            return tune(*args)
+
+        def counted(eqs, unknowns):
+            calls.append(1)
+            if len(calls) > 1000:
+                raise AssertionError("one tune called solve_concrete over 1000 times")
+            return solve_concrete(eqs, unknowns)
+
+        monkeypatch.setattr("tpc.final.tune", fresh_tune)
+        monkeypatch.setattr("tpc.final.solve_concrete", counted)
+        th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(F(x))\nc: P(x) -> P(F(F(x)))")
+        proc = pipeline(th)
+        assert proc.decide(parse_term("P(Z)"))
+        goal = parse_term("P(F(F(F(F(F(Z))))))")
+        assert replay(th, th.start, proc.prove(goal).steps) == goal
 
 
 class TestMultiIndexTuning:

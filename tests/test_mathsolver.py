@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpc.affine import AffineExpr
+from tpc.affine import AffineExpr, IndexTerm
 from tpc.errors import Underdetermined, Unsupported
 from tpc.mathsolver import (
     Congruence,
@@ -146,13 +146,28 @@ class TestSolveConcrete:
         assert solve_concrete((Equation(k * 2, one),), ("k",)) is None
 
     def test_underdetermined(self):
-        with pytest.raises(Underdetermined):
+        # k is pivoted first, so n is the one reported free
+        with pytest.raises(Underdetermined) as exc:
             solve_concrete((Equation(n + k, two),), ("n", "k"))
+        assert exc.value.free == "n"
+
+    def test_element_unknowns(self):
+        # m[1] and m[2] are fixed jointly: one equation mentions both
+        m1, m2 = IndexTerm("m", (one,)), IndexTerm("m", (two,))
+        eqs = (Equation(elem("m", one) + elem("m", two), AffineExpr.const_(5)),
+               Equation(elem("m", two), AffineExpr.const_(3)))
+        assert solve_concrete(eqs, (m1, m2)) == {m1: 2, m2: 3}
+
+    def test_names_and_elements_keyed_as_given(self):
+        m1 = IndexTerm("m", (one,))
+        eqs = (Equation(n, elem("m", one) + one), Equation(elem("m", one), two))
+        assert solve_concrete(eqs, ("n", m1)) == {"n": 3, m1: 2}
+
+    def test_inconsistent_constant_equation_returns_none(self):
+        assert solve_concrete((Equation(k, two), Equation(one, two)), ("k",)) is None
 
 
 def _seven_condition_system():
-    from tpc.affine import IndexTerm
-
     m1 = elem("m", one)           # length of m[1] in scalar position
     m2 = elem("m", two)
     u = AffineExpr.var("u")
@@ -216,8 +231,6 @@ class TestMultiIndex:
             assert eval_system(sys, {"m": m, "u": u}), (m, u)
 
     def test_missing_length_equation(self):
-        from tpc.affine import IndexTerm
-
         uel1 = AffineExpr(0, ((1, IndexTerm("u", (one,))),))
         sys = ConditionSystem(("m",), (), (Equation(uel1, one),))
         with pytest.raises(Unsupported):
