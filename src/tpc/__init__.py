@@ -28,13 +28,11 @@ from .schemes import (
     Star,
     UNIT,
     build_scheme,
-    coerce_index,
     enumerate_indices,
     instantiate,
     parse_scheme,
     print_scheme,
     reduce_specific,
-    shape_of,
 )
 
 __version__ = "0.1.0"

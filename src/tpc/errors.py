@@ -78,10 +78,13 @@ class Ambiguous(TpcError):
 
 class Underdetermined(TpcError):
     """A linear system leaves an unknown free: ``free`` is the first one,
-    or None when the equations mention index terms that are not unknowns."""
+    or None when the equations mention index terms that are not unknowns;
+    ``least`` is the least natural value of ``free`` that the solved
+    unknowns depending on it alone allow."""
 
-    def __init__(self, message, free=None):
+    def __init__(self, message, free=None, least=0):
         self.free = free
+        self.least = least
         super().__init__(message)
 
 

@@ -37,8 +37,9 @@ _FREE_BOUND = 8
 def _solve_some(eqs, unknowns):
     """solve_concrete, with each unknown it reports free pinned to its
     least value that works: 0 for an unknown no equation mentions, else
-    0.._FREE_BOUND (any witness will do; the caller verifies the full atom
-    set afterwards).  Underdetermined when every pin fails."""
+    least..least + _FREE_BOUND, where least is the smallest value the
+    solved unknowns allow it (any witness will do; the caller verifies the
+    full atom set afterwards).  Underdetermined when every pin fails."""
     try:
         return solve_concrete(eqs, unknowns)
     except Underdetermined as exc:
@@ -47,7 +48,7 @@ def _solve_some(eqs, unknowns):
         failure = exc
     free = IndexTerm(failure.free)
     mentioned = any(free in eq.diff.index_terms() for eq in eqs)
-    for v in range(_FREE_BOUND + 1) if mentioned else (0,):
+    for v in range(failure.least, failure.least + _FREE_BOUND + 1) if mentioned else (0,):
         pin = Equation(AffineExpr.var(failure.free), AffineExpr.const_(v))
         try:
             sol = _solve_some(eqs + [pin], unknowns)
@@ -143,13 +144,7 @@ def _solve_scalar_stage(branch: Branch, t, d):
             continue
         if not _tune_atom(atom, t, d, {}, equations):
             return None
-    eqs = []
-    for expr, j in equations:
-        if expr.is_const:
-            if expr.const != j:
-                return None
-        else:
-            eqs.append(Equation(expr, AffineExpr.const_(j)))
+    eqs = [Equation(expr, AffineExpr.const_(j)) for expr, j in equations]
     try:
         return _solve_some(eqs, unknowns)
     except Underdetermined as exc:

@@ -9,7 +9,8 @@ sparse Fraction rows.  Three front-ends share it:
   values required nonnegative).
 * ``solve_concrete`` pins down fully determined natural values: every
   scalar count, multi-index length and element that tuning solves, with
-  the first unknown it leaves free reported for tuning to pin.
+  the first unknown it leaves free, and the least value the solved
+  unknowns allow it, reported for tuning to pin.
 * ``sigma._design`` reduces a feature matrix once, to solve each
   repetition count for its feature coefficients (free coordinates zero,
   integral or no fit).
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 from .affine import AffineExpr, IndexTerm, ZERO, scopes
 from .errors import Underdetermined, Unsupported
@@ -309,18 +310,33 @@ def solve_concrete(equations, unknowns) -> dict:
     """The unique natural assignment of *unknowns* satisfying all
     *equations*, keyed as given: an unknown is a name (a scalar or a
     multi-index length) or an index term such as the element ``m[3]``.
-    None when inconsistent or not natural.  The unknowns are pivoted
-    last-declared first; when the system does not pin every one down,
-    Underdetermined carries the first one left free as ``free``."""
+    None when inconsistent or not natural, also when other unknowns are
+    left free: the equations contradict each other, or a solved unknown
+    has a negative constant and no positive coefficient, which makes it
+    negative for every natural value of the terms it still depends on.
+    The unknowns are pivoted last-declared first; when the system does not
+    pin every one down, Underdetermined carries the first one left free as
+    ``free``, and as ``least`` the least value of it that the solved
+    unknowns depending on it alone allow."""
     keys = {u if isinstance(u, IndexTerm) else IndexTerm(u): u for u in unknowns}
     solved, rows = reduce_rows([_row_of(eq.diff) for eq in equations], reversed(keys))
+    # hopeless whatever the free unknowns are: a contradiction, or an
+    # unknown negative for every natural value of the terms it depends on
+    if any(len(r) == 1 and r[None] for r in rows) or any(
+        sol[None] < 0 and all(v <= 0 for v in sol.values()) for sol in solved.values()
+    ):
+        return None
     missing = next((key for key in keys if key not in solved), None)
     if missing is not None:
-        raise Underdetermined(f"{missing} is not determined", keys[missing])
+        # key = c + a * missing >= 0 with a > 0 needs missing >= -c / a
+        least = max([0] + [
+            ceil(-sol[None] / sol[missing])
+            for sol in solved.values()
+            if sol.keys() == {None, missing} and sol[missing] > 0
+        ])
+        raise Underdetermined(f"{missing} is not determined", keys[missing], least)
     if any(len(r) > 1 for r in rows) or any(len(sol) > 1 for sol in solved.values()):
         raise Underdetermined("equations mention index terms that are not unknowns")
-    if any(r[None] for r in rows):
-        return None
     out = {}
     for key, u in keys.items():
         v = solved[key][None]

@@ -11,9 +11,10 @@ indexes, or a plain count when its body takes none; a choice takes
 ``(branch, index of that branch)``; a sequence takes the indexes of its
 parts that take one, joined: ``UNIT`` for none, a lone one as itself,
 several as their tuple.  ``takes_index`` says whether a part takes an
-index, and ``join_index``/``split_index`` join a sequence's index and
-split it back.  ``shape_of``, ``instantiate``, ``enumerate_indices`` and
-``index_from_stars`` all lay indexes out through these three.
+index and ``join_index`` joins a sequence's index.  ``instantiate``
+checks an index against this layout in the same walk that selects the
+axioms, ``enumerate_indices`` and ``index_from_stars`` build indexes
+through these two, and ``star_kind`` tells sigma what a star takes.
 """
 
 from __future__ import annotations
@@ -143,34 +144,7 @@ def print_index(m) -> str:
 
 
 # ---------------------------------------------------------------------------
-# index shapes
-
-
-class IndexShape:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class UnitShape(IndexShape):
-    pass
-
-
-@dataclass(frozen=True)
-class ListOf(IndexShape):
-    inner: IndexShape
-
-
-@dataclass(frozen=True)
-class TupleShape(IndexShape):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Choice(IndexShape):
-    parts: tuple
-
-
-UNIT_SHAPE = UnitShape()
+# index layout
 
 
 def takes_index(e: IterExpr) -> bool:
@@ -181,23 +155,14 @@ def takes_index(e: IterExpr) -> bool:
     return isinstance(e, (Star, Alt))
 
 
-def join_index(items, unit=UNIT, group=tuple):
+def join_index(items):
     """The index of a sequence from the indexes of its parts that take one,
-    left to right: *unit* for none, a lone one as itself, else *group* of
-    them.  ``shape_of`` joins shapes with UNIT_SHAPE and TupleShape."""
+    left to right: UNIT for none, a lone one as itself, else their tuple."""
     if not items:
-        return unit
+        return UNIT
     if len(items) == 1:
         return items[0]
-    return group(tuple(items))
-
-
-def split_index(parts, m) -> list:
-    """The inverse of join_index: per part of a sequence, its share of the
-    sequence's canonical index *m*, UNIT for a part that takes none."""
-    takers = [takes_index(p) for p in parts]
-    items = iter(m if sum(takers) > 1 else (m,))
-    return [next(items) if taker else UNIT for taker in takers]
+    return tuple(items)
 
 
 def index_from_stars(e: IterExpr, values):
@@ -216,82 +181,77 @@ def index_from_stars(e: IterExpr, values):
     return go(e)
 
 
-def shape_of(e: IterExpr) -> IndexShape:
-    if isinstance(e, (Axiom, Eps)):
-        return UNIT_SHAPE
-    if isinstance(e, Star):
-        return ListOf(shape_of(e.body))
-    if isinstance(e, Dot):
-        return join_index([shape_of(p) for p in e.parts if takes_index(p)], UNIT_SHAPE, TupleShape)
-    if isinstance(e, Alt):
-        return Choice(tuple(shape_of(p) for p in e.parts))
-    raise TypeError(f"not an IterExpr: {e!r}")
-
-
-def _coerce(shape: IndexShape, m, path):
-    if isinstance(shape, UnitShape):
-        if m is UNIT or m == 0 or m == ():
-            return UNIT
-        raise ShapeError(f"expected a unit index, got {print_index(m)}", path)
-    if isinstance(shape, ListOf):
-        if isinstance(m, int):
-            if m < 0:
-                raise ShapeError(f"a count cannot be negative, got {m}", path)
-            if isinstance(shape.inner, UnitShape):
-                return (UNIT,) * m
-            raise ShapeError(
-                f"a plain number cannot stand for a list of structured indexes", path
-            )
-        if m is UNIT:
-            raise ShapeError("expected a list or number, got a unit placeholder", path)
-        return tuple(_coerce(shape.inner, x, path + (i,)) for i, x in enumerate(m, start=1))
-    if isinstance(shape, TupleShape):
-        if not isinstance(m, tuple) or len(m) != len(shape.parts):
-            raise ShapeError(
-                f"expected {len(shape.parts)} index components, got {print_index(m)}", path
-            )
-        return tuple(_coerce(s, x, path + (i,)) for i, (s, x) in enumerate(zip(shape.parts, m), start=1))
-    if isinstance(shape, Choice):
-        if not isinstance(m, tuple) or len(m) != 2:
-            raise ShapeError("a choice index must have length 2", path)
-        branch, sub = m
-        if not isinstance(branch, int) or not (1 <= branch <= len(shape.parts)):
-            raise ShapeError(f"branch selector {print_index(branch)} out of range", path)
-        return (branch, _coerce(shape.parts[branch - 1], sub, path + (2,)))
-    raise TypeError(shape)
-
-
-def coerce_index(e: IterExpr, m):
-    """Canonicalize *m* to shape_of(e); a Nat n where a list of units is
-    expected becomes n unit placeholders."""
-    return _coerce(shape_of(e), m, ())
+def star_kind(e: Star):
+    """What the star *e* takes in the flat layout that sigma samples:
+    "scalar" (a count) when its body takes no index, "multi" (a tuple of
+    counts) when the body's one part that takes an index, through
+    sequences, is a star whose body takes none, and None when it nests
+    deeper."""
+    body = e.body
+    if not takes_index(body):
+        return "scalar"
+    while isinstance(body, Dot):
+        takers = [p for p in body.parts if takes_index(p)]
+        if len(takers) > 1:
+            return None
+        body = takers[0]
+    return "multi" if isinstance(body, Star) and not takes_index(body.body) else None
 
 
 def instantiate(e: IterExpr, m) -> list:
     """The specific expression (ordered list of axiom names) selected by
-    multi-index *m*."""
-    return _instantiate(e, coerce_index(e, m))
+    multi-index *m*, checked against the layout as it is walked: a part
+    that takes no index accepts UNIT, 0 or (); a plain count n stands for
+    n repetitions of a star body that takes none.  A misshapen index
+    raises ShapeError at its 1-based position."""
+    out = []
+    _instantiate(e, m, (), out)
+    return out
 
 
-def _instantiate(e: IterExpr, c) -> list:
-    if isinstance(e, Axiom):
-        return [e.name]
-    if isinstance(e, Eps):
-        return []
+def _instantiate(e: IterExpr, m, path, out) -> None:
     if isinstance(e, Star):
-        out = []
-        for elem in c:
-            out.extend(_instantiate(e.body, elem))
-        return out
-    if isinstance(e, Dot):
-        out = []
-        for p, sub in zip(e.parts, split_index(e.parts, c)):
-            out.extend(_instantiate(p, sub))
-        return out
-    if isinstance(e, Alt):
-        branch, sub = c
-        return _instantiate(e.parts[branch - 1], sub)
-    raise TypeError(e)
+        if isinstance(m, int):
+            if m < 0:
+                raise ShapeError(f"a count cannot be negative, got {m}", path)
+            if takes_index(e.body):
+                raise ShapeError("a plain number cannot stand for a list of structured indexes", path)
+            out.extend(instantiate(e.body, UNIT) * m)
+        elif m is UNIT:
+            raise ShapeError("expected a list or number, got a unit placeholder", path)
+        else:
+            for i, x in enumerate(m, start=1):
+                _instantiate(e.body, x, path + (i,), out)
+    elif isinstance(e, Alt):
+        if not isinstance(m, tuple) or len(m) != 2:
+            raise ShapeError("a choice index must have length 2", path)
+        branch, sub = m
+        if not isinstance(branch, int) or not 1 <= branch <= len(e.parts):
+            raise ShapeError(f"branch selector {print_index(branch)} out of range", path)
+        _instantiate(e.parts[branch - 1], sub, path + (2,), out)
+    elif not takes_index(e):
+        if not (m is UNIT or m == 0 or m == ()):
+            raise ShapeError(f"expected a unit index, got {print_index(m)}", path)
+        if isinstance(e, Axiom):
+            out.append(e.name)
+        elif isinstance(e, Dot):
+            for p in e.parts:
+                _instantiate(p, UNIT, path, out)
+        elif not isinstance(e, Eps):
+            raise TypeError(f"not an IterExpr: {e!r}")
+    else:
+        # a sequence: its index joins those of the parts that take one
+        takers = [takes_index(p) for p in e.parts]
+        n = sum(takers)
+        if n == 1:
+            subs = iter([(m, path)])
+        elif isinstance(m, tuple) and len(m) == n:
+            subs = iter([(x, path + (i,)) for i, x in enumerate(m, start=1)])
+        else:
+            raise ShapeError(f"expected {n} index components, got {print_index(m)}", path)
+        for p, taker in zip(e.parts, takers):
+            x, at = next(subs) if taker else (UNIT, path)
+            _instantiate(p, x, at, out)
 
 
 def min_length(e: IterExpr) -> int:

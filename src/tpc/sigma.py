@@ -55,13 +55,11 @@ from .schemes import (
     Dot,
     Eps,
     IterExpr,
-    ListOf,
     Star,
-    UNIT_SHAPE,
     index_from_stars,
     instantiate,
     reduce_specific,
-    shape_of,
+    star_kind,
 )
 
 _SCALAR_NAMES = ("n", "k", "j", "l")
@@ -89,16 +87,15 @@ _MAX_VERIFY_SAMPLES = 64
 
 def _layout(e: IterExpr, decls: list) -> None:
     """Appends one VarDecl per star of *e*, left to right, in the order
-    ``index_from_stars`` takes their values: a scalar for a count, a
-    multi-index for a tuple of counts."""
+    ``index_from_stars`` takes their values, of the kind ``star_kind``
+    gives: a scalar for a star that takes a count, a multi-index for one
+    that takes a tuple of counts."""
     if isinstance(e, Star):
-        body = shape_of(e.body)
-        if body == UNIT_SHAPE:
-            decls.append(VarDecl(_fresh({d.name for d in decls}, _SCALAR_NAMES), "scalar"))
-        elif body == ListOf(UNIT_SHAPE):
-            decls.append(VarDecl(_fresh({d.name for d in decls}, _MULTI_NAMES), "multi"))
-        else:
+        kind = star_kind(e)
+        if kind is None:
             raise NotLinearizable("index nesting too deep to lay out", e)
+        names = _SCALAR_NAMES if kind == "scalar" else _MULTI_NAMES
+        decls.append(VarDecl(_fresh({d.name for d in decls}, names), kind))
     elif isinstance(e, Dot):
         for p in e.parts:
             _layout(p, decls)
@@ -296,7 +293,7 @@ def _family_atom(member, key, fitted):
     return member.with_paths(*(_path_from(skel, exprs) for skel, exprs in zip(key[1:3], fitted)))
 
 
-def _fit_family_runs(key, atoms, fit, scheme):
+def _fit_family_runs(key, atoms, fit):
     """*atoms*, one per env of the design *fit* belongs to, have steps
     embedding in key's skeletons.  Fits one expression per run on each
     side; a run an atom's path leaves out counts 0."""
@@ -305,11 +302,8 @@ def _fit_family_runs(key, atoms, fit, scheme):
         counts = []
         for atom in atoms:
             path = atom.sides()[side][0]
-            slots = embed(path.steps(), skel)
-            if slots is None:
-                raise NotLinearizable("atom does not embed in its family skeleton", scheme)
             row = [0] * len(skel)
-            for slot, seg in zip(slots, path.segments):
+            for slot, seg in zip(embed(path.steps(), skel), path.segments):
                 row[slot] = seg.count.const
             counts.append(row)
         exprs = [fit([row[ri] for row in counts]) for ri in range(len(skel))]
@@ -373,7 +367,7 @@ def _fit_branch(theory, scheme, decls, prefix) -> Branch:
         per_sample = groups[key]
         counts = {len(lst) for lst in per_sample}
         if counts == {1}:
-            fitted = _fit_family_runs(key, [lst[0][1] for lst in per_sample], base_fit, scheme)
+            fitted = _fit_family_runs(key, [lst[0][1] for lst in per_sample], base_fit)
             if fitted is not None:
                 conjuncts[key] = [_family_atom(first_atom[key], key, fitted)]
                 continue
@@ -392,7 +386,7 @@ def _fit_branch(theory, scheme, decls, prefix) -> Branch:
         upper = base_fit([len(o) for o in occ])
         if upper is None:
             raise NotLinearizable("family size is not affine in the index", scheme)
-        fitted = _fit_iterated(rep, samples, occ, base, multis, itervar, scheme)
+        fitted = _fit_iterated(rep, samples, occ, base, multis, itervar)
         if fitted is None:
             raise NotLinearizable("repetition counts are not affine in the index", scheme)
         body = _family_atom(first_atom[rep], rep, fitted)
@@ -405,7 +399,7 @@ def _fit_branch(theory, scheme, decls, prefix) -> Branch:
     return Branch(scheme, decls, AtomSet(tuple(ordered)))
 
 
-def _fit_iterated(key, samples, occ, base, multis, itervar, scheme):
+def _fit_iterated(key, samples, occ, base, multis, itervar):
     """Fit run counts over base features extended with the occurrence
     position and, per multi-index, the element at that position (tried
     both from the front and from the back)."""
@@ -416,10 +410,7 @@ def _fit_iterated(key, samples, occ, base, multis, itervar, scheme):
     envs = [{**env, itervar: i} for (env, _), o in zip(samples, occ) for i in range(1, len(o) + 1)]
     atoms = [atom for o in occ for atom in o]
     for sels in itertools.product(*choices):
-        try:
-            fitted = _fit_family_runs(key, atoms, _design(envs, base + [pos] + list(sels)), scheme)
-        except NotLinearizable:
-            return None
+        fitted = _fit_family_runs(key, atoms, _design(envs, base + [pos] + list(sels)))
         if fitted is not None:
             return fitted
     return None

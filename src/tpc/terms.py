@@ -229,8 +229,6 @@ def parse_term(text: str, line=None) -> Term:
         # close off completed applications
         while True:
             if not stack:
-                if result is not None:
-                    fail("trailing input after complete term", at)
                 result = node
                 if i < n:
                     fail(f"unexpected {tokens[i][0]!r}", tokens[i][1])

@@ -238,6 +238,12 @@ class TestCommands:
         f.write_text("start: Q(Z)\na: Q(x) -> Q(H(x))\n")
         assert main(["decide", str(f), "--from", "Q(Z)", "--to", "Q(H(H(Z)))"]) == 0
 
+    def test_bad_theory_file_is_a_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "bad.tpc"
+        f.write_text("start: Q(Z)\na: Q(x)\n")
+        assert main(["parse", str(f)]) == 2
+        assert capsys.readouterr() == ("", "error: axiom 'a' needs 'lhs -> rhs' (line 2)\n")
+
 
 def test_oracle_dump_is_pinned(capsys):
     # reachable sentences in (size, text) order, one per line

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tpc import load_theory
 from tpc.errors import Ambiguous
-from tpc.final import _COUNT_CAP, TuneResult, _count_equation, decide, extract_proof, tune
+from tpc.final import _COUNT_CAP, TuneResult, _count_equation, _solve_some, decide, extract_proof, tune
 from tpc.affine import AffineExpr
-from tpc.mathsolver import solve_concrete
+from tpc.mathsolver import Equation, solve_concrete
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, Segment, Step, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
@@ -96,6 +96,22 @@ class TestScalarTuning:
         assert proc.decide(parse_term("P(Z)"))
         goal = parse_term("P(F(F(F(F(F(Z))))))")
         assert replay(th, th.start, proc.prove(goal).steps) == goal
+
+    def test_infeasible_branches_are_not_pinned(self, monkeypatch):
+        # the first two branches leave equations such as j + 2n + n2 + 4 = 0,
+        # which no naturals satisfy; pinning their free counts anyway took
+        # 292 solves for this decide
+        th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(F(x))\nc: P(x) -> P(F(F(x)))")
+        proc = pipeline(th, selfcheck=False)
+        calls = []
+        monkeypatch.setattr("tpc.final.solve_concrete", lambda *args: calls.append(1) or solve_concrete(*args))
+        assert proc.decide(parse_term("P(Z)"))
+        assert len(calls) <= 8
+
+    def test_free_count_pinned_from_its_least_value(self):
+        # k = n - 10, so every pin of n below 10 makes k negative
+        n, k = AffineExpr.var("n"), AffineExpr.var("k")
+        assert _solve_some([Equation(n - k, AffineExpr.const_(10))], ["n", "k"]) == {"n": 10, "k": 0}
 
 
 class TestMultiIndexTuning:

@@ -151,6 +151,26 @@ class TestSolveConcrete:
             solve_concrete((Equation(n + k, two),), ("n", "k"))
         assert exc.value.free == "n"
 
+    def test_hopeless_with_free_unknowns_returns_none(self):
+        # n2 = -j - 2n - 4 is negative whatever naturals j and n take, and
+        # n = 3 contradicts n = 4 whatever k is, so no pin of the free
+        # counts can help
+        j = AffineExpr.var("j")
+        eqs = (Equation(j + n * 2 + AffineExpr.var("n2") + 4, AffineExpr.const_(0)),)
+        assert solve_concrete(eqs, ("n", "j", "n2")) is None
+        eqs = (Equation(n, AffineExpr.const_(3)), Equation(n, AffineExpr.const_(4)), Equation(k + j, n))
+        assert solve_concrete(eqs, ("n", "k", "j")) is None
+
+    def test_underdetermined_carries_the_least_free_value(self):
+        # k = n - 10 needs n >= 10; k + 2n = 7 leaves n free with k = 7 - 2n,
+        # which bounds n only from above
+        with pytest.raises(Underdetermined) as exc:
+            solve_concrete((Equation(n - k, AffineExpr.const_(10)),), ("n", "k"))
+        assert (exc.value.free, exc.value.least) == ("n", 10)
+        with pytest.raises(Underdetermined) as exc:
+            solve_concrete((Equation(k + n * 2, AffineExpr.const_(7)),), ("n", "k"))
+        assert (exc.value.free, exc.value.least) == ("n", 0)
+
     def test_element_unknowns(self):
         # m[1] and m[2] are fixed jointly: one equation mentions both
         m1, m2 = IndexTerm("m", (one,)), IndexTerm("m", (two,))

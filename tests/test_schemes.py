@@ -11,7 +11,6 @@ from tpc import (
     Star,
     UNIT,
     build_scheme,
-    coerce_index,
     enumerate_indices,
     instantiate,
     load_theory,
@@ -20,36 +19,29 @@ from tpc import (
     parse_theory,
     print_scheme,
     reduce_specific,
-    shape_of,
 )
-from tpc.errors import ShapeError
+import tpc.schemes
+from tpc.errors import ShapeError, TheorySyntaxError
 from tpc.paths import split_axiom
-from tpc.schemes import Choice, Eps, ListOf, TupleShape, UNIT_SHAPE, index_from_stars, index_key, min_length
+from tpc.schemes import Eps, index_from_stars, index_key, min_length
 from tpc.sigma import sigma
 from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars, substitute
 
 AB_STAR = parse_scheme("(a*.b)*.a*")
 
 
-class TestShapes:
-    def test_nested_scheme_shape(self):
-        assert shape_of(AB_STAR) == TupleShape((ListOf(ListOf(UNIT_SHAPE)), ListOf(UNIT_SHAPE)))
-
-    def test_axiom_is_unit(self):
-        assert shape_of(Axiom("a")) == UNIT_SHAPE
-
-    def test_alt_is_choice(self):
-        assert shape_of(parse_scheme("a|b")) == Choice((UNIT_SHAPE, UNIT_SHAPE))
-
-
 class TestCoerce:
+    """instantiate checks a raw index against the layout as it walks it."""
+
     def test_nat_index_canonicalizes(self):
-        got = coerce_index(AB_STAR, ((2, 0, 1), 3))
-        assert got == (((UNIT, UNIT), (), (UNIT,)), (UNIT, UNIT, UNIT))
+        # counts and lists of unit placeholders select the same sequence
+        canonical = (((UNIT, UNIT), (), (UNIT,)), (UNIT, UNIT, UNIT))
+        assert instantiate(AB_STAR, ((2, 0, 1), 3)) == instantiate(AB_STAR, canonical)
 
     def test_nat_becomes_unit_list(self):
-        assert coerce_index(parse_scheme("a*"), 0) == ()
-        assert coerce_index(parse_scheme("a*"), 3) == (UNIT, UNIT, UNIT)
+        assert instantiate(parse_scheme("a*"), 0) == []
+        assert instantiate(parse_scheme("(a.b)*"), 3) == ["a", "b"] * 3
+        assert instantiate(parse_scheme("(a.b)*"), (0, UNIT, ())) == ["a", "b"] * 3
 
     @pytest.mark.parametrize("scheme,index", [
         ("a*", -2),
@@ -61,18 +53,38 @@ class TestCoerce:
     def test_negative_count_is_rejected(self, scheme, index):
         # a negative count once read as zero repetitions
         with pytest.raises(ShapeError, match="a count cannot be negative, got -"):
-            coerce_index(parse_scheme(scheme), index)
-        with pytest.raises(ShapeError, match="a count cannot be negative, got -"):
             instantiate(parse_scheme(scheme), index)
 
     def test_choice_needs_two_components(self):
-        with pytest.raises(ShapeError):
-            coerce_index(parse_scheme("a|b"), (5,))
+        with pytest.raises(ShapeError, match="a choice index must have length 2"):
+            instantiate(parse_scheme("a|b"), (5,))
 
-    def test_idempotent_on_canonical(self):
-        for scheme, raw in [(AB_STAR, ((2, 0, 1), 3)), (parse_scheme("a*"), 4)]:
-            once = coerce_index(scheme, raw)
-            assert coerce_index(scheme, once) == once
+    @pytest.mark.parametrize("scheme,index,message,path", [
+        ("a.b", 1, "expected a unit index, got 1", ()),
+        ("a*", (0, 2), "expected a unit index, got 2", (2,)),
+        ("(a*.b)*", 2, "a plain number cannot stand for a list of structured indexes", ()),
+        ("a*.b*", (3, UNIT), "expected a list or number, got a unit placeholder", (2,)),
+        ("(a*.b)*.a*", ((1, 2),), "expected 2 index components, got {{1, 2}}", ()),
+        ("(a*.b*.c)*", ((1, 2), (1, 2, 3)), "expected 2 index components, got {1, 2, 3}", (2,)),
+        ("a*|b", (3, UNIT), "branch selector 3 out of range", ()),
+        ("c.(a*|b)*", ((2, UNIT), (0, 1)), "branch selector 0 out of range", (2,)),
+        ("a|b*", (2, -1), "a count cannot be negative, got -1", (2,)),
+        ("(a|b)*", ((1, UNIT), [1, UNIT]), "a choice index must have length 2", (2,)),
+    ])
+    def test_shape_errors_name_their_position(self, scheme, index, message, path):
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme(scheme), index)
+        assert exc.value.path == path
+        where = "/".join(map(str, path)) or "root"
+        assert str(exc.value) == f"{message} (at index position {where})"
+
+    def test_count_on_a_plain_body_instantiates_it_once(self, monkeypatch):
+        calls = []
+        walk = tpc.schemes._instantiate
+        monkeypatch.setattr(tpc.schemes, "_instantiate", lambda *args: calls.append(1) or walk(*args))
+        assert instantiate(parse_scheme("b*.a*"), (32000, 32000)) == ["b"] * 32000 + ["a"] * 32000
+        # the sequence, each star and each body once, not once per repetition
+        assert len(calls) == 5
 
 
 class TestInstantiate:
@@ -99,23 +111,15 @@ class TestInstantiate:
         assert instantiate(e, (2, UNIT)) == ["b"]
 
 
-# shape_of, _instantiate and _gen_exact as they were when each wrote out
-# the layout rule for itself, kept as the reference for the shared one
+# _instantiate and _gen_exact as they were when each wrote out the layout
+# rule for itself, kept as the reference for the shared one; a part takes
+# no index when it holds no star and no choice
 
 
-def _ref_shape_of(e):
+def _ref_unit(e):
     if isinstance(e, (Axiom, Eps)):
-        return UNIT_SHAPE
-    if isinstance(e, Star):
-        return ListOf(_ref_shape_of(e.body))
-    if isinstance(e, Dot):
-        nonunit = [s for s in map(_ref_shape_of, e.parts) if s != UNIT_SHAPE]
-        if not nonunit:
-            return UNIT_SHAPE
-        if len(nonunit) == 1:
-            return nonunit[0]
-        return TupleShape(tuple(nonunit))
-    return Choice(tuple(_ref_shape_of(p) for p in e.parts))
+        return True
+    return isinstance(e, Dot) and all(map(_ref_unit, e.parts))
 
 
 def _ref_instantiate(e, c):
@@ -126,13 +130,12 @@ def _ref_instantiate(e, c):
     if isinstance(e, Star):
         return [name for elem in c for name in _ref_instantiate(e.body, elem)]
     if isinstance(e, Dot):
-        shapes = [_ref_shape_of(p) for p in e.parts]
-        nonunit = [p for p, s in zip(e.parts, shapes) if s != UNIT_SHAPE]
+        nonunit = [p for p in e.parts if not _ref_unit(p)]
         components = ([c] if nonunit else []) if len(nonunit) <= 1 else list(c)
         out = []
         k = 0
-        for p, s in zip(e.parts, shapes):
-            if s == UNIT_SHAPE:
+        for p in e.parts:
+            if _ref_unit(p):
                 out.extend(_ref_instantiate(p, UNIT))
             else:
                 out.extend(_ref_instantiate(p, components[k]))
@@ -168,7 +171,7 @@ def _ref_gen_exact(e, L):
         yield from go(L, max_reps)
         return
     if isinstance(e, Dot):
-        shapes = [_ref_shape_of(p) for p in e.parts]
+        units = [_ref_unit(p) for p in e.parts]
 
         def go(i, remaining):
             if i == len(e.parts):
@@ -178,9 +181,9 @@ def _ref_gen_exact(e, L):
             for here in range(min_length(e.parts[i]), remaining + 1):
                 for idx in _ref_gen_exact(e.parts[i], here):
                     for rest in go(i + 1, remaining - here):
-                        yield rest if shapes[i] == UNIT_SHAPE else (idx,) + rest
+                        yield rest if units[i] else (idx,) + rest
 
-        nonunit_count = sum(1 for s in shapes if s != UNIT_SHAPE)
+        nonunit_count = units.count(False)
         for combo in go(0, L):
             yield UNIT if nonunit_count == 0 else combo[0] if nonunit_count == 1 else combo
         return
@@ -208,14 +211,12 @@ def _raw_schemes(depth):
 @example(Star(Dot((Axiom("a"), Dot((EPS, Axiom("b")))))))  # a star over parts that take none
 @example(Dot((Alt((Axiom("a"), Star(EPS))), Star(Dot((Star(Axiom("b")), Axiom("a")))))))
 def test_layout_matches_the_per_function_rule(e):
-    assert shape_of(e) == _ref_shape_of(e)
     got = enumerate_indices(e, 4)
     want = []
     for L in range(5):
         want.extend(sorted(set(_ref_gen_exact(e, L)), key=index_key))
     assert got == want
     for idx in got:
-        assert coerce_index(e, idx) == idx
         assert instantiate(e, idx) == _ref_instantiate(e, idx)
 
 
@@ -451,6 +452,19 @@ class TestSyntax:
         assert parse_scheme("(a|b)|a") == parse_scheme("a|b")
         assert parse_scheme("a|(b|c)") == parse_scheme("a|b|c")
         assert parse_scheme("a|a") == Axiom("a")
+
+    @pytest.mark.parametrize("text,message,column", [
+        ("a.$", "unexpected character '$' in scheme", 3),
+        ("(a.b", "missing ')' in scheme", None),
+        ("a..b", "unexpected '.' in scheme", None),
+        ("", "unexpected None in scheme", None),
+        ("a b", "trailing input in scheme: 'b'", None),
+        ("a)", "trailing input in scheme: ')'", None),
+    ])
+    def test_syntax_errors(self, text, message, column):
+        with pytest.raises(TheorySyntaxError) as e:
+            parse_scheme(text)
+        assert (str(e.value), e.value.line, e.value.column) == (message, None, column)
 
     def test_nested_alternatives_reach_sigma(self):
         fg = load_theory("fg")

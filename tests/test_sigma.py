@@ -16,17 +16,15 @@ from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, eval_atomset
 from tpc.schemes import (
     UNIT,
-    UNIT_SHAPE,
+    Alt,
     Axiom,
     Dot,
     Eps,
-    ListOf,
     Star,
     build_scheme,
     instantiate,
     parse_scheme,
     reduce_specific,
-    shape_of,
 )
 import tpc.sigma
 from tpc.sigma import (
@@ -208,19 +206,27 @@ class TestSampling:
 
 
 # _layout and _build_index as they were when sigma wrote out the layout rule
-# for itself as a builder spec, kept as the reference for index_of
+# for itself as an index spec, kept as the reference for index_of.  Its
+# own shape rule counts the nodes of a star's body: no star and no choice
+# is a count, a single star and no choice a tuple of counts
+
+
+def _ref_nodes(e):
+    yield e
+    for p in (e.body,) if isinstance(e, Star) else getattr(e, "parts", ()):
+        yield from _ref_nodes(p)
 
 
 def _ref_layout(e, decls):
     if isinstance(e, (Axiom, Eps)):
         return ("unit",)
     if isinstance(e, Star):
-        body = shape_of(e.body)
-        if body == UNIT_SHAPE:
+        nested = [x for x in _ref_nodes(e.body) if isinstance(x, (Star, Alt))]
+        if not nested:
             name = _fresh({d.name for d in decls}, ("n", "k", "j", "l"))
             decls.append(VarDecl(name, "scalar"))
             return ("scalar", name)
-        if body == ListOf(UNIT_SHAPE):
+        if len(nested) == 1 and isinstance(nested[0], Star):
             name = _fresh({d.name for d in decls}, ("m", "u", "w"))
             decls.append(VarDecl(name, "multi"))
             return ("multi", name)

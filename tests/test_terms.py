@@ -63,6 +63,36 @@ class TestParsing:
             parse_theory("start: S\na: P(x -> P(x)\n")
         assert e.value.line == 2
 
+    @pytest.mark.parametrize("text,message,column", [
+        ("P(Z) $", "unexpected character '$'", 6),
+        ("   ", "empty term", None),
+        ("P(x(Z))", "variable 'x' cannot take arguments", 3),
+        ("P(Z) Q", "unexpected 'Q'", 6),
+        ("P(Z Z)", "expected ',' or ')', got 'Z'", 5),
+        (")", "unexpected ')'", 1),
+        ("P(Z", "unexpected end of term", 3),
+        ("P(Z,", "unexpected end of term", None),
+    ])
+    def test_term_errors(self, text, message, column):
+        with pytest.raises(TheorySyntaxError) as e:
+            parse_term(text, line=3)
+        assert (e.value.line, e.value.column) == (3, column)
+        loc = "(line 3" + ("" if column is None else f", col {column}") + ")"
+        assert str(e.value) == f"{message} {loc}"
+
+    @pytest.mark.parametrize("text,message,line", [
+        ("start: S\n1a: P(x) -> P(x)\n", "bad declaration name '1a'", 2),
+        ("start: S\n\na: P(x)\n", "axiom 'a' needs 'lhs -> rhs'", 3),
+        ("start: S\nnonsense\n", "expected 'name: declaration'", 2),
+        ("# no start\na: P(x) -> P(x)\n", "missing 'start:' declaration", None),
+        ("start: P(Z)\na: P(x) -> P(x)\na: P(x) -> P(F(x))\n", "duplicate axiom name 'a'", None),
+    ])
+    def test_theory_errors(self, text, message, line):
+        with pytest.raises(TheorySyntaxError) as e:
+            parse_theory(text)
+        assert e.value.line == line
+        assert str(e.value) == message + ("" if line is None else f" (line {line})")
+
     def test_round_trip(self):
         for name in ("ancestor", "fg", "rotate3"):
             th = load_theory(name)
