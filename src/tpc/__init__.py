@@ -28,7 +28,6 @@ from .schemes import (
     Star,
     UNIT,
     build_scheme,
-    enumerate_indices,
     instantiate,
     parse_scheme,
     print_scheme,

@@ -4,10 +4,11 @@ synthesized decision procedures.
 Exit codes: 0 success, 1 negative decision or nothing found, 2 usage
 error, 3 the generated procedure gave up (NotLinearizable/Unsupported
 during synthesis, InternalMismatch when it fails its self-check or a
-replay, Ambiguous during tuning).  Exits 2 and 3 print ``error: ...`` on
-stderr, or argparse's usage text for a command line that does not parse;
-under ``--json`` they also print a ``tpc/1`` object on stdout whose
-``error`` holds the exception type, its message and the exit code.
+replay, Ambiguous during tuning), 4 any other exception, an internal
+error.  Exits 2-4 print ``error: ...`` on stderr, or argparse's usage text
+for a command line that does not parse; under ``--json`` they also print a
+``tpc/1`` object on stdout whose ``error`` holds the exception type
+(``InternalError`` for exit 4), its message and the exit code.
 """
 
 from __future__ import annotations
@@ -291,16 +292,23 @@ def main(argv=None) -> int:
         return _fail(args, exc, 3)
     except TpcError as exc:
         return _fail(args, exc, 2)
+    except Exception as exc:
+        log.debug("internal error", exc_info=exc)
+        return _fail(args, exc, 4)
 
 
-def _error_object(exc: TpcError, code: int) -> dict:
-    return {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}
+def _error_object(exc: Exception, code: int) -> dict:
+    kind, message = type(exc).__name__, str(exc)
+    if not isinstance(exc, TpcError):
+        kind, message = "InternalError", f"{kind}: {message}"
+    return {"error": {"type": kind, "message": message, "exit_code": code}}
 
 
-def _fail(args, exc: TpcError, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+def _fail(args, exc: Exception, code: int) -> int:
+    error = _error_object(exc, code)
+    print(f"error: {error['error']['message']}", file=sys.stderr)
     if args.json:
-        _emit(args, _error_object(exc, code), "")
+        _emit(args, error, "")
     return code
 
 

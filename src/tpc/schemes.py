@@ -3,7 +3,7 @@
 An iterative expression is a regex-like term over axiom names with
 operators ``.`` (sequencing), ``*`` (iteration), ``|`` (choice) and
 ``eps``.  A multi-index picks one specific axiom sequence out of an
-expression; enumerating multi-indexes walks the whole proof space.
+expression.
 
 The layout of a multi-index is decided here and nowhere else.  An axiom
 or eps takes no index (``UNIT``); a star takes the tuple of its body's
@@ -11,10 +11,9 @@ indexes, or a plain count when its body takes none; a choice takes
 ``(branch, index of that branch)``; a sequence takes the indexes of its
 parts that take one, joined: ``UNIT`` for none, a lone one as itself,
 several as their tuple.  ``takes_index`` says whether a part takes an
-index and ``join_index`` joins a sequence's index.  ``instantiate``
-checks an index against this layout in the same walk that selects the
-axioms, ``enumerate_indices`` and ``index_from_stars`` build indexes
-through these two, and ``star_kind`` tells sigma what a star takes.
+index.  ``instantiate`` checks an index against this layout in the same
+walk that selects the axioms, ``index_from_stars`` builds an index, and
+``star_kind`` tells sigma what a star takes.
 """
 
 from __future__ import annotations
@@ -126,21 +125,11 @@ class _Unit:
 UNIT = _Unit()
 
 
-def index_key(m):
-    """Deterministic total order on canonical multi-indexes."""
-    if m is UNIT:
-        return (0,)
-    if isinstance(m, int):
-        return (1, m)
-    return (2, len(m)) + tuple(index_key(x) for x in m)
-
-
 def print_index(m) -> str:
-    if m is UNIT:
-        return "u"
-    if isinstance(m, int):
-        return str(m)
-    return "{" + ", ".join(print_index(x) for x in m) + "}"
+    """An index as text, lists in braces; any other value as its repr."""
+    if isinstance(m, (tuple, list)):
+        return "{" + ", ".join(map(print_index, m)) + "}"
+    return repr(m)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +144,6 @@ def takes_index(e: IterExpr) -> bool:
     return isinstance(e, (Star, Alt))
 
 
-def join_index(items):
-    """The index of a sequence from the indexes of its parts that take one,
-    left to right: UNIT for none, a lone one as itself, else their tuple."""
-    if not items:
-        return UNIT
-    if len(items) == 1:
-        return items[0]
-    return tuple(items)
-
-
 def index_from_stars(e: IterExpr, values):
     """The index of *e*, a scheme with no choice, whose stars take
     *values*, left to right: each a count, or a tuple of counts for a star
@@ -175,7 +154,8 @@ def index_from_stars(e: IterExpr, values):
         if isinstance(x, Star):
             return next(values)
         if isinstance(x, Dot):
-            return join_index([go(p) for p in x.parts if takes_index(p)])
+            items = [go(p) for p in x.parts if takes_index(p)]
+            return UNIT if not items else items[0] if len(items) == 1 else tuple(items)
         return UNIT
 
     return go(e)
@@ -220,7 +200,11 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
         elif m is UNIT:
             raise ShapeError("expected a list or number, got a unit placeholder", path)
         else:
-            for i, x in enumerate(m, start=1):
+            try:
+                items = enumerate(m, start=1)
+            except TypeError:
+                raise ShapeError(f"expected a list or number, got {print_index(m)}", path) from None
+            for i, x in items:
                 _instantiate(e.body, x, path + (i,), out)
     elif isinstance(e, Alt):
         if not isinstance(m, tuple) or len(m) != 2:
@@ -252,85 +236,6 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
         for p, taker in zip(e.parts, takers):
             x, at = next(subs) if taker else (UNIT, path)
             _instantiate(p, x, at, out)
-
-
-def min_length(e: IterExpr) -> int:
-    if isinstance(e, Axiom):
-        return 1
-    if isinstance(e, Eps):
-        return 0
-    if isinstance(e, Star):
-        return 0
-    if isinstance(e, Dot):
-        return sum(min_length(p) for p in e.parts)
-    if isinstance(e, Alt):
-        return min(min_length(p) for p in e.parts)
-    raise TypeError(e)
-
-
-def _gen_exact(e: IterExpr, L: int):
-    """Canonical indexes of *e* whose instantiation has length exactly L.
-
-    A starred body of minimum length 0 is capped at L repetitions so the
-    enumeration stays finite."""
-    if isinstance(e, Axiom):
-        if L == 1:
-            yield UNIT
-        return
-    if isinstance(e, Eps):
-        if L == 0:
-            yield UNIT
-        return
-    if isinstance(e, Star):
-        lo = min_length(e.body)
-        # nullable bodies are capped at L repetitions to keep this finite
-        max_reps = L // lo if lo > 0 else L
-
-        def go(remaining, reps_left):
-            if remaining == 0:
-                yield ()
-            if reps_left == 0:
-                return
-            for first_len in range(lo, remaining + 1):
-                for head in _gen_exact(e.body, first_len):
-                    for tail in go(remaining - first_len, reps_left - 1):
-                        yield (head,) + tail
-
-        yield from go(L, max_reps)
-        return
-    if isinstance(e, Dot):
-        takers = [takes_index(p) for p in e.parts]
-
-        def go(i, remaining):
-            if i == len(e.parts):
-                if remaining == 0:
-                    yield ()
-                return
-            p = e.parts[i]
-            lo = min_length(p)
-            for here in range(lo, remaining + 1):
-                for idx in _gen_exact(p, here):
-                    for rest in go(i + 1, remaining - here):
-                        yield (idx,) + rest if takers[i] else rest
-
-        for combo in go(0, L):
-            yield join_index(combo)
-        return
-    if isinstance(e, Alt):
-        for b, p in enumerate(e.parts, start=1):
-            for idx in _gen_exact(p, L):
-                yield (b, idx)
-        return
-    raise TypeError(e)
-
-
-def enumerate_indices(e: IterExpr, budget: int):
-    """Every canonical index whose instantiation has length <= budget, in
-    shortlex order (instantiated length, then structural order)."""
-    out = []
-    for L in range(budget + 1):
-        out.extend(sorted(set(_gen_exact(e, L)), key=index_key))
-    return out
 
 
 def build_scheme(axiom_names) -> IterExpr:
@@ -372,6 +277,10 @@ def reduce_specific(th: Theory, seq, prefix=None):
 
 _SCHEME_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[().*|]|\s+")
 
+# the deepest nesting of parentheses plus stars that parse_scheme accepts;
+# every walk over a scheme recurses, so it stays well inside Python's limit
+MAX_SCHEME_DEPTH = 100
+
 
 def parse_scheme(text: str) -> IterExpr:
     pos = 0
@@ -384,18 +293,25 @@ def parse_scheme(text: str) -> IterExpr:
         if not tok.isspace():
             tokens.append(tok)
         pos = m.end()
-    i = 0
+    i = opened = 0
 
     def peek():
         return tokens[i] if i < len(tokens) else None
 
+    def nested(depth):
+        if depth > MAX_SCHEME_DEPTH:
+            raise TheorySyntaxError(f"scheme nests parentheses and stars deeper than {MAX_SCHEME_DEPTH}")
+        return depth
+
+    # each parse_* returns an expression and its nesting of parentheses plus stars
     def parse_alt():
         nonlocal i
         parts = [parse_dot()]
         while peek() == "|":
             i += 1
             parts.append(parse_dot())
-        return alt(*parts)
+        exprs, depths = zip(*parts)
+        return alt(*exprs), max(depths)
 
     def parse_dot():
         nonlocal i
@@ -403,32 +319,35 @@ def parse_scheme(text: str) -> IterExpr:
         while peek() == ".":
             i += 1
             parts.append(parse_star())
-        return dot(*parts)
+        exprs, depths = zip(*parts)
+        return dot(*exprs), max(depths)
 
     def parse_star():
         nonlocal i
-        e = parse_atom()
+        e, depth = parse_atom()
         while peek() == "*":
             i += 1
-            e = Star(e)
-        return e
+            e, depth = Star(e), nested(depth + 1)
+        return e, depth
 
     def parse_atom():
-        nonlocal i
+        nonlocal i, opened
         tok = peek()
         if tok == "(":
             i += 1
-            e = parse_alt()
+            opened = nested(opened + 1)  # stops the descent in time
+            e, depth = parse_alt()
             if peek() != ")":
                 raise TheorySyntaxError("missing ')' in scheme")
             i += 1
-            return e
+            opened -= 1
+            return e, nested(depth + 1)
         if tok is None or tok in ".*|)":
             raise TheorySyntaxError(f"unexpected {tok!r} in scheme")
         i += 1
-        return EPS if tok == "eps" else Axiom(tok)
+        return (EPS if tok == "eps" else Axiom(tok)), 0
 
-    e = parse_alt()
+    e, _ = parse_alt()
     if i != len(tokens):
         raise TheorySyntaxError(f"trailing input in scheme: {tokens[i]!r}")
     return e

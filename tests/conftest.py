@@ -6,7 +6,31 @@ from tpc import load_theory, parse_scheme
 from tpc.affine import AffineExpr
 from tpc.paths import AtomSet, Segment, SymbolicPath, VarDecl
 from tpc.pipeline import DecisionProcedure
+from tpc.schemes import Alt, Axiom, Dot, Eps
 from tpc.sigma import Branch, SymbolicCharFn, sigma
+
+
+def sequences(e, budget):
+    """The distinct axiom sequences of length <= *budget* that instances of
+    the scheme *e* select, read off the scheme with no index layout."""
+    if isinstance(e, Axiom):
+        return {(e.name,)} if budget >= 1 else set()
+    if isinstance(e, Eps):
+        return {()}
+    if isinstance(e, Alt):
+        return set().union(*(sequences(p, budget) for p in e.parts))
+    if isinstance(e, Dot):
+        out = {()}
+        for part in (sequences(p, budget) for p in e.parts):
+            out = {s + t for s in out for t in part if len(s) + len(t) <= budget}
+        return out
+    # a star: the least set holding eps and closed under appending its body
+    body = sequences(e.body, budget)
+    out = frontier = {()}
+    while frontier:
+        frontier = {s + t for s in frontier for t in body if len(s) + len(t) <= budget} - out
+        out |= frontier
+    return out
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -18,14 +18,7 @@ from tpc.inclusion import includes
 from tpc.mathsolver import Congruence, eval_region, eval_system, solve_multiindex
 from tpc.oracle import SearchBudget, find_proof, reachable_set
 from tpc.paths import Step, SymbolicPath, compose_paths, eval_atomset, power_path, split_axiom
-from tpc.schemes import (
-    build_scheme,
-    enumerate_indices,
-    instantiate,
-    parse_scheme,
-    print_scheme,
-    reduce_specific,
-)
+from tpc.schemes import build_scheme, instantiate, parse_scheme, print_scheme, reduce_specific
 from tpc.sigma import sigma
 from tpc.terms import (
     App,
@@ -38,6 +31,7 @@ from tpc.terms import (
     replay,
 )
 
+from conftest import sequences
 from test_mathsolver import _seven_condition_system
 
 
@@ -186,8 +180,8 @@ def test_delta_reduction():
 
     def closure(scheme, t):
         out = set()
-        for idx in enumerate_indices(scheme, 6):
-            clause = reduce_specific(fg, instantiate(scheme, idx))
+        for seq in sequences(scheme, 6):
+            clause = reduce_specific(fg, seq)
             if clause is not None:
                 d = apply_clause(clause, t)
                 if d is not None:

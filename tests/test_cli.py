@@ -121,6 +121,39 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: sentence P(x) is not ground\n"
 
+    @pytest.mark.parametrize("depth,codes", [(100, {0, 2, 3}), (3000, {2})], ids=["at-bound", "past-bound"])
+    @pytest.mark.parametrize("shape", ["parens", "stars"])
+    @pytest.mark.parametrize("command", ["sigma", "reduce"])
+    def test_deep_scheme_is_never_a_crash(self, capsys, command, shape, depth, codes):
+        # a RecursionError once exited 1, which reads as "false"
+        text = "(" * depth + "a" + ")" * depth if shape == "parens" else "a" + "*" * depth
+        assert main([command, "fg", "--scheme", text]) in codes
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_crash_is_an_internal_error(self, capsys, monkeypatch, json_flag):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(tpc.cli, "_cmd_decide", crash)
+        assert main([*json_flag, "decide", "fg", *FG_PAIR]) == 4
+        out, err = capsys.readouterr()
+        assert err == "error: RuntimeError: boom\n"
+        if json_flag:
+            payload = json.loads(out)
+            assert payload["schema"] == "tpc/1"
+            assert payload["error"] == {"type": "InternalError", "message": "RuntimeError: boom", "exit_code": 4}
+        else:
+            assert out == ""
+
+    def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
+        def interrupt(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(tpc.cli, "_cmd_decide", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["decide", "fg", *FG_PAIR])
+
     def test_unknown_theory(self, capsys):
         assert main(["parse", "no_such_theory"]) == 2
 

@@ -19,13 +19,13 @@ from tpc.schemes import (
     Star,
     alt,
     dot,
-    enumerate_indices,
-    instantiate,
     parse_scheme,
     print_scheme,
     reduce_specific,
 )
 from tpc.terms import apply_clause, parse_theory
+
+from conftest import sequences
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +155,8 @@ class TestReduce:
 
         def closure(scheme, t):
             out = set()
-            for idx in enumerate_indices(scheme, 6):
-                clause = reduce_specific(fg, instantiate(scheme, idx))
+            for seq in sequences(scheme, 6):
+                clause = reduce_specific(fg, seq)
                 if clause is not None:
                     d = apply_clause(clause, t)
                     if d is not None:
@@ -208,9 +208,9 @@ def _linear_theories(draw):
 
 def _goals(th, scheme, t, budget, clauses):
     """The trees that the instances of *scheme* of length <= budget take
-    *t* to; *clauses* caches reduce_specific by instantiated sequence."""
+    *t* to; *clauses* caches reduce_specific by axiom sequence."""
     out = set()
-    for seq in {tuple(instantiate(scheme, m)) for m in enumerate_indices(scheme, budget)}:
+    for seq in sequences(scheme, budget):
         if seq not in clauses:
             clauses[seq] = reduce_specific(th, seq)
         d = None if clauses[seq] is None else apply_clause(clauses[seq], t)

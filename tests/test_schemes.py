@@ -11,7 +11,6 @@ from tpc import (
     Star,
     UNIT,
     build_scheme,
-    enumerate_indices,
     instantiate,
     load_theory,
     parse_scheme,
@@ -23,9 +22,11 @@ from tpc import (
 import tpc.schemes
 from tpc.errors import ShapeError, TheorySyntaxError
 from tpc.paths import split_axiom
-from tpc.schemes import Eps, index_from_stars, index_key, min_length
+from tpc.schemes import Eps, index_from_stars
 from tpc.sigma import sigma
 from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars, substitute
+
+from conftest import sequences
 
 AB_STAR = parse_scheme("(a*.b)*.a*")
 
@@ -78,6 +79,31 @@ class TestCoerce:
         where = "/".join(map(str, path)) or "root"
         assert str(exc.value) == f"{message} (at index position {where})"
 
+    @pytest.mark.parametrize("scheme,index,want", [
+        # values that are not indexes once escaped as TypeError, or as
+        # RecursionError from printing a string
+        ("a*", None, ShapeError("expected a list or number, got None")),
+        ("a*", 1.5, ShapeError("expected a list or number, got 1.5")),
+        ("a*.b*", (None, 2), ShapeError("expected a list or number, got None", (1,))),
+        ("a", "x", ShapeError("expected a unit index, got 'x'")),
+        ("a*", "ab", ShapeError("expected a unit index, got 'a'", (1,))),
+        ("a.b", [None, 1.5], ShapeError("expected a unit index, got {None, 1.5}")),
+        ("a*.b*", 1.5, ShapeError("expected 2 index components, got 1.5")),
+        # what instantiated, or raised a ShapeError, still does
+        ("a*", True, ["a"]),
+        ("(a.b)*.a*", ([0, ()], 2), ["a", "b", "a", "b", "a", "a"]),
+        ("(a|b)*", [(2, UNIT), (1, 0)], ["b", "a"]),
+        ("a*|b", [1, 2], ShapeError("a choice index must have length 2")),
+        ("a.b", [], ShapeError("expected a unit index, got {}")),
+    ])
+    def test_only_shape_errors_escape(self, scheme, index, want):
+        if isinstance(want, list):
+            assert instantiate(parse_scheme(scheme), index) == want
+            return
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme(scheme), index)
+        assert (str(exc.value), exc.value.path) == (str(want), want.path)
+
     def test_count_on_a_plain_body_instantiates_it_once(self, monkeypatch):
         calls = []
         walk = tpc.schemes._instantiate
@@ -114,6 +140,16 @@ class TestInstantiate:
 # _instantiate and _gen_exact as they were when each wrote out the layout
 # rule for itself, kept as the reference for the shared one; a part takes
 # no index when it holds no star and no choice
+
+
+def _ref_min_length(e):
+    if isinstance(e, Axiom):
+        return 1
+    if isinstance(e, (Eps, Star)):
+        return 0
+    if isinstance(e, Dot):
+        return sum(map(_ref_min_length, e.parts))
+    return min(map(_ref_min_length, e.parts))
 
 
 def _ref_unit(e):
@@ -155,7 +191,7 @@ def _ref_gen_exact(e, L):
             yield UNIT
         return
     if isinstance(e, Star):
-        lo = min_length(e.body)
+        lo = _ref_min_length(e.body)
         max_reps = L // lo if lo > 0 else L
 
         def go(remaining, reps_left):
@@ -178,7 +214,7 @@ def _ref_gen_exact(e, L):
                 if remaining == 0:
                     yield ()
                 return
-            for here in range(min_length(e.parts[i]), remaining + 1):
+            for here in range(_ref_min_length(e.parts[i]), remaining + 1):
                 for idx in _ref_gen_exact(e.parts[i], here):
                     for rest in go(i + 1, remaining - here):
                         yield rest if units[i] else (idx,) + rest
@@ -211,13 +247,13 @@ def _raw_schemes(depth):
 @example(Star(Dot((Axiom("a"), Dot((EPS, Axiom("b")))))))  # a star over parts that take none
 @example(Dot((Alt((Axiom("a"), Star(EPS))), Star(Dot((Star(Axiom("b")), Axiom("a")))))))
 def test_layout_matches_the_per_function_rule(e):
-    got = enumerate_indices(e, 4)
-    want = []
-    for L in range(5):
-        want.extend(sorted(set(_ref_gen_exact(e, L)), key=index_key))
-    assert got == want
-    for idx in got:
-        assert instantiate(e, idx) == _ref_instantiate(e, idx)
+    want = set()
+    for idx in {idx for L in range(5) for idx in _ref_gen_exact(e, L)}:
+        seq = _ref_instantiate(e, idx)
+        assert instantiate(e, idx) == seq
+        want.add(tuple(seq))
+    # the helper lists the same sequences as the reference's indexes
+    assert sequences(e, 4) == want
 
 
 class TestBuildScheme:
@@ -232,32 +268,14 @@ class TestBuildScheme:
 
 
 class TestEnumerate:
-    def test_single_star(self):
-        got = enumerate_indices(parse_scheme("a*"), 2)
-        assert got == [(), (UNIT,), (UNIT, UNIT)]
-
-    def test_alt(self):
-        got = enumerate_indices(parse_scheme("a|b"), 1)
-        assert got == [(1, UNIT), (2, UNIT)]
-
-    def test_nested_star_instantiations(self):
-        e = parse_scheme("(a*.b)*")
-        seqs = {tuple(instantiate(e, idx)) for idx in enumerate_indices(e, 2)}
-        assert seqs == {(), ("b",), ("b", "b"), ("a", "b")}
-
-    def test_each_index_once(self):
-        idxs = enumerate_indices(AB_STAR, 4)
-        assert len(idxs) == len(set(idxs))
+    """The axiom sequences of a scheme, listed by the ``sequences`` helper."""
 
     def test_build_scheme_covers_all_sequences(self):
         # the (alpha.a_n)*.alpha construction spans the whole proof space
         for axioms in (["a"], ["a", "b"], ["a", "b", "c"]):
             scheme = build_scheme(axioms)
             for budget in range(4 if len(axioms) < 3 else 3):
-                got = {
-                    tuple(instantiate(scheme, idx))
-                    for idx in enumerate_indices(scheme, budget)
-                }
+                got = sequences(scheme, budget)
                 want = set()
                 seq = [()]
                 for _ in range(budget + 1):
@@ -465,6 +483,19 @@ class TestSyntax:
         with pytest.raises(TheorySyntaxError) as e:
             parse_scheme(text)
         assert (str(e.value), e.value.line, e.value.column) == (message, None, column)
+
+    @pytest.mark.parametrize("text", ["(" * 3000 + "a" + ")" * 3000, "a" + "*" * 3000], ids=["parens", "stars"])
+    def test_nesting_past_the_bound_is_a_syntax_error(self, text):
+        # once a RecursionError from the recursive descent or a later walk
+        with pytest.raises(TheorySyntaxError, match="scheme nests parentheses and stars deeper than 100"):
+            parse_scheme(text)
+
+    def test_nesting_counts_parentheses_plus_stars(self):
+        bound = tpc.schemes.MAX_SCHEME_DEPTH
+        assert parse_scheme("(a*)" + "*" * (bound - 2)) == parse_scheme("a" + "*" * (bound - 1))
+        for text in ("(a*)" + "*" * (bound - 1), "(" * (bound + 1) + "a" + ")" * (bound + 1)):
+            with pytest.raises(TheorySyntaxError):
+                parse_scheme(text)
 
     def test_nested_alternatives_reach_sigma(self):
         fg = load_theory("fg")
