@@ -47,7 +47,13 @@ log = logging.getLogger("tpc")
 def _theory(spec: str):
     path = Path(spec)
     if path.exists():
-        return parse_theory(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise TpcError(f"cannot read theory file {spec}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise TpcError(f"theory file {spec} is not UTF-8 text") from None
+        return parse_theory(text)
     try:
         return load_theory(spec)
     except FileNotFoundError:

@@ -15,9 +15,6 @@ sparse Fraction rows.  Three front-ends share it:
   repetition count for its feature coefficients (free coordinates zero,
   integral or no fit).
 
-``solve_multiindex`` isolates one unknown multi-index hierarchically:
-the length equation first, then one element per equation family.
-
 All arithmetic is exact (Fractions internally, integers in results).
 """
 
@@ -27,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 
-from .affine import AffineExpr, IndexTerm, ZERO, scopes
+from .affine import AffineExpr, IndexTerm, ZERO
 from .errors import Underdetermined, Unsupported
 
 
@@ -72,19 +69,6 @@ class Congruence:
 
     def __str__(self):
         return f"{self.expr} mod {self.modulus} = 0"
-
-
-@dataclass(frozen=True)
-class ElementFamily:
-    """One condition for each itervar in [lower, upper]."""
-
-    itervar: str
-    lower: AffineExpr
-    upper: AffineExpr
-    body: object  # Equation | Ineq
-
-    def __str__(self):
-        return f"{self.body}, for {self.itervar} = {self.lower}..{self.upper}"
 
 
 @dataclass(frozen=True)
@@ -137,15 +121,9 @@ def eval_condition(cond, env: dict) -> bool:
             return cond.lhs.evaluate(env) >= cond.rhs.evaluate(env)
         if isinstance(cond, Congruence):
             return cond.expr.evaluate(env) % cond.modulus == 0
-        if isinstance(cond, ElementFamily):
-            return all(eval_condition(cond.body, scope) for scope in scopes(cond, env))
     except (IndexError, KeyError):
         return False
     raise TypeError(f"not a condition: {cond!r}")
-
-
-def eval_system(system: ConditionSystem, env: dict) -> bool:
-    return all(eval_condition(c, env) for c in system.conditions)
 
 
 def eval_region(region: Region, env: dict) -> bool:
@@ -246,17 +224,14 @@ def _split_equation(e: AffineExpr) -> Equation:
 
 
 def eliminate(system: ConditionSystem) -> Region:
-    """Project the scalar existentials out of the equation part of
-    *system* and describe where (over the naturals) a solution exists."""
+    """Project the scalar existentials out of *system*, whose conditions
+    are all equations, and describe where (over the naturals) a solution
+    exists."""
     rows = []
-    given = []
     for cond in system.conditions:
-        if isinstance(cond, Equation):
-            rows.append(_row_of(cond.diff))
-        elif isinstance(cond, Ineq):
-            given.append(cond.diff)
-        else:
+        if not isinstance(cond, Equation):
             raise Unsupported(f"cannot eliminate through {type(cond).__name__}")
+        rows.append(_row_of(cond.diff))
 
     # an existential no equation mentions is unconstrained: pick 0
     solved, rows = reduce_rows(rows, [IndexTerm(name) for name in system.existentials])
@@ -285,17 +260,11 @@ def eliminate(system: ConditionSystem) -> Region:
     if unsat:
         return Region("unsat", tuple(c for c in raw if isinstance(c, Equation)), tuple(raw))
 
+    # an inequality the inequalities kept before it imply is dropped
     kept = []
-    facts = list(given)
     for cond in raw:
-        if isinstance(cond, Congruence):
-            if cond.modulus > 1:
-                kept.append(cond)
-        elif isinstance(cond, Ineq):
-            if not _subsumed(cond.diff, tuple(facts)):
-                kept.append(cond)
-                facts.append(cond.diff)
-        else:
+        facts = tuple(c.diff for c in kept if isinstance(c, Ineq))
+        if not (isinstance(cond, Ineq) and _subsumed(cond.diff, facts)):
             kept.append(cond)
     if not kept:
         return Region("universal", (), tuple(raw))
@@ -344,112 +313,3 @@ def solve_concrete(equations, unknowns) -> dict:
             return None
         out[u] = v.numerator
     return out
-
-
-# ---------------------------------------------------------------------------
-# multi-index solving
-
-
-@dataclass(frozen=True)
-class MultiIndexSolution:
-    """The unknown multi-index isolated: its length, one solved equation
-    (or family) per element, and the residual region on the remaining
-    parameters."""
-
-    target: str
-    length: AffineExpr
-    elements: tuple  # Equation | ElementFamily with target isolated on lhs
-    region: Region
-
-    def build(self, env: dict) -> tuple:
-        """The concrete value of the target under *env* (which binds the
-        other indexes).  Every element must be pinned by some equation."""
-        size = self.length.evaluate(env)
-        if size < 0:
-            return None
-        out = [None] * size
-
-        def fill(eq: Equation, scope: dict):
-            pos = eq.lhs.terms[0][1].sel[0].evaluate(scope)
-            if not (1 <= pos <= size):
-                raise IndexError(f"element {pos} outside 1..{size}")
-            out[pos - 1] = eq.rhs.evaluate(scope)
-
-        for el in self.elements:
-            if isinstance(el, Equation):
-                fill(el, env)
-            else:
-                for scope in scopes(el, env):
-                    fill(el.body, scope)
-        if any(v is None for v in out):
-            raise Underdetermined(f"{self.target} has unpinned elements")
-        return tuple(out)
-
-
-def _target_terms(e: AffineExpr, target: str):
-    return [(c, it) for c, it in e.terms if it.var == target]
-
-
-def _isolate(eq: Equation, target: str) -> Equation:
-    """Rewrite so the single target term stands alone on the left."""
-    diff = eq.diff
-    hits = _target_terms(diff, target)
-    if len(hits) != 1 or abs(hits[0][0]) != 1:
-        raise Unsupported(f"cannot isolate {target} in: {eq}")
-    c, it = hits[0]
-    lhs = AffineExpr(0, ((1, it),))
-    rest = diff - AffineExpr(0, ((c, it),))
-    rhs = rest * (-1) if c == 1 else rest
-    return Equation(lhs, rhs)
-
-
-def solve_multiindex(system: ConditionSystem, target: str) -> MultiIndexSolution:
-    """Hierarchical solve: the equation fixing |target| first, then the
-    element equations; anything not mentioning the target becomes the
-    residual region."""
-    length = None
-    elements = []
-    residual = []
-    for cond in system.conditions:
-        if isinstance(cond, Equation):
-            hits = _target_terms(cond.diff, target)
-            if not hits:
-                residual.append(cond)
-                continue
-            iso = _isolate(cond, target)
-            it = iso.lhs.terms[0][1]
-            if not it.sel:
-                if length is not None:
-                    raise Unsupported(f"two length equations for {target}")
-                length = iso.rhs
-            else:
-                elements.append(iso)
-        elif isinstance(cond, ElementFamily):
-            if not isinstance(cond.body, Equation) or not _target_terms(cond.body.diff, target):
-                residual.append(cond)
-                continue
-            iso = _isolate(cond.body, target)
-            if not iso.lhs.terms[0][1].sel:
-                raise Unsupported("length equation inside a family")
-            elements.append(ElementFamily(cond.itervar, cond.lower, cond.upper, iso))
-        else:
-            residual.append(cond)
-    if length is None:
-        raise Unsupported(f"no length equation for {target}")
-    if any(target in _cond_vars(c) for c in residual):
-        raise Unsupported(f"residual conditions still mention {target}")
-    if not residual:
-        region = Region("universal", (), ())
-    else:
-        region = Region("conditional", tuple(residual), tuple(residual))
-    return MultiIndexSolution(target, length, tuple(elements), region)
-
-
-def _cond_vars(cond) -> set:
-    if isinstance(cond, (Equation, Ineq)):
-        return cond.diff.variables()
-    if isinstance(cond, Congruence):
-        return cond.expr.variables()
-    if isinstance(cond, ElementFamily):
-        return (_cond_vars(cond.body) | cond.lower.variables() | cond.upper.variables()) - {cond.itervar}
-    raise TypeError(f"not a condition: {cond!r}")

@@ -10,10 +10,11 @@ or eps takes no index (``UNIT``); a star takes the tuple of its body's
 indexes, or a plain count when its body takes none; a choice takes
 ``(branch, index of that branch)``; a sequence takes the indexes of its
 parts that take one, joined: ``UNIT`` for none, a lone one as itself,
-several as their tuple.  ``takes_index`` says whether a part takes an
-index.  ``instantiate`` checks an index against this layout in the same
-walk that selects the axioms, ``index_from_stars`` builds an index, and
-``star_kind`` tells sigma what a star takes.
+several as their tuple.  A list serves wherever a tuple does.
+``takes_index`` says whether a part takes an index.  ``instantiate``
+checks an index against this layout in the same walk that selects the
+axioms, ``index_from_stars`` builds an index, and ``star_kind`` tells
+sigma what a star takes.
 """
 
 from __future__ import annotations
@@ -125,11 +126,33 @@ class _Unit:
 UNIT = _Unit()
 
 
+# an index's container is a tuple or a list; print_index prints containers
+# nested PRINT_DEPTH deep and PRINT_ITEMS items in all, "..." for the rest
+_CONTAINERS = (tuple, list)
+PRINT_DEPTH = 10
+PRINT_ITEMS = 100
+
+
 def print_index(m) -> str:
     """An index as text, lists in braces; any other value as its repr."""
-    if isinstance(m, (tuple, list)):
-        return "{" + ", ".join(map(print_index, m)) + "}"
-    return repr(m)
+    left = PRINT_ITEMS
+
+    def go(x, depth):
+        nonlocal left
+        if not isinstance(x, _CONTAINERS):
+            return repr(x)
+        if depth == PRINT_DEPTH:
+            return "..."
+        parts = []
+        for item in x:
+            if not left:
+                parts.append("...")
+                break
+            left -= 1
+            parts.append(go(item, depth + 1))
+        return "{" + ", ".join(parts) + "}"
+
+    return go(m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +203,11 @@ def star_kind(e: Star):
 
 def instantiate(e: IterExpr, m) -> list:
     """The specific expression (ordered list of axiom names) selected by
-    multi-index *m*, checked against the layout as it is walked: a part
-    that takes no index accepts UNIT, 0 or (); a plain count n stands for
-    n repetitions of a star body that takes none.  A misshapen index
-    raises ShapeError at its 1-based position."""
+    multi-index *m*, checked against the layout as it is walked: a list
+    serves wherever a tuple does, a part that takes no index accepts UNIT,
+    0 or an empty tuple or list, and a plain count n stands for n
+    repetitions of a star body that takes none.  A misshapen index raises
+    ShapeError at its 1-based position."""
     out = []
     _instantiate(e, m, (), out)
     return out
@@ -199,22 +223,20 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
             out.extend(instantiate(e.body, UNIT) * m)
         elif m is UNIT:
             raise ShapeError("expected a list or number, got a unit placeholder", path)
+        elif not isinstance(m, _CONTAINERS):
+            raise ShapeError(f"expected a list or number, got {print_index(m)}", path)
         else:
-            try:
-                items = enumerate(m, start=1)
-            except TypeError:
-                raise ShapeError(f"expected a list or number, got {print_index(m)}", path) from None
-            for i, x in items:
+            for i, x in enumerate(m, start=1):
                 _instantiate(e.body, x, path + (i,), out)
     elif isinstance(e, Alt):
-        if not isinstance(m, tuple) or len(m) != 2:
+        if not isinstance(m, _CONTAINERS) or len(m) != 2:
             raise ShapeError("a choice index must have length 2", path)
         branch, sub = m
         if not isinstance(branch, int) or not 1 <= branch <= len(e.parts):
             raise ShapeError(f"branch selector {print_index(branch)} out of range", path)
         _instantiate(e.parts[branch - 1], sub, path + (2,), out)
     elif not takes_index(e):
-        if not (m is UNIT or m == 0 or m == ()):
+        if not (m is UNIT or isinstance(m, (int, *_CONTAINERS)) and m in (0, (), [])):
             raise ShapeError(f"expected a unit index, got {print_index(m)}", path)
         if isinstance(e, Axiom):
             out.append(e.name)
@@ -229,7 +251,7 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
         n = sum(takers)
         if n == 1:
             subs = iter([(m, path)])
-        elif isinstance(m, tuple) and len(m) == n:
+        elif isinstance(m, _CONTAINERS) and len(m) == n:
             subs = iter([(x, path + (i,)) for i, x in enumerate(m, start=1)])
         else:
             raise ShapeError(f"expected {n} index components, got {print_index(m)}", path)

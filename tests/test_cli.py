@@ -277,6 +277,25 @@ class TestCommands:
         assert main(["parse", str(f)]) == 2
         assert capsys.readouterr() == ("", "error: axiom 'a' needs 'lhs -> rhs' (line 2)\n")
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_theory_file_is_a_usage_error(self, tmp_path, capsys, kind, json_flag):
+        # not a crash (exit 4): the file is named and the exit is a usage error
+        f = tmp_path / "theory.tpc"
+        if kind == "directory":
+            f.mkdir()
+            message = f"cannot read theory file {f}: Is a directory"
+        else:
+            f.write_bytes(b"start: Q(\xff)\n")
+            message = f"theory file {f} is not UTF-8 text"
+        assert main([*json_flag, "parse", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        if json_flag:
+            assert json.loads(out)["error"] == {"type": "TpcError", "message": message, "exit_code": 2}
+        else:
+            assert out == ""
+
 
 def test_oracle_dump_is_pinned(capsys):
     # reachable sentences in (size, text) order, one per line

@@ -1,22 +1,22 @@
-"""Existential elimination, concrete solving, and multi-index isolation."""
+"""Existential elimination and concrete solving, and the paper's
+seven-condition multi-index system solved the way tuning solves one."""
+
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpc.affine import AffineExpr, IndexTerm
+from tpc.affine import AffineExpr, IndexTerm, ZERO, scopes
 from tpc.errors import Underdetermined, Unsupported
 from tpc.mathsolver import (
     Congruence,
     ConditionSystem,
-    ElementFamily,
     Equation,
     Ineq,
     eliminate,
     eval_condition,
     eval_region,
-    eval_system,
     solve_concrete,
-    solve_multiindex,
 )
 
 n = AffineExpr.var("n")
@@ -89,12 +89,11 @@ class TestEliminate:
         assert eval_region(r, {"n": 3, "m": 2})
         assert not eval_region(r, {"n": 3, "m": 3})
 
-    def test_given_inequality_subsumes(self):
-        # knowing n >= 1, the residue n - 1 >= 0 is discharged
-        sys = ConditionSystem(
-            ("n",), ("k",), (Ineq(n, one), Equation(k + 1, n))
-        )
-        assert eliminate(sys).is_universal
+    def test_only_equations_eliminate(self):
+        for cond in (Ineq(n, one), Congruence(n, 2)):
+            sys = ConditionSystem(("n",), ("k",), (cond, Equation(k + 1, n)))
+            with pytest.raises(Unsupported, match=type(cond).__name__):
+                eliminate(sys)
 
 
 class TestEliminateSoundness:
@@ -187,7 +186,62 @@ class TestSolveConcrete:
         assert solve_concrete((Equation(k, two), Equation(one, two)), ("k",)) is None
 
 
-def _seven_condition_system():
+@dataclass(frozen=True)
+class Family:
+    """One equation for each value of itervar from lower to upper."""
+
+    itervar: str
+    lower: AffineExpr
+    upper: AffineExpr
+    body: Equation
+
+
+def _unroll(conditions, env):
+    """Each condition with the env it is read in: a family gives its body
+    once per scope, anything else itself in *env*."""
+    for cond in conditions:
+        if isinstance(cond, Family):
+            yield from ((cond.body, scope) for scope in scopes(cond, env))
+        else:
+            yield cond, env
+
+
+def holds(conditions, env) -> bool:
+    return all(eval_condition(cond, scope) for cond, scope in _unroll(conditions, env))
+
+
+def _bind(e: AffineExpr, env) -> AffineExpr:
+    """*e* with every term of a variable *env* binds evaluated, and every
+    other term's selectors made constant."""
+    out = AffineExpr.const_(e.const)
+    for c, it in e.terms:
+        if it.var in env:
+            out += AffineExpr(0, ((c, it),)).evaluate(env)
+        else:
+            sel = tuple(AffineExpr.const_(s.evaluate(env)) for s in it.sel)
+            out += AffineExpr(0, ((c, IndexTerm(it.var, sel)),))
+    return out
+
+
+def solve_u(conditions, m):
+    """u solved as tuning solves a multi-index: m's values bound into
+    every equation, the length u solved first, then the elements
+    u[1..len] in one call.  None when no natural u exists."""
+    bound = [
+        Equation(_bind(cond.diff, scope), ZERO)
+        for cond, scope in _unroll(conditions, {"m": m})
+        if isinstance(cond, Equation)
+    ]
+    lengths = [eq for eq in bound if not any(it.sel for _, it in eq.lhs.terms)]
+    sol = solve_concrete(lengths, ["u"])
+    if sol is None:
+        return None
+    elements = [IndexTerm("u", (AffineExpr.const_(i),)) for i in range(1, sol["u"] + 1)]
+    sol = solve_concrete([eq for eq in bound if eq not in lengths], elements)
+    return None if sol is None else tuple(sol[e] for e in elements)
+
+
+def seven_conditions():
     m1 = elem("m", one)           # length of m[1] in scalar position
     m2 = elem("m", two)
     u = AffineExpr.var("u")
@@ -199,18 +253,14 @@ def _seven_condition_system():
     def uel(sel):
         return AffineExpr(0, ((1, IndexTerm("u", (sel,))),))
 
-    return ConditionSystem(
-        parameters=("m",),
-        existentials=(),
-        conditions=(
-            Ineq(m1, one),
-            Ineq(m2, one),
-            Equation(m1 + m2 - u - 2, AffineExpr.const_(0)),
-            ElementFamily("i", one, m1 - 2, Equation(nested(one, i) - uel(i), AffineExpr.const_(0))),
-            Equation(nested(one, m1 - 1) + nested(two, one) - uel(m1 - 1), AffineExpr.const_(0)),
-            Equation(nested(one, m1) + nested(two, two) - uel(m1), AffineExpr.const_(0)),
-            ElementFamily("i", one, m2 - 2, Equation(nested(two, i + 2) - uel(m1 + i), AffineExpr.const_(0))),
-        ),
+    return (
+        Ineq(m1, one),
+        Ineq(m2, one),
+        Equation(m1 + m2 - u - 2, ZERO),
+        Family("i", one, m1 - 2, Equation(nested(one, i) - uel(i), ZERO)),
+        Equation(nested(one, m1 - 1) + nested(two, one) - uel(m1 - 1), ZERO),
+        Equation(nested(one, m1) + nested(two, two) - uel(m1), ZERO),
+        Family("i", one, m2 - 2, Equation(nested(two, i + 2) - uel(m1 + i), ZERO)),
     )
 
 
@@ -219,25 +269,22 @@ class TestMultiIndex:
     U = (4, 6, 4, 0, 1)
 
     def test_system_holds_on_worked_pair(self):
-        sys = _seven_condition_system()
-        assert eval_system(sys, {"m": self.M, "u": self.U})
-        assert not eval_system(sys, {"m": self.M, "u": (4, 6, 4, 0, 2)})
-        assert not eval_system(sys, {"m": self.M, "u": (4, 6, 4, 0)})
+        conds = seven_conditions()
+        assert holds(conds, {"m": self.M, "u": self.U})
+        assert not holds(conds, {"m": self.M, "u": (4, 6, 4, 0, 2)})
+        assert not holds(conds, {"m": self.M, "u": (4, 6, 4, 0)})
 
-    def test_solve_isolates_u(self):
-        sol = solve_multiindex(_seven_condition_system(), "u")
-        assert str(sol.length) == "m[1] + m[2] - 2"
-        assert len(sol.elements) == 4
-        assert sol.region.kind == "conditional"
-        assert [str(c) for c in sol.region.conditions] == ["m[1] >= 1", "m[2] >= 1"]
+    def test_length_solves_first(self):
+        # bound to M, the length equation mentions no element
+        length = _bind(seven_conditions()[2].diff, {"m": self.M})
+        assert str(length) == "-u + 5"
+        assert solve_concrete([Equation(length, ZERO)], ["u"]) == {"u": 5}
 
-    def test_build_reconstructs_u(self):
-        sol = solve_multiindex(_seven_condition_system(), "u")
-        assert sol.build({"m": self.M}) == self.U
+    def test_solve_reconstructs_u(self):
+        assert solve_u(seven_conditions(), self.M) == self.U
 
-    def test_build_matches_system_on_samples(self):
-        sol = solve_multiindex(_seven_condition_system(), "u")
-        sys = _seven_condition_system()
+    def test_solve_matches_system_on_samples(self):
+        conds = seven_conditions()
         shapes = [
             ((2, 2), (1, 1)),
             ((0, 3, 3), (2, 2)),
@@ -245,19 +292,5 @@ class TestMultiIndex:
             ((5,) * 4, (0, 0, 0, 0)),
         ]
         for m in shapes:
-            if len(m[0]) < 2 or len(m[1]) < 2:
-                continue
-            u = sol.build({"m": m})
-            assert eval_system(sys, {"m": m, "u": u}), (m, u)
-
-    def test_missing_length_equation(self):
-        uel1 = AffineExpr(0, ((1, IndexTerm("u", (one,))),))
-        sys = ConditionSystem(("m",), (), (Equation(uel1, one),))
-        with pytest.raises(Unsupported):
-            solve_multiindex(sys, "u")
-
-    def test_nonunit_coefficient_rejected(self):
-        u = AffineExpr.var("u")
-        sys = ConditionSystem(("m",), (), (Equation(u * 2, elem("m", one)),))
-        with pytest.raises(Unsupported):
-            solve_multiindex(sys, "u")
+            u = solve_u(conds, m)
+            assert holds(conds, {"m": m, "u": u}), (m, u)

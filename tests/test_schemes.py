@@ -22,7 +22,7 @@ from tpc import (
 import tpc.schemes
 from tpc.errors import ShapeError, TheorySyntaxError
 from tpc.paths import split_axiom
-from tpc.schemes import Eps, index_from_stars
+from tpc.schemes import PRINT_DEPTH, PRINT_ITEMS, Eps, index_from_stars
 from tpc.sigma import sigma
 from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars, substitute
 
@@ -70,7 +70,7 @@ class TestCoerce:
         ("a*|b", (3, UNIT), "branch selector 3 out of range", ()),
         ("c.(a*|b)*", ((2, UNIT), (0, 1)), "branch selector 0 out of range", (2,)),
         ("a|b*", (2, -1), "a count cannot be negative, got -1", (2,)),
-        ("(a|b)*", ((1, UNIT), [1, UNIT]), "a choice index must have length 2", (2,)),
+        ("(a|b)*", ((1, UNIT), [1]), "a choice index must have length 2", (2,)),
     ])
     def test_shape_errors_name_their_position(self, scheme, index, message, path):
         with pytest.raises(ShapeError) as exc:
@@ -86,15 +86,16 @@ class TestCoerce:
         ("a*", 1.5, ShapeError("expected a list or number, got 1.5")),
         ("a*.b*", (None, 2), ShapeError("expected a list or number, got None", (1,))),
         ("a", "x", ShapeError("expected a unit index, got 'x'")),
-        ("a*", "ab", ShapeError("expected a unit index, got 'a'", (1,))),
+        ("a*", "ab", ShapeError("expected a list or number, got 'ab'")),
         ("a.b", [None, 1.5], ShapeError("expected a unit index, got {None, 1.5}")),
         ("a*.b*", 1.5, ShapeError("expected 2 index components, got 1.5")),
         # what instantiated, or raised a ShapeError, still does
         ("a*", True, ["a"]),
         ("(a.b)*.a*", ([0, ()], 2), ["a", "b", "a", "b", "a", "a"]),
         ("(a|b)*", [(2, UNIT), (1, 0)], ["b", "a"]),
-        ("a*|b", [1, 2], ShapeError("a choice index must have length 2")),
-        ("a.b", [], ShapeError("expected a unit index, got {}")),
+        # a list serves wherever a tuple does, also at a choice and a unit part
+        ("a*|b", [1, 2], ["a", "a"]),
+        ("a.b", [], ["a", "b"]),
     ])
     def test_only_shape_errors_escape(self, scheme, index, want):
         if isinstance(want, list):
@@ -103,6 +104,37 @@ class TestCoerce:
         with pytest.raises(ShapeError) as exc:
             instantiate(parse_scheme(scheme), index)
         assert (str(exc.value), exc.value.path) == (str(want), want.path)
+
+    @pytest.mark.parametrize("scheme,index,path", [
+        # an iterable that is not a tuple or a list is not an index, also at a star
+        ("a*", "", ()),
+        ("a*", range(3), ()),
+        ("a*", {1: 2}, ()),
+        ("(a|b)*", "ab", ()),
+        ("a*.b*", (2, b"ab"), (2,)),
+    ])
+    def test_only_tuples_and_lists_hold_indexes(self, scheme, index, path):
+        with pytest.raises(ShapeError, match="expected a list or number, got ") as exc:
+            instantiate(parse_scheme(scheme), index)
+        assert exc.value.path == path
+
+    def test_lists_serve_as_tuples(self):
+        assert instantiate(parse_scheme("a*.b*"), [1, [0, []]]) == ["a", "b", "b"]
+        assert instantiate(parse_scheme("(a|b)*"), [[2, []], [1, 0]]) == ["b", "a"]
+
+    def test_printed_index_is_bounded(self):
+        # a value deeper than PRINT_DEPTH or longer than PRINT_ITEMS prints cut
+        deep = ()
+        for _ in range(3000):
+            deep = (deep,)
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a.b"), deep)
+        nest = "{" * PRINT_DEPTH + "..." + "}" * PRINT_DEPTH
+        assert str(exc.value) == f"expected a unit index, got {nest} (at index position root)"
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a.b"), list(range(200000)))
+        items = ", ".join(map(str, range(PRINT_ITEMS)))
+        assert str(exc.value) == f"expected a unit index, got {{{items}, ...}} (at index position root)"
 
     def test_count_on_a_plain_body_instantiates_it_once(self, monkeypatch):
         calls = []
