@@ -26,7 +26,6 @@ from .schemes import (
     EPS,
     IterExpr,
     Star,
-    UNIT,
     build_scheme,
     instantiate,
     parse_scheme,

@@ -66,9 +66,6 @@ class AffineExpr:
             other = AffineExpr.const_(other)
         return AffineExpr.of(self.const + other.const, *self.terms, *other.terms)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         if isinstance(other, int):
             other = AffineExpr.const_(other)
@@ -80,9 +77,6 @@ class AffineExpr:
         return AffineExpr(self.const * k, tuple((c * k, it) for c, it in self.terms))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
 
     # -- queries ------------------------------------------------------------
 
@@ -97,9 +91,6 @@ class AffineExpr:
             for s in it.sel:
                 out |= s.index_terms()
         return out
-
-    def variables(self) -> set:
-        return {it.var for it in self.index_terms()}
 
     def evaluate(self, env: dict) -> int:
         """env maps variable names to ints or (nested) tuples of ints."""

@@ -73,14 +73,10 @@ class Unsupported(TpcError):
 
 
 class Ambiguous(TpcError):
-    """Tuning could not resolve remaining index variables unambiguously."""
-
-
-class Underdetermined(TpcError):
-    """A linear system leaves an unknown free: ``free`` is the first one,
-    or None when the equations mention index terms that are not unknowns;
-    ``least`` is the least natural value of ``free`` that the solved
-    unknowns depending on it alone allow."""
+    """Tuning could not resolve remaining index variables unambiguously.
+    When a linear system leaves an unknown free, ``free`` is the first one,
+    and ``least`` the least natural value of it that the solved unknowns
+    depending on it alone allow; ``free`` is None for any other give-up."""
 
     def __init__(self, message, free=None, least=0):
         self.free = free

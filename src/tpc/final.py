@@ -15,7 +15,9 @@ it.  The iterated groups are then unrolled (their bounds are now
 concrete), and the equations of all their scopes are solved as one
 system over the elements of the multi-indexes.  A final full evaluation
 of the atom set guards against any bad fit, and every proof is replayed
-to its goal before it is returned.
+to its goal before it is returned.  Tuning gives up with ``Ambiguous``;
+when a system leaves a count free that no pin settles, the exception
+carries that count as ``free`` and its least value as ``least``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .affine import AffineExpr, IndexTerm, scopes
-from .errors import Ambiguous, InternalMismatch, Underdetermined
+from .errors import Ambiguous, InternalMismatch
 from .mathsolver import Equation, solve_concrete
 from .paths import IterGroup, apply_segments, eval_atomset
 from .schemes import instantiate
@@ -39,10 +41,11 @@ def _solve_some(eqs, unknowns):
     least value that works: 0 for an unknown no equation mentions, else
     least..least + _FREE_BOUND, where least is the smallest value the
     solved unknowns allow it (any witness will do; the caller verifies the
-    full atom set afterwards).  Underdetermined when every pin fails."""
+    full atom set afterwards).  Ambiguous, with the free unknown as
+    ``free``, when every pin fails."""
     try:
         return solve_concrete(eqs, unknowns)
-    except Underdetermined as exc:
+    except Ambiguous as exc:
         if exc.free is None:
             raise
         failure = exc
@@ -52,7 +55,7 @@ def _solve_some(eqs, unknowns):
         pin = Equation(AffineExpr.var(failure.free), AffineExpr.const_(v))
         try:
             sol = _solve_some(eqs + [pin], unknowns)
-        except Underdetermined:
+        except Ambiguous:
             continue
         if sol is not None:
             return sol
@@ -145,10 +148,7 @@ def _solve_scalar_stage(branch: Branch, t, d):
         if not _tune_atom(atom, t, d, {}, equations):
             return None
     eqs = [Equation(expr, AffineExpr.const_(j)) for expr, j in equations]
-    try:
-        return _solve_some(eqs, unknowns)
-    except Underdetermined as exc:
-        raise Ambiguous(str(exc)) from exc
+    return _solve_some(eqs, unknowns)
 
 
 def _unroll_groups(branch: Branch, t, d, env):
@@ -174,10 +174,7 @@ def _unroll_groups(branch: Branch, t, d, env):
     }
     if not (eqs or elements):
         return env
-    try:
-        sol = solve_concrete(eqs, [e for es in elements.values() for e in es])
-    except Underdetermined as exc:
-        raise Ambiguous(str(exc)) from exc
+    sol = solve_concrete(eqs, [e for es in elements.values() for e in es])
     if sol is None:
         return None
     return {**env, **{m: tuple(sol[e] for e in es) for m, es in elements.items()}}

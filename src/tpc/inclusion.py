@@ -57,14 +57,10 @@ def _atom_equations(fa, ga):
     return [Equation(fc, gc) for fc, gc in pairs if fc != gc]
 
 
-def _single_branch(fn) -> Branch:
-    if isinstance(fn, Branch):
-        return fn
-    if isinstance(fn, SymbolicCharFn):
-        if len(fn.branches) != 1:
-            raise Unsupported("inclusion queries need single-alternative functions")
-        return fn.branches[0]
-    raise TypeError(fn)
+def _single_branch(fn: SymbolicCharFn) -> Branch:
+    if len(fn.branches) != 1:
+        raise Unsupported("inclusion queries need single-alternative functions")
+    return fn.branches[0]
 
 
 def includes(f, g) -> InclusionResult:
@@ -100,7 +96,6 @@ def includes(f, g) -> InclusionResult:
         equations.extend(matched)
 
     system = ConditionSystem(
-        parameters=tuple(d.name for d in fb.decls),
         existentials=tuple(mapping[d.name] for d in gb.decls),
         conditions=tuple(equations),
     )

@@ -8,9 +8,10 @@ sparse Fraction rows.  Three front-ends share it:
   exists (with integrality residues turned into congruences and solved
   values required nonnegative).
 * ``solve_concrete`` pins down fully determined natural values: every
-  scalar count, multi-index length and element that tuning solves, with
-  the first unknown it leaves free, and the least value the solved
-  unknowns allow it, reported for tuning to pin.
+  scalar count, multi-index length and element that tuning solves.  The
+  first unknown it leaves free, and the least value the solved unknowns
+  allow it, are carried by ``Ambiguous`` as ``free`` and ``least``, for
+  tuning to pin.
 * ``sigma._design`` reduces a feature matrix once, to solve each
   repetition count for its feature coefficients (free coordinates zero,
   integral or no fit).
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import ceil, lcm
 
 from .affine import AffineExpr, IndexTerm, ZERO
-from .errors import Underdetermined, Unsupported
+from .errors import Ambiguous, Unsupported
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +74,9 @@ class Congruence:
 
 @dataclass(frozen=True)
 class ConditionSystem:
-    """Conditions over declared parameters, with existentials to be
-    projected out (in declared order)."""
+    """Conditions over parameters, with existentials to be projected out
+    (in declared order)."""
 
-    parameters: tuple = ()
     existentials: tuple = ()
     conditions: tuple = ()
 
@@ -284,7 +284,7 @@ def solve_concrete(equations, unknowns) -> dict:
     has a negative constant and no positive coefficient, which makes it
     negative for every natural value of the terms it still depends on.
     The unknowns are pivoted last-declared first; when the system does not
-    pin every one down, Underdetermined carries the first one left free as
+    pin every one down, Ambiguous carries the first one left free as
     ``free``, and as ``least`` the least value of it that the solved
     unknowns depending on it alone allow."""
     keys = {u if isinstance(u, IndexTerm) else IndexTerm(u): u for u in unknowns}
@@ -303,9 +303,9 @@ def solve_concrete(equations, unknowns) -> dict:
             for sol in solved.values()
             if sol.keys() == {None, missing} and sol[missing] > 0
         ])
-        raise Underdetermined(f"{missing} is not determined", keys[missing], least)
+        raise Ambiguous(f"{missing} is not determined", keys[missing], least)
     if any(len(r) > 1 for r in rows) or any(len(sol) > 1 for sol in solved.values()):
-        raise Underdetermined("equations mention index terms that are not unknowns")
+        raise Ambiguous("equations mention index terms that are not unknowns")
     out = {}
     for key, u in keys.items():
         v = solved[key][None]

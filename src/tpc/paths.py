@@ -127,13 +127,6 @@ class SymbolicPath:
     def apply(self, tree: Term, env: dict = None):
         return apply_segments(self.segments, tree, env or {})
 
-    def to_clause(self) -> Clause:
-        """Concrete paths only: the single merged projection clause."""
-        clause = compose_clauses(IDENTITY, *(step.as_clause() for step in self.expand({})))
-        if clause is None:
-            raise ValueError("path steps do not compose")
-        return clause
-
     def steps(self) -> tuple:
         """The step of each run: the path's skeleton."""
         return tuple([seg.step for seg in self.segments])
@@ -185,11 +178,6 @@ def embed(steps, skeleton):
             return None
         slots.append(at - 1)
     return slots
-
-
-def same_path(p: SymbolicPath, q: SymbolicPath) -> bool:
-    """Semantic equality of concrete paths (merged-clause comparison)."""
-    return p.to_clause().same_relation(q.to_clause())
 
 
 def compose_paths(p: SymbolicPath, q: SymbolicPath) -> SymbolicPath:

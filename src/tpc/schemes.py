@@ -6,10 +6,10 @@ operators ``.`` (sequencing), ``*`` (iteration), ``|`` (choice) and
 expression.
 
 The layout of a multi-index is decided here and nowhere else.  An axiom
-or eps takes no index (``UNIT``); a star takes the tuple of its body's
-indexes, or a plain count when its body takes none; a choice takes
-``(branch, index of that branch)``; a sequence takes the indexes of its
-parts that take one, joined: ``UNIT`` for none, a lone one as itself,
+or eps takes no index, the unit index ``()``; a star takes the tuple of
+its body's indexes, or a plain count when its body takes none; a choice
+takes ``(branch, index of that branch)``; a sequence takes the indexes of
+its parts that take one, joined: ``()`` for none, a lone one as itself,
 several as their tuple.  A list serves wherever a tuple does.
 ``takes_index`` says whether a part takes an index.  ``instantiate``
 checks an index against this layout in the same walk that selects the
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ShapeError, TheorySyntaxError
@@ -109,38 +110,27 @@ def alt(*parts) -> IterExpr:
 # multi-indexes
 
 
-class _Unit:
-    """Placeholder index for components that consume nothing."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "u"
-
-
-UNIT = _Unit()
-
-
 # an index's container is a tuple or a list; print_index prints containers
-# nested PRINT_DEPTH deep and PRINT_ITEMS items in all, "..." for the rest
+# nested PRINT_DEPTH deep and PRINT_ITEMS items in all, and any other value's
+# first PRINT_CHARS characters, "..." for the rest
 _CONTAINERS = (tuple, list)
 PRINT_DEPTH = 10
 PRINT_ITEMS = 100
+PRINT_CHARS = 40
 
 
 def print_index(m) -> str:
-    """An index as text, lists in braces; any other value as its repr."""
+    """An index as text, lists in braces; any other value as its repr, or
+    as its size for an int whose repr is longer than PRINT_CHARS."""
     left = PRINT_ITEMS
 
     def go(x, depth):
         nonlocal left
+        if isinstance(x, int) and not -(10 ** (PRINT_CHARS - 1)) < x < 10**PRINT_CHARS:
+            return f"<int of {x.bit_length()} bits>"
         if not isinstance(x, _CONTAINERS):
-            return repr(x)
+            text = repr(x)
+            return text if len(text) <= PRINT_CHARS else text[:PRINT_CHARS] + "..."
         if depth == PRINT_DEPTH:
             return "..."
         parts = []
@@ -178,8 +168,8 @@ def index_from_stars(e: IterExpr, values):
             return next(values)
         if isinstance(x, Dot):
             items = [go(p) for p in x.parts if takes_index(p)]
-            return UNIT if not items else items[0] if len(items) == 1 else tuple(items)
-        return UNIT
+            return items[0] if len(items) == 1 else tuple(items)
+        return ()
 
     return go(e)
 
@@ -204,8 +194,8 @@ def star_kind(e: Star):
 def instantiate(e: IterExpr, m) -> list:
     """The specific expression (ordered list of axiom names) selected by
     multi-index *m*, checked against the layout as it is walked: a list
-    serves wherever a tuple does, a part that takes no index accepts UNIT,
-    0 or an empty tuple or list, and a plain count n stands for n
+    serves wherever a tuple does, a part that takes no index accepts the
+    unit index (), an empty list or 0, and a plain count n stands for n
     repetitions of a star body that takes none.  A misshapen index raises
     ShapeError at its 1-based position."""
     out = []
@@ -217,12 +207,12 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
     if isinstance(e, Star):
         if isinstance(m, int):
             if m < 0:
-                raise ShapeError(f"a count cannot be negative, got {m}", path)
+                raise ShapeError(f"a count cannot be negative, got {print_index(m)}", path)
             if takes_index(e.body):
                 raise ShapeError("a plain number cannot stand for a list of structured indexes", path)
-            out.extend(instantiate(e.body, UNIT) * m)
-        elif m is UNIT:
-            raise ShapeError("expected a list or number, got a unit placeholder", path)
+            if m > sys.maxsize:
+                raise ShapeError(f"a count too large to repeat, got {print_index(m)}", path)
+            out.extend(instantiate(e.body, ()) * m)
         elif not isinstance(m, _CONTAINERS):
             raise ShapeError(f"expected a list or number, got {print_index(m)}", path)
         else:
@@ -236,13 +226,13 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
             raise ShapeError(f"branch selector {print_index(branch)} out of range", path)
         _instantiate(e.parts[branch - 1], sub, path + (2,), out)
     elif not takes_index(e):
-        if not (m is UNIT or isinstance(m, (int, *_CONTAINERS)) and m in (0, (), [])):
+        if not (isinstance(m, (int, *_CONTAINERS)) and m in (0, (), [])):
             raise ShapeError(f"expected a unit index, got {print_index(m)}", path)
         if isinstance(e, Axiom):
             out.append(e.name)
         elif isinstance(e, Dot):
             for p in e.parts:
-                _instantiate(p, UNIT, path, out)
+                _instantiate(p, (), path, out)
         elif not isinstance(e, Eps):
             raise TypeError(f"not an IterExpr: {e!r}")
     else:
@@ -256,7 +246,7 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
         else:
             raise ShapeError(f"expected {n} index components, got {print_index(m)}", path)
         for p, taker in zip(e.parts, takers):
-            x, at = next(subs) if taker else (UNIT, path)
+            x, at = next(subs) if taker else ((), path)
             _instantiate(p, x, at, out)
 
 

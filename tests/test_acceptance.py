@@ -240,7 +240,9 @@ def test_multiindex_system():
             tuple(rng.randrange(0, 6) for _ in range(rng.randrange(2, 5))),
             tuple(rng.randrange(0, 6) for _ in range(rng.randrange(2, 5))),
         )
-        # solve_u returns only a unique solution: Underdetermined otherwise
+        # solve_u returns only a unique solution; otherwise solve_concrete
+        # raises Ambiguous, which carries the free unknown as free and its
+        # least value as least
         u = solve_u(conditions, (m1, m2))
         assert u == m1[:-2] + (m1[-2] + m2[0], m1[-1] + m2[1]) + m2[2:]
         assert len(u) == len(m1) + len(m2) - 2

@@ -113,6 +113,13 @@ class TestScalarTuning:
         n, k = AffineExpr.var("n"), AffineExpr.var("k")
         assert _solve_some([Equation(n - k, AffineExpr.const_(10))], ["n", "k"]) == {"n": 10, "k": 0}
 
+    def test_free_count_no_pin_settles_is_ambiguous_with_it(self):
+        # 10k = n + 1 needs n = 9, past the pins 0..8 that are tried
+        n, k = AffineExpr.var("n"), AffineExpr.var("k")
+        with pytest.raises(Ambiguous) as exc:
+            _solve_some([Equation(k * 10, n + 1)], ["n", "k"])
+        assert (str(exc.value), exc.value.free, exc.value.least) == ("n is not determined", "n", 0)
+
 
 class TestMultiIndexTuning:
     def test_rotation_elements(self):

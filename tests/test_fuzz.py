@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from tpc import instantiate, parse_scheme, parse_term, parse_theory
 from tpc.errors import ShapeError, TpcError
-from tpc.schemes import UNIT
 
 
 def _text(fragments):
@@ -62,7 +61,7 @@ SCHEMES = st.recursive(
 RAW_VALUES = st.recursive(
     st.one_of(
         st.integers(-3, 5), st.booleans(), st.none(), st.floats(), st.text(max_size=3),
-        st.binary(max_size=3), st.just(UNIT),
+        st.binary(max_size=3),
     ),
     lambda sub: st.one_of(
         st.lists(sub, max_size=4),

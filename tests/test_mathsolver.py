@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tpc.affine import AffineExpr, IndexTerm, ZERO, scopes
-from tpc.errors import Underdetermined, Unsupported
+from tpc.errors import Ambiguous, Unsupported
 from tpc.mathsolver import (
     Congruence,
     ConditionSystem,
@@ -34,7 +34,6 @@ class TestEliminate:
         # 2n + 4 = 2k + 2 and n + 3 = k + 2 have the natural solution
         # k = n + 1 for every n, so the region is everything.
         sys = ConditionSystem(
-            parameters=("n",),
             existentials=("k",),
             conditions=(
                 Equation(n * 2 + 4, k * 2 + 2),
@@ -48,7 +47,6 @@ class TestEliminate:
 
     def test_reversed_query_gives_lower_bound(self):
         sys = ConditionSystem(
-            parameters=("k",),
             existentials=("n",),
             conditions=(
                 Equation(k * 2 + 2, n * 2 + 4),
@@ -61,7 +59,7 @@ class TestEliminate:
         assert eval_region(r, {"k": 1}) and not eval_region(r, {"k": 0})
 
     def test_parity_congruence(self):
-        sys = ConditionSystem(("n",), ("k",), (Equation(n, k * 2),))
+        sys = ConditionSystem(("k",), (Equation(n, k * 2),))
         r = eliminate(sys)
         assert r.kind == "conditional"
         assert len(r.conditions) == 1
@@ -70,28 +68,44 @@ class TestEliminate:
         assert eval_region(r, {"n": 4}) and not eval_region(r, {"n": 3})
 
     def test_inconsistent(self):
-        sys = ConditionSystem((), ("k",), (Equation(k, one), Equation(k, two)))
+        sys = ConditionSystem(("k",), (Equation(k, one), Equation(k, two)))
         assert eliminate(sys).is_unsat
 
     def test_constant_contradiction(self):
-        assert eliminate(ConditionSystem((), (), (Equation(one, two),))).is_unsat
+        assert eliminate(ConditionSystem((), (Equation(one, two),))).is_unsat
 
     def test_unconstrained_existential(self):
-        sys = ConditionSystem(("n",), ("k",), (Equation(n, n),))
+        sys = ConditionSystem(("k",), (Equation(n, n),))
         assert eliminate(sys).is_universal
 
     def test_residual_equation_on_parameters(self):
         m = AffineExpr.var("m")
-        sys = ConditionSystem(("n", "m"), ("k",), (Equation(k, n), Equation(n, m + 1)))
+        sys = ConditionSystem(("k",), (Equation(k, n), Equation(n, m + 1)))
         r = eliminate(sys)
         assert r.kind == "conditional"
         assert any(isinstance(c, Equation) for c in r.conditions)
         assert eval_region(r, {"n": 3, "m": 2})
         assert not eval_region(r, {"n": 3, "m": 3})
 
+    def test_implied_inequality_is_dropped(self):
+        # 2n - 2 = 2 * (n - 1), so n - 1 >= 0 implies 2n - 2 >= 0
+        j = AffineExpr.var("j")
+        sys = ConditionSystem(("k", "j"), (Equation(k, n - 1), Equation(j, n * 2 - 2)))
+        r = eliminate(sys)
+        assert [str(c) for c in r.conditions] == ["n - 1 >= 0"]
+        assert [str(c) for c in r.raw] == ["n - 1 >= 0", "2n - 2 >= 0"]
+
+    def test_inequality_not_implied_is_kept(self):
+        # n = 1 meets n - 1 >= 0 but not 2n - 3 >= 0
+        j = AffineExpr.var("j")
+        sys = ConditionSystem(("k", "j"), (Equation(k, n - 1), Equation(j, n * 2 - 3)))
+        r = eliminate(sys)
+        assert [str(c) for c in r.conditions] == ["n - 1 >= 0", "2n - 3 >= 0"]
+        assert r.raw == r.conditions
+
     def test_only_equations_eliminate(self):
         for cond in (Ineq(n, one), Congruence(n, 2)):
-            sys = ConditionSystem(("n",), ("k",), (cond, Equation(k + 1, n)))
+            sys = ConditionSystem(("k",), (cond, Equation(k + 1, n)))
             with pytest.raises(Unsupported, match=type(cond).__name__):
                 eliminate(sys)
 
@@ -109,7 +123,7 @@ class TestEliminateSoundness:
             Equation(n * a1 + c1, k * b1),
             Equation(n * a2 + c2, k * b2),
         )
-        sys = ConditionSystem(("n",), ("k",), eqs)
+        sys = ConditionSystem(("k",), eqs)
         try:
             r = eliminate(sys)
         except Unsupported:
@@ -146,7 +160,7 @@ class TestSolveConcrete:
 
     def test_underdetermined(self):
         # k is pivoted first, so n is the one reported free
-        with pytest.raises(Underdetermined) as exc:
+        with pytest.raises(Ambiguous) as exc:
             solve_concrete((Equation(n + k, two),), ("n", "k"))
         assert exc.value.free == "n"
 
@@ -163,10 +177,10 @@ class TestSolveConcrete:
     def test_underdetermined_carries_the_least_free_value(self):
         # k = n - 10 needs n >= 10; k + 2n = 7 leaves n free with k = 7 - 2n,
         # which bounds n only from above
-        with pytest.raises(Underdetermined) as exc:
+        with pytest.raises(Ambiguous) as exc:
             solve_concrete((Equation(n - k, AffineExpr.const_(10)),), ("n", "k"))
         assert (exc.value.free, exc.value.least) == ("n", 10)
-        with pytest.raises(Underdetermined) as exc:
+        with pytest.raises(Ambiguous) as exc:
             solve_concrete((Equation(k + n * 2, AffineExpr.const_(7)),), ("n", "k"))
         assert (exc.value.free, exc.value.least) == ("n", 0)
 

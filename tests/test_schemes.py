@@ -9,7 +9,6 @@ from tpc import (
     Axiom,
     Dot,
     Star,
-    UNIT,
     build_scheme,
     instantiate,
     load_theory,
@@ -22,7 +21,7 @@ from tpc import (
 import tpc.schemes
 from tpc.errors import ShapeError, TheorySyntaxError
 from tpc.paths import split_axiom
-from tpc.schemes import PRINT_DEPTH, PRINT_ITEMS, Eps, index_from_stars
+from tpc.schemes import PRINT_CHARS, PRINT_DEPTH, PRINT_ITEMS, Eps, index_from_stars
 from tpc.sigma import sigma
 from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars, substitute
 
@@ -35,14 +34,14 @@ class TestCoerce:
     """instantiate checks a raw index against the layout as it walks it."""
 
     def test_nat_index_canonicalizes(self):
-        # counts and lists of unit placeholders select the same sequence
-        canonical = (((UNIT, UNIT), (), (UNIT,)), (UNIT, UNIT, UNIT))
+        # counts and lists of unit indexes select the same sequence
+        canonical = ((((), ()), (), ((),)), ((), (), ()))
         assert instantiate(AB_STAR, ((2, 0, 1), 3)) == instantiate(AB_STAR, canonical)
 
     def test_nat_becomes_unit_list(self):
         assert instantiate(parse_scheme("a*"), 0) == []
         assert instantiate(parse_scheme("(a.b)*"), 3) == ["a", "b"] * 3
-        assert instantiate(parse_scheme("(a.b)*"), (0, UNIT, ())) == ["a", "b"] * 3
+        assert instantiate(parse_scheme("(a.b)*"), (0, (), [])) == ["a", "b"] * 3
 
     @pytest.mark.parametrize("scheme,index", [
         ("a*", -2),
@@ -64,13 +63,13 @@ class TestCoerce:
         ("a.b", 1, "expected a unit index, got 1", ()),
         ("a*", (0, 2), "expected a unit index, got 2", (2,)),
         ("(a*.b)*", 2, "a plain number cannot stand for a list of structured indexes", ()),
-        ("a*.b*", (3, UNIT), "expected a list or number, got a unit placeholder", (2,)),
+        ("a*.b*", (3, "x" * 50), "expected a list or number, got '" + "x" * (PRINT_CHARS - 1) + "...", (2,)),
         ("(a*.b)*.a*", ((1, 2),), "expected 2 index components, got {{1, 2}}", ()),
         ("(a*.b*.c)*", ((1, 2), (1, 2, 3)), "expected 2 index components, got {1, 2, 3}", (2,)),
-        ("a*|b", (3, UNIT), "branch selector 3 out of range", ()),
-        ("c.(a*|b)*", ((2, UNIT), (0, 1)), "branch selector 0 out of range", (2,)),
+        ("a*|b", (3, ()), "branch selector 3 out of range", ()),
+        ("c.(a*|b)*", ((2, ()), (0, 1)), "branch selector 0 out of range", (2,)),
         ("a|b*", (2, -1), "a count cannot be negative, got -1", (2,)),
-        ("(a|b)*", ((1, UNIT), [1]), "a choice index must have length 2", (2,)),
+        ("(a|b)*", ((1, ()), [1]), "a choice index must have length 2", (2,)),
     ])
     def test_shape_errors_name_their_position(self, scheme, index, message, path):
         with pytest.raises(ShapeError) as exc:
@@ -92,7 +91,7 @@ class TestCoerce:
         # what instantiated, or raised a ShapeError, still does
         ("a*", True, ["a"]),
         ("(a.b)*.a*", ([0, ()], 2), ["a", "b", "a", "b", "a", "a"]),
-        ("(a|b)*", [(2, UNIT), (1, 0)], ["b", "a"]),
+        ("(a|b)*", [(2, ()), (1, 0)], ["b", "a"]),
         # a list serves wherever a tuple does, also at a choice and a unit part
         ("a*|b", [1, 2], ["a", "a"]),
         ("a.b", [], ["a", "b"]),
@@ -136,6 +135,37 @@ class TestCoerce:
         items = ", ".join(map(str, range(PRINT_ITEMS)))
         assert str(exc.value) == f"expected a unit index, got {{{items}, ...}} (at index position root)"
 
+    def test_a_long_value_prints_cut(self):
+        # a value's text once went into the message whole
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a"), "x" * 10**6)
+        cut = "'" + "x" * (PRINT_CHARS - 1) + "..."
+        assert str(exc.value) == f"expected a unit index, got {cut} (at index position root)"
+
+    def test_many_long_values_print_cut(self):
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a"), ["x" * 1000] * 100)
+        items = ", ".join(["'" + "x" * (PRINT_CHARS - 1) + "..."] * 100)
+        assert str(exc.value) == f"expected a unit index, got {{{items}}} (at index position root)"
+
+    def test_an_int_too_long_to_print_prints_its_size(self):
+        # repr refuses an int of over 4300 digits, which escaped as ValueError
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a"), 10**5000)
+        assert str(exc.value) == "expected a unit index, got <int of 16610 bits> (at index position root)"
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a*"), -(10**5000))
+        assert str(exc.value) == "a count cannot be negative, got <int of 16610 bits> (at index position root)"
+
+    def test_a_count_too_large_to_repeat_is_a_shape_error(self):
+        # repeating a star body 10**20 times escaped as OverflowError
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a*"), 10**20)
+        assert str(exc.value) == "a count too large to repeat, got 100000000000000000000 (at index position root)"
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a*.b*"), (1, 10**20))
+        assert exc.value.path == (2,)
+
     def test_count_on_a_plain_body_instantiates_it_once(self, monkeypatch):
         calls = []
         walk = tpc.schemes._instantiate
@@ -161,12 +191,12 @@ class TestInstantiate:
         assert index == ((2, 0, 1), 3)
         assert instantiate(AB_STAR, index) == ["a", "a", "b", "b", "a", "b", "a", "a", "a"]
         assert index_from_stars(parse_scheme("a.b.a*.b"), [2]) == 2
-        assert index_from_stars(parse_scheme("a.b"), []) is UNIT
+        assert index_from_stars(parse_scheme("a.b"), []) == ()
 
     def test_alt_branch_selection(self):
         e = parse_scheme("a*|b")
         assert instantiate(e, (1, 2)) == ["a", "a"]
-        assert instantiate(e, (2, UNIT)) == ["b"]
+        assert instantiate(e, (2, ())) == ["b"]
 
 
 # _instantiate and _gen_exact as they were when each wrote out the layout
@@ -204,7 +234,7 @@ def _ref_instantiate(e, c):
         k = 0
         for p in e.parts:
             if _ref_unit(p):
-                out.extend(_ref_instantiate(p, UNIT))
+                out.extend(_ref_instantiate(p, ()))
             else:
                 out.extend(_ref_instantiate(p, components[k]))
                 k += 1
@@ -216,11 +246,11 @@ def _ref_instantiate(e, c):
 def _ref_gen_exact(e, L):
     if isinstance(e, Axiom):
         if L == 1:
-            yield UNIT
+            yield ()
         return
     if isinstance(e, Eps):
         if L == 0:
-            yield UNIT
+            yield ()
         return
     if isinstance(e, Star):
         lo = _ref_min_length(e.body)
@@ -253,7 +283,7 @@ def _ref_gen_exact(e, L):
 
         nonunit_count = units.count(False)
         for combo in go(0, L):
-            yield UNIT if nonunit_count == 0 else combo[0] if nonunit_count == 1 else combo
+            yield () if nonunit_count == 0 else combo[0] if nonunit_count == 1 else combo
         return
     for b, p in enumerate(e.parts, start=1):
         for idx in _ref_gen_exact(p, L):

@@ -15,7 +15,6 @@ from tpc.mathsolver import reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, eval_atomset
 from tpc.schemes import (
-    UNIT,
     Alt,
     Axiom,
     Dot,
@@ -243,7 +242,7 @@ def _ref_layout(e, decls):
 def _ref_build_index(spec, env):
     tag = spec[0]
     if tag == "unit":
-        return UNIT
+        return ()
     if tag == "scalar":
         return env[spec[1]]
     if tag == "multi":
