@@ -1,23 +1,27 @@
 """Turning a symbolic characteristic function into a decision procedure.
 
-Tuning pins the index variables down for one concrete tree pair.  Every
-atom whose paths contain exactly one unknown repetition count can be
-counted greedily: apply the known side to get the target subtree, walk
-the unknown run step by step, and stop at the unique depth where the
-known suffix reproduces the target.  The counting walk reads tree sizes,
-which strictly decrease along a run: it gives up once the run's tree is
-smaller than the target, and when no suffix follows the run, it compares
-trees only at the target's size.  Each count contributes one linear
-equation, and ``solve_concrete`` solves every system exactly.  The
-scalars and multi-index lengths come first; a count that system leaves
-free is pinned to its least value that works, 0 if no equation mentions
-it.  The iterated groups are then unrolled (their bounds are now
-concrete), and the equations of all their scopes are solved as one
-system over the elements of the multi-indexes.  A final full evaluation
-of the atom set guards against any bad fit, and every proof is replayed
-to its goal before it is returned.  Tuning gives up with ``Ambiguous``;
-when a system leaves a count free that no pin settles, the exception
-carries that count as ``free`` and its least value as ``least``.
+Tuning pins the index variables down for one concrete tree pair.  A
+repetition count is unknown when it is not a constant.  Every atom whose
+paths contain exactly one unknown count can be counted greedily: apply
+the known side to get the target subtree, walk the unknown run step by
+step, and stop at the unique depth where the known suffix reproduces the
+target.  The counting walk reads tree sizes, which strictly decrease
+along a run: it gives up once the run's tree is smaller than the target,
+and when no suffix follows the run, it compares trees only at the
+target's size.  Each count contributes one linear equation, and
+``solve_concrete`` solves every system exactly.  The atoms outside the
+iterated groups give the first system, over the scalars and multi-index
+lengths; a count it leaves free is pinned to its least value that works,
+0 if no equation mentions it.  Each group then unrolls into ordinary
+atoms, its body once per scope with the scope's ints (the iteration
+variable, the scalars and the solved lengths) substituted into the
+counts, so that only the elements of the multi-indexes stay unknown; the
+same counting gives the second system, over those elements.  A final
+full evaluation of the atom set guards against any bad fit, and every
+proof is replayed to its goal before it is returned.  Tuning gives up
+with ``Ambiguous``; when a system leaves a count free that no pin
+settles, the exception carries that count as ``free`` and its least
+value as ``least``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from .affine import AffineExpr, IndexTerm, scopes
 from .errors import Ambiguous, InternalMismatch
 from .mathsolver import Equation, solve_concrete
-from .paths import IterGroup, apply_segments, eval_atomset
+from .paths import IterGroup, Segment, SymbolicPath, apply_segments, eval_atomset
 from .schemes import instantiate
 from .sigma import Branch, SymbolicCharFn
 from .terms import Proof, Term, replay, term_size
@@ -68,20 +72,12 @@ class TuneResult:
     assignment: dict  # scalars to ints, multi-indexes to tuples of ints
 
 
-def _is_known(expr: AffineExpr, env) -> bool:
-    try:
-        expr.evaluate(env)
-        return True
-    except (KeyError, IndexError):
-        return False
-
-
-def _count_equation(segments, base: Term, target: Term, env):
+def _count_equation(segments, base: Term, target: Term):
     """segments applied to *base* must yield *target*; exactly one segment
-    count is unknown.  Returns (count expression, observed count) or None
-    when no count matches."""
-    idx = next(i for i, s in enumerate(segments) if not _is_known(s.count, env))
-    tree = apply_segments(segments[:idx], base, env)
+    count is unknown, that is, not a constant.  Returns (count expression,
+    observed count) or None when no count matches."""
+    idx = next(i for i, s in enumerate(segments) if not s.count.is_const)
+    tree = apply_segments(segments[:idx], base, {})
     if tree is None:
         return None
     step = segments[idx].step
@@ -97,7 +93,7 @@ def _count_equation(segments, base: Term, target: Term, env):
         if n < size:
             return None
         if suffix:
-            if apply_segments(suffix, tree, env) == target:
+            if apply_segments(suffix, tree, {}) == target:
                 return segments[idx].count, j
         elif n == size:
             return (segments[idx].count, j) if tree == target else None
@@ -106,67 +102,62 @@ def _count_equation(segments, base: Term, target: Term, env):
     return None
 
 
-def _tune_atom(atom, t, d, env, equations) -> bool:
-    """Extracts one equation (or a consistency check) from a non-iterated
-    atom; False when the atom cannot hold."""
-    sides = [(path.segments, tree) for path, tree in atom.sides(t, d)]
-    unknown = [
-        i
-        for i, (segs, _) in enumerate(sides)
-        if any(not _is_known(s.count, env) for s in segs)
-    ]
-    if not unknown:
-        vals = [apply_segments(segs, base, env) for segs, base in sides]
-        return vals[0] is not None and vals[0] == vals[1]
-    if len(unknown) != 1:
-        raise Ambiguous("both sides of an atom have undetermined counts")
-    (usegs, ubase) = sides[unknown[0]]
-    (ksegs, kbase) = sides[1 - unknown[0]]
-    if sum(1 for s in usegs if not _is_known(s.count, env)) != 1:
-        raise Ambiguous("an atom has two undetermined counts on one side")
-    target = apply_segments(ksegs, kbase, env)
-    if target is None:
-        return False
-    got = _count_equation(usegs, ubase, target, env)
-    if got is None:
-        return False
-    expr, j = got
-    equations.append((expr, j))
-    return True
-
-
-def _solve_scalar_stage(branch: Branch, t, d):
-    """Counts all non-iterated atoms, treating multi-index lengths as
-    scalars; returns the partial env or None."""
-    unknowns = [v.name for v in branch.decls]
-    if not unknowns:
-        return {}
-    equations = []
-    for atom in branch.atoms.conjuncts:
-        if isinstance(atom, IterGroup):
-            continue
-        if not _tune_atom(atom, t, d, {}, equations):
-            return None
-    eqs = [Equation(expr, AffineExpr.const_(j)) for expr, j in equations]
-    return _solve_some(eqs, unknowns)
-
-
-def _unroll_groups(branch: Branch, t, d, env):
-    """Tunes the multi-index elements inside the iterated groups, whose
-    bounds *env* makes concrete: the equations of every group scope, scope
-    scalars substituted, are solved as one system over the elements
-    m[1..len]; replaces solved lengths by concrete tuples."""
+def _equations(atoms, t, d):
+    """One equation per atom with an unknown count, read off (t, d); an
+    atom without one is checked instead.  None when an atom cannot hold."""
     eqs = []
+    for atom in atoms:
+        sides = [(path.segments, tree) for path, tree in atom.sides(t, d)]
+        unknown = [i for i, (segs, _) in enumerate(sides) if not all(s.count.is_const for s in segs)]
+        if not unknown:
+            vals = [apply_segments(segs, base, {}) for segs, base in sides]
+            if vals[0] is None or vals[0] != vals[1]:
+                return None
+            continue
+        if len(unknown) != 1:
+            raise Ambiguous("both sides of an atom have undetermined counts")
+        (usegs, ubase) = sides[unknown[0]]
+        (ksegs, kbase) = sides[1 - unknown[0]]
+        if sum(1 for s in usegs if not s.count.is_const) != 1:
+            raise Ambiguous("an atom has two undetermined counts on one side")
+        target = apply_segments(ksegs, kbase, {})
+        got = None if target is None else _count_equation(usegs, ubase, target)
+        if got is None:
+            return None
+        eqs.append(Equation(got[0], AffineExpr.const_(got[1])))
+    return eqs
+
+
+def _unrolled(branch: Branch, env):
+    """The body atoms of every iterated group, once per scope, with the
+    scope's ints substituted into their counts, segment for segment: only
+    the elements of the multi-indexes stay unknown."""
     for group in branch.atoms.conjuncts:
         if not isinstance(group, IterGroup):
             continue
         for scope in scopes(group, env):
-            mapping = {k: AffineExpr.const_(v) for k, v in scope.items() if isinstance(v, int)}
-            equations = []
+            mapping = {k: AffineExpr.const_(v) for k, v in scope.items()}
             for atom in group.body:
-                if not _tune_atom(atom, t, d, scope, equations):
-                    return None
-            eqs += [Equation(expr.substitute(mapping), AffineExpr.const_(j)) for expr, j in equations]
+                yield atom.with_paths(*(
+                    SymbolicPath(tuple(Segment(s.step, s.count.substitute(mapping)) for s in path.segments))
+                    for path, _ in atom.sides()
+                ))
+
+
+def _assignment(branch: Branch, t, d):
+    """The index assignment the atoms of *branch* give for (t, d): the
+    scalars and lengths from the atoms outside the groups, then the
+    elements from the unrolled groups; None when an atom cannot hold."""
+    unknowns = [v.name for v in branch.decls]
+    env = {}
+    if unknowns:
+        eqs = _equations((a for a in branch.atoms.conjuncts if not isinstance(a, IterGroup)), t, d)
+        env = None if eqs is None else _solve_some(eqs, unknowns)
+        if env is None:
+            return None
+    eqs = _equations(_unrolled(branch, env), t, d)
+    if eqs is None:
+        return None
     elements = {
         v.name: [IndexTerm(v.name, (AffineExpr.const_(i),)) for i in range(1, env[v.name] + 1)]
         for v in branch.decls
@@ -186,16 +177,11 @@ def tune(fn: SymbolicCharFn, t: Term, d: Term) -> TuneResult:
     ambiguous = None
     for bi, branch in enumerate(fn.branches):
         try:
-            env = _solve_scalar_stage(branch, t, d)
-            if env is None:
-                continue
-            full = _unroll_groups(branch, t, d, env)
+            full = _assignment(branch, t, d)
         except Ambiguous as exc:
             ambiguous = exc
             continue
-        if full is None:
-            continue
-        if eval_atomset(branch.atoms, full, t, d):
+        if full is not None and eval_atomset(branch.atoms, full, t, d):
             return TuneResult(bi, full)
     if ambiguous is not None:
         raise ambiguous

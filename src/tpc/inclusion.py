@@ -15,7 +15,7 @@ from .affine import ZERO, AffineExpr
 from .errors import Unsupported
 from .mathsolver import ConditionSystem, Equation, Region, eliminate
 from .paths import IterGroup, SymbolicPath, embed
-from .sigma import _MULTI_NAMES, _SCALAR_NAMES, Branch, SymbolicCharFn, _fresh
+from .sigma import Branch, SymbolicCharFn, fresh_name
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def includes(f, g) -> InclusionResult:
     for d in gb.decls:
         name = d.name
         if name in taken:
-            name = _fresh(taken, _SCALAR_NAMES if d.kind == "scalar" else _MULTI_NAMES)
+            name = fresh_name(taken, d.kind)
         taken.add(name)
         mapping[d.name] = name
     # element selectors occur only inside iterated groups, which are

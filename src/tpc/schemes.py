@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import functools
 import re
-import sys
 from dataclasses import dataclass
 
 from .errors import ShapeError, TheorySyntaxError
-from .terms import IDENTITY, Theory, compose_clauses
+from .terms import IDENTITY, Theory, compose_clauses, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +209,11 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
                 raise ShapeError(f"a count cannot be negative, got {print_index(m)}", path)
             if takes_index(e.body):
                 raise ShapeError("a plain number cannot stand for a list of structured indexes", path)
-            if m > sys.maxsize:
-                raise ShapeError(f"a count too large to repeat, got {print_index(m)}", path)
-            out.extend(instantiate(e.body, ()) * m)
+            try:
+                out.extend(instantiate(e.body, ()) * m)
+            except (MemoryError, OverflowError):
+                # a repeat too long for an index, or refused by the allocator
+                raise ShapeError(f"a count too large to repeat, got {print_index(m)}", path) from None
         elif not isinstance(m, _CONTAINERS):
             raise ShapeError(f"expected a list or number, got {print_index(m)}", path)
         else:
@@ -287,7 +288,7 @@ def reduce_specific(th: Theory, seq, prefix=None):
 # concrete syntax
 
 
-_SCHEME_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[().*|]|\s+")
+_SCHEME_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[().*|]|(\S)")
 
 # the deepest nesting of parentheses plus stars that parse_scheme accepts;
 # every walk over a scheme recurses, so it stays well inside Python's limit
@@ -295,16 +296,7 @@ MAX_SCHEME_DEPTH = 100
 
 
 def parse_scheme(text: str) -> IterExpr:
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _SCHEME_TOKEN.match(text, pos)
-        if not m:
-            raise TheorySyntaxError(f"unexpected character {text[pos]!r} in scheme", column=pos + 1)
-        tok = m.group(0)
-        if not tok.isspace():
-            tokens.append(tok)
-        pos = m.end()
+    tokens = [tok for tok, _ in tokenize(_SCHEME_TOKEN, text, " in scheme")]
     i = opened = 0
 
     def peek():

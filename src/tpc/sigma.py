@@ -62,8 +62,7 @@ from .schemes import (
     star_kind,
 )
 
-_SCALAR_NAMES = ("n", "k", "j", "l")
-_MULTI_NAMES = ("m", "u", "w")
+_NAMES = {"scalar": ("n", "k", "j", "l"), "multi": ("m", "u", "w"), "iter": ("i", "i2", "i3")}
 
 _SCALAR_FIT = (1, 2, 3)
 _SCALAR_VERIFY = (4, 5)
@@ -94,8 +93,7 @@ def _layout(e: IterExpr, decls: list) -> None:
         kind = star_kind(e)
         if kind is None:
             raise NotLinearizable("index nesting too deep to lay out", e)
-        names = _SCALAR_NAMES if kind == "scalar" else _MULTI_NAMES
-        decls.append(VarDecl(_fresh({d.name for d in decls}, names), kind))
+        decls.append(VarDecl(fresh_name({d.name for d in decls}, kind), kind))
     elif isinstance(e, Dot):
         for p in e.parts:
             _layout(p, decls)
@@ -105,15 +103,18 @@ def _layout(e: IterExpr, decls: list) -> None:
         raise TypeError(e)
 
 
-def _fresh(taken, preferred):
-    """The first of *preferred*, then of preferred[0] + "2", "3", ..., not in *taken*."""
-    for name in preferred:
+def fresh_name(taken, kind: str) -> str:
+    """A name for a variable of *kind* ("scalar", "multi" or "iter", an
+    iteration variable) not in *taken*: the first of the kind's names,
+    then the first name + "2", "3", ..."""
+    names = _NAMES[kind]
+    for name in names:
         if name not in taken:
             return name
     i = 2
-    while f"{preferred[0]}{i}" in taken:
+    while f"{names[0]}{i}" in taken:
         i += 1
-    return f"{preferred[0]}{i}"
+    return f"{names[0]}{i}"
 
 
 def _sample_grid(decls, scalar_pool, multi_pool, cap):
@@ -375,7 +376,7 @@ def _fit_branch(theory, scheme, decls, prefix) -> Branch:
 
     merged = _merge_keys(failing)
     rep_of = {key: rep for rep, members in merged.items() for key in members}
-    itervar = _fresh({d.name for d in decls}, ("i", "i2", "i3"))
+    itervar = fresh_name({d.name for d in decls}, "iter")
     for rep, members in merged.items():
         # per sample, the member occurrences in original atom order
         occ = [

@@ -181,27 +181,25 @@ def print_term(t: Term, memo: dict = None) -> str:
     return "".join(out)
 
 
-_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[(),]|\s+")
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[(),]|(\S)")
 
 
-def _tokenize_term(text: str, line=None):
-    pos = 0
+def tokenize(pattern, text: str, where: str = "", line=None) -> list:
+    """(token, 0-based column) of each match of *pattern* in *text*,
+    whitespace skipped.  *pattern* ends in ``|(\\S)``: a character that
+    group matches starts no token, and raises TheorySyntaxError."""
     tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise TheorySyntaxError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        tok = m.group(0)
-        if not tok.isspace():
-            tokens.append((tok, pos))
-        pos = m.end()
+    for m in pattern.finditer(text):
+        if m.group(1) is not None:
+            raise TheorySyntaxError(f"unexpected character {m.group(1)!r}{where}", line, m.start() + 1)
+        tokens.append((m.group(0), m.start()))
     return tokens
 
 
 def parse_term(text: str, line=None) -> Term:
     """Parse ``IDENT | IDENT '(' term (',' term)* ')'``.  Iterative, so
     arbitrarily deep chains are fine."""
-    tokens = _tokenize_term(text, line)
+    tokens = tokenize(_TOKEN, text, line=line)
     if not tokens:
         raise TheorySyntaxError("empty term", line)
     # stack of (functor_name, children_so_far)

@@ -9,7 +9,7 @@ from tpc.final import _COUNT_CAP, TuneResult, _count_equation, _solve_some, deci
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Equation, solve_concrete
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import AtomSet, EqualsLR, Segment, Step, SymbolicPath, VarDecl, _unit_step
+from tpc.paths import AtomSet, EqualsLR, GroundL, IterGroup, Segment, Step, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
 from tpc.schemes import parse_scheme
 from tpc.sigma import Branch, SymbolicCharFn, sigma
@@ -73,6 +73,49 @@ class TestScalarTuning:
         with pytest.raises(Ambiguous):
             tune(fn, t, t)
 
+    def test_two_unknown_runs_on_one_side_is_ambiguous(self):
+        # built without SymbolicPath.of, which would merge the two F runs
+        p, f = Step(parse_term("P(x)"), "x"), Step(parse_term("F(x)"), "x")
+        left = SymbolicPath((Segment(p), Segment(f, AffineExpr.var("n")), Segment(f, AffineExpr.var("k"))))
+        decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
+        fn = _one_branch(decls, EqualsLR(left, SymbolicPath((Segment(p),))))
+        t = parse_term("P(F(Z))")
+        with pytest.raises(Ambiguous, match="^an atom has two undetermined counts on one side$"):
+            tune(fn, t, t)
+
+    def test_known_side_that_does_not_apply_gives_none(self):
+        p, f = Step(parse_term("P(x)"), "x"), Step(parse_term("F(x)"), "x")
+        left = SymbolicPath((Segment(p), Segment(f, AffineExpr.var("n"))))
+        fn = _one_branch((VarDecl("n", "scalar"),), EqualsLR(left, SymbolicPath((Segment(p),))))
+        assert tune(fn, parse_term("P(F(Z))"), parse_term("Q(Z)")) is None
+
+    def test_group_atom_that_cannot_hold_gives_none(self):
+        # the length m = 1 is solved, then F^{m[1]} cannot reach G(Z) from F(Z)
+        fn = _one_branch_over_m(parse_term("G(Z)"), AffineExpr.element("m", AffineExpr.var("k")))
+        t = parse_term("P(F(Z))")
+        assert tune(fn, t, t) is None
+
+    def test_group_atom_with_no_natural_element_gives_none(self):
+        # the group reads 2 m[1] = 1
+        fn = _one_branch_over_m(parse_term("Z"), AffineExpr.element("m", AffineExpr.var("k")) * 2)
+        t = parse_term("P(F(Z))")
+        assert tune(fn, t, t) is None
+
+    def test_group_scope_keeps_runs_apart(self):
+        # k = 1 zeroes the middle run; merging the runs around it would read
+        # F^{2 m[1]}, one count
+        mk = AffineExpr.element("m", AffineExpr.var("k"))
+        fn = _one_branch_over_m(parse_term("Z"), mk, AffineExpr.var("k") - 1, mk)
+        t = parse_term("P(F(Z))")
+        with pytest.raises(Ambiguous, match="^an atom has two undetermined counts on one side$"):
+            tune(fn, t, t)
+
+    def test_branch_without_indexes_tunes_to_empty_assignment(self):
+        th = load_theory("fg")
+        fn = sigma(th, parse_scheme("a.b"))
+        got = tune(fn, parse_term("P(Z, Z)"), parse_term("P(F(F(F(Z))), G(G(Z)))"))
+        assert got == TuneResult(0, {})
+
     def test_identity_axiom_pins_only_free_counts(self, monkeypatch):
         # a is the identity, so every a* count in the scheme is free; pinning
         # each in turn, determined or not, took over 100 000 solves for one
@@ -119,6 +162,21 @@ class TestScalarTuning:
         with pytest.raises(Ambiguous) as exc:
             _solve_some([Equation(k * 10, n + 1)], ["n", "k"])
         assert (str(exc.value), exc.value.free, exc.value.least) == ("n is not determined", "n", 0)
+
+
+def _one_branch(decls, *atoms):
+    return SymbolicCharFn(parse_scheme("a*"), (Branch(parse_scheme("a*"), decls, AtomSet(atoms)),))
+
+
+def _one_branch_over_m(template, *counts):
+    """A multi-index m whose length t's F run fixes, and a group that
+    reads one F run per count from t's child into *template* for each k
+    in 1..m."""
+    p, f = Step(parse_term("P(x)"), "x"), Step(parse_term("F(x)"), "x")
+    length = GroundL(SymbolicPath((Segment(p), Segment(f, AffineExpr.var("m")))), parse_term("Z"))
+    body = GroundL(SymbolicPath((Segment(p), *(Segment(f, count) for count in counts))), template)
+    group = IterGroup("k", AffineExpr.const_(1), AffineExpr.var("m"), (body,))
+    return _one_branch((VarDecl("m", "multi"),), length, group)
 
 
 class TestMultiIndexTuning:
@@ -286,8 +344,8 @@ def _count_cases(draw):
 )
 def test_count_equation_matches_the_stepwise_walk(case, k):
     segments, base, target = case
-    env = {"k": k}
-    assert _count_equation(segments, base, target, env) == _reference_count(segments, base, target, env)
+    known = tuple(Segment(s.step, s.count.substitute({"k": AffineExpr.const_(k)})) for s in segments)
+    assert _count_equation(known, base, target) == _reference_count(segments, base, target, {"k": k})
 
 
 class TestLargeTrees:

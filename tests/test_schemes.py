@@ -165,6 +165,10 @@ class TestCoerce:
         with pytest.raises(ShapeError) as exc:
             instantiate(parse_scheme("a*.b*"), (1, 10**20))
         assert exc.value.path == (2,)
+        # a count that fits an index but not memory escaped as MemoryError
+        with pytest.raises(ShapeError) as exc:
+            instantiate(parse_scheme("a*"), 2**61)
+        assert str(exc.value) == f"a count too large to repeat, got {2**61} (at index position root)"
 
     def test_count_on_a_plain_body_instantiates_it_once(self, monkeypatch):
         calls = []

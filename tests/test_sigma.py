@@ -37,10 +37,10 @@ from tpc.sigma import (
     _SCALAR_FIT,
     _SCALAR_VERIFY,
     _design,
-    _fresh,
     _layout,
     _sample_grid,
     _verify_branch,
+    fresh_name,
     sigma,
 )
 from tpc.terms import apply_clause, parse_theory
@@ -222,11 +222,11 @@ def _ref_layout(e, decls):
     if isinstance(e, Star):
         nested = [x for x in _ref_nodes(e.body) if isinstance(x, (Star, Alt))]
         if not nested:
-            name = _fresh({d.name for d in decls}, ("n", "k", "j", "l"))
+            name = fresh_name({d.name for d in decls}, "scalar")
             decls.append(VarDecl(name, "scalar"))
             return ("scalar", name)
         if len(nested) == 1 and isinstance(nested[0], Star):
-            name = _fresh({d.name for d in decls}, ("m", "u", "w"))
+            name = fresh_name({d.name for d in decls}, "multi")
             decls.append(VarDecl(name, "multi"))
             return ("multi", name)
         raise NotLinearizable("index nesting too deep to lay out", e)
