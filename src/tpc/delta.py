@@ -75,7 +75,21 @@ class ReductionTrace:
 
 @lru_cache(maxsize=512)
 def _sigma_cached(theory: Theory, scheme: IterExpr):
-    return sigma(theory, scheme)
+    """sigma(theory, scheme), or the NotLinearizable it gave up with as
+    its type and message: a kept exception would keep its traceback, and
+    every frame on it, alive."""
+    try:
+        return sigma(theory, scheme)
+    except NotLinearizable as exc:
+        return type(exc), str(exc)
+
+
+def _sigma(theory: Theory, scheme: IterExpr):
+    """sigma through the cache, a give-up raised afresh on every call."""
+    got = _sigma_cached(theory, scheme)
+    if isinstance(got, tuple):
+        raise got[0](got[1])
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +99,15 @@ def _sigma_cached(theory: Theory, scheme: IterExpr):
 def check_absorption(theory: Theory, x: IterExpr, y: IterExpr) -> bool:
     """Is one extra leading x of (x*.y) redundant, i.e.
     x.y.x*.y included in y.x*.y?"""
-    f = _sigma_cached(theory, dot(x, y, Star(x), y))
-    g = _sigma_cached(theory, dot(y, Star(x), y))
+    f = _sigma(theory, dot(x, y, Star(x), y))
+    g = _sigma(theory, dot(y, Star(x), y))
     return includes(f, g).universal
 
 
 def check_commutation(theory: Theory, x: IterExpr, y: IterExpr) -> bool:
     """Do x and y commute as relations (x.y = y.x)?"""
-    f = _sigma_cached(theory, dot(x, y))
-    g = _sigma_cached(theory, dot(y, x))
+    f = _sigma(theory, dot(x, y))
+    g = _sigma(theory, dot(y, x))
     return includes(f, g).universal and includes(g, f).universal
 
 

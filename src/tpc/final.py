@@ -8,15 +8,18 @@ step, and stop at the unique depth where the known suffix reproduces the
 target.  The counting walk reads tree sizes, which strictly decrease
 along a run: it gives up once the run's tree is smaller than the target,
 and when no suffix follows the run, it compares trees only at the
-target's size.  Each count contributes one linear equation, and
-``solve_concrete`` solves every system exactly.  The atoms outside the
-iterated groups give the first system, over the scalars and multi-index
-lengths; a count it leaves free is pinned to its least value that works,
-0 if no equation mentions it.  Each group then unrolls into ordinary
-atoms, its body once per scope with the scope's ints (the iteration
-variable, the scalars and the solved lengths) substituted into the
-counts, so that only the elements of the multi-indexes stay unknown; the
-same counting gives the second system, over those elements.  A final
+target's size.  Each count contributes one linear equation.  The atoms
+outside the iterated groups give the first system, over the scalars and
+multi-index lengths.  Which atoms it counts, and their count expressions,
+depend on the branch alone, so a branch compiles that system once
+(``Branch.scalar_stage``), and each tune solves it at the observed counts
+in integers; a count it leaves free is pinned to its least value that
+works, 0 if no equation mentions it.  Each group then unrolls into
+ordinary atoms, its body once per scope with the scope's ints (the
+iteration variable, the scalars and the solved lengths) substituted into
+the counts, so that only the elements of the multi-indexes stay unknown;
+the same counting gives the second system, over those elements, which
+``solve_concrete`` solves, since its shape follows the lengths.  A final
 full evaluation of the atom set guards against any bad fit, and every
 proof is replayed to its goal before it is returned.  Tuning gives up
 with ``Ambiguous``; when a system leaves a count free that no pin
@@ -27,38 +30,39 @@ value as ``least``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .affine import AffineExpr, IndexTerm, scopes
 from .errors import Ambiguous, InternalMismatch
-from .mathsolver import Equation, solve_concrete
+from .mathsolver import Equation, LinearSystem, solve_concrete
 from .paths import IterGroup, Segment, SymbolicPath, apply_segments, eval_atomset
 from .schemes import instantiate
-from .sigma import Branch, SymbolicCharFn
 from .terms import Proof, Term, replay, term_size
+
+if TYPE_CHECKING:  # sigma imports this module, for Branch.scalar_stage
+    from .sigma import Branch, SymbolicCharFn
 
 _COUNT_CAP = 10_000_000
 _FREE_BOUND = 8
 
 
-def _solve_some(eqs, unknowns):
-    """solve_concrete, with each unknown it reports free pinned to its
-    least value that works: 0 for an unknown no equation mentions, else
-    least..least + _FREE_BOUND, where least is the smallest value the
+def _solve_some(system: LinearSystem, values, pins):
+    """system.solve(values, pins), with each unknown it reports free pinned
+    to its least value that works: 0 for an unknown no equation mentions,
+    else least..least + _FREE_BOUND, where least is the smallest value the
     solved unknowns allow it (any witness will do; the caller verifies the
     full atom set afterwards).  Ambiguous, with the free unknown as
     ``free``, when every pin fails."""
     try:
-        return solve_concrete(eqs, unknowns)
+        return system.solve(values, pins)
     except Ambiguous as exc:
         if exc.free is None:
             raise
         failure = exc
-    free = IndexTerm(failure.free)
-    mentioned = any(free in eq.diff.index_terms() for eq in eqs)
+    mentioned = IndexTerm(failure.free) in system.terms
     for v in range(failure.least, failure.least + _FREE_BOUND + 1) if mentioned else (0,):
-        pin = Equation(AffineExpr.var(failure.free), AffineExpr.const_(v))
         try:
-            sol = _solve_some(eqs + [pin], unknowns)
+            sol = _solve_some(system, values, {**pins, failure.free: v})
         except Ambiguous:
             continue
         if sol is not None:
@@ -102,30 +106,59 @@ def _count_equation(segments, base: Term, target: Term):
     return None
 
 
-def _equations(atoms, t, d):
-    """One equation per atom with an unknown count, read off (t, d); an
-    atom without one is checked instead.  None when an atom cannot hold."""
-    eqs = []
+def _plan(atoms):
+    """What tuning reads off each atom, which its paths alone fix, as
+    (atom, how) pairs: how is None for an atom without an unknown count,
+    which is checked; the side whose one unknown count is counted; or the
+    message of the Ambiguous the atom gives up with."""
     for atom in atoms:
-        sides = [(path.segments, tree) for path, tree in atom.sides(t, d)]
-        unknown = [i for i, (segs, _) in enumerate(sides) if not all(s.count.is_const for s in segs)]
+        paths = [path for path, _ in atom.sides()]
+        unknown = [i for i, path in enumerate(paths) if not all(s.count.is_const for s in path.segments)]
         if not unknown:
-            vals = [apply_segments(segs, base, {}) for segs, base in sides]
+            yield atom, None
+        elif len(unknown) != 1:
+            yield atom, "both sides of an atom have undetermined counts"
+        elif sum(1 for s in paths[unknown[0]].segments if not s.count.is_const) != 1:
+            yield atom, "an atom has two undetermined counts on one side"
+        else:
+            yield atom, unknown[0]
+
+
+def _observed(plan, t, d):
+    """One (count expression, observed count) pair per counted atom of
+    *plan*, read off (t, d), in order; None when an atom cannot hold."""
+    out = []
+    for atom, how in plan:
+        sides = atom.sides(t, d)
+        if how is None:
+            vals = [apply_segments(path.segments, base, {}) for path, base in sides]
             if vals[0] is None or vals[0] != vals[1]:
                 return None
             continue
-        if len(unknown) != 1:
-            raise Ambiguous("both sides of an atom have undetermined counts")
-        (usegs, ubase) = sides[unknown[0]]
-        (ksegs, kbase) = sides[1 - unknown[0]]
-        if sum(1 for s in usegs if not s.count.is_const) != 1:
-            raise Ambiguous("an atom has two undetermined counts on one side")
-        target = apply_segments(ksegs, kbase, {})
-        got = None if target is None else _count_equation(usegs, ubase, target)
+        if isinstance(how, str):
+            raise Ambiguous(how)
+        (upath, ubase), (kpath, kbase) = sides[how], sides[1 - how]
+        target = apply_segments(kpath.segments, kbase, {})
+        got = None if target is None else _count_equation(upath.segments, ubase, target)
         if got is None:
             return None
-        eqs.append(Equation(got[0], AffineExpr.const_(got[1])))
-    return eqs
+        out.append(got)
+    return out
+
+
+def compile_scalar_stage(branch: Branch):
+    """The first stage of tuning *branch*, fixed by its paths: the plan of
+    the atoms outside the iterated groups, and the linear system of their
+    unknown counts over the scalars and lengths, reduced once.  Each
+    tune reads the observed counts off its trees and solves the system
+    at them."""
+    plan = list(_plan(a for a in branch.atoms.conjuncts if not isinstance(a, IterGroup)))
+    counts = [
+        next(s.count for s in atom.sides()[how][0].segments if not s.count.is_const)
+        for atom, how in plan
+        if isinstance(how, int)
+    ]
+    return plan, LinearSystem(counts, [v.name for v in branch.decls])
 
 
 def _unrolled(branch: Branch, env):
@@ -146,25 +179,26 @@ def _unrolled(branch: Branch, env):
 
 def _assignment(branch: Branch, t, d):
     """The index assignment the atoms of *branch* give for (t, d): the
-    scalars and lengths from the atoms outside the groups, then the
+    scalars and lengths from the branch's compiled scalar stage, then the
     elements from the unrolled groups; None when an atom cannot hold."""
-    unknowns = [v.name for v in branch.decls]
     env = {}
-    if unknowns:
-        eqs = _equations((a for a in branch.atoms.conjuncts if not isinstance(a, IterGroup)), t, d)
-        env = None if eqs is None else _solve_some(eqs, unknowns)
+    if branch.decls:
+        plan, system = branch.scalar_stage
+        got = _observed(plan, t, d)
+        env = None if got is None else _solve_some(system, [j for _, j in got], {})
         if env is None:
             return None
-    eqs = _equations(_unrolled(branch, env), t, d)
-    if eqs is None:
+    got = _observed(_plan(_unrolled(branch, env)), t, d)
+    if got is None:
         return None
     elements = {
         v.name: [IndexTerm(v.name, (AffineExpr.const_(i),)) for i in range(1, env[v.name] + 1)]
         for v in branch.decls
         if v.kind == "multi"
     }
-    if not (eqs or elements):
+    if not (got or elements):
         return env
+    eqs = [Equation(count, AffineExpr.const_(j)) for count, j in got]
     sol = solve_concrete(eqs, [e for es in elements.values() for e in es])
     if sol is None:
         return None

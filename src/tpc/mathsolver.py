@@ -7,23 +7,25 @@ sparse Fraction rows.  Three front-ends share it:
   returning the region of parameter values for which a natural solution
   exists (with integrality residues turned into congruences and solved
   values required nonnegative).
-* ``solve_concrete`` pins down fully determined natural values: every
-  scalar count, multi-index length and element that tuning solves.  The
-  first unknown it leaves free, and the least value the solved unknowns
-  allow it, are carried by ``Ambiguous`` as ``free`` and ``least``, for
-  tuning to pin.
+* ``LinearSystem`` reduces equations ``expr = value`` once, the values as
+  tag columns, and then solves them at any values, and with any unknowns
+  pinned, in integers: every scalar count, multi-index length and element
+  that tuning solves.  The first unknown it leaves free, and the least
+  value the solved unknowns allow it, are carried by ``Ambiguous`` as
+  ``free`` and ``least``, for tuning to pin.  ``solve_concrete`` compiles
+  a system for one solve.
 * ``sigma._design`` reduces a feature matrix once, to solve each
   repetition count for its feature coefficients (free coordinates zero,
   integral or no fit).
 
-All arithmetic is exact (Fractions internally, integers in results).
+All arithmetic is exact (Fractions in the reduction, integers in results).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 
 from .affine import AffineExpr, IndexTerm, ZERO
 from .errors import Ambiguous, Unsupported
@@ -275,41 +277,92 @@ def eliminate(system: ConditionSystem) -> Region:
 # concrete solving
 
 
+class LinearSystem:
+    """The equations ``exprs[i] = values[i]`` over *unknowns*, reduced once
+    with a tag column per equation for its value, as ``sigma._design``
+    does; ``solve`` reads the solution at given values off the reduced rows
+    with integer dot products.  An unknown is a name (a scalar or a
+    multi-index length) or an index term such as the element ``m[3]``;
+    ``terms`` holds every index term the equations mention."""
+
+    def __init__(self, exprs: list, unknowns):
+        keys = {u if isinstance(u, IndexTerm) else IndexTerm(u): u for u in unknowns}
+        self.terms = set().union(*(e.index_terms() for e in exprs))
+        rows = [_row_of(e) | {i: Fraction(-1)} for i, e in enumerate(exprs)]
+        solved, rest = reduce_rows(rows, reversed(keys))
+        # unknowns by column; an index term that is not one is column -1
+        self.names, self.unknowns = list(keys), list(keys.values())
+        self.column = {u: c for c, u in enumerate(self.unknowns)}
+        column = {key: c for c, key in enumerate(keys)}
+
+        def scaled(row):
+            # (constant, ((equation, a), ...), ((column, a), ...), d): the
+            # row times its common denominator d
+            d = _row_denom(row)
+            ints = {k: int(v * d) for k, v in row.items()}
+            tags = tuple((k, a) for k, a in ints.items() if isinstance(k, int))
+            terms = tuple((column.get(k, -1), a) for k, a in ints.items() if isinstance(k, IndexTerm))
+            return ints[None], tags, terms, d
+
+        self.solved = {column[key]: scaled(sol) for key, sol in solved.items()}
+        self.rest = [scaled(r) for r in rest]
+        self.missing = [c for c, key in enumerate(keys) if key not in solved]
+
+    def solve(self, values, pins: dict) -> dict:
+        """The unique natural assignment at *values*, keyed as the unknowns
+        were given, with each unknown in *pins* (keyed the same way) set to
+        its value.  None when inconsistent or not natural, also when
+        unknowns are left free: the equations contradict each other, or a
+        solved unknown has a negative constant and no positive coefficient,
+        which makes it negative for every natural value of the terms it
+        still depends on.  The unknowns are pivoted last-declared first;
+        when the system does not pin every one down, Ambiguous carries the
+        first one left free as ``free``, and as ``least`` the least value
+        of it that the solved unknowns depending on it alone allow.  A pin
+        gives what one more equation ``unknown = value`` would."""
+        pinned = {self.column[u]: v for u, v in pins.items()}
+
+        def value(row):
+            const, tags, terms, _ = row
+            return (
+                const
+                + sum(a * values[i] for i, a in tags)
+                + sum(a * pinned[c] for c, a in terms if c in pinned)
+            )
+
+        def free(row):
+            return [(c, a) for c, a in row[2] if c not in pinned]
+
+        if any(not free(r) and value(r) for r in self.rest) or any(
+            value(sol) < 0 and all(a <= 0 for _, a in free(sol)) for sol in self.solved.values()
+        ):
+            return None
+        missing = next((c for c in self.missing if c not in pinned), None)
+        if missing is not None:
+            # c + a * missing >= 0 with a > 0 needs missing >= -c / a
+            least = 0
+            for sol in self.solved.values():
+                terms = free(sol)
+                if len(terms) == 1 and terms[0][0] == missing and terms[0][1] > 0:
+                    least = max(least, -(value(sol) // terms[0][1]))
+            raise Ambiguous(f"{self.names[missing]} is not determined", self.unknowns[missing], least)
+        if any(free(r) for r in self.rest) or any(free(sol) for sol in self.solved.values()):
+            raise Ambiguous("equations mention index terms that are not unknowns")
+        out = {}
+        for c, u in enumerate(self.unknowns):
+            if c in pinned:
+                out[u] = pinned[c]
+                continue
+            v, d = value(self.solved[c]), self.solved[c][3]
+            if v % d or v < 0:
+                return None
+            out[u] = v // d
+        return out
+
+
 def solve_concrete(equations, unknowns) -> dict:
     """The unique natural assignment of *unknowns* satisfying all
-    *equations*, keyed as given: an unknown is a name (a scalar or a
-    multi-index length) or an index term such as the element ``m[3]``.
-    None when inconsistent or not natural, also when other unknowns are
-    left free: the equations contradict each other, or a solved unknown
-    has a negative constant and no positive coefficient, which makes it
-    negative for every natural value of the terms it still depends on.
-    The unknowns are pivoted last-declared first; when the system does not
-    pin every one down, Ambiguous carries the first one left free as
-    ``free``, and as ``least`` the least value of it that the solved
-    unknowns depending on it alone allow."""
-    keys = {u if isinstance(u, IndexTerm) else IndexTerm(u): u for u in unknowns}
-    solved, rows = reduce_rows([_row_of(eq.diff) for eq in equations], reversed(keys))
-    # hopeless whatever the free unknowns are: a contradiction, or an
-    # unknown negative for every natural value of the terms it depends on
-    if any(len(r) == 1 and r[None] for r in rows) or any(
-        sol[None] < 0 and all(v <= 0 for v in sol.values()) for sol in solved.values()
-    ):
-        return None
-    missing = next((key for key in keys if key not in solved), None)
-    if missing is not None:
-        # key = c + a * missing >= 0 with a > 0 needs missing >= -c / a
-        least = max([0] + [
-            ceil(-sol[None] / sol[missing])
-            for sol in solved.values()
-            if sol.keys() == {None, missing} and sol[missing] > 0
-        ])
-        raise Ambiguous(f"{missing} is not determined", keys[missing], least)
-    if any(len(r) > 1 for r in rows) or any(len(sol) > 1 for sol in solved.values()):
-        raise Ambiguous("equations mention index terms that are not unknowns")
-    out = {}
-    for key, u in keys.items():
-        v = solved[key][None]
-        if v.denominator != 1 or v < 0:
-            return None
-        out[u] = v.numerator
-    return out
+    *equations*, keyed as given: ``LinearSystem.solve`` of a system
+    compiled for this one solve."""
+    diffs = [eq.diff for eq in equations]
+    return LinearSystem(diffs, unknowns).solve([0] * len(diffs), {})

@@ -35,10 +35,12 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .affine import AffineExpr, ONE, scopes
 from .errors import NotLinearizable
+from .final import compile_scalar_stage
 from .mathsolver import reduce_rows
 from .paths import (
     AtomSet,
@@ -271,6 +273,12 @@ class Branch:
 
     def index_of(self, assign: dict):
         return index_from_stars(self.scheme, [assign[d.name] for d in self.decls])
+
+    @cached_property
+    def scalar_stage(self):
+        """Tuning's first stage for this branch, compiled on its first
+        tune (``final.compile_scalar_stage``)."""
+        return compile_scalar_stage(self)
 
     def __str__(self):
         lam = "".join(

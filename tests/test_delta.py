@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tpc import load_theory
+from tpc import delta, load_theory
 from tpc.delta import (
     Attempt,
     normalize,
@@ -12,7 +12,9 @@ from tpc.delta import (
     check_absorption,
     check_commutation,
 )
+from tpc.errors import NotLinearizable
 from tpc.oracle import SearchBudget, reachable_set
+from tpc.pipeline import pipeline
 from tpc.schemes import (
     Axiom,
     EPS,
@@ -23,6 +25,7 @@ from tpc.schemes import (
     print_scheme,
     reduce_specific,
 )
+from tpc.sigma import sigma
 from tpc.terms import apply_clause, parse_theory
 
 from conftest import sequences
@@ -145,6 +148,30 @@ class TestReduce:
         assert str(attempt).startswith(
             "commutation blocked at a*.b.a*: INCLUDES(a.b, b.a) (no aligned atom for "
         )
+
+    def test_sigma_give_ups_are_memoised(self, monkeypatch):
+        # ancestor's pipeline asks sigma for p1.p2.p1*.p2 three times, and it
+        # gives up every time; the memo answers the second and third asks,
+        # with the same blocked attempts as asking sigma each time
+        th = load_theory("ancestor")
+        cached = delta._sigma_cached
+
+        def run(sigma_cached):
+            asked, traces = [], []
+            monkeypatch.setattr("tpc.delta.sigma", lambda th, s: asked.append(print_scheme(s)) or sigma(th, s))
+            monkeypatch.setattr(
+                "tpc.pipeline.reduce_scheme", lambda th, s: traces.append(reduce_scheme(th, s)) or traces[-1]
+            )
+            monkeypatch.setattr("tpc.delta._sigma_cached", sigma_cached)
+            cached.cache_clear()
+            with pytest.raises(NotLinearizable):
+                pipeline(th)
+            return asked.count("p1.p2.p1*.p2"), [trace.attempts for _, trace in traces]
+
+        memoised, attempts = run(cached)
+        assert memoised == 1
+        assert run(cached.__wrapped__) == (3, attempts)
+        assert any("p1.p2.p1*.p2" in a.reason for steps in attempts for a in steps)
 
     def test_reduction_preserves_relation(self, fg):
         """Original and reduced schemes generate the same goal sets from

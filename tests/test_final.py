@@ -7,7 +7,7 @@ from tpc import load_theory
 from tpc.errors import Ambiguous
 from tpc.final import _COUNT_CAP, TuneResult, _count_equation, _solve_some, decide, extract_proof, tune
 from tpc.affine import AffineExpr
-from tpc.mathsolver import Equation, solve_concrete
+from tpc.mathsolver import LinearSystem, reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, GroundL, IterGroup, Segment, Step, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
@@ -126,14 +126,16 @@ class TestScalarTuning:
             calls.clear()
             return tune(*args)
 
-        def counted(eqs, unknowns):
+        solve = LinearSystem.solve
+
+        def counted(system, values, pins):
             calls.append(1)
             if len(calls) > 1000:
-                raise AssertionError("one tune called solve_concrete over 1000 times")
-            return solve_concrete(eqs, unknowns)
+                raise AssertionError("one tune solved a linear system over 1000 times")
+            return solve(system, values, pins)
 
         monkeypatch.setattr("tpc.final.tune", fresh_tune)
-        monkeypatch.setattr("tpc.final.solve_concrete", counted)
+        monkeypatch.setattr(LinearSystem, "solve", counted)
         th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(F(x))\nc: P(x) -> P(F(F(x)))")
         proc = pipeline(th)
         assert proc.decide(parse_term("P(Z)"))
@@ -147,20 +149,40 @@ class TestScalarTuning:
         th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(F(x))\nc: P(x) -> P(F(F(x)))")
         proc = pipeline(th, selfcheck=False)
         calls = []
-        monkeypatch.setattr("tpc.final.solve_concrete", lambda *args: calls.append(1) or solve_concrete(*args))
+        solve = LinearSystem.solve
+        monkeypatch.setattr(LinearSystem, "solve", lambda *args: calls.append(1) or solve(*args))
         assert proc.decide(parse_term("P(Z)"))
         assert len(calls) <= 8
+
+    def test_fg_decides_reduce_their_index_system_once(self, monkeypatch):
+        # the branch's system is reduced on its first tune; every later
+        # decide only evaluates it at the observed counts
+        th = load_theory("fg")
+        fn = sigma(th, parse_scheme("b*.a*"))
+        calls = []
+        monkeypatch.setattr("tpc.mathsolver.reduce_rows", lambda *args: calls.append(1) or reduce_rows(*args))
+        f, g = "F({})".format, "G({})".format
+        answers = []
+        for i in range(200):
+            x, y = "Z", "Z"
+            for _ in range(i % 23):
+                x = f(x)
+            for _ in range(i % 11):
+                y = g(y)
+            answers.append(decide(fn, th.start, parse_term(f"P({x}, {y})")))
+        assert len(calls) == 1
+        assert answers.count(True) == sum(i % 11 <= i % 23 <= 2 * (i % 11) for i in range(200))
 
     def test_free_count_pinned_from_its_least_value(self):
         # k = n - 10, so every pin of n below 10 makes k negative
         n, k = AffineExpr.var("n"), AffineExpr.var("k")
-        assert _solve_some([Equation(n - k, AffineExpr.const_(10))], ["n", "k"]) == {"n": 10, "k": 0}
+        assert _solve_some(LinearSystem([n - k], ["n", "k"]), [10], {}) == {"n": 10, "k": 0}
 
     def test_free_count_no_pin_settles_is_ambiguous_with_it(self):
         # 10k = n + 1 needs n = 9, past the pins 0..8 that are tried
         n, k = AffineExpr.var("n"), AffineExpr.var("k")
         with pytest.raises(Ambiguous) as exc:
-            _solve_some([Equation(k * 10, n + 1)], ["n", "k"])
+            _solve_some(LinearSystem([k * 10 - n], ["n", "k"]), [1], {})
         assert (str(exc.value), exc.value.free, exc.value.least) == ("n is not determined", "n", 0)
 
 

@@ -1,9 +1,14 @@
-"""Fuzzed library entry points: the text parsers and instantiate fail only
-with typed errors, whatever they are given."""
+"""Fuzzed entry points: the text parsers and instantiate fail only with
+typed errors, whatever they are given, and the CLI exits only with its
+documented codes."""
+
+import contextlib
+import io
 
 from hypothesis import example, given, settings, strategies as st
 
 from tpc import instantiate, parse_scheme, parse_term, parse_theory
+from tpc.cli import main
 from tpc.errors import ShapeError, TpcError
 
 
@@ -99,3 +104,81 @@ def test_instantiate_raises_only_bounded_shape_errors(e, m):
         instantiate(e, m)
     except ShapeError as exc:
         assert len(str(exc)) <= MAX_MESSAGE
+
+
+# the bundled theories' axiom names, and a name that is no theory
+AXIOMS = {
+    "chain": ["a"], "fg": ["a", "b"], "mod2": ["a", "b"], "rotate": ["a", "b"], "rotate3": ["a", "b", "c"],
+    "ancestor": ["p1", "p2", "p3", "a1", "a2", "l1", "l2"], "nosuch": ["a"],
+}
+SENTENCES = [
+    "P(Z)", "P(F(Z))", "P(F(F(F(Z))))", "P(Z, Z)", "P(F(Z), G(Z))", "P(F(F(F(Z))), G(G(Z)))", "S",
+    "Ancestor(Adam, Olga)", "And(Parent(Adam, John), S)", "P(R(R(R(R(E, D4), D3), D2), D1), Y0)",
+    "P(R(R(R(E, D4), D3), D2), R(Y0, D1))",
+]
+METHODS = ["oracle", "generated", "auto"]
+
+
+def _schemes(names):
+    """Schemes over *names*, small enough that sigma stays quick."""
+    return st.recursive(
+        st.sampled_from([*names, "eps"]),
+        lambda sub: st.one_of(
+            sub.map("{}*".format),
+            st.tuples(sub, sub).map("({0[0]}.{0[1]})".format),
+            st.tuples(sub, sub).map("({0[0]}|{0[1]})".format),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def _argv(draw):
+    """A tpc command line: global flags with --max-depth at most 4, a
+    subcommand on a bundled theory or a name that is none, and its options.
+    Now and then an option is left out, a text is not a sentence or a
+    scheme, or a stray word is added."""
+    theory = draw(st.sampled_from(sorted(AXIOMS)))
+
+    def rarely():
+        return draw(st.integers(0, 7)) == 7
+
+    def option(name, required=True):
+        if rarely() if required else draw(st.booleans()):
+            return []
+        if name == "--method":
+            return [name, draw(st.sampled_from(METHODS))]
+        if name in ("--scheme", "--left", "--right"):
+            return [name, draw(SCHEME_TEXT if rarely() else _schemes(AXIOMS[theory]))]
+        return [name, draw(TERM_TEXT if rarely() else st.sampled_from(SENTENCES))]
+
+    argv = ["--max-depth", str(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        argv += ["--max-tree-size", str(draw(st.integers(0, 64)))]
+    argv += [flag for flag in ("--json", "--no-selfcheck") if draw(st.booleans())]
+    command = draw(st.sampled_from(["parse", "oracle", "prove", "decide", "sigma", "includes", "reduce"]))
+    argv += [command, theory]
+    if command == "oracle":
+        argv += option("--goal", False) + (["--dump"] if draw(st.booleans()) else [])
+    elif command in ("prove", "decide"):
+        argv += option("--goal", False) if command == "prove" else option("--from") + option("--to")
+        argv += option("--method", False)
+    elif command in ("sigma", "reduce"):
+        argv += option("--scheme", command == "sigma")
+    elif command == "includes":
+        argv += option("--left") + option("--right")
+    if rarely():
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-", "--", "7", "--json"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv())
+def test_cli_exits_only_with_its_documented_codes(argv):
+    # 0-3 are answers, usage errors and give-ups; 4 is an internal error
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (code, err.getvalue())

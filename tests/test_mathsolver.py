@@ -2,20 +2,25 @@
 seven-condition multi-index system solved the way tuning solves one."""
 
 from dataclasses import dataclass
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tpc.affine import AffineExpr, IndexTerm, ZERO, scopes
 from tpc.errors import Ambiguous, Unsupported
+from tpc.final import _FREE_BOUND, _solve_some
 from tpc.mathsolver import (
     Congruence,
     ConditionSystem,
     Equation,
     Ineq,
+    LinearSystem,
+    _row_of,
     eliminate,
     eval_condition,
     eval_region,
+    reduce_rows,
     solve_concrete,
 )
 
@@ -198,6 +203,104 @@ class TestSolveConcrete:
 
     def test_inconsistent_constant_equation_returns_none(self):
         assert solve_concrete((Equation(k, two), Equation(one, two)), ("k",)) is None
+
+
+
+def _reference_solve_concrete(equations, unknowns):
+    """solve_concrete as it was before the compiled system: one Fraction
+    row reduction per call."""
+    keys = {u if isinstance(u, IndexTerm) else IndexTerm(u): u for u in unknowns}
+    solved, rows = reduce_rows([_row_of(eq.diff) for eq in equations], reversed(keys))
+    if any(len(r) == 1 and r[None] for r in rows) or any(
+        sol[None] < 0 and all(v <= 0 for v in sol.values()) for sol in solved.values()
+    ):
+        return None
+    missing = next((key for key in keys if key not in solved), None)
+    if missing is not None:
+        least = max([0] + [
+            ceil(-sol[None] / sol[missing])
+            for sol in solved.values()
+            if sol.keys() == {None, missing} and sol[missing] > 0
+        ])
+        raise Ambiguous(f"{missing} is not determined", keys[missing], least)
+    if any(len(r) > 1 for r in rows) or any(len(sol) > 1 for sol in solved.values()):
+        raise Ambiguous("equations mention index terms that are not unknowns")
+    out = {}
+    for key, u in keys.items():
+        v = solved[key][None]
+        if v.denominator != 1 or v < 0:
+            return None
+        out[u] = v.numerator
+    return out
+
+
+def _reference_solve_some(eqs, unknowns):
+    """Tuning's pin loop as it was: each free unknown pinned by one more
+    equation, and the whole system solved again."""
+    try:
+        return _reference_solve_concrete(eqs, unknowns)
+    except Ambiguous as exc:
+        if exc.free is None:
+            raise
+        failure = exc
+    free = IndexTerm(failure.free)
+    mentioned = any(free in eq.diff.index_terms() for eq in eqs)
+    for v in range(failure.least, failure.least + _FREE_BOUND + 1) if mentioned else (0,):
+        pin = Equation(AffineExpr.var(failure.free), AffineExpr.const_(v))
+        try:
+            sol = _reference_solve_some(eqs + [pin], unknowns)
+        except Ambiguous:
+            continue
+        if sol is not None:
+            return sol
+    raise failure
+
+
+def _outcome(solve, *args):
+    try:
+        got = solve(*args)
+    except Ambiguous as exc:
+        return "Ambiguous", str(exc), exc.free, exc.least
+    return got if got is None else list(got.items())
+
+
+_NAMES = ("n", "k", "m")
+
+
+@st.composite
+def _systems(draw):
+    """1-4 equations over 1-3 of n, k and m, declared as unknowns in a
+    random order, with coefficients -2..3 and values 0..12.  Now and then
+    an equation also mentions a name that is not an unknown, and most
+    values are those of a natural solution, where it gives one in 0..12."""
+    unknowns = draw(st.permutations(_NAMES))[: draw(st.integers(1, 3))]
+    others = [name for name in _NAMES if name not in unknowns and draw(st.integers(0, 3)) == 0]
+    coeff = st.integers(-2, 3)
+    exprs = [
+        AffineExpr.of(draw(coeff), *((draw(coeff), IndexTerm(name)) for name in [*unknowns, *others]))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    planted = {name: draw(st.integers(0, 4)) for name in _NAMES}
+    values = []
+    for e in exprs:
+        v = e.evaluate(planted)
+        values.append(v if 0 <= v <= 12 and draw(st.booleans()) else draw(st.integers(0, 12)))
+    return exprs, unknowns, values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_systems())
+def test_compiled_system_agrees_with_the_fraction_solver(system):
+    # the compiled rows, evaluated at the values and at every pin tuning
+    # tries, give what one Fraction reduction per solve gave: the same
+    # assignment in the same key order, None, or the same Ambiguous
+    exprs, unknowns, values = system
+    eqs = [Equation(e, AffineExpr.const_(v)) for e, v in zip(exprs, values)]
+    compiled = LinearSystem(exprs, unknowns)
+    expected = _outcome(_reference_solve_concrete, eqs, unknowns)
+    assert _outcome(compiled.solve, values, {}) == expected
+    assert _outcome(solve_concrete, eqs, unknowns) == expected
+    assert _outcome(_solve_some, compiled, values, {}) == _outcome(_reference_solve_some, eqs, unknowns)
 
 
 @dataclass(frozen=True)
