@@ -20,6 +20,15 @@ multiset, with the atoms split from that sample: each atom is compared by
 its class, the unit steps of each side and its template.  Anything that
 fails to fit or verify raises NotLinearizable.
 
+When the fit grid lists every combination and has more than twice as
+many samples as a sub-grid of ``_PROBE_FIT_SAMPLES``, strided the same
+way, the fit runs first on that sub-grid.  A failure there that no
+larger grid can undo gives up at once: an empty instance, a feature that
+cannot be evaluated, or a fit whose design has full column rank, so that
+the counts have at most one affine form.  A rank-deficient failure, or a
+fit that passes, goes on to the full fit grid, so every form accepted is
+fitted and verified as without the sub-grid.
+
 The samples of a branch share one ``reduce_specific`` state and are
 composed in sorted order of their axiom sequences, so each resumes from
 the longest prefix any earlier one left.  Fitting stops at the first
@@ -79,6 +88,9 @@ _SCALAR_EDGE = (0, 1)
 _MULTI_EDGE = ((), (0,), (0, 1), (1, 0))
 
 _MAX_FIT_SAMPLES = 400
+# the sub-grid a branch is fitted on first: the least cap at which every
+# variable of a layout of up to five still takes every value of its pool
+_PROBE_FIT_SAMPLES = 40
 _MAX_VERIFY_SAMPLES = 64
 
 
@@ -126,7 +138,8 @@ def _sample_grid(decls, scalar_pool, multi_pool, cap):
     the innermost variable, whose pool size divides len, takes every
     value; a stride sharing a factor with that size would freeze it.  The
     tests check that every variable takes every value in each layout of
-    up to five variables on the fit pools and six on the verify pools.
+    up to five variables on the fit pools, at both fit caps, and six on
+    the verify pools.
 
     combos is the ``itertools.product`` of the pools, but it is never
     listed: each kept index is decoded in mixed radix, last variable
@@ -183,11 +196,21 @@ def _design(envs, features):
     of the ones before them.  ``fit`` solves their coefficients from the
     basis rows, free coefficients zero, and checks them on every row in
     integers.  A consistent system's free-zero solution depends only on
-    the row space, so this is what reducing each count's system gives."""
+    the row space, so this is what reducing each count's system gives.
+
+    ``fit.decisive`` tells whether counts with no fit here have none over
+    any list of envs that holds these either: the features are independent
+    on these envs, so a fit is unique where one exists, or a feature
+    cannot be evaluated on them."""
     try:
         rows = [tuple(f.evaluate(env) for f in features) for env in envs]
     except (IndexError, KeyError):
-        return lambda counts: None
+
+        def fit(counts):
+            return None
+
+        fit.decisive = True
+        return fit
     # row i reads "row . coeffs + t_i = 0" with t_i = -count_i, so a solved
     # pivot gives its coefficient over the counts; a repeated row adds
     # nothing to the row space and is left out
@@ -218,6 +241,7 @@ def _design(envs, features):
                 expr = expr + features[col] * b
         return expr
 
+    fit.decisive = len(solved) == len(features)
     return fit
 
 
@@ -329,7 +353,18 @@ def _synthesize_branch(theory, scheme) -> Branch:
     # fitted in its own frame, so that a give-up in verification does not
     # keep the fit samples alive through its traceback
     prefix = []
-    branch = _fit_branch(theory, scheme, decls, prefix)
+    fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
+    # a fit grid under its cap lists every combination, so it holds the
+    # sub-grid's samples, and a decisive failure there is one here too; the
+    # sub-grid's instances stay composed in prefix for the full fit
+    if 2 * _PROBE_FIT_SAMPLES < len(fit_envs) < _MAX_FIT_SAMPLES:
+        probe_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _PROBE_FIT_SAMPLES)
+        try:
+            _fit_branch(theory, scheme, decls, probe_envs, prefix)
+        except NotLinearizable as exc:
+            if exc.decisive:
+                raise
+    branch = _fit_branch(theory, scheme, decls, fit_envs, prefix)
     # the held-out grid, then the zero boundary less any empty instance:
     # its clause v0 -> v0 relates every tree, and no fitted form splits
     # like it
@@ -343,14 +378,24 @@ def _synthesize_branch(theory, scheme) -> Branch:
     return branch
 
 
-def _fit_branch(theory, scheme, decls, prefix) -> Branch:
-    """The atoms fitted over the fit grid, not yet verified; *prefix* is
-    the branch's reduce_specific state."""
-    fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
+def _give_up(message, scheme, decisive):
+    """A NotLinearizable of _fit_branch; ``decisive`` tells whether it
+    holds for every list of fit envs that holds the ones it was raised on."""
+    exc = NotLinearizable(message, scheme)
+    exc.decisive = decisive
+    return exc
+
+
+def _fit_branch(theory, scheme, decls, fit_envs, prefix) -> Branch:
+    """The atoms fitted over *fit_envs*, not yet verified; *prefix* is the
+    branch's reduce_specific state.  An empty instance gives up decisively,
+    a failed fit only when the base design, whose fits decide which atoms
+    form iterated families, and, for such a family, every design it tried
+    are decisive (``_design``)."""
     fit_atoms = [None] * len(fit_envs)
     for i, atoms in _sample_atoms(theory, scheme, decls, fit_envs, prefix):
         if atoms is None:
-            raise NotLinearizable("an instance composes to the empty relation", scheme)
+            raise _give_up("an instance composes to the empty relation", scheme, True)
         fit_atoms[i] = atoms
     samples = list(zip(fit_envs, fit_atoms))
 
@@ -394,10 +439,12 @@ def _fit_branch(theory, scheme, decls, prefix) -> Branch:
         # group size must be affine in the base features
         upper = base_fit([len(o) for o in occ])
         if upper is None:
-            raise NotLinearizable("family size is not affine in the index", scheme)
-        fitted = _fit_iterated(rep, samples, occ, base, multis, itervar)
+            raise _give_up("family size is not affine in the index", scheme, base_fit.decisive)
+        fitted, decisive = _fit_iterated(rep, samples, occ, base, multis, itervar)
         if fitted is None:
-            raise NotLinearizable("repetition counts are not affine in the index", scheme)
+            raise _give_up(
+                "repetition counts are not affine in the index", scheme, base_fit.decisive and decisive
+            )
         body = _family_atom(first_atom[rep], rep, fitted)
         conjuncts[rep] = [IterGroup(itervar, ONE, upper, (body,))]
 
@@ -411,18 +458,22 @@ def _fit_branch(theory, scheme, decls, prefix) -> Branch:
 def _fit_iterated(key, samples, occ, base, multis, itervar):
     """Fit run counts over base features extended with the occurrence
     position and, per multi-index, the element at that position (tried
-    both from the front and from the back)."""
+    both from the front and from the back).  Returns the fitted runs, or
+    None, and whether every design tried is decisive."""
     pos = AffineExpr.var(itervar)
     choices = [
         (AffineExpr.element(w, pos), AffineExpr.element(w, AffineExpr.var(w) + 1 - pos)) for w in multis
     ]
     envs = [{**env, itervar: i} for (env, _), o in zip(samples, occ) for i in range(1, len(o) + 1)]
     atoms = [atom for o in occ for atom in o]
+    decisive = True
     for sels in itertools.product(*choices):
-        fitted = _fit_family_runs(key, atoms, _design(envs, base + [pos] + list(sels)))
+        fit = _design(envs, base + [pos] + list(sels))
+        fitted = _fit_family_runs(key, atoms, fit)
         if fitted is not None:
-            return fitted
-    return None
+            return fitted, True
+        decisive = decisive and fit.decisive
+    return None, decisive
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +543,13 @@ def sigma(theory, scheme: IterExpr) -> SymbolicCharFn:
     """The symbolic characteristic function of *scheme* over *theory*.
     Each branch's form must hold at every held-out index and at the zero
     boundary (counts of 0, empty multi-indexes, zero elements), except
-    where the instance is empty; otherwise NotLinearizable is raised."""
+    where the instance is empty; otherwise NotLinearizable is raised,
+    with no frame of the synthesis on its traceback: a caller that keeps
+    the exception does not keep the samples, their states and the fitted
+    forms alive, nor a cycle that only the collector could free."""
     tops = scheme.parts if isinstance(scheme, Alt) else (scheme,)
-    branches = tuple(_synthesize_branch(theory, part) for part in tops)
+    try:
+        branches = tuple(_synthesize_branch(theory, part) for part in tops)
+    except NotLinearizable as exc:
+        raise exc.with_traceback(None)
     return SymbolicCharFn(scheme, branches)

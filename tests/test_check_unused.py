@@ -1,0 +1,27 @@
+"""tools/check_unused.py: every library name and import has a use."""
+
+import importlib.util
+import pathlib
+import shutil
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("check_unused", ROOT / "tools" / "check_unused.py")
+check_unused = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_unused)
+
+
+def test_every_library_name_has_a_use():
+    assert check_unused.main() == 0
+
+
+def test_an_unused_private_name_and_import_are_reported(tmp_path, monkeypatch):
+    shutil.copytree(ROOT / "src" / "tpc", tmp_path / "src" / "tpc", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "README.md", tmp_path)
+    final = tmp_path / "src" / "tpc" / "final.py"
+    final.write_text(final.read_text() + "\n\ndef _is_known(expr, env):\n    return True\n")
+    oracle = tmp_path / "src" / "tpc" / "oracle.py"
+    oracle.write_text("import sys\n" + oracle.read_text())
+    monkeypatch.setattr(check_unused, "ROOT", tmp_path)
+    assert check_unused.unused_names().keys() - check_unused.KEPT.keys() == {"_is_known", "import sys"}
+    assert check_unused.main() == 1

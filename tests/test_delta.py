@@ -246,6 +246,14 @@ def _goals(th, scheme, t, budget, clauses):
     return out
 
 
+def _template_schemes(th, templates=("({a}.{b})*", "({a}*.{b})*.{a}*", "({b}.{a})*", "({a}.{a}*.{b})*")):
+    """*templates* over the first two axioms a and b of *th*; b is a when a
+    is alone.  By default, the schemes a generated theory is reduced from."""
+    names = [c.name for c in th.axioms]
+    a, b = names[0], names[min(1, len(names) - 1)]
+    return [parse_scheme(template.format(a=a, b=b)) for template in templates]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_linear_theories())
 # (a.b)* never reaches P(F(G(Z))), which b*.a.b* reaches in one step
@@ -258,12 +266,9 @@ def test_reduction_preserves_relation_on_generated_theories(text):
     input: an input instance of length <= 4 is matched by a reduced
     instance of length <= 6, and the other way round."""
     th = parse_theory(text)
-    names = [c.name for c in th.axioms]
-    a, b = names[0], names[min(1, len(names) - 1)]  # b is a when a is alone
     starts = reachable_set(th, th.start, SearchBudget(max_depth=2, max_tree_size=24))[:3]
     clauses = {}
-    for template in ("({a}.{b})*", "({a}*.{b})*.{a}*", "({b}.{a})*", "({a}.{a}*.{b})*"):
-        scheme = parse_scheme(template.format(a=a, b=b))
+    for scheme in _template_schemes(th):
         reduced, trace = reduce_scheme(th, scheme)
         for t in starts:
             assert _goals(th, scheme, t, 4, clauses) <= _goals(th, reduced, t, 6, clauses), trace.steps

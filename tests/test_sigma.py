@@ -1,19 +1,24 @@
 """Characteristic-function synthesis: worked forms and oracle agreement."""
 
 import dataclasses
+import gc
 import itertools
 import math
+import traceback
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tpc import load_theory
+from tpc import delta, load_theory
 from tpc.affine import ONE, AffineExpr
-from tpc.errors import NotLinearizable
+from tpc.delta import reduce_scheme
+from tpc.errors import NotLinearizable, TpcError
 from tpc.mathsolver import reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, eval_atomset
+from tpc.pipeline import pipeline
 from tpc.schemes import (
     Alt,
     Axiom,
@@ -33,10 +38,12 @@ from tpc.sigma import (
     _MULTI_EDGE,
     _MULTI_FIT,
     _MULTI_VERIFY,
+    _PROBE_FIT_SAMPLES,
     _SCALAR_EDGE,
     _SCALAR_FIT,
     _SCALAR_VERIFY,
     _design,
+    _fit_branch,
     _layout,
     _sample_grid,
     _verify_branch,
@@ -44,6 +51,8 @@ from tpc.sigma import (
     sigma,
 )
 from tpc.terms import apply_clause, parse_theory
+
+from test_delta import _linear_theories, _template_schemes
 
 
 def atoms_of(fn, branch=0):
@@ -133,6 +142,7 @@ class TestSampling:
         (_SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES),
         (_SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES),
         (_SCALAR_EDGE, _MULTI_EDGE, _MAX_VERIFY_SAMPLES),
+        (_SCALAR_FIT, _MULTI_FIT, _PROBE_FIT_SAMPLES),
     )
 
     @staticmethod
@@ -160,7 +170,7 @@ class TestSampling:
                 yield [VarDecl(f"x{i}", kind) for i, kind in enumerate(kinds)]
 
     def test_every_small_layout_is_covered(self):
-        for grid, most in zip(self.GRIDS, (5, 6, 6)):
+        for grid, most in zip(self.GRIDS, (5, 6, 6, 5)):
             for decls in self.layouts(most):
                 if decls:
                     self.assert_covers(decls, *grid)
@@ -178,7 +188,7 @@ class TestSampling:
         return [dict(zip((d.name for d in decls), combo)) for combo in combos]
 
     def test_decoded_grid_matches_the_listed_grid(self):
-        for grid, most in zip(self.GRIDS, (4, 6, 6)):
+        for grid, most in zip(self.GRIDS, (4, 6, 6, 4)):
             for decls in self.layouts(most):
                 got = _sample_grid(decls, *grid)
                 want = self.listed_grid(decls, *grid)
@@ -202,6 +212,113 @@ class TestSampling:
         with pytest.raises(NotLinearizable, match="an instance composes to the empty relation"):
             sigma(load_theory("ancestor"), parse_scheme("l1*.a1.a1"))
         assert composed == [["l1", "a1", "a1"]]
+
+
+def sigma_inputs(run):
+    """The (theory, scheme) of every branch sigma synthesizes while *run*
+    runs, delta's sigma cache cleared first."""
+    seen = {}
+    synthesize = tpc.sigma._synthesize_branch
+
+    def spy(theory, scheme):
+        seen[theory, scheme] = None
+        return synthesize(theory, scheme)
+
+    delta._sigma_cached.cache_clear()
+    with mock.patch.object(tpc.sigma, "_synthesize_branch", spy):
+        run()
+    return list(seen)
+
+
+def outcome(fit):
+    """The str of what *fit* returns, or the type and message of the
+    TpcError it raises."""
+    try:
+        return str(fit())
+    except TpcError as exc:
+        return type(exc), str(exc)
+
+
+def full_grid_fit(theory, scheme):
+    decls = []
+    _layout(scheme, decls)
+    envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
+    return _fit_branch(theory, scheme, tuple(decls), envs, [])
+
+
+def assert_sub_grid_keeps_the_full_grid_outcome(inputs):
+    """Each branch's fit, the sub-grid tried first, ends as the fit over
+    the full fit grid alone does: the same unverified form or give-up.
+    Returns how many of *inputs* tried the sub-grid."""
+    probed = 0
+    fit_branch = tpc.sigma._fit_branch
+
+    def counted(theory, scheme, decls, envs, prefix):
+        nonlocal probed
+        # no fit grid, a product of pool sizes 3 and 11, has 40 samples
+        probed += len(envs) == _PROBE_FIT_SAMPLES
+        return fit_branch(theory, scheme, decls, envs, prefix)
+
+    with mock.patch.object(tpc.sigma, "_verify_branch", lambda *args: None):
+        with mock.patch.object(tpc.sigma, "_fit_branch", counted):
+            got = [outcome(lambda: tpc.sigma._synthesize_branch(th, scheme)) for th, scheme in inputs]
+    for (theory, scheme), form in zip(inputs, got):
+        assert form == outcome(lambda: full_grid_fit(theory, scheme)), scheme
+    return probed
+
+
+class TestSubGrid:
+    @pytest.mark.parametrize("name, text, message", [
+        ("rotate3", "a*.b.a*.c.(a*.b)*.a*.c", "repetition counts are not affine in the index"),
+        ("ancestor", "p1*.p2.p1*.p3.(p1*.p2)*.p1*.p3", "family size is not affine in the index"),
+    ])
+    def test_gives_up_within_the_sub_grid(self, monkeypatch, name, text, message):
+        # both fit grids have 3 * 3 * 11 * 3 = 297 samples
+        composed = []
+        reduce_specific = tpc.sigma.reduce_specific
+        monkeypatch.setattr(
+            tpc.sigma, "reduce_specific", lambda th, seq, prefix: composed.append(seq) or reduce_specific(th, seq, prefix)
+        )
+        with pytest.raises(NotLinearizable) as info:
+            sigma(load_theory(name), parse_scheme(text))
+        assert str(info.value) == f"{message}: {text}"
+        assert len(composed) <= _PROBE_FIT_SAMPLES
+
+    def test_rank_deficient_sub_grid_falls_through(self, monkeypatch):
+        # four samples of four scalar counts cannot pin five base
+        # coefficients, so a fit that fails on them may still exist over
+        # all 81: the full grid must decide
+        th = parse_theory("start: P(Z, Z)\na: P(x, y) -> P(F(F(x)), G(y))\nb: P(x, y) -> P(F(x), G(y))")
+        scheme = parse_scheme("a*.b*.a*.b*")
+        monkeypatch.setattr(tpc.sigma, "_PROBE_FIT_SAMPLES", _MAX_FIT_SAMPLES)
+        want = str(sigma(th, scheme))
+        monkeypatch.setattr(tpc.sigma, "_PROBE_FIT_SAMPLES", 4)
+        decls = []
+        _layout(scheme, decls)
+        with pytest.raises(NotLinearizable, match="repetition counts") as info:
+            _fit_branch(th, scheme, tuple(decls), _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, 4), [])
+        assert not info.value.decisive
+        assert str(sigma(th, scheme)) == want
+
+    def test_bundled_pipelines_keep_the_full_grid_outcome(self):
+        def run():
+            for name in ("chain", "fg", "mod2", "rotate", "rotate3", "ancestor"):
+                try:
+                    pipeline(load_theory(name), selfcheck=False)
+                except TpcError:
+                    pass
+
+        assert assert_sub_grid_keeps_the_full_grid_outcome(sigma_inputs(run)) >= 2
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_linear_theories())
+    def test_generated_theories_keep_the_full_grid_outcome(self, text):
+        th = parse_theory(text)
+        inputs = sigma_inputs(lambda: [reduce_scheme(th, scheme) for scheme in _template_schemes(th)])
+        # and schemes whose fit grids, of 81 and 121 samples, are large
+        # enough to try the sub-grid first
+        inputs += [(th, scheme) for scheme in _template_schemes(th, ("{a}*.{b}*.{a}*.{b}*", "({a}*.{b})*.({b}*.{a})*"))]
+        assert assert_sub_grid_keeps_the_full_grid_outcome(inputs) >= 2
 
 
 # _layout and _build_index as they were when sigma wrote out the layout rule
@@ -316,6 +433,28 @@ class TestHeldOutVerification:
         conj[1] = GroundL(conj[1].path, conj[1].template)
         with pytest.raises(NotLinearizable, match="held-out"):
             self.verify(anc, branch, conj)
+
+    def test_a_give_up_keeps_no_synthesis_frame(self):
+        # a caller that keeps the exception keeps every frame on its
+        # traceback alive, and one that a frame holds in turn is freed only
+        # by the cycle collector
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            try:
+                sigma(load_theory("rotate"), parse_scheme("(a*.b)*.a*"))
+            except NotLinearizable as exc:
+                assert "held-out" in str(exc)
+                frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(exc.__traceback__)]
+            gc.collect()
+            cyclic = {type(o).__name__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert frames[1:] == ["sigma"]
+        assert not cyclic & {"frame", "traceback", "NotLinearizable"}
 
 
 class TestBoundary:
