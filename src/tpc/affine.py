@@ -84,14 +84,6 @@ class AffineExpr:
     def is_const(self) -> bool:
         return not self.terms
 
-    def index_terms(self) -> set:
-        out = set()
-        for _, it in self.terms:
-            out.add(it)
-            for s in it.sel:
-                out |= s.index_terms()
-        return out
-
     def evaluate(self, env: dict) -> int:
         """env maps variable names to ints or (nested) tuples of ints."""
         total = self.const

@@ -13,8 +13,9 @@ outside the iterated groups give the first system, over the scalars and
 multi-index lengths.  Which atoms it counts, and their count expressions,
 depend on the branch alone, so a branch compiles that system once
 (``Branch.scalar_stage``), and each tune solves it at the observed counts
-in integers; a count it leaves free is pinned to its least value that
-works, 0 if no equation mentions it.  Each group then unrolls into
+in integers; a count it leaves free is the solve's outcome, with its
+least value, and is pinned from there to its least value that works, 0
+if no equation mentions it.  Each group then unrolls into
 ordinary atoms, its body once per scope with the scope's ints (the
 iteration variable, the scalars and the solved lengths) substituted into
 the counts, so that only the elements of the multi-indexes stay unknown;
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .affine import AffineExpr, IndexTerm, scopes
 from .errors import Ambiguous, InternalMismatch
-from .mathsolver import Equation, LinearSystem, solve_concrete
+from .mathsolver import Equation, Free, LinearSystem, solve_concrete
 from .paths import IterGroup, Segment, SymbolicPath, apply_segments, eval_atomset
 from .schemes import instantiate
 from .terms import Proof, Term, replay, term_size
@@ -42,32 +43,34 @@ from .terms import Proof, Term, replay, term_size
 if TYPE_CHECKING:  # sigma imports this module, for Branch.scalar_stage
     from .sigma import Branch, SymbolicCharFn
 
-_COUNT_CAP = 10_000_000
 _FREE_BOUND = 8
 
 
 def _solve_some(system: LinearSystem, values, pins):
-    """system.solve(values, pins), with each unknown it reports free pinned
-    to its least value that works: 0 for an unknown no equation mentions,
-    else least..least + _FREE_BOUND, where least is the smallest value the
-    solved unknowns allow it (any witness will do; the caller verifies the
-    full atom set afterwards).  Ambiguous, with the free unknown as
-    ``free``, when every pin fails."""
-    try:
-        return system.solve(values, pins)
-    except Ambiguous as exc:
-        if exc.free is None:
-            raise
-        failure = exc
-    mentioned = IndexTerm(failure.free) in system.terms
-    for v in range(failure.least, failure.least + _FREE_BOUND + 1) if mentioned else (0,):
-        try:
-            sol = _solve_some(system, values, {**pins, failure.free: v})
-        except Ambiguous:
-            continue
-        if sol is not None:
+    """system.solve(values, pins), with each unknown it leaves free pinned
+    to its least value that works: 0 for an unknown no reduced equation
+    mentions, as any value gives the same outcome, else least..least +
+    _FREE_BOUND, where least is the smallest value the solved unknowns
+    allow it (any witness will do; the caller verifies the full atom set
+    afterwards).  Ambiguous, with the free unknown as ``free``, when every
+    pin fails."""
+    outcome = _pin_free(system.solve(values, pins))
+    if isinstance(outcome, Free):
+        raise outcome.ambiguous()
+    return outcome
+
+
+def _pin_free(outcome):
+    """*outcome* with its free unknown pinned to each value in turn: the
+    first assignment found, or *outcome* itself when no pin gives one."""
+    if not isinstance(outcome, Free):
+        return outcome
+    used = outcome.system.uses[outcome.column]
+    for v in range(outcome.least, outcome.least + _FREE_BOUND + 1) if used else (0,):
+        sol = _pin_free(outcome.pin(v))
+        if isinstance(sol, dict):
             return sol
-    raise failure
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def _count_equation(segments, base: Term, target: Term):
     # so the first match is the only one, and none can follow once the
     # run's tree is smaller than the target; with no suffix, only the tree
     # of the target's size can match
-    while tree is not None and j <= _COUNT_CAP:
+    while tree is not None:
         n = term_size(tree)
         if n < size:
             return None

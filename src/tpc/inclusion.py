@@ -25,7 +25,7 @@ class InclusionResult:
 
     @property
     def universal(self) -> bool:
-        return self.region.is_universal
+        return self.region.kind == "universal"
 
 
 def _align(p: SymbolicPath, q: SymbolicPath):

@@ -1,31 +1,28 @@
 """Exact linear solving over index variables.
 
 One row-reduction kernel, ``reduce_rows``, pivots chosen keys out of
-sparse Fraction rows.  Three front-ends share it:
+sparse rows in integer arithmetic, with exact Fraction results.  Two
+front-ends share it:
 
 * ``eliminate`` projects scalar existentials out of an equation system,
   returning the region of parameter values for which a natural solution
   exists (with integrality residues turned into congruences and solved
   values required nonnegative).
 * ``LinearSystem`` reduces equations ``expr = value`` once, the values as
-  tag columns, and then solves them at any values, and with any unknowns
-  pinned, in integers: every scalar count, multi-index length and element
-  that tuning solves.  The first unknown it leaves free, and the least
-  value the solved unknowns allow it, are carried by ``Ambiguous`` as
-  ``free`` and ``least``, for tuning to pin.  ``solve_concrete`` compiles
-  a system for one solve.
-* ``sigma._design`` reduces a feature matrix once, to solve each
-  repetition count for its feature coefficients (free coordinates zero,
-  integral or no fit).
-
-All arithmetic is exact (Fractions in the reduction, integers in results).
+  tag columns, into integer rows, and solves them at any values by
+  integer dot products.  The unknowns it leaves free, and the rows that
+  bound each, are fixed then; a solve returns the first one left unpinned
+  as a ``Free`` outcome, with its least value, to be pinned in turn.
+  Tuning solves every count, length and element with it (elements through
+  ``solve_concrete``, a system compiled for one solve), and sigma's fit
+  (``sigma._design``) every feature coefficient, in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .affine import AffineExpr, IndexTerm, ZERO
 from .errors import Ambiguous, Unsupported
@@ -95,14 +92,6 @@ class Region:
     conditions: tuple = ()
     raw: tuple = ()
 
-    @property
-    def is_universal(self):
-        return self.kind == "universal"
-
-    @property
-    def is_unsat(self):
-        return self.kind == "unsat"
-
     def __str__(self):
         if self.kind == "universal":
             return "all naturals"
@@ -112,74 +101,53 @@ class Region:
 
 
 # ---------------------------------------------------------------------------
-# evaluation (used by sampling checks in tests and verification passes)
-
-
-def eval_condition(cond, env: dict) -> bool:
-    try:
-        if isinstance(cond, Equation):
-            return cond.lhs.evaluate(env) == cond.rhs.evaluate(env)
-        if isinstance(cond, Ineq):
-            return cond.lhs.evaluate(env) >= cond.rhs.evaluate(env)
-        if isinstance(cond, Congruence):
-            return cond.expr.evaluate(env) % cond.modulus == 0
-    except (IndexError, KeyError):
-        return False
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def eval_region(region: Region, env: dict) -> bool:
-    if region.kind == "universal":
-        return True
-    if region.kind == "unsat":
-        return False
-    return all(eval_condition(c, env) for c in region.conditions)
-
-
-# ---------------------------------------------------------------------------
-# linear rows over Fractions
+# linear rows
 
 
 def _row_of(e: AffineExpr) -> dict:
-    row = {None: Fraction(e.const)}
-    for c, it in e.terms:
-        row[it] = row.get(it, Fraction(0)) + c
-    return {k: v for k, v in row.items() if k is None or v != 0}
+    return {None: e.const, **{it: c for c, it in e.terms}}
 
 
-def _row_sub(row: dict, key, sol: dict):
-    """In place: replace *key* in *row* by the solution row *sol*."""
-    c = row.pop(key, Fraction(0))
-    if c == 0:
-        return
-    for k, v in sol.items():
-        row[k] = row.get(k, Fraction(0)) + c * v
-    for k in [k for k, v in row.items() if k is not None and v == 0]:
-        del row[k]
+def _lowest(nums: dict, d: int) -> list:
+    """The row *nums* / *d*, d > 0, as [numerators, d] in lowest terms."""
+    g = gcd(d, *nums.values())
+    return [{k: v // g for k, v in nums.items()}, d // g]
 
 
 def reduce_rows(rows: list, keys) -> tuple:
-    """Gauss-Jordan over sparse rows (key -> Fraction, constant under
-    None, each row meaning "sum = 0"): pivots each of *keys* out, in
+    """Gauss-Jordan over sparse rows (key -> Fraction or int, constant
+    under None, each row meaning "sum = 0"): pivots each of *keys* out, in
     order, skipping keys no remaining row mentions.  Returns (solved,
-    rest): solved maps each pivoted key to the row it equals, in the
-    unpivoted keys and the constant; rest holds the unused rows with every
-    pivoted key substituted away.  Consumes *rows*."""
+    rest), rows of Fractions: solved maps each pivoted key to the row it
+    equals, in the unpivoted keys and the constant; rest holds the unused
+    rows with every pivoted key substituted away.  The arithmetic is in
+    integers, on each row's numerators over its least common denominator."""
+    work = []
+    for r in rows:
+        d = lcm(*(v.denominator for v in r.values()))
+        work.append([{k: v.numerator * (d // v.denominator) for k, v in r.items()}, d])
     solved = {}
     for key in keys:
-        pivot = next((r for r in rows if r.get(key)), None)
-        if pivot is None:
+        i = next((i for i, (nums, _) in enumerate(work) if nums.get(key)), None)
+        if i is None:
             continue
-        rows.remove(pivot)
-        c = pivot.pop(key)
-        sol = {k: -v / c for k, v in pivot.items()}
-        sol.setdefault(None, Fraction(0))
-        for r in rows:
-            _row_sub(r, key, sol)
-        for s in solved.values():
-            _row_sub(s, key, sol)
+        nums, _ = work.pop(i)
+        c = nums.pop(key)
+        sol_nums, sol_d = sol = _lowest({k: -v for k, v in nums.items()} if c > 0 else nums, abs(c))
+        sol_nums.setdefault(None, 0)
+        for row in work + list(solved.values()):
+            a = row[0].pop(key, 0)
+            if a:
+                # row + a * sol, over the product of their denominators
+                nums = {k: v * sol_d for k, v in row[0].items()}
+                for k, v in sol_nums.items():
+                    nums[k] = nums.get(k, 0) + a * v
+                row[:] = _lowest({k: v for k, v in nums.items() if v or k is None}, row[1] * sol_d)
         solved[key] = sol
-    return solved, rows
+    return (
+        {key: {k: Fraction(v, d) for k, v in nums.items()} for key, (nums, d) in solved.items()},
+        [{k: Fraction(v, d) for k, v in nums.items()} for nums, d in work],
+    )
 
 
 def _row_denom(row: dict) -> int:
@@ -274,95 +242,130 @@ def eliminate(system: ConditionSystem) -> Region:
 
 
 # ---------------------------------------------------------------------------
-# concrete solving
+# compiled solving
 
 
 class LinearSystem:
-    """The equations ``exprs[i] = values[i]`` over *unknowns*, reduced once
-    with a tag column per equation for its value, as ``sigma._design``
-    does; ``solve`` reads the solution at given values off the reduced rows
-    with integer dot products.  An unknown is a name (a scalar or a
-    multi-index length) or an index term such as the element ``m[3]``;
-    ``terms`` holds every index term the equations mention."""
+    """The equations ``exprs[i] = values[i]`` over *unknowns*, naturals or,
+    when *natural* is false, integers, reduced once with a tag column per
+    equation for its value; ``solve`` reads the outcome at given values off
+    the reduced rows with integer dot products.  An unknown is a name (a
+    scalar or a multi-index length) or an index term such as ``m[3]``.
+    Pivoting them last-declared first fixes the ones left ``free``
+    (columns, in declared order) and, for each, the solved rows that bound
+    it from below once the free ones before it are pinned."""
 
-    def __init__(self, exprs: list, unknowns):
-        keys = {u if isinstance(u, IndexTerm) else IndexTerm(u): u for u in unknowns}
-        self.terms = set().union(*(e.index_terms() for e in exprs))
-        rows = [_row_of(e) | {i: Fraction(-1)} for i, e in enumerate(exprs)]
-        solved, rest = reduce_rows(rows, reversed(keys))
-        # unknowns by column; an index term that is not one is column -1
-        self.names, self.unknowns = list(keys), list(keys.values())
-        self.column = {u: c for c, u in enumerate(self.unknowns)}
+    def __init__(self, exprs: list, unknowns, natural: bool = True):
+        self.unknowns, self.natural = list(unknowns), natural
+        size = len(self.unknowns)
+        keys = [u if isinstance(u, IndexTerm) else IndexTerm(u) for u in self.unknowns]
+        # an unknown's column is its position, any other index term's one
+        # past them; equation i's tag column is ~i, the constant's None
         column = {key: c for c, key in enumerate(keys)}
+        rows = [
+            {None: e.const, ~i: -1, **{column.setdefault(it, len(column)): a for a, it in e.terms}}
+            for i, e in enumerate(exprs)
+        ]
+        solved, rest = reduce_rows(rows, range(size - 1, -1, -1))
+        # integer rows (constant, ((equation, a), ...), ((column, a), ...)):
+        # the solved ones in column order, each scaled by d, and the rest,
+        # which mention no unknown; one mentioning another index term holds
+        # for some value of it, so only the others are checked
+        self.pivots = [(c, _row_denom(solved[c])) for c in range(size) if c in solved]
+        self.rows = [_scaled(solved[c], d) for c, d in self.pivots]
+        rest = [_scaled(r, _row_denom(r)) for r in rest]
+        self.checks = [(const, tags) for const, tags, terms in rest if not terms]
+        self.others = any(c >= size for _, _, terms in self.rows + rest for c, _ in terms)
+        self.free = [c for c in range(size) if c not in solved]
+        self.column = dict(zip(self.unknowns, range(size)))
+        self.uses = {c: [] for c in self.free}
+        self.bounds = {c: [] for c in self.free}
+        for r, (_, _, terms) in enumerate(self.rows):
+            for c, a in terms:
+                if c < size:
+                    self.uses[c].append((r, a))
+            # a row bounds its last free term once the ones before are
+            # pinned, when the coefficient is positive and no other term is left
+            last, a = max(terms, default=(size, 0))
+            if last < size and a > 0:
+                self.bounds[last].append((r, a))
 
-        def scaled(row):
-            # (constant, ((equation, a), ...), ((column, a), ...), d): the
-            # row times its common denominator d
-            d = _row_denom(row)
-            ints = {k: int(v * d) for k, v in row.items()}
-            tags = tuple((k, a) for k, a in ints.items() if isinstance(k, int))
-            terms = tuple((column.get(k, -1), a) for k, a in ints.items() if isinstance(k, IndexTerm))
-            return ints[None], tags, terms, d
+    def solve(self, values, pins: dict):
+        """The outcome at *values* with the free unknowns in *pins* set, all
+        keyed as the unknowns were given: the unique assignment, ``Free``
+        for the first free unknown left unpinned, or None.  None when the
+        equations contradict each other or a solved value is not integral
+        or, for naturals, negative, also while unknowns are left free once
+        a solved unknown is negative with no positive coefficient left to
+        raise it.  Ambiguous when every unknown is pinned down but an
+        equation mentions an index term that is not one."""
+        for const, tags in self.checks:
+            if const + sum([a * values[i] for i, a in tags]):
+                return None
+        at = [const + sum([a * values[i] for i, a in tags]) for const, tags, _ in self.rows]
+        return self._pinned(at, {}, {self.column[u]: v for u, v in pins.items()})
 
-        self.solved = {column[key]: scaled(sol) for key, sol in solved.items()}
-        self.rest = [scaled(r) for r in rest]
-        self.missing = [c for c, key in enumerate(keys) if key not in solved]
-
-    def solve(self, values, pins: dict) -> dict:
-        """The unique natural assignment at *values*, keyed as the unknowns
-        were given, with each unknown in *pins* (keyed the same way) set to
-        its value.  None when inconsistent or not natural, also when
-        unknowns are left free: the equations contradict each other, or a
-        solved unknown has a negative constant and no positive coefficient,
-        which makes it negative for every natural value of the terms it
-        still depends on.  The unknowns are pivoted last-declared first;
-        when the system does not pin every one down, Ambiguous carries the
-        first one left free as ``free``, and as ``least`` the least value
-        of it that the solved unknowns depending on it alone allow.  A pin
-        gives what one more equation ``unknown = value`` would."""
-        pinned = {self.column[u]: v for u, v in pins.items()}
-
-        def value(row):
-            const, tags, terms, _ = row
-            return (
-                const
-                + sum(a * values[i] for i, a in tags)
-                + sum(a * pinned[c] for c, a in terms if c in pinned)
-            )
-
-        def free(row):
-            return [(c, a) for c, a in row[2] if c not in pinned]
-
-        if any(not free(r) and value(r) for r in self.rest) or any(
-            value(sol) < 0 and all(a <= 0 for _, a in free(sol)) for sol in self.solved.values()
+    def _pinned(self, at, pinned: dict, pins: dict):
+        """The outcome from *at*, the solved rows' values with the columns
+        in *pinned* set, once the columns in *pins* are set in it too."""
+        for c, v in pins.items():
+            for r, a in self.uses[c]:
+                at[r] += a * v
+        pinned = {**pinned, **pins}
+        if self.natural and any(
+            v < 0 and all(c in pinned for c, a in terms if a > 0) for v, (_, _, terms) in zip(at, self.rows)
         ):
             return None
-        missing = next((c for c in self.missing if c not in pinned), None)
-        if missing is not None:
-            # c + a * missing >= 0 with a > 0 needs missing >= -c / a
-            least = 0
-            for sol in self.solved.values():
-                terms = free(sol)
-                if len(terms) == 1 and terms[0][0] == missing and terms[0][1] > 0:
-                    least = max(least, -(value(sol) // terms[0][1]))
-            raise Ambiguous(f"{self.names[missing]} is not determined", self.unknowns[missing], least)
-        if any(free(r) for r in self.rest) or any(free(sol) for sol in self.solved.values()):
+        for c in self.free:
+            if c not in pinned:
+                return Free(self, at, pinned, c, max([0] + [-(at[r] // a) for r, a in self.bounds[c]]))
+        if self.others:
             raise Ambiguous("equations mention index terms that are not unknowns")
-        out = {}
-        for c, u in enumerate(self.unknowns):
-            if c in pinned:
-                out[u] = pinned[c]
-                continue
-            v, d = value(self.solved[c]), self.solved[c][3]
-            if v % d or v < 0:
+        out = [pinned.get(c) for c in range(len(self.unknowns))]
+        for (c, d), v in zip(self.pivots, at):
+            if v % d or v < 0 and self.natural:
                 return None
-            out[u] = v // d
-        return out
+            out[c] = v // d
+        return dict(zip(self.unknowns, out))
+
+
+@dataclass(frozen=True)
+class Free:
+    """``LinearSystem.solve``'s outcome when it leaves an unknown free: the
+    first one unpinned, by its ``column``, with ``least``, the least
+    natural value of it that the solved unknowns depending on it alone
+    allow, and the system's rows evaluated so far."""
+
+    system: LinearSystem
+    at: list
+    pinned: dict
+    column: int
+    least: int
+
+    def pin(self, value: int):
+        """The outcome with the unknown pinned to *value* too: None when an
+        equation mentions an index term that is not an unknown, since no
+        assignment of the unknowns alone then holds."""
+        return None if self.system.others else self.system._pinned(list(self.at), self.pinned, {self.column: value})
+
+    def ambiguous(self) -> Ambiguous:
+        unknown = self.system.unknowns[self.column]
+        return Ambiguous(f"{unknown} is not determined", unknown, self.least)
+
+
+def _scaled(row: dict, d: int) -> tuple:
+    """*row* times *d*, as (constant, ((equation, a), ...), ((column, a), ...))."""
+    ints = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+    tags = [(~k, a) for k, a in ints.items() if k is not None and k < 0]
+    return ints.pop(None, 0), tags, [(k, a) for k, a in ints.items() if k is not None and k >= 0]
 
 
 def solve_concrete(equations, unknowns) -> dict:
     """The unique natural assignment of *unknowns* satisfying all
-    *equations*, keyed as given: ``LinearSystem.solve`` of a system
-    compiled for this one solve."""
+    *equations*, keyed as given, or None: ``LinearSystem.solve`` of a
+    system compiled for this one solve, with Ambiguous for a free unknown."""
     diffs = [eq.diff for eq in equations]
-    return LinearSystem(diffs, unknowns).solve([0] * len(diffs), {})
+    outcome = LinearSystem(diffs, unknowns).solve([0] * len(diffs), {})
+    if isinstance(outcome, Free):
+        raise outcome.ambiguous()
+    return outcome

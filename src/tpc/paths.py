@@ -48,13 +48,16 @@ class Step:
     _unit: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # so that apply returns a proper subterm, and a run of steps ends
+        if not isinstance(self.lhs, App):
+            raise ValueError(f"step lhs {print_term(self.lhs)} is not an application")
         try:
             c = Clause("", self.lhs, Var(self.var)).canonical()
         except FreeRhsVariable:
             raise ValueError(f"step target {self.var!r} does not occur in {print_term(self.lhs)}") from None
         object.__setattr__(self, "lhs", c.lhs)
         object.__setattr__(self, "var", c.rhs.name)
-        children = c.lhs.children if isinstance(c.lhs, App) else ()
+        children = c.lhs.children
         names = [v.name for v in children if isinstance(v, Var)]
         if names and len(set(names)) == len(children):
             unit = (c.lhs.functor, len(children), names.index(c.rhs.name))

@@ -160,17 +160,16 @@ def index_from_stars(e: IterExpr, values):
     """The index of *e*, a scheme with no choice, whose stars take
     *values*, left to right: each a count, or a tuple of counts for a star
     whose body takes an index.  Only the outermost stars take a value."""
-    values = iter(values)
+    return _index_of(e, iter(values))
 
-    def go(x):
-        if isinstance(x, Star):
-            return next(values)
-        if isinstance(x, Dot):
-            items = [go(p) for p in x.parts if takes_index(p)]
-            return items[0] if len(items) == 1 else tuple(items)
-        return ()
 
-    return go(e)
+def _index_of(x: IterExpr, values):
+    if isinstance(x, Star):
+        return next(values)
+    if isinstance(x, Dot):
+        items = [_index_of(p, values) for p in x.parts if takes_index(p)]
+        return items[0] if len(items) == 1 else tuple(items)
+    return ()
 
 
 def star_kind(e: Star):
@@ -358,31 +357,26 @@ def parse_scheme(text: str) -> IterExpr:
 
 
 def print_scheme(e: IterExpr) -> str:
-    def prec(x):
-        if isinstance(x, Alt):
-            return 0
-        if isinstance(x, Dot):
-            return 1
-        if isinstance(x, Star):
-            return 2
-        return 3
+    return _printed(e, 0)
 
-    def go(x, parent_prec):
-        if isinstance(x, Axiom):
-            s = x.name
-        elif isinstance(x, Eps):
-            s = "eps"
-        elif isinstance(x, Star):
-            body = go(x.body, 3)
-            s = body + "*"
-        elif isinstance(x, Dot):
-            s = ".".join(go(p, 2) for p in x.parts)
-        elif isinstance(x, Alt):
-            s = "|".join(go(p, 1) for p in x.parts)
-        else:
-            raise TypeError(x)
-        if prec(x) < parent_prec:
-            s = "(" + s + ")"
-        return s
 
-    return go(e, 0)
+_PREC = {Alt: 0, Dot: 1, Star: 2}
+
+
+def _printed(x: IterExpr, parent_prec: int) -> str:
+    """*x* as text, in parentheses when it binds looser than its parent."""
+    if isinstance(x, Axiom):
+        s = x.name
+    elif isinstance(x, Eps):
+        s = "eps"
+    elif isinstance(x, Star):
+        s = _printed(x.body, 3) + "*"
+    elif isinstance(x, Dot):
+        s = ".".join(_printed(p, 2) for p in x.parts)
+    elif isinstance(x, Alt):
+        s = "|".join(_printed(p, 1) for p in x.parts)
+    else:
+        raise TypeError(x)
+    if _PREC.get(type(x), 3) < parent_prec:
+        s = "(" + s + ")"
+    return s

@@ -40,17 +40,15 @@ the first failure reported is the same whatever the composition order.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, prod
 
-from .affine import AffineExpr, ONE, scopes
+from .affine import AffineExpr, IndexTerm, ONE, scopes
 from .errors import NotLinearizable
 from .final import compile_scalar_stage
-from .mathsolver import reduce_rows
+from .mathsolver import LinearSystem
 from .paths import (
     AtomSet,
     IterGroup,
@@ -190,13 +188,14 @@ def _family_key(atom):
 
 
 def _design(envs, features):
-    """Reduces the feature matrix of one list of sample envs once and
-    returns its ``fit``: a count per env to the fitted AffineExpr, or None
-    when no integral fit exists.  The pivots are the features independent
-    of the ones before them.  ``fit`` solves their coefficients from the
-    basis rows, free coefficients zero, and checks them on every row in
-    integers.  A consistent system's free-zero solution depends only on
-    the row space, so this is what reducing each count's system gives.
+    """The ``fit`` of one list of sample envs: a count per env to the
+    fitted AffineExpr, or None when no integral fit exists.  It solves a
+    ``LinearSystem`` over the feature coefficients, one equation per
+    distinct row of the feature matrix, and requires the count of a
+    repeated row to equal that of its first.  The pivots are the features
+    independent of the ones before them, and a free coefficient is 0: a
+    consistent system's free-zero solution depends only on the row space,
+    so this is what reducing each count's system gives.
 
     ``fit.decisive`` tells whether counts with no fit here have none over
     any list of envs that holds these either: the features are independent
@@ -211,37 +210,31 @@ def _design(envs, features):
 
         fit.decisive = True
         return fit
-    # row i reads "row . coeffs + t_i = 0" with t_i = -count_i, so a solved
-    # pivot gives its coefficient over the counts; a repeated row adds
-    # nothing to the row space and is left out
     first = {}
     for i, row in enumerate(rows):
         first.setdefault(row, i)
-    tagged = [
-        {col: Fraction(v) for col, v in enumerate(row) if v} | {("t", i): Fraction(1)}
-        for row, i in first.items()
-    ]
-    solved, _ = reduce_rows(tagged, range(len(features)))
-    denom = lcm(*(v.denominator for sol in solved.values() for v in sol.values()))
-    solution = [
-        [(k[1], int(-v * denom)) for k, v in sol.items() if isinstance(k, tuple)] for sol in solved.values()
-    ]
-    pivot_rows = [tuple(row[col] for col in solved) for row in rows]
+    repeats = [(i, first[row]) for i, row in enumerate(rows) if first[row] != i]
+    coeffs = [IndexTerm(str(col)) for col in range(len(features))]
+    # declared last first, since the system pivots the last-declared first
+    exprs = [AffineExpr(0, tuple((v, b) for v, b in zip(row, coeffs) if v)) for row in first]
+    system = LinearSystem(exprs, coeffs[::-1], natural=False)
+    zero = {system.unknowns[c]: 0 for c in system.free}
 
     def fit(counts):
-        # rounded down; only the exact solution, if integral, holds on the
-        # basis rows
-        coeffs = [sum(a * counts[i] for i, a in combo) // denom for combo in solution]
-        for row, count in zip(pivot_rows, counts):
-            if sum(map(operator.mul, row, coeffs)) != count:
+        if repeats:
+            if any(counts[i] != counts[j] for i, j in repeats):
                 return None
+            counts = [counts[i] for i in first.values()]
+        sol = system.solve(counts, zero)
+        if sol is None:
+            return None
         expr = AffineExpr.const_(0)
-        for col, b in zip(solved, coeffs):
+        for f, b in zip(features, reversed(sol.values())):
             if b:
-                expr = expr + features[col] * b
+                expr = expr + f * b
         return expr
 
-    fit.decisive = len(solved) == len(features)
+    fit.decisive = not zero
     return fit
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from tpc import load_theory, parse_scheme
 from tpc.affine import AffineExpr
+from tpc.mathsolver import Congruence, Equation, Ineq
 from tpc.paths import AtomSet, Segment, SymbolicPath, VarDecl
 from tpc.pipeline import DecisionProcedure
 from tpc.schemes import Alt, Axiom, Dot, Eps
@@ -31,6 +32,41 @@ def sequences(e, budget):
         frontier = {s + t for s in frontier for t in body if len(s) + len(t) <= budget} - out
         out |= frontier
     return out
+
+
+def index_terms(e: AffineExpr) -> set:
+    """Every index term *e* mentions, those in selectors included."""
+    out = set()
+    for _, it in e.terms:
+        out.add(it)
+        for s in it.sel:
+            out |= index_terms(s)
+    return out
+
+
+def eval_condition(cond, env: dict) -> bool:
+    """Whether a condition of a Region holds at *env*: false where a term
+    cannot be evaluated."""
+    try:
+        if isinstance(cond, Equation):
+            return cond.lhs.evaluate(env) == cond.rhs.evaluate(env)
+        if isinstance(cond, Ineq):
+            return cond.lhs.evaluate(env) >= cond.rhs.evaluate(env)
+        if isinstance(cond, Congruence):
+            return cond.expr.evaluate(env) % cond.modulus == 0
+    except (IndexError, KeyError):
+        return False
+    raise TypeError(f"not a condition: {cond!r}")
+
+
+def eval_region(region, env: dict) -> bool:
+    """Whether *env* lies in *region*: the reference semantics that
+    eliminate's regions are checked against."""
+    if region.kind == "universal":
+        return True
+    if region.kind == "unsat":
+        return False
+    return all(eval_condition(c, env) for c in region.conditions)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tpc import load_theory
 from tpc.errors import Ambiguous
-from tpc.final import _COUNT_CAP, TuneResult, _count_equation, _solve_some, decide, extract_proof, tune
+from tpc.final import TuneResult, _count_equation, _solve_some, decide, extract_proof, tune
 from tpc.affine import AffineExpr
-from tpc.mathsolver import LinearSystem, reduce_rows
+from tpc.mathsolver import Free, LinearSystem, reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import AtomSet, EqualsLR, GroundL, IterGroup, Segment, Step, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
@@ -119,23 +119,25 @@ class TestScalarTuning:
     def test_identity_axiom_pins_only_free_counts(self, monkeypatch):
         # a is the identity, so every a* count in the scheme is free; pinning
         # each in turn, determined or not, took over 100 000 solves for one
-        # decide here
+        # decide here; a pin of a free count solves again too
         calls = []
 
         def fresh_tune(*args):
             calls.clear()
             return tune(*args)
 
-        solve = LinearSystem.solve
+        def counted(method):
+            def call(*args):
+                calls.append(1)
+                if len(calls) > 1000:
+                    raise AssertionError("one tune solved a linear system over 1000 times")
+                return method(*args)
 
-        def counted(system, values, pins):
-            calls.append(1)
-            if len(calls) > 1000:
-                raise AssertionError("one tune solved a linear system over 1000 times")
-            return solve(system, values, pins)
+            return call
 
         monkeypatch.setattr("tpc.final.tune", fresh_tune)
-        monkeypatch.setattr(LinearSystem, "solve", counted)
+        monkeypatch.setattr(LinearSystem, "solve", counted(LinearSystem.solve))
+        monkeypatch.setattr(Free, "pin", counted(Free.pin))
         th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(F(x))\nc: P(x) -> P(F(F(x)))")
         proc = pipeline(th)
         assert proc.decide(parse_term("P(Z)"))
@@ -149,8 +151,9 @@ class TestScalarTuning:
         th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(F(x))\nc: P(x) -> P(F(F(x)))")
         proc = pipeline(th, selfcheck=False)
         calls = []
-        solve = LinearSystem.solve
+        solve, pin = LinearSystem.solve, Free.pin
         monkeypatch.setattr(LinearSystem, "solve", lambda *args: calls.append(1) or solve(*args))
+        monkeypatch.setattr(Free, "pin", lambda *args: calls.append(1) or pin(*args))
         assert proc.decide(parse_term("P(Z)"))
         assert len(calls) <= 8
 
@@ -172,6 +175,21 @@ class TestScalarTuning:
             answers.append(decide(fn, th.start, parse_term(f"P({x}, {y})")))
         assert len(calls) == 1
         assert answers.count(True) == sum(i % 11 <= i % 23 <= 2 * (i % 11) for i in range(200))
+
+    def test_mod2_decides_pin_their_free_count_without_an_exception(self, monkeypatch):
+        # b*.a*'s one equation k + 2n = j leaves n free on every query; the
+        # compiled system reports it as data, and pinning it goes on from
+        # the rows already evaluated
+        proc = pipeline(load_theory("mod2"))
+        solves, raised = [], []
+        solve, init = LinearSystem.solve, Ambiguous.__init__
+        monkeypatch.setattr(LinearSystem, "solve", lambda *args: solves.append(1) or solve(*args))
+        monkeypatch.setattr(Ambiguous, "__init__", lambda exc, *args: raised.append(args) or init(exc, *args))
+        tree = "Z"
+        for _ in range(17):
+            assert proc.decide(parse_term(f"P({tree})"))
+            tree = f"F({tree})"
+        assert (len(solves), raised) == (17, [])
 
     def test_free_count_pinned_from_its_least_value(self):
         # k = n - 10, so every pin of n below 10 makes k negative
@@ -314,7 +332,7 @@ def _reference_count(segments, base, target, env):
     step = segments[idx].step
     suffix = segments[idx + 1:]
     j = 0
-    while tree is not None and j <= _COUNT_CAP:
+    while tree is not None:
         if _reference_apply(suffix, tree, env) == target:
             return segments[idx].count, j
         tree = _matched(step, tree)

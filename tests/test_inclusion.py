@@ -8,12 +8,14 @@ from tpc import load_theory
 from tpc.affine import AffineExpr
 from tpc.errors import Unsupported
 from tpc.inclusion import _atom_equations, includes
-from tpc.mathsolver import Congruence, eval_region
+from tpc.mathsolver import Congruence
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.paths import GroundL, GroundR, Segment, Step, SymbolicPath
 from tpc.schemes import instantiate, parse_scheme, reduce_specific
 from tpc.sigma import sigma
 from tpc.terms import apply_clause, parse_term
+
+from conftest import eval_region
 
 
 @pytest.fixture(scope="module")

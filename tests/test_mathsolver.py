@@ -14,15 +14,16 @@ from tpc.mathsolver import (
     Congruence,
     ConditionSystem,
     Equation,
+    Free,
     Ineq,
     LinearSystem,
     _row_of,
     eliminate,
-    eval_condition,
-    eval_region,
     reduce_rows,
     solve_concrete,
 )
+
+from conftest import eval_condition, eval_region, index_terms
 
 n = AffineExpr.var("n")
 k = AffineExpr.var("k")
@@ -46,7 +47,7 @@ class TestEliminate:
             ),
         )
         r = eliminate(sys)
-        assert r.is_universal
+        assert r.kind == "universal"
         # the raw trace still shows the nonneg residue that got discharged
         assert any(isinstance(c, Ineq) for c in r.raw)
 
@@ -74,14 +75,14 @@ class TestEliminate:
 
     def test_inconsistent(self):
         sys = ConditionSystem(("k",), (Equation(k, one), Equation(k, two)))
-        assert eliminate(sys).is_unsat
+        assert eliminate(sys).kind == "unsat"
 
     def test_constant_contradiction(self):
-        assert eliminate(ConditionSystem((), (Equation(one, two),))).is_unsat
+        assert eliminate(ConditionSystem((), (Equation(one, two),))).kind == "unsat"
 
     def test_unconstrained_existential(self):
         sys = ConditionSystem(("k",), (Equation(n, n),))
-        assert eliminate(sys).is_universal
+        assert eliminate(sys).kind == "universal"
 
     def test_residual_equation_on_parameters(self):
         m = AffineExpr.var("m")
@@ -206,6 +207,27 @@ class TestSolveConcrete:
 
 
 
+class TestCompiledSystem:
+    def test_free_count_is_reported_as_data(self):
+        # k + 2n = j: k is pivoted first, so n is left free, and k = j - 2n
+        # bounds n only from above
+        system = LinearSystem([k + n * 2], ["n", "k"])
+        assert system.free == [0]
+        outcome = system.solve([7], {})
+        assert isinstance(outcome, Free)
+        assert (outcome.column, outcome.least) == (0, 0) and system.uses == {0: [(0, -2)]}
+        assert outcome.pin(2) == {"n": 2, "k": 3} == system.solve([7], {"n": 2})
+        assert outcome.pin(4) is None
+        # n - k = j bounds n from below by j
+        assert system.solve([7], {"n": 4}) is None
+        outcome = LinearSystem([n - k], ["n", "k"]).solve([10], {})
+        assert (outcome.column, outcome.least) == (0, 10)
+
+    def test_integer_unknowns_may_be_negative(self):
+        assert LinearSystem([k + n * 2], ["n", "k"]).solve([1], {"n": 3}) is None
+        assert LinearSystem([k + n * 2], ["n", "k"], natural=False).solve([1], {"n": 3}) == {"n": 3, "k": -5}
+
+
 def _reference_solve_concrete(equations, unknowns):
     """solve_concrete as it was before the compiled system: one Fraction
     row reduction per call."""
@@ -244,7 +266,7 @@ def _reference_solve_some(eqs, unknowns):
             raise
         failure = exc
     free = IndexTerm(failure.free)
-    mentioned = any(free in eq.diff.index_terms() for eq in eqs)
+    mentioned = any(free in index_terms(eq.diff) for eq in eqs)
     for v in range(failure.least, failure.least + _FREE_BOUND + 1) if mentioned else (0,):
         pin = Equation(AffineExpr.var(failure.free), AffineExpr.const_(v))
         try:
@@ -257,8 +279,12 @@ def _reference_solve_some(eqs, unknowns):
 
 
 def _outcome(solve, *args):
+    # a Free outcome of LinearSystem.solve reads as the Ambiguous that
+    # solve_concrete and _solve_some raise for it
     try:
         got = solve(*args)
+        if isinstance(got, Free):
+            raise got.ambiguous()
     except Ambiguous as exc:
         return "Ambiguous", str(exc), exc.free, exc.least
     return got if got is None else list(got.items())

@@ -52,6 +52,10 @@ class TestSteps:
         with pytest.raises(ValueError):
             Step(parse_term("P(x)"), "y")
 
+    def test_lhs_must_be_an_application(self):
+        with pytest.raises(ValueError, match="not an application"):
+            Step(Var("x"), "x")
+
     def test_str(self):
         assert str(step("P(a, b)", "b")) == "[P(x, y)->y]"
 

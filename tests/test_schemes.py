@@ -1,3 +1,4 @@
+import gc
 import time
 
 import pytest
@@ -331,6 +332,25 @@ class TestBuildScheme:
 
     def test_two_axioms(self):
         assert print_scheme(build_scheme(["a", "b"])) == "(a*.b)*.a*"
+
+
+def test_printing_and_indexing_leave_no_cycles():
+    # sigma indexes every sample it takes; a recursive closure made per
+    # call would be a cycle that only the collector frees
+    schemes = [
+        build_scheme([ax.name for ax in load_theory(name).axioms])
+        for name in ("chain", "fg", "mod2", "rotate", "rotate3", "ancestor")
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        texts = [print_scheme(e) for e in schemes]
+        indexes = [index_from_stars(e, range(10)) for e in schemes]
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert texts[4] == "((a*.b)*.a*.c)*.(a*.b)*.a*" and indexes[4] == (0, 1, 2)
+    assert freed == 0
 
 
 class TestEnumerate:

@@ -24,10 +24,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 KEPT = {
-    "eval_region": "the reference semantics of a Region, which tests check eliminate's regions against",
     "power_path": "criterion 3's path algebra",
     "horn_to_tpc": "the public Horn-clause transform, exported by the package",
-    "Region.is_unsat": "criterion 5 reads it",
     "Clause.same_relation": "tests compare clauses as relations",
 }
 
