@@ -121,27 +121,27 @@ PRINT_CHARS = 40
 def print_index(m) -> str:
     """An index as text, lists in braces; any other value as its repr, or
     as its size for an int whose repr is longer than PRINT_CHARS."""
-    left = PRINT_ITEMS
+    return _print_index(m, 0, PRINT_ITEMS)[0]
 
-    def go(x, depth):
-        nonlocal left
-        if isinstance(x, int) and not -(10 ** (PRINT_CHARS - 1)) < x < 10**PRINT_CHARS:
-            return f"<int of {x.bit_length()} bits>"
-        if not isinstance(x, _CONTAINERS):
-            text = repr(x)
-            return text if len(text) <= PRINT_CHARS else text[:PRINT_CHARS] + "..."
-        if depth == PRINT_DEPTH:
-            return "..."
-        parts = []
-        for item in x:
-            if not left:
-                parts.append("...")
-                break
-            left -= 1
-            parts.append(go(item, depth + 1))
-        return "{" + ", ".join(parts) + "}"
 
-    return go(m, 0)
+def _print_index(x, depth, left):
+    """*x* at nesting *depth* as text, with *left* container items still
+    to print; returns the text and the items left after it."""
+    if isinstance(x, int) and not -(10 ** (PRINT_CHARS - 1)) < x < 10**PRINT_CHARS:
+        return f"<int of {x.bit_length()} bits>", left
+    if not isinstance(x, _CONTAINERS):
+        text = repr(x)
+        return (text if len(text) <= PRINT_CHARS else text[:PRINT_CHARS] + "..."), left
+    if depth == PRINT_DEPTH:
+        return "...", left
+    parts = []
+    for item in x:
+        if not left:
+            parts.append("...")
+            break
+        text, left = _print_index(item, depth + 1, left - 1)
+        parts.append(text)
+    return "{" + ", ".join(parts) + "}", left
 
 
 # ---------------------------------------------------------------------------

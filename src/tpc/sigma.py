@@ -228,11 +228,12 @@ def _design(envs, features):
         sol = system.solve(counts, zero)
         if sol is None:
             return None
-        expr = AffineExpr.const_(0)
+        const, terms = 0, []
         for f, b in zip(features, reversed(sol.values())):
             if b:
-                expr = expr + f * b
-        return expr
+                const += f.const * b
+                terms += [(c * b, it) for c, it in f.terms]
+        return AffineExpr.of(const, *terms)
 
     fit.decisive = not zero
     return fit

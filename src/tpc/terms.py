@@ -10,10 +10,14 @@ printing, matching, unification, the occurs check and the clause walks
 but only over the pattern, an axiom or a path step, so axioms deeper than
 about 500 nodes remain out of scope.
 
-Replaying a proof builds a few nodes per step, so node construction is
-kept to one plain loop: ``App`` computes its size, groundness and child
-hashes in a single pass over its children, and ``substitute`` collects
-the rebuilt children in a loop, with no generator in either.
+Root application is compiled.  The first time ``apply_clause`` applies a
+clause, it turns the clause into straight-line code and keeps that on the
+clause: a class, functor and arity test per lhs node, and an ``App`` call
+per rhs node that is not ground.  So brute-force search and proof replay
+match and substitute nothing per tree; ``match`` and ``substitute`` serve
+path steps and the clause fold.  Node construction is one plain loop:
+``App`` computes its size, groundness and child hashes in a single pass
+over its children, with no generator.
 
 ``compose_clauses`` is the one clause fold: it keeps one substitution for
 the whole fold, so a step costs the size of its clause and only the result
@@ -393,6 +397,9 @@ class Clause:
     name: str
     lhs: Term
     rhs: Term
+    # the root application, compiled by apply_clause when it first applies
+    # this clause
+    _apply: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         extra = free_vars(self.rhs) - free_vars(self.lhs)
@@ -403,10 +410,6 @@ class Clause:
         """Variables renamed v0, v1, ... in DFS order over lhs then rhs."""
         names = {}
         return Clause(self.name, _rebuild(self.lhs, {}, names), _rebuild(self.rhs, {}, names))
-
-    def same_relation(self, other: "Clause") -> bool:
-        a, b = self.canonical(), other.canonical()
-        return a.lhs == b.lhs and a.rhs == b.rhs
 
     def with_name(self, name: str) -> "Clause":
         return _clause(name, self.lhs, self.rhs)
@@ -427,11 +430,80 @@ IDENTITY = Clause("eps", Var("x"), Var("x"))
 
 
 def apply_clause(c: Clause, t: Term):
-    """Root-only application; returns the result tree or None (no match)."""
-    binding = match(c.lhs, t)
-    if binding is None:
-        return None
-    return substitute(c.rhs, binding)
+    """Root-only application; returns the result tree or None (no match).
+    Gives what ``substitute(c.rhs, match(c.lhs, t))`` gives, through code
+    compiled for *c* the first time it is applied."""
+    apply = c._apply
+    if apply is None:
+        apply = _compile_apply(c)
+        object.__setattr__(c, "_apply", apply)
+    return apply(t)
+
+
+def _compile_apply(c: Clause):
+    """A function of one tree that applies *c* at its root, as straight-line
+    code.  The lhs gives one class, functor and arity test per node, which
+    unpacks the node's children into slots ``t<i>``, and one ``!=`` test
+    per repeated occurrence of a variable; the rhs gives one ``App``
+    statement per node that is not ground, children first.  Every
+    statement is flat, so axioms of any depth compile.  Functors and
+    ground rhs subtrees (kept as they are, as ``substitute`` keeps them)
+    are named constants ``k<i>``, so the source holds no text of the
+    clause."""
+    env = {"App": App}
+
+    def const(value):
+        name = f"k{len(env)}"
+        env[name] = value
+        return name
+
+    lines = ["def apply(t0):"]
+    repeats = []
+    slots = {}  # variable name -> the slot it is bound to
+    n = 0  # slots made
+    todo = [(c.lhs, "t0")]
+    while todo:
+        p, slot = todo.pop()
+        if isinstance(p, Var):
+            if p.name in slots:
+                repeats.append(f" if {slot} != {slots[p.name]}: return None")
+            else:
+                slots[p.name] = slot
+            continue
+        arity = len(p.children)
+        lines.append(
+            f" if {slot}.__class__ is not App or {slot}.functor != {const(p.functor)}"
+            f" or len({slot}.children) != {arity}: return None"
+        )
+        if arity:
+            kids = [f"t{n + i}" for i in range(1, arity + 1)]
+            n += arity
+            lines.append(f" {', '.join(kids)}, = {slot}.children")
+            todo.extend(zip(p.children, kids))
+    lines += repeats
+    done = []
+    todo = [c.rhs]
+    while todo:
+        p = todo.pop()
+        if p.__class__ is tuple:  # (app,): its children are done
+            (p,) = p
+            arity = len(p.children)
+            n += 1
+            lines.append(f" t{n} = App({const(p.functor)}, ({', '.join(done[-arity:])},))")
+            del done[-arity:]
+            done.append(f"t{n}")
+        elif isinstance(p, Var):
+            # a variable the lhs does not bind stands for itself
+            done.append(slots.get(p.name) or const(p))
+        elif p.is_ground:
+            done.append(const(p))
+        else:
+            todo.append((p,))
+            todo.extend(reversed(p.children))
+    lines.append(f" return {done[0]}")
+    exec("\n".join(lines), env)
+    # taken out, so that the function and its globals form no cycle
+    return env.pop("apply")
 
 
 def compose_clauses(first: Clause, *rest: Clause, state=None):

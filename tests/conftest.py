@@ -34,6 +34,13 @@ def sequences(e, budget):
     return out
 
 
+def same_relation(a, b) -> bool:
+    """Whether clauses *a* and *b* are the same relation: equal once each
+    has its variables renamed in order of first occurrence."""
+    a, b = a.canonical(), b.canonical()
+    return a.lhs == b.lhs and a.rhs == b.rhs
+
+
 def index_terms(e: AffineExpr) -> set:
     """Every index term *e* mentions, those in selectors included."""
     out = set()

@@ -22,11 +22,11 @@ from tpc import (
 import tpc.schemes
 from tpc.errors import ShapeError, TheorySyntaxError
 from tpc.paths import split_axiom
-from tpc.schemes import PRINT_CHARS, PRINT_DEPTH, PRINT_ITEMS, Eps, index_from_stars
+from tpc.schemes import PRINT_CHARS, PRINT_DEPTH, PRINT_ITEMS, Eps, index_from_stars, print_index
 from tpc.sigma import sigma
 from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars, substitute
 
-from conftest import sequences
+from conftest import same_relation, sequences
 
 AB_STAR = parse_scheme("(a*.b)*.a*")
 
@@ -341,15 +341,25 @@ def test_printing_and_indexing_leave_no_cycles():
         build_scheme([ax.name for ax in load_theory(name).axioms])
         for name in ("chain", "fg", "mod2", "rotate", "rotate3", "ancestor")
     ]
+    ab = parse_scheme("a.b")
     gc.collect()
     gc.disable()
     try:
         texts = [print_scheme(e) for e in schemes]
         indexes = [index_from_stars(e, range(10)) for e in schemes]
+        printed = [print_index(m) for m in indexes + [((1, 2), (3,))] * 10]
+        # every ShapeError message prints its index, this one cut
+        try:
+            instantiate(ab, [list(range(60))] * 2)
+        except ShapeError as exc:
+            message = str(exc)
         freed = gc.collect()
     finally:
         gc.enable()
     assert texts[4] == "((a*.b)*.a*.c)*.(a*.b)*.a*" and indexes[4] == (0, 1, 2)
+    assert printed[4] == "{0, 1, 2}" and printed[-1] == "{{1, 2}, {3}}"
+    # PRINT_ITEMS items: the two lists, then 60 and 38 of their elements
+    assert ", 59}, {0, 1, " in message and message.endswith(", 37, ...}} (at index position root)")
     assert freed == 0
 
 
@@ -375,18 +385,18 @@ class TestReduceSpecific:
         th = load_theory("fg")
         got = reduce_specific(th, ["b", "a"])
         want = Clause("", parse_term("P(x, y)"), parse_term("P(F(F(F(x))), G(G(y)))"))
-        assert got.same_relation(want)
-        assert got.same_relation(reduce_specific(th, ["a", "b"]))
+        assert same_relation(got, want)
+        assert same_relation(got, reduce_specific(th, ["a", "b"]))
 
     def test_empty_sequence_is_identity(self):
         th = load_theory("fg")
         got = reduce_specific(th, [])
-        assert got.same_relation(Clause("", parse_term("x"), parse_term("x")))
+        assert same_relation(got, Clause("", parse_term("x"), parse_term("x")))
 
     def test_l1_twice(self):
         th = load_theory("ancestor")
         got = reduce_specific(th, ["l1", "l1"])
-        assert got.same_relation(Clause("", parse_term("And(And(x, y), z)"), parse_term("x")))
+        assert same_relation(got, Clause("", parse_term("And(And(x, y), z)"), parse_term("x")))
 
     def test_shared_prefix_state_matches_fresh_folds(self):
         th = load_theory("ancestor")
@@ -406,11 +416,11 @@ class TestReduceSpecific:
             if want is None:
                 assert got is None
             else:
-                assert got.same_relation(want)
+                assert same_relation(got, want)
             assert len(state) <= len(seq)
         assert reduce_specific(th, ("a1", "a1")) is None
-        assert reduce_specific(th, long, state).same_relation(
-            Clause("", parse_term("x"), parse_term("Ancestor(Adam, Olga)"))
+        assert same_relation(
+            reduce_specific(th, long, state), Clause("", parse_term("x"), parse_term("Ancestor(Adam, Olga)"))
         )
         assert len(state) == len(long)
 

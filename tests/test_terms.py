@@ -23,7 +23,10 @@ from tpc.errors import (
     NonGroundStart,
     TheorySyntaxError,
 )
-from tpc.terms import IDENTITY, free_vars, substitute, term_size, unify
+from tpc.oracle import SearchBudget, reachable_set
+from tpc.terms import IDENTITY, Theory, free_vars, match, substitute, term_size, unify
+
+from conftest import same_relation
 
 
 def t(text):
@@ -125,6 +128,112 @@ class TestApply:
         assert apply_clause(c, t("P(F(Z), F(Z))")) == t("F(Z)")
         assert apply_clause(c, t("P(F(Z), Z)")) is None
 
+    def test_open_trees_apply_as_under_match(self):
+        # a variable in the tree is matched only by a variable of the lhs
+        c = clause("c", "F(G(x), y)", "H(y, x)")
+        assert apply_clause(c, Var("z")) is None and match(c.lhs, Var("z")) is None
+        assert apply_clause(c, t("F(z, Z)")) is None and match(c.lhs, t("F(z, Z)")) is None
+        assert apply_clause(c, t("F(G(z), w)")) == t("H(w, z)")
+
+    def test_deep_axiom_applies(self):
+        # compiled code is flat, so depth is no limit
+        lhs, rhs, tree = Var("x"), Var("x"), App("Z")
+        for _ in range(300):
+            lhs, rhs, tree = App("F", (lhs,)), App("G", (rhs,)), App("F", (tree,))
+        c = Clause("deep", lhs, rhs)
+        for u in (tree, tree.children[0], App("F", (tree,))):
+            binding = match(lhs, u)
+            assert apply_clause(c, u) == (None if binding is None else substitute(rhs, binding))
+        got = apply_clause(c, tree)
+        assert got.size == 301 and apply_clause(Clause("back", rhs, lhs), got) == tree
+        assert apply_clause(c, tree.children[0]) is None
+
+    def test_names_that_look_like_code_apply_as_under_match(self):
+        # functors and variables named like the identifiers of the compiled
+        # code, or like Python constants, are data to it
+        def node(f, *children):
+            return App(f, children)
+
+        x, y, k0, none = Var("t0"), Var("k0"), node("k0"), node("None")
+        th = Theory(
+            start=node("App", k0, none),
+            axioms=(
+                Clause("a", node("App", x, none), node("t", node("n1", x), k0)),
+                Clause("b", node("t", x, y), node("App", y, none)),
+                Clause("c", node("t", x, y), node("App", x, none)),
+                Clause("d", node("App", x, y), node("t", y, y)),
+                Clause("e", node("t", x, x), node("App", node("n1", x), node("App", k0, none))),
+            ),
+        )
+        trees = reachable_set(th, th.start, SearchBudget(max_depth=6))
+        assert node("App", node("n1", none), node("App", k0, none)) in trees
+        for tree in trees:
+            for ax in th.axioms:
+                binding = match(ax.lhs, tree)
+                assert apply_clause(ax, tree) == (None if binding is None else substitute(ax.rhs, binding))
+        assert apply_clause(th.axiom("e"), node("t", k0, none)) is None
+
+
+# functors used at several arities, so a pattern can fail on arity alone;
+# names of several characters, which parsing does not share between terms
+_FUNCTORS = st.sampled_from(("F", "Go", "Hop"))
+_PATTERNS = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), App("Z"), App("Hop")]),
+    lambda kids: st.builds(lambda f, cs: App(f, tuple(cs)), _FUNCTORS, st.lists(kids, max_size=3)),
+    max_leaves=8,
+)
+_GROUND = st.recursive(
+    st.sampled_from([App("Z"), App("Hop")]),
+    lambda kids: st.builds(lambda f, cs: App(f, tuple(cs)), _FUNCTORS, st.lists(kids, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _applications(draw):
+    """A clause and a tree: an instance of its lhs, in which each occurrence
+    of a variable is its binding, an equal copy of it or another tree, or
+    else any ground tree; either of them may be parsed from its text."""
+    lhs, rhs = draw(_PATTERNS), draw(_PATTERNS)
+    have = sorted(free_vars(lhs))
+    fix = {v: Var(have[i % len(have)]) if have else App("Z") for i, v in enumerate(sorted(free_vars(rhs) - set(have)))}
+    c = Clause("c", lhs, substitute(rhs, fix))
+    if draw(st.booleans()):
+        tree = draw(_GROUND)
+        return c, parse_term(print_term(tree)) if draw(st.booleans()) else tree
+    binding = {v: draw(_GROUND) for v in have}
+
+    def instance(p):
+        if isinstance(p, App):
+            return App(p.functor, tuple(map(instance, p.children)))
+        how = draw(st.sampled_from(("same", "copy", "other")))
+        bound = binding[p.name]
+        return bound if how == "same" else parse_term(print_term(bound)) if how == "copy" else draw(_GROUND)
+
+    tree = instance(lhs)
+    return c, parse_term(print_term(tree)) if draw(st.booleans()) else tree
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_applications())
+@example((clause("c", "Go(x, x)", "F(x)"), t("Go(Hop(Z), Hop(Z))")))  # a repeated variable
+@example((clause("c", "Go(x, x)", "F(x)"), t("Go(Hop(Z), Hop(Hop))")))
+@example((clause("c", "x", "Go(x, F(Z))"), t("Hop")))  # a variable lhs, a ground rhs subtree
+@example((clause("c", "Go(x, y)", "y"), t("Go(Z, F(Hop))")))  # a variable rhs
+@example((clause("c", "F(Z)", "Hop"), t("F(Z)")))  # constants on both sides
+@example((clause("c", "F(x, Z)", "x"), t("F(Z)")))  # an arity mismatch
+@example((clause("c", "F(x, Z)", "x"), t("F(Z, Hop)")))  # a functor mismatch
+def test_compiled_application_matches_match_and_substitute(application):
+    c, tree = application
+    binding = match(c.lhs, tree)
+    want = None if binding is None else substitute(c.rhs, binding)
+    got = apply_clause(c, tree)
+    if want is None:
+        assert got is None
+    else:
+        assert got == want
+        assert (got.size, got.is_ground, hash(got)) == (want.size, want.is_ground, hash(want))
+
 
 def _rebuild(pattern, binding):
     # structural substitution that rebuilds every App node
@@ -218,19 +327,19 @@ class TestCompose:
         c1 = clause("", "P(x, y)", "x")
         c2 = clause("", "R(x, y)", "y")
         got = compose_clauses(c1, c2)
-        assert got.same_relation(clause("", "P(R(x, y), z)", "y"))
+        assert same_relation(got, clause("", "P(R(x, y), z)", "y"))
 
     def test_fg_composition_commutes(self):
         a = clause("a", "P(x, y)", "P(F(F(x)), G(y))")
         b = clause("b", "P(x, y)", "P(F(x), G(y))")
         expected = clause("", "P(x, y)", "P(F(F(F(x))), G(G(y)))")
-        assert compose_clauses(a, b).same_relation(expected)
-        assert compose_clauses(b, a).same_relation(expected)
+        assert same_relation(compose_clauses(a, b), expected)
+        assert same_relation(compose_clauses(b, a), expected)
 
     def test_identity_is_neutral(self):
         c = clause("c", "P(R(x, z), y)", "P(x, R(y, z))")
-        assert compose_clauses(IDENTITY, c).same_relation(c)
-        assert compose_clauses(c, IDENTITY).same_relation(c)
+        assert same_relation(compose_clauses(IDENTITY, c), c)
+        assert same_relation(compose_clauses(c, IDENTITY), c)
 
     def test_occurs_check_follows_older_bindings_once_an_older_variable_is_bound(self):
         # x'0 := G(y'2) binds a variable that is not fresh, so the check of

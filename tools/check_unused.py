@@ -26,7 +26,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 KEPT = {
     "power_path": "criterion 3's path algebra",
     "horn_to_tpc": "the public Horn-clause transform, exported by the package",
-    "Clause.same_relation": "tests compare clauses as relations",
 }
 
 
