@@ -1,8 +1,8 @@
 """Exact linear solving over index variables.
 
 One row-reduction kernel, ``reduce_rows``, pivots chosen keys out of
-sparse rows in integer arithmetic, with exact Fraction results.  Two
-front-ends share it:
+sparse integer rows in integer arithmetic, each result row exact as its
+numerators over one denominator.  Two front-ends share it:
 
 * ``eliminate`` projects scalar existentials out of an equation system,
   returning the region of parameter values for which a natural solution
@@ -21,8 +21,7 @@ front-ends share it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .affine import AffineExpr, IndexTerm, ZERO
 from .errors import Ambiguous, Unsupported
@@ -115,17 +114,14 @@ def _lowest(nums: dict, d: int) -> list:
 
 
 def reduce_rows(rows: list, keys) -> tuple:
-    """Gauss-Jordan over sparse rows (key -> Fraction or int, constant
-    under None, each row meaning "sum = 0"): pivots each of *keys* out, in
-    order, skipping keys no remaining row mentions.  Returns (solved,
-    rest), rows of Fractions: solved maps each pivoted key to the row it
-    equals, in the unpivoted keys and the constant; rest holds the unused
-    rows with every pivoted key substituted away.  The arithmetic is in
-    integers, on each row's numerators over its least common denominator."""
-    work = []
-    for r in rows:
-        d = lcm(*(v.denominator for v in r.values()))
-        work.append([{k: v.numerator * (d // v.denominator) for k, v in r.items()}, d])
+    """Gauss-Jordan over sparse integer rows (key -> int, constant under
+    None, each row meaning "sum = 0"): pivots each of *keys* out, in order,
+    skipping keys no remaining row mentions.  Returns (solved, rest), each
+    row as (numerators, denominator) in lowest terms, the denominator
+    positive: solved maps each pivoted key to the row it equals, in the
+    unpivoted keys and the constant; rest holds the unused rows with every
+    pivoted key substituted away.  The arithmetic is in integers."""
+    work = [[dict(r), 1] for r in rows]
     solved = {}
     for key in keys:
         i = next((i for i, (nums, _) in enumerate(work) if nums.get(key)), None)
@@ -144,21 +140,11 @@ def reduce_rows(rows: list, keys) -> tuple:
                     nums[k] = nums.get(k, 0) + a * v
                 row[:] = _lowest({k: v for k, v in nums.items() if v or k is None}, row[1] * sol_d)
         solved[key] = sol
-    return (
-        {key: {k: Fraction(v, d) for k, v in nums.items()} for key, (nums, d) in solved.items()},
-        [{k: Fraction(v, d) for k, v in nums.items()} for nums, d in work],
-    )
+    return solved, work
 
 
-def _row_denom(row: dict) -> int:
-    return lcm(*(v.denominator for v in row.values())) if row else 1
-
-
-def _row_to_expr(row: dict, scale: int = 1) -> AffineExpr:
-    terms = tuple(
-        (int(v * scale), k) for k, v in row.items() if k is not None
-    )
-    return AffineExpr.of(int(row.get(None, 0) * scale), *terms)
+def _row_to_expr(nums: dict) -> AffineExpr:
+    return AffineExpr.of(nums.get(None, 0), *((v, k) for k, v in nums.items() if k is not None))
 
 
 def _trivially_nonneg(e: AffineExpr) -> bool:
@@ -208,21 +194,20 @@ def eliminate(system: ConditionSystem) -> Region:
 
     raw = []
     unsat = False
-    for r in rows:
-        expr = _row_to_expr(r, _row_denom(r))
+    for nums, _ in rows:
+        expr = _row_to_expr(nums)
         if expr.is_const:
             if expr.const != 0:
                 unsat = True
                 raw.append(_split_equation(expr))
             continue
         raw.append(_split_equation(expr))
-    for key, sol in solved.items():
-        leftover = {k for k in sol if isinstance(k, IndexTerm) and k.var in system.existentials}
+    for key, (nums, d) in solved.items():
+        leftover = {k for k in nums if isinstance(k, IndexTerm) and k.var in system.existentials}
         if leftover:
             names = ", ".join(sorted(map(str, leftover)))
             raise Unsupported(f"existential {key.var} not isolated: depends on {names}")
-        d = _row_denom(sol)
-        scaled = _row_to_expr(sol, d)
+        scaled = _row_to_expr(nums)
         if d > 1:
             raw.append(Congruence(scaled, d))
         raw.append(Ineq(scaled, ZERO))
@@ -268,12 +253,13 @@ class LinearSystem:
         ]
         solved, rest = reduce_rows(rows, range(size - 1, -1, -1))
         # integer rows (constant, ((equation, a), ...), ((column, a), ...)):
-        # the solved ones in column order, each scaled by d, and the rest,
-        # which mention no unknown; one mentioning another index term holds
-        # for some value of it, so only the others are checked
-        self.pivots = [(c, _row_denom(solved[c])) for c in range(size) if c in solved]
-        self.rows = [_scaled(solved[c], d) for c, d in self.pivots]
-        rest = [_scaled(r, _row_denom(r)) for r in rest]
+        # the numerators of the solved ones in column order, each over its
+        # denominator d, and of the rest, which mention no unknown; one
+        # mentioning another index term holds for some value of it, so only
+        # the others are checked
+        self.pivots = [(c, solved[c][1]) for c in range(size) if c in solved]
+        self.rows = [_parts(solved[c][0]) for c, _ in self.pivots]
+        rest = [_parts(nums) for nums, _ in rest]
         self.checks = [(const, tags) for const, tags, terms in rest if not terms]
         self.others = any(c >= size for _, _, terms in self.rows + rest for c, _ in terms)
         self.free = [c for c in range(size) if c not in solved]
@@ -353,11 +339,10 @@ class Free:
         return Ambiguous(f"{unknown} is not determined", unknown, self.least)
 
 
-def _scaled(row: dict, d: int) -> tuple:
-    """*row* times *d*, as (constant, ((equation, a), ...), ((column, a), ...))."""
-    ints = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
-    tags = [(~k, a) for k, a in ints.items() if k is not None and k < 0]
-    return ints.pop(None, 0), tags, [(k, a) for k, a in ints.items() if k is not None and k >= 0]
+def _parts(nums: dict) -> tuple:
+    """The integer row *nums* as (constant, ((equation, a), ...), ((column, a), ...))."""
+    tags = [(~k, a) for k, a in nums.items() if k is not None and k < 0]
+    return nums.get(None, 0), tags, [(k, a) for k, a in nums.items() if k is not None and k >= 0]
 
 
 def solve_concrete(equations, unknowns) -> dict:

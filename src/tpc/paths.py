@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .affine import AffineExpr, ONE, ZERO, scopes
 from .errors import FreeRhsVariable
-from .terms import IDENTITY, App, Clause, Term, Var, compose_clauses, match, print_term, substitute
+from .terms import App, Clause, Term, Var, compile_apply, print_term, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -35,17 +35,17 @@ from .terms import IDENTITY, App, Clause, Term, Var, compose_clauses, match, pri
 class Step:
     """One projection clause [p -> v]; variables canonically renamed.
 
-    A unit step, whose lhs is ``f(v0, ..., v{a-1})`` with distinct
-    variables, descends by itself: it tests the functor and the arity of
-    the tree and returns the child at the target's position, with no
-    ``match``.  Every step ``split_axiom`` makes is a unit step, and so is
-    any step ``compose_paths`` merges into that shape; other steps match
-    their lhs.  The descent is derived from the lhs, so it takes no part
-    in equality or hashing."""
+    ``apply`` is the clause's root application, compiled once when the
+    step is made (``terms.compile_apply``): a class, functor and arity test
+    per lhs node, a ``!=`` test per repeated variable, and the target's
+    slot returned.  A unit step, ``f(v0, ..., v{a-1})`` with distinct
+    variables, compiles to one test and one unpacking; nested lhs, repeated
+    variables and ground subterms run the same kind of code.  It is derived
+    from the lhs, so it takes no part in equality, hashing or the repr."""
 
     lhs: Term
     var: str
-    _unit: tuple = field(default=None, init=False, repr=False, compare=False)
+    apply: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # so that apply returns a proper subterm, and a run of steps ends
@@ -57,23 +57,7 @@ class Step:
             raise ValueError(f"step target {self.var!r} does not occur in {print_term(self.lhs)}") from None
         object.__setattr__(self, "lhs", c.lhs)
         object.__setattr__(self, "var", c.rhs.name)
-        children = c.lhs.children
-        names = [v.name for v in children if isinstance(v, Var)]
-        if names and len(set(names)) == len(children):
-            unit = (c.lhs.functor, len(children), names.index(c.rhs.name))
-            object.__setattr__(self, "_unit", unit)
-
-    def apply(self, tree: Term):
-        if self._unit is None:
-            binding = match(self.lhs, tree)
-            return None if binding is None else binding[self.var]
-        functor, arity, child = self._unit
-        if isinstance(tree, App) and tree.functor == functor and len(tree.children) == arity:
-            return tree.children[child]
-        return None
-
-    def as_clause(self) -> Clause:
-        return Clause("", self.lhs, Var(self.var))
+        object.__setattr__(self, "apply", compile_apply(c))
 
     def __str__(self):
         var = _DISPLAY_VARS.get(self.var, self.var)
@@ -181,26 +165,6 @@ def embed(steps, skeleton):
             return None
         slots.append(at - 1)
     return slots
-
-
-def compose_paths(p: SymbolicPath, q: SymbolicPath) -> SymbolicPath:
-    """Single-step path equal to applying p then q; None if they do not
-    compose."""
-    clause = compose_clauses(IDENTITY, *(step.as_clause() for step in p.expand({}) + q.expand({})))
-    if clause is None:
-        return None
-    if isinstance(clause.lhs, Var):
-        return IDENTITY_PATH
-    return SymbolicPath.concrete((Step(clause.lhs, clause.rhs.name),))
-
-
-def power_path(p: SymbolicPath, n: int) -> SymbolicPath:
-    out = IDENTITY_PATH
-    for _ in range(n):
-        out = compose_paths(out, p)
-        if out is None:
-            return None
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -295,65 +295,62 @@ MAX_SCHEME_DEPTH = 100
 
 
 def parse_scheme(text: str) -> IterExpr:
-    tokens = [tok for tok, _ in tokenize(_SCHEME_TOKEN, text, " in scheme")]
-    i = opened = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else None
-
-    def nested(depth):
-        if depth > MAX_SCHEME_DEPTH:
-            raise TheorySyntaxError(f"scheme nests parentheses and stars deeper than {MAX_SCHEME_DEPTH}")
-        return depth
-
-    # each parse_* returns an expression and its nesting of parentheses plus stars
-    def parse_alt():
-        nonlocal i
-        parts = [parse_dot()]
-        while peek() == "|":
-            i += 1
-            parts.append(parse_dot())
-        exprs, depths = zip(*parts)
-        return alt(*exprs), max(depths)
-
-    def parse_dot():
-        nonlocal i
-        parts = [parse_star()]
-        while peek() == ".":
-            i += 1
-            parts.append(parse_star())
-        exprs, depths = zip(*parts)
-        return dot(*exprs), max(depths)
-
-    def parse_star():
-        nonlocal i
-        e, depth = parse_atom()
-        while peek() == "*":
-            i += 1
-            e, depth = Star(e), nested(depth + 1)
-        return e, depth
-
-    def parse_atom():
-        nonlocal i, opened
-        tok = peek()
-        if tok == "(":
-            i += 1
-            opened = nested(opened + 1)  # stops the descent in time
-            e, depth = parse_alt()
-            if peek() != ")":
-                raise TheorySyntaxError("missing ')' in scheme")
-            i += 1
-            opened -= 1
-            return e, nested(depth + 1)
-        if tok is None or tok in ".*|)":
-            raise TheorySyntaxError(f"unexpected {tok!r} in scheme")
-        i += 1
-        return (EPS if tok == "eps" else Axiom(tok)), 0
-
-    e, _ = parse_alt()
-    if i != len(tokens):
-        raise TheorySyntaxError(f"trailing input in scheme: {tokens[i]!r}")
+    # the tokens last first, so that each step of the descent pops the one it reads
+    tokens = [tok for tok, _ in tokenize(_SCHEME_TOKEN, text, " in scheme")][::-1]
+    e, _ = _parse_alt(tokens, 0)
+    if tokens:
+        raise TheorySyntaxError(f"trailing input in scheme: {tokens[-1]!r}")
     return e
+
+
+# Each _parse_* reads one expression off the end of *tokens*, inside
+# *opened* parentheses, and returns it with its nesting of parentheses
+# plus stars.
+
+
+def _nested(depth: int) -> int:
+    if depth > MAX_SCHEME_DEPTH:
+        raise TheorySyntaxError(f"scheme nests parentheses and stars deeper than {MAX_SCHEME_DEPTH}")
+    return depth
+
+
+def _parse_alt(tokens: list, opened: int):
+    parts = [_parse_dot(tokens, opened)]
+    while tokens and tokens[-1] == "|":
+        tokens.pop()
+        parts.append(_parse_dot(tokens, opened))
+    exprs, depths = zip(*parts)
+    return alt(*exprs), max(depths)
+
+
+def _parse_dot(tokens: list, opened: int):
+    parts = [_parse_star(tokens, opened)]
+    while tokens and tokens[-1] == ".":
+        tokens.pop()
+        parts.append(_parse_star(tokens, opened))
+    exprs, depths = zip(*parts)
+    return dot(*exprs), max(depths)
+
+
+def _parse_star(tokens: list, opened: int):
+    e, depth = _parse_atom(tokens, opened)
+    while tokens and tokens[-1] == "*":
+        tokens.pop()
+        e, depth = Star(e), _nested(depth + 1)
+    return e, depth
+
+
+def _parse_atom(tokens: list, opened: int):
+    tok = tokens.pop() if tokens else None
+    if tok == "(":
+        # checked before the descent, so that it stops in time
+        e, depth = _parse_alt(tokens, _nested(opened + 1))
+        if not tokens or tokens.pop() != ")":
+            raise TheorySyntaxError("missing ')' in scheme")
+        return e, _nested(depth + 1)
+    if tok is None or tok in ".*|)":
+        raise TheorySyntaxError(f"unexpected {tok!r} in scheme")
+    return (EPS if tok == "eps" else Axiom(tok)), 0
 
 
 def print_scheme(e: IterExpr) -> str:

@@ -4,20 +4,22 @@ Sentences are ground trees; axioms are clause pairs ``p -> q`` with
 ``vars(rhs) <= vars(lhs)``, applied at the root only.  Everything here is
 immutable and safe to share.  Trees can get very deep (chains of thousands
 of nodes), so hashing is precomputed bottom-up, and equality, parsing,
-printing, matching, unification, the occurs check and the clause walks
-(free variables, and resolving and renaming in ``Clause.canonical`` and
-``compose_clauses``) are all iterative.  ``substitute`` still recurses,
-but only over the pattern, an axiom or a path step, so axioms deeper than
-about 500 nodes remain out of scope.
+printing, compiling root application, unification, the occurs check and
+the clause walks (free variables, and resolving and renaming in
+``Clause.canonical`` and ``compose_clauses``) are all iterative.
+``substitute`` still recurses, but only over the pattern, an axiom or a
+path step, so axioms deeper than about 500 nodes remain out of scope.
 
-Root application is compiled.  The first time ``apply_clause`` applies a
-clause, it turns the clause into straight-line code and keeps that on the
-clause: a class, functor and arity test per lhs node, and an ``App`` call
-per rhs node that is not ground.  So brute-force search and proof replay
-match and substitute nothing per tree; ``match`` and ``substitute`` serve
-path steps and the clause fold.  Node construction is one plain loop:
-``App`` computes its size, groundness and child hashes in a single pass
-over its children, with no generator.
+Root application is compiled, and ``compile_apply`` is its one compiler.
+It turns a clause into straight-line code: a class, functor and arity
+test per lhs node, and an ``App`` call per rhs node that is not ground.
+``apply_clause`` compiles an axiom the first time it applies it and keeps
+the code on the clause; a path step (``paths.Step``), the clause
+``lhs -> var``, is compiled when it is made.  So brute-force search, proof
+replay and every path walk match and substitute nothing per tree;
+``substitute`` serves the clause fold and printing.  Node construction is
+one plain loop: ``App`` computes its size, groundness and child hashes in
+a single pass over its children, with no generator.
 
 ``compose_clauses`` is the one clause fold: it keeps one substitution for
 the whole fold, so a step costs the size of its clause and only the result
@@ -265,27 +267,6 @@ def free_vars(t: Term) -> set:
     return out
 
 
-def match(pattern: Term, tree: Term, binding=None):
-    """Match *pattern* against ground *tree* at the root.  Repeated
-    variables require equal subtrees.  Returns the binding dict or None."""
-    if binding is None:
-        binding = {}
-    stack = [(pattern, tree)]
-    while stack:
-        p, t = stack.pop()
-        if isinstance(p, Var):
-            seen = binding.get(p.name)
-            if seen is None:
-                binding[p.name] = t
-            elif seen != t:
-                return None
-            continue
-        if not isinstance(t, App) or t.functor != p.functor or len(t.children) != len(p.children):
-            return None
-        stack.extend(zip(p.children, t.children))
-    return binding
-
-
 def substitute(pattern: Term, binding: dict) -> Term:
     if isinstance(pattern, Var):
         return binding.get(pattern.name, pattern)
@@ -430,17 +411,18 @@ IDENTITY = Clause("eps", Var("x"), Var("x"))
 
 
 def apply_clause(c: Clause, t: Term):
-    """Root-only application; returns the result tree or None (no match).
-    Gives what ``substitute(c.rhs, match(c.lhs, t))`` gives, through code
-    compiled for *c* the first time it is applied."""
+    """Root-only application; returns the result tree or None (no match):
+    *c*'s rhs with each variable replaced by the subtree of *t* its lhs
+    binds, where repeated lhs variables must bind equal subtrees.  Runs
+    code compiled for *c* the first time it is applied."""
     apply = c._apply
     if apply is None:
-        apply = _compile_apply(c)
+        apply = compile_apply(c)
         object.__setattr__(c, "_apply", apply)
     return apply(t)
 
 
-def _compile_apply(c: Clause):
+def compile_apply(c: Clause):
     """A function of one tree that applies *c* at its root, as straight-line
     code.  The lhs gives one class, functor and arity test per node, which
     unpacks the node's children into slots ``t<i>``, and one ``!=`` test

@@ -5,10 +5,11 @@ import pytest
 from tpc import load_theory, parse_scheme
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Congruence, Equation, Ineq
-from tpc.paths import AtomSet, Segment, SymbolicPath, VarDecl
+from tpc.paths import IDENTITY_PATH, AtomSet, Segment, Step, SymbolicPath, VarDecl
 from tpc.pipeline import DecisionProcedure
 from tpc.schemes import Alt, Axiom, Dot, Eps
 from tpc.sigma import Branch, SymbolicCharFn, sigma
+from tpc.terms import IDENTITY, App, Clause, Var, compose_clauses
 
 
 def sequences(e, budget):
@@ -39,6 +40,49 @@ def same_relation(a, b) -> bool:
     has its variables renamed in order of first occurrence."""
     a, b = a.canonical(), b.canonical()
     return a.lhs == b.lhs and a.rhs == b.rhs
+
+
+def match(pattern, tree, binding=None):
+    """Match *pattern* against ground *tree* at the root.  Repeated
+    variables require equal subtrees.  Returns the binding dict or None:
+    the reference that compiled root application is checked against."""
+    if binding is None:
+        binding = {}
+    stack = [(pattern, tree)]
+    while stack:
+        p, t = stack.pop()
+        if isinstance(p, Var):
+            seen = binding.get(p.name)
+            if seen is None:
+                binding[p.name] = t
+            elif seen != t:
+                return None
+            continue
+        if not isinstance(t, App) or t.functor != p.functor or len(t.children) != len(p.children):
+            return None
+        stack.extend(zip(p.children, t.children))
+    return binding
+
+
+def compose_paths(p: SymbolicPath, q: SymbolicPath) -> SymbolicPath:
+    """Single-step path equal to applying p then q; None if they do not
+    compose."""
+    steps = p.expand({}) + q.expand({})
+    clause = compose_clauses(IDENTITY, *(Clause("", step.lhs, Var(step.var)) for step in steps))
+    if clause is None:
+        return None
+    if isinstance(clause.lhs, Var):
+        return IDENTITY_PATH
+    return SymbolicPath.concrete((Step(clause.lhs, clause.rhs.name),))
+
+
+def power_path(p: SymbolicPath, n: int) -> SymbolicPath:
+    out = IDENTITY_PATH
+    for _ in range(n):
+        out = compose_paths(out, p)
+        if out is None:
+            return None
+    return out
 
 
 def index_terms(e: AffineExpr) -> set:

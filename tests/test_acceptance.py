@@ -17,7 +17,7 @@ from tpc.final import decide, extract_proof, tune
 from tpc.inclusion import includes
 from tpc.mathsolver import Congruence
 from tpc.oracle import SearchBudget, find_proof, reachable_set
-from tpc.paths import Step, SymbolicPath, compose_paths, eval_atomset, power_path, split_axiom
+from tpc.paths import Step, SymbolicPath, eval_atomset, split_axiom
 from tpc.schemes import build_scheme, instantiate, parse_scheme, print_scheme, reduce_specific
 from tpc.sigma import sigma
 from tpc.terms import (
@@ -31,7 +31,7 @@ from tpc.terms import (
     replay,
 )
 
-from conftest import eval_region, sequences
+from conftest import compose_paths, eval_region, power_path, sequences
 from test_mathsolver import holds, seven_conditions, solve_u
 
 

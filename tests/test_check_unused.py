@@ -25,3 +25,10 @@ def test_an_unused_private_name_and_import_are_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(check_unused, "ROOT", tmp_path)
     assert check_unused.unused_names().keys() - check_unused.KEPT.keys() == {"_is_known", "import sys"}
     assert check_unused.main() == 1
+
+
+def test_a_kept_name_with_a_use_fails(monkeypatch, capsys):
+    # parse_scheme has callers, so exempting it is stale
+    monkeypatch.setitem(check_unused.KEPT, "parse_scheme", "an exemption left behind")
+    assert check_unused.main() == 1
+    assert "KEPT: parse_scheme: has a use, so it needs no exemption" in capsys.readouterr().out

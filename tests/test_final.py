@@ -13,7 +13,9 @@ from tpc.paths import AtomSet, EqualsLR, GroundL, IterGroup, Segment, Step, Symb
 from tpc.pipeline import pipeline
 from tpc.schemes import parse_scheme
 from tpc.sigma import Branch, SymbolicCharFn, sigma
-from tpc.terms import App, Proof, check_proof, match, parse_term, parse_theory, replay
+from tpc.terms import App, Proof, check_proof, parse_term, parse_theory, replay
+
+from conftest import match
 
 
 class TestScalarTuning:

@@ -2,6 +2,7 @@
 seven-condition multi-index system solved the way tuning solves one."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import ceil
 
 import pytest
@@ -229,10 +230,12 @@ class TestCompiledSystem:
 
 
 def _reference_solve_concrete(equations, unknowns):
-    """solve_concrete as it was before the compiled system: one Fraction
-    row reduction per call."""
+    """solve_concrete as it was before the compiled system: one row
+    reduction per call, each row read as Fractions."""
     keys = {u if isinstance(u, IndexTerm) else IndexTerm(u): u for u in unknowns}
     solved, rows = reduce_rows([_row_of(eq.diff) for eq in equations], reversed(keys))
+    rows = [{k: Fraction(v, d) for k, v in nums.items()} for nums, d in rows]
+    solved = {key: {k: Fraction(v, d) for k, v in nums.items()} for key, (nums, d) in solved.items()}
     if any(len(r) == 1 and r[None] for r in rows) or any(
         sol[None] < 0 and all(v <= 0 for v in sol.values()) for sol in solved.values()
     ):

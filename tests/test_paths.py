@@ -15,16 +15,16 @@ from tpc.paths import (
     Segment,
     Step,
     SymbolicPath,
-    compose_paths,
     embed,
     eval_atomset,
-    power_path,
     _unit_step,
     split_axiom,
 )
 from tpc import load_theory
 from tpc.schemes import reduce_specific
-from tpc.terms import App, Clause, Var, free_vars, match, parse_term, substitute
+from tpc.terms import App, Clause, Var, free_vars, parse_term, print_term, substitute
+
+from conftest import compose_paths, match, power_path
 
 
 def step(text, var):
@@ -83,17 +83,48 @@ _GROUND = st.recursive(
 _UNIT_KEYS = st.tuples(st.sampled_from("FGA"), st.integers(1, 3)).flatmap(
     lambda fa: st.tuples(st.just(fa[0]), st.just(fa[1]), st.integers(0, fa[1] - 1))
 )
+# step lhs over F and G: nested, with repeated variables and ground subterms
+_LHS = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("z"), App("A"), App("B")]),
+    lambda kids: st.builds(lambda f, cs: App(f, tuple(cs)), st.sampled_from("FG"), st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=6,
+).filter(lambda p: isinstance(p, App) and free_vars(p))
+
+
+@st.composite
+def _steps_and_trees(draw):
+    """A unit step or any other step, and a ground tree: any one, or an
+    instance of the step's lhs, which a repeated variable's occurrences
+    share; either may be re-parsed from its text, so that equal subtrees
+    are not the same object."""
+    if draw(st.booleans()):
+        s = _unit_step(*draw(_UNIT_KEYS))
+    else:
+        lhs = draw(_LHS)
+        s = Step(lhs, draw(st.sampled_from(sorted(free_vars(lhs)))))
+    if draw(st.booleans()):
+        tree = draw(_GROUND)
+    else:
+        tree = substitute(s.lhs, {v: draw(_GROUND) for v in sorted(free_vars(s.lhs))})
+    return s, parse_term(print_term(tree)) if draw(st.booleans()) else tree
 
 
 class TestUnitSteps:
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(_UNIT_KEYS, _GROUND)
-    @example(("F", 1, 0), App("F", (App("A"), App("B"))))  # right functor, wrong arity
-    @example(("F", 2, 1), App("F", (App("A"),)))  # a child past the tree's arity
-    @example(("A", 1, 0), App("A"))  # a constant
-    @example(("G", 2, 0), App("F", (App("A"), App("B"))))  # wrong functor
-    def test_descent_matches_match(self, key, tree):
-        s = _unit_step(*key)
+    @given(_steps_and_trees())
+    @example((_unit_step("F", 1, 0), App("F", (App("A"), App("B")))))  # right functor, wrong arity
+    @example((_unit_step("F", 2, 1), App("F", (App("A"),))))  # a child past the tree's arity
+    @example((_unit_step("A", 1, 0), App("A")))  # a constant
+    @example((_unit_step("G", 2, 0), App("F", (App("A"), App("B")))))  # wrong functor
+    @example((step("F(G(x), y)", "x"), parse_term("F(G(A), B)")))  # a nested lhs
+    @example((step("F(G(x), y)", "x"), parse_term("F(F(A), B)")))
+    @example((step("F(x, G(x))", "x"), parse_term("F(G(A), G(G(A)))")))  # a repeated variable
+    @example((step("F(x, G(x))", "x"), parse_term("F(A, G(B))")))
+    @example((step("F(x, A)", "x"), parse_term("F(B, A)")))  # a ground subterm
+    @example((step("F(x, A)", "x"), parse_term("F(B, B)")))
+    @example((step("F(x, A)", "x"), parse_term("F(B, A(B))")))
+    def test_descent_matches_match(self, case):
+        s, tree = case
         for node in _subtrees(tree):
             assert s.apply(node) is _matched(s, node)
 
@@ -101,16 +132,17 @@ class TestUnitSteps:
         # built by hand, by split_axiom and by compose_paths alike
         by_hand = step("F(a, b, c)", "b")
         assert by_hand == _unit_step("F", 3, 1) and hash(by_hand) == hash(_unit_step("F", 3, 1))
-        assert by_hand._unit == ("F", 3, 1)
         (seg,) = compose_paths(IDENTITY_PATH, SymbolicPath.concrete((by_hand,))).segments
-        assert seg.step._unit == ("F", 3, 1)
+        assert seg.step == by_hand
         (atom,) = split_axiom(Clause("", parse_term("P(x, F(y))"), parse_term("y"))).conjuncts
-        assert [seg.step._unit for seg in atom.left.segments] == [("P", 2, 1), ("F", 1, 0)]
+        assert [seg.step for seg in atom.left.segments] == [_unit_step("P", 2, 1), _unit_step("F", 1, 0)]
+        for text in ("F(A, B, C)", "F(A, B)", "G(A, B, C)", "A"):
+            tree = parse_term(text)
+            assert by_hand.apply(tree) is _matched(by_hand, tree)
 
     @pytest.mark.parametrize("lhs, var", [("F(G(x), y)", "x"), ("F(x, x)", "x"), ("F(x, A)", "x")])
     def test_other_steps_match(self, lhs, var):
         s = step(lhs, var)
-        assert s._unit is None
         for text in ("F(G(A), B)", "F(A, A)", "F(B, A)", "F(G(A))", "G(A, B)", "A"):
             tree = parse_term(text)
             assert s.apply(tree) is _matched(s, tree)

@@ -341,10 +341,10 @@ def test_printing_and_indexing_leave_no_cycles():
         build_scheme([ax.name for ax in load_theory(name).axioms])
         for name in ("chain", "fg", "mod2", "rotate", "rotate3", "ancestor")
     ]
-    ab = parse_scheme("a.b")
     gc.collect()
     gc.disable()
     try:
+        ab = parse_scheme("a.b")
         texts = [print_scheme(e) for e in schemes]
         indexes = [index_from_stars(e, range(10)) for e in schemes]
         printed = [print_index(m) for m in indexes + [((1, 2), (3,))] * 10]

@@ -537,20 +537,20 @@ def reference_fit(observations, features):
     rows = []
     try:
         for env, count in observations:
-            row = {None: Fraction(-count)}
+            row = {None: -count}
             for col, f in enumerate(features):
                 v = f.evaluate(env)
                 if v:
-                    row[col] = Fraction(v)
+                    row[col] = v
             rows.append(row)
     except (IndexError, KeyError):
         return None
     solved, rest = reduce_rows(rows, range(len(features)))
-    if any(r[None] for r in rest):
+    if any(nums[None] for nums, _ in rest):
         return None
     expr = AffineExpr.const_(0)
     for col, f in enumerate(features):
-        b = solved[col][None] if col in solved else 0
+        b = Fraction(solved[col][0][None], solved[col][1]) if col in solved else 0
         if b.denominator != 1:
             return None
         expr = expr + f * int(b)

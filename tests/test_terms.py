@@ -24,9 +24,9 @@ from tpc.errors import (
     TheorySyntaxError,
 )
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.terms import IDENTITY, Theory, free_vars, match, substitute, term_size, unify
+from tpc.terms import IDENTITY, Theory, free_vars, substitute, term_size, unify
 
-from conftest import same_relation
+from conftest import match, same_relation
 
 
 def t(text):
