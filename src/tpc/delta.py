@@ -11,8 +11,9 @@ fire only after an inclusion query comes back universal:
 * commutation: a single y moves left across ``x*`` when x.y and y.x
   describe the same relation.
 
-Every applied rule and every blocked attempt is recorded in a replayable
-trace.
+Every applied rule is recorded in a trace as the scheme before and after
+it, each step starting from the scheme the one before it left, and every
+blocked attempt with the query that blocked it.
 """
 
 from __future__ import annotations
@@ -62,15 +63,6 @@ class ReductionTrace:
     @property
     def result(self) -> IterExpr:
         return self.steps[-1].after if self.steps else self.start
-
-    def replay(self) -> IterExpr:
-        """Re-checks the chaining of the recorded steps."""
-        current = self.start
-        for step in self.steps:
-            if step.before != current:
-                raise ValueError(f"trace broken at {step}")
-            current = step.after
-        return current
 
 
 @lru_cache(maxsize=512)

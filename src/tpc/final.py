@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from .affine import AffineExpr, IndexTerm, scopes
 from .errors import Ambiguous, InternalMismatch
 from .mathsolver import Equation, Free, LinearSystem, solve_concrete
-from .paths import IterGroup, Segment, SymbolicPath, apply_segments, eval_atomset
+from .paths import IterGroup, Segment, SymbolicPath, apply_segments, eval_atom, eval_atomset
 from .schemes import instantiate
 from .terms import Proof, Term, replay, term_size
 
@@ -132,14 +132,13 @@ def _observed(plan, t, d):
     *plan*, read off (t, d), in order; None when an atom cannot hold."""
     out = []
     for atom, how in plan:
-        sides = atom.sides(t, d)
         if how is None:
-            vals = [apply_segments(path.segments, base, {}) for path, base in sides]
-            if vals[0] is None or vals[0] != vals[1]:
+            if not eval_atom(atom, {}, t, d):
                 return None
             continue
         if isinstance(how, str):
             raise Ambiguous(how)
+        sides = atom.sides(t, d)
         (upath, ubase), (kpath, kbase) = sides[how], sides[1 - how]
         target = apply_segments(kpath.segments, kbase, {})
         got = None if target is None else _count_equation(upath.segments, ubase, target)

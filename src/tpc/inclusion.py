@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .affine import ZERO, AffineExpr
 from .errors import Unsupported
 from .mathsolver import ConditionSystem, Equation, Region, eliminate
-from .paths import IterGroup, SymbolicPath, embed
+from .paths import IterGroup, Segment, SymbolicPath, embed
 from .sigma import Branch, SymbolicCharFn, fresh_name
 
 
@@ -84,7 +84,10 @@ def includes(f, g) -> InclusionResult:
     for ga in gb.atoms.conjuncts:
         if isinstance(ga, IterGroup):
             raise Unsupported("iterated atom groups are not alignable")
-        ga = ga.with_paths(*(path.substitute(renamed) for path, _ in ga.sides()))
+        ga = ga.with_paths(*(
+            SymbolicPath.of(*(Segment(s.step, s.count.substitute(renamed)) for s in path.segments))
+            for path, _ in ga.sides()
+        ))
         matched = None
         for fa in fb.atoms.conjuncts:
             eqs = _atom_equations(fa, ga)

@@ -1,9 +1,9 @@
 """Paths (subtree extractors), symbolic paths with affine exponents, atoms
 and atom sets.
 
-A path step is a clause ``[p -> v]`` whose right side is a single variable
-of ``p``; applying it to a ground tree extracts the matched subtree.  A
-symbolic path is a step sequence where runs of one step carry an affine
+A path step projects a tree into one child of its root, a node of one
+functor and arity; it is printed as the clause it applies, as in
+``[F(x, y)->y]``.  A symbolic path is a step sequence where runs of one step carry an affine
 repetition count.  An atom set is the conjunction of path-equality atoms
 that characterizes a clause (or a whole iterative scheme) as a relation on
 tree pairs.
@@ -19,12 +19,10 @@ group is evaluated, expanded or tuned.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .affine import AffineExpr, ONE, ZERO, scopes
-from .errors import FreeRhsVariable
-from .terms import App, Clause, Term, Var, compile_apply, print_term, substitute
+from .terms import App, Term, Var, print_term
 
 
 # ---------------------------------------------------------------------------
@@ -33,38 +31,27 @@ from .terms import App, Clause, Term, Var, compile_apply, print_term, substitute
 
 @dataclass(frozen=True, slots=True)
 class Step:
-    """One projection clause [p -> v]; variables canonically renamed.
+    """The projection into child *child* of a node with functor *functor*
+    and *arity* children: the clause ``f(x0, ..., x{arity-1}) -> x{child}``
+    applied at a tree's root, printed as ``[F(x, y, z)->y]``."""
 
-    ``apply`` is the clause's root application, compiled once when the
-    step is made (``terms.compile_apply``): a class, functor and arity test
-    per lhs node, a ``!=`` test per repeated variable, and the target's
-    slot returned.  A unit step, ``f(v0, ..., v{a-1})`` with distinct
-    variables, compiles to one test and one unpacking; nested lhs, repeated
-    variables and ground subterms run the same kind of code.  It is derived
-    from the lhs, so it takes no part in equality, hashing or the repr."""
+    functor: str
+    arity: int
+    child: int
 
-    lhs: Term
-    var: str
-    apply: object = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # so that apply returns a proper subterm, and a run of steps ends
-        if not isinstance(self.lhs, App):
-            raise ValueError(f"step lhs {print_term(self.lhs)} is not an application")
-        try:
-            c = Clause("", self.lhs, Var(self.var)).canonical()
-        except FreeRhsVariable:
-            raise ValueError(f"step target {self.var!r} does not occur in {print_term(self.lhs)}") from None
-        object.__setattr__(self, "lhs", c.lhs)
-        object.__setattr__(self, "var", c.rhs.name)
-        object.__setattr__(self, "apply", compile_apply(c))
+    def apply(self, t: Term):
+        """The child of *t* the step projects into; None when *t* is not a
+        node of the step's functor and arity."""
+        if t.__class__ is App and t.functor == self.functor and len(t.children) == self.arity:
+            return t.children[self.child]
+        return None
 
     def __str__(self):
-        var = _DISPLAY_VARS.get(self.var, self.var)
-        return f"[{print_term(substitute(self.lhs, _DISPLAY_VARS))}->{var}]"
+        names = [_DISPLAY_NAMES[i] if i < len(_DISPLAY_NAMES) else f"v{i}" for i in range(self.arity)]
+        return f"[{self.functor}({', '.join(names)})->{names[self.child]}]"
 
 
-_DISPLAY_VARS = {f"v{i}": Var(n) for i, n in enumerate("xyzwpqrst")}
+_DISPLAY_NAMES = "xyzwpqrst"
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,14 +80,6 @@ class SymbolicPath:
                 merged.append(seg)
         return SymbolicPath(tuple(merged))
 
-    @staticmethod
-    def concrete(steps) -> "SymbolicPath":
-        """The path of a unit-step sequence: one segment per run of equal
-        steps, counted directly."""
-        return SymbolicPath(tuple(
-            Segment(step, AffineExpr.const_(sum(1 for _ in run))) for step, run in itertools.groupby(steps)
-        ))
-
     def expand(self, env: dict):
         """Unit-step tuple under *env*; None when a count is negative."""
         out = []
@@ -117,9 +96,6 @@ class SymbolicPath:
     def steps(self) -> tuple:
         """The step of each run: the path's skeleton."""
         return tuple([seg.step for seg in self.segments])
-
-    def substitute(self, mapping) -> "SymbolicPath":
-        return SymbolicPath.of(*(Segment(s.step, s.count.substitute(mapping)) for s in self.segments))
 
     def __str__(self):
         if not self.segments:
@@ -259,11 +235,11 @@ class AtomSet:
 
 @functools.lru_cache(maxsize=1024)
 def _unit_step(functor: str, arity: int, child_idx: int) -> Step:
-    """The step into child *child_idx* of a *functor* node; every sibling
-    is pruned to a fresh variable.  Depends on nothing but its arguments,
-    so one table serves every theory."""
-    children = tuple(Var("hole") if i == child_idx else Var(f"s{i}") for i in range(arity))
-    return Step(App(functor, children), "hole")
+    """The step into child *child_idx* of a *functor* node, interned: equal
+    steps are one object, so comparing step tuples and searching them stop
+    at the identity test.  Depends on nothing but its arguments, so one
+    table serves every theory."""
+    return Step(functor, arity, child_idx)
 
 
 def _paths(t: Term):
@@ -301,10 +277,11 @@ def _runs_path(runs) -> SymbolicPath:
     return SymbolicPath(tuple(reversed(segments)))
 
 
-def split_axiom(c: Clause) -> AtomSet:
-    """The conjunction of atoms equivalent to root application of *c*:
-    one EqualsLR per (lhs occurrence, rhs occurrence) pair of each rhs
-    variable, plus GroundL/GroundR atoms for maximal ground subterms."""
+def split_axiom(c) -> AtomSet:
+    """The conjunction of atoms equivalent to root application of the
+    clause *c*: one EqualsLR per (lhs occurrence, rhs occurrence) pair of
+    each rhs variable, plus GroundL/GroundR atoms for maximal ground
+    subterms."""
     lhs_vars, lhs_ground = _paths(c.lhs)
     rhs_vars, rhs_ground = _paths(c.rhs)
     atoms = [EqualsLR(lpath, rpath) for v, rpaths in rhs_vars.items() for rpath in rpaths for lpath in lhs_vars[v]]
@@ -317,13 +294,13 @@ def split_axiom(c: Clause) -> AtomSet:
 # evaluation
 
 
-def _eval_atom(atom, env: dict, t: Term, d: Term) -> bool:
+def eval_atom(atom, env: dict, t: Term, d: Term) -> bool:
     if isinstance(atom, IterGroup):
         try:
             inner = scopes(atom, env)
         except (IndexError, KeyError):
             return False
-        return all(_eval_atom(a, scope, t, d) for scope in inner for a in atom.body)
+        return all(eval_atom(a, scope, t, d) for scope in inner for a in atom.body)
     (lp, lt), (rp, rt) = atom.sides(t, d)
     lv = lp.apply(lt, env)
     return lv is not None and lv == rp.apply(rt, env)
@@ -334,6 +311,6 @@ def eval_atomset(s: AtomSet, assign: dict, t: Term, d: Term) -> bool:
     (scalars) or tuples of ints (multi-indexes as element-length lists)."""
     env = dict(assign or {})
     try:
-        return all(_eval_atom(a, env, t, d) for a in s.conjuncts)
+        return all(eval_atom(a, env, t, d) for a in s.conjuncts)
     except IndexError:
         return False

@@ -495,10 +495,10 @@ def _expand_symbolic(atoms, env, out: Counter):
 
 def _check_held_out(branch: Branch, env, atoms):
     """The fitted atoms must expand at *env* to exactly the multiset of
-    the held-out sample's *atoms*.  Every step comes from
-    ``paths._unit_step``, so a side's unit-step sequence and the clause it
-    composes to determine each other, and comparing steps needs no clause
-    composition."""
+    the held-out sample's *atoms*.  A step is a unit step, compared as
+    its functor, arity and child, so a side's step sequence and the clause
+    it composes to determine each other, and comparing the sequences needs
+    no clause composition."""
     if atoms is None:
         raise NotLinearizable("a held-out instance composes to the empty relation", branch.scheme)
     got = Counter()

@@ -7,19 +7,18 @@ of nodes), so hashing is precomputed bottom-up, and equality, parsing,
 printing, compiling root application, unification, the occurs check and
 the clause walks (free variables, and resolving and renaming in
 ``Clause.canonical`` and ``compose_clauses``) are all iterative.
-``substitute`` still recurses, but only over the pattern, an axiom or a
-path step, so axioms deeper than about 500 nodes remain out of scope.
+``substitute`` still recurses, but only over an axiom, so axioms deeper
+than about 500 nodes remain out of scope.
 
-Root application is compiled, and ``compile_apply`` is its one compiler.
-It turns a clause into straight-line code: a class, functor and arity
-test per lhs node, and an ``App`` call per rhs node that is not ground.
-``apply_clause`` compiles an axiom the first time it applies it and keeps
-the code on the clause; a path step (``paths.Step``), the clause
-``lhs -> var``, is compiled when it is made.  So brute-force search, proof
-replay and every path walk match and substitute nothing per tree;
-``substitute`` serves the clause fold and printing.  Node construction is
-one plain loop: ``App`` computes its size, groundness and child hashes in
-a single pass over its children, with no generator.
+Root application is compiled.  ``apply_clause`` turns an axiom, the first
+time it applies it, into straight-line code that it keeps on the clause:
+a class, functor and arity test per lhs node, and an ``App`` call per rhs
+node that is not ground.  So brute-force search and proof replay match
+and substitute nothing per tree; ``substitute`` serves the clause fold.
+A path step (``paths.Step``) is no clause: it is one functor and arity
+test and a child read.  Node construction is one plain loop: ``App``
+computes its size, groundness and child hashes in a single pass over its
+children, with no generator.
 
 ``compose_clauses`` is the one clause fold: it keeps one substitution for
 the whole fold, so a step costs the size of its clause and only the result
@@ -417,12 +416,12 @@ def apply_clause(c: Clause, t: Term):
     code compiled for *c* the first time it is applied."""
     apply = c._apply
     if apply is None:
-        apply = compile_apply(c)
+        apply = _compile_apply(c)
         object.__setattr__(c, "_apply", apply)
     return apply(t)
 
 
-def compile_apply(c: Clause):
+def _compile_apply(c: Clause):
     """A function of one tree that applies *c* at its root, as straight-line
     code.  The lhs gives one class, functor and arity test per node, which
     unpacks the node's children into slots ``t<i>``, and one ``!=`` test

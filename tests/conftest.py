@@ -1,15 +1,17 @@
+import itertools
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 from tpc import load_theory, parse_scheme
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Congruence, Equation, Ineq
-from tpc.paths import IDENTITY_PATH, AtomSet, Segment, Step, SymbolicPath, VarDecl
+from tpc.paths import AtomSet, Segment, Step, SymbolicPath, VarDecl
 from tpc.pipeline import DecisionProcedure
 from tpc.schemes import Alt, Axiom, Dot, Eps
 from tpc.sigma import Branch, SymbolicCharFn, sigma
-from tpc.terms import IDENTITY, App, Clause, Var, compose_clauses
+from tpc.terms import IDENTITY, App, Clause, Var, compose_clauses, parse_term, print_term, substitute
 
 
 def sequences(e, budget):
@@ -64,20 +66,80 @@ def match(pattern, tree, binding=None):
     return binding
 
 
-def compose_paths(p: SymbolicPath, q: SymbolicPath) -> SymbolicPath:
-    """Single-step path equal to applying p then q; None if they do not
-    compose."""
-    steps = p.expand({}) + q.expand({})
-    clause = compose_clauses(IDENTITY, *(Clause("", step.lhs, Var(step.var)) for step in steps))
-    if clause is None:
-        return None
-    if isinstance(clause.lhs, Var):
-        return IDENTITY_PATH
-    return SymbolicPath.concrete((Step(clause.lhs, clause.rhs.name),))
+def step_key(lhs: str, var: str) -> tuple:
+    """The arguments of ``paths._unit_step`` for the step written as the
+    clause *lhs* -> *var*, whose lhs is one node over distinct variables:
+    ``"P(x, y)", "y"`` gives ``("P", 2, 1)``."""
+    node = parse_term(lhs)
+    names = [child.name for child in node.children]
+    assert len(set(names)) == len(names), f"{lhs} is not a unit step"
+    return node.functor, len(names), names.index(var)
 
 
-def power_path(p: SymbolicPath, n: int) -> SymbolicPath:
-    out = IDENTITY_PATH
+def step_clause(step: Step) -> Clause:
+    """The clause *step* applies at a tree's root, ``f(v0, ..., v{a-1}) ->
+    v{child}``, canonically named."""
+    names = tuple(Var(f"v{i}") for i in range(step.arity))
+    return Clause("", App(step.functor, names), names[step.child])
+
+
+def matched(step: Step, tree):
+    """*step* applied the general way, by matching its clause's lhs at the
+    root of *tree*: the reference ``Step.apply`` is checked against."""
+    c = step_clause(step)
+    binding = match(c.lhs, tree)
+    return None if binding is None else binding[c.rhs.name]
+
+
+def step_notation(c: Clause) -> str:
+    """The canonical clause *c*, ``lhs -> var``, printed the way a step is:
+    ``[F(x, y)->y]``, variables v0 to v8 shown as x, y, z, w, p, q, r, s, t."""
+    names = {f"v{i}": Var(n) for i, n in enumerate("xyzwpqrst")}
+    return f"[{print_term(substitute(c.lhs, names))}->{print_term(substitute(c.rhs, names))}]"
+
+
+def concrete(steps) -> SymbolicPath:
+    """The path of a unit-step sequence: one segment per run of equal
+    steps, counted directly."""
+    return SymbolicPath(tuple(
+        Segment(step, AffineExpr.const_(sum(1 for _ in run))) for step, run in itertools.groupby(steps)
+    ))
+
+
+@dataclass(frozen=True)
+class ComposedPath:
+    """A path composed into the one clause ``lhs -> var``, canonically
+    named, such as ``[P(R(x, y), z)->y]``: a step that projects more than
+    one node, which ``Step`` does not express."""
+
+    lhs: object
+    var: str
+
+    @staticmethod
+    def of(lhs: str, var: str) -> "ComposedPath":
+        c = Clause("", parse_term(lhs), Var(var)).canonical()
+        return ComposedPath(c.lhs, c.rhs.name)
+
+    def clause(self) -> Clause:
+        return Clause("", self.lhs, Var(self.var))
+
+    def __str__(self):
+        return step_notation(self.clause())
+
+
+def compose_paths(p, q) -> ComposedPath:
+    """The path applying p then q, each a SymbolicPath without unknown
+    counts or a ComposedPath; None if they do not compose."""
+    clause = compose_clauses(IDENTITY, *_clauses(p), *_clauses(q))
+    return None if clause is None else ComposedPath(clause.lhs, clause.rhs.name)
+
+
+def _clauses(p) -> list:
+    return [p.clause()] if isinstance(p, ComposedPath) else [step_clause(s) for s in p.expand({})]
+
+
+def power_path(p, n: int) -> ComposedPath:
+    out = ComposedPath(Var("v0"), "v0")
     for _ in range(n):
         out = compose_paths(out, p)
         if out is None:

@@ -17,7 +17,7 @@ from tpc.final import decide, extract_proof, tune
 from tpc.inclusion import includes
 from tpc.mathsolver import Congruence
 from tpc.oracle import SearchBudget, find_proof, reachable_set
-from tpc.paths import Step, SymbolicPath, eval_atomset, split_axiom
+from tpc.paths import _unit_step, eval_atomset, split_axiom
 from tpc.schemes import build_scheme, instantiate, parse_scheme, print_scheme, reduce_specific
 from tpc.sigma import sigma
 from tpc.terms import (
@@ -31,7 +31,7 @@ from tpc.terms import (
     replay,
 )
 
-from conftest import compose_paths, eval_region, power_path, sequences
+from conftest import compose_paths, concrete, eval_region, power_path, sequences
 from test_mathsolver import holds, seven_conditions, solve_u
 
 
@@ -95,10 +95,10 @@ def test_instantiation():
 
 @criterion(3, "path composition identities and the three-atom axiom split")
 def test_path_algebra():
-    p = SymbolicPath.concrete((Step(parse_term("P(x, y)"), "x"),))
-    q = SymbolicPath.concrete((Step(parse_term("R(x, y)"), "y"),))
+    p = concrete((_unit_step("P", 2, 0),))
+    q = concrete((_unit_step("R", 2, 1),))
     assert str(compose_paths(p, q)) == "[P(R(x, y), z)->y]"
-    f = SymbolicPath.concrete((Step(parse_term("F(x)"), "x"),))
+    f = concrete((_unit_step("F", 1, 0),))
     assert str(power_path(f, 4)) == "[F(F(F(F(x))))->x]"
     axiom = Clause("b", parse_term("P(R(x, z), y)"), parse_term("P(x, R(y, z))"))
     atoms = split_axiom(axiom).conjuncts

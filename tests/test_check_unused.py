@@ -27,6 +27,21 @@ def test_an_unused_private_name_and_import_are_reported(tmp_path, monkeypatch):
     assert check_unused.main() == 1
 
 
+def test_a_name_only_in_readme_prose_is_reported(tmp_path, monkeypatch):
+    shutil.copytree(ROOT / "src" / "tpc", tmp_path / "src" / "tpc", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("out", "__pycache__"))
+    final = tmp_path / "src" / "tpc" / "final.py"
+    final.write_text(final.read_text() + "\n\ndef frobnicate():\n    return None\n")
+    readme = (ROOT / "README.md").read_text()
+    monkeypatch.setattr(check_unused, "ROOT", tmp_path)
+    (tmp_path / "README.md").write_text(readme + "\nIt can frobnicate a tree.\n")
+    assert check_unused.unused_names().keys() == {"frobnicate"}
+    (tmp_path / "README.md").write_text(readme + "\nCall `frobnicate()` on a tree.\n")
+    assert check_unused.unused_names().keys() == set()
+    (tmp_path / "README.md").write_text(readme + "\n```python\nfrobnicate()\n```\n")
+    assert check_unused.unused_names().keys() == set()
+
+
 def test_a_kept_name_with_a_use_fails(monkeypatch, capsys):
     # parse_scheme has callers, so exempting it is stale
     monkeypatch.setitem(check_unused.KEPT, "parse_scheme", "an exemption left behind")

@@ -80,6 +80,16 @@ class TestSolverTests:
         assert not check_commutation(rot, Axiom("a"), Axiom("b"))
 
 
+def _chained(trace):
+    """The scheme *trace*'s steps lead to, each step checked to start from
+    the scheme the one before it left."""
+    current = trace.start
+    for step in trace.steps:
+        assert step.before == current, f"trace broken at {step}"
+        current = step.after
+    return current
+
+
 class TestReduce:
     def test_fg_full_chain(self, fg):
         red, trace = reduce_scheme(fg, parse_scheme("(a*.b)*.a*"))
@@ -91,7 +101,7 @@ class TestReduce:
             "normalize",
         ]
         assert print_scheme(trace.steps[0].after) == "(b*.a*.b|eps).a*"
-        assert trace.replay() == red
+        assert _chained(trace) == red
 
     def test_doubling_waits_for_commutation(self, fg):
         # absorption does not apply to a star whose body starts with a

@@ -9,13 +9,13 @@ from tpc.final import TuneResult, _count_equation, _solve_some, decide, extract_
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Free, LinearSystem, reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import AtomSet, EqualsLR, GroundL, IterGroup, Segment, Step, SymbolicPath, VarDecl, _unit_step
+from tpc.paths import AtomSet, EqualsLR, GroundL, IterGroup, Segment, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
 from tpc.schemes import parse_scheme
 from tpc.sigma import Branch, SymbolicCharFn, sigma
 from tpc.terms import App, Proof, check_proof, parse_term, parse_theory, replay
 
-from conftest import match
+from conftest import matched
 
 
 class TestScalarTuning:
@@ -62,10 +62,10 @@ class TestScalarTuning:
 
     def test_two_unknown_runs_is_ambiguous(self):
         left = SymbolicPath.of(
-            Segment(Step(parse_term("P(x, y)"), "x"), AffineExpr.var("n"))
+            Segment(_unit_step("P", 2, 0), AffineExpr.var("n"))
         )
         right = SymbolicPath.of(
-            Segment(Step(parse_term("P(x, y)"), "y"), AffineExpr.var("k"))
+            Segment(_unit_step("P", 2, 1), AffineExpr.var("k"))
         )
         decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
         atoms = AtomSet((EqualsLR(left, right),))
@@ -77,7 +77,7 @@ class TestScalarTuning:
 
     def test_two_unknown_runs_on_one_side_is_ambiguous(self):
         # built without SymbolicPath.of, which would merge the two F runs
-        p, f = Step(parse_term("P(x)"), "x"), Step(parse_term("F(x)"), "x")
+        p, f = _unit_step("P", 1, 0), _unit_step("F", 1, 0)
         left = SymbolicPath((Segment(p), Segment(f, AffineExpr.var("n")), Segment(f, AffineExpr.var("k"))))
         decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
         fn = _one_branch(decls, EqualsLR(left, SymbolicPath((Segment(p),))))
@@ -86,7 +86,7 @@ class TestScalarTuning:
             tune(fn, t, t)
 
     def test_known_side_that_does_not_apply_gives_none(self):
-        p, f = Step(parse_term("P(x)"), "x"), Step(parse_term("F(x)"), "x")
+        p, f = _unit_step("P", 1, 0), _unit_step("F", 1, 0)
         left = SymbolicPath((Segment(p), Segment(f, AffineExpr.var("n"))))
         fn = _one_branch((VarDecl("n", "scalar"),), EqualsLR(left, SymbolicPath((Segment(p),))))
         assert tune(fn, parse_term("P(F(Z))"), parse_term("Q(Z)")) is None
@@ -214,7 +214,7 @@ def _one_branch_over_m(template, *counts):
     """A multi-index m whose length t's F run fixes, and a group that
     reads one F run per count from t's child into *template* for each k
     in 1..m."""
-    p, f = Step(parse_term("P(x)"), "x"), Step(parse_term("F(x)"), "x")
+    p, f = _unit_step("P", 1, 0), _unit_step("F", 1, 0)
     length = GroundL(SymbolicPath((Segment(p), Segment(f, AffineExpr.var("m")))), parse_term("Z"))
     body = GroundL(SymbolicPath((Segment(p), *(Segment(f, count) for count in counts))), template)
     group = IterGroup("k", AffineExpr.const_(1), AffineExpr.var("m"), (body,))
@@ -301,18 +301,13 @@ class TestProofExtraction:
 # off at the target's size, with every step applied by matching its lhs.
 
 
-def _matched(step, tree):
-    binding = match(step.lhs, tree)
-    return None if binding is None else binding[step.var]
-
-
 def _reference_apply(segments, tree, env):
     for seg in segments:
         n = seg.count.evaluate(env)
         if n < 0:
             return None
         for _ in range(n):
-            tree = _matched(seg.step, tree)
+            tree = matched(seg.step, tree)
             if tree is None:
                 return None
     return tree
@@ -337,7 +332,7 @@ def _reference_count(segments, base, target, env):
     while tree is not None:
         if _reference_apply(suffix, tree, env) == target:
             return segments[idx].count, j
-        tree = _matched(step, tree)
+        tree = matched(step, tree)
         j += 1
     return None
 

@@ -10,7 +10,7 @@ from tpc.errors import Unsupported
 from tpc.inclusion import _atom_equations, includes
 from tpc.mathsolver import Congruence
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import GroundL, GroundR, Segment, Step, SymbolicPath
+from tpc.paths import GroundL, GroundR, Segment, SymbolicPath, _unit_step
 from tpc.schemes import instantiate, parse_scheme, reduce_specific
 from tpc.sigma import sigma
 from tpc.terms import apply_clause, parse_term
@@ -80,7 +80,7 @@ def test_clashing_names_are_renamed_fresh(fg, ftext, gtext, existentials):
 
 
 class TestAtomEquations:
-    PATH = SymbolicPath.of(Segment(Step(parse_term("And(x, y)"), "y"), AffineExpr.var("n")))
+    PATH = SymbolicPath.of(Segment(_unit_step("And", 2, 1), AffineExpr.var("n")))
     ADAM = parse_term("Parent(Adam, John)")
 
     def test_same_ground_atoms_align(self):

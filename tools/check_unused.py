@@ -6,7 +6,8 @@
 A public top-level name of src/tpc/*.py (__init__.py, which only
 re-exports, left out), and a public method or annotated field of a public
 class there, must be used by other code in src/tpc, by bench/ or by the
-README; a name used only by tests is test code living in the library.
+README's code (its fenced blocks and inline code spans, not its prose); a
+name used only by tests is test code living in the library.
 Docstrings do not count as a use, and neither does a keyword argument,
 which writes a field but never reads it.  A private top-level name there
 must be used by another statement of src/tpc, and every name a module
@@ -25,9 +26,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-KEPT = {
-    "horn_to_tpc": "the public Horn-clause transform, exported by the package",
-}
+KEPT = {}
 
 
 def uses(node):
@@ -45,6 +44,13 @@ def uses(node):
     return out
 
 
+def readme_code(text):
+    """The fenced blocks and inline code spans of the markdown *text*: a
+    name the README shows as code is used there, one it only mentions in
+    prose is not."""
+    return re.findall(r"^```.*?^```|`[^`\n]+`", text, re.M | re.S)
+
+
 def defines(node, members=False):
     """The names a statement defines: a def or a class, an assignment at top
     level, an annotated field in a class body."""
@@ -59,7 +65,7 @@ def defines(node, members=False):
 def unused_names():
     """What is reported, the file and why, for every name without a use."""
     src = sorted((ROOT / "src/tpc").glob("*.py"))
-    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    readme = set(re.findall(r"\w+", " ".join(readme_code((ROOT / "README.md").read_text()))))
     # a use site is a top-level statement, or a statement of a class body or
     # the class's bases and decorators, so that a member is not its own use
     sites = []  # (file, top-level statement, statement, names it uses)
