@@ -21,11 +21,21 @@ iteration variable, the scalars and the solved lengths) substituted into
 the counts, so that only the elements of the multi-indexes stay unknown;
 the same counting gives the second system, over those elements, which
 ``solve_concrete`` solves, since its shape follows the lengths.  A final
-full evaluation of the atom set guards against any bad fit, and every
-proof is replayed to its goal before it is returned.  Tuning gives up
-with ``Ambiguous``; when a system leaves a count free that no pin
+full evaluation of the atom set guards against any bad fit.  Tuning gives
+up with ``Ambiguous``; when a system leaves a count free that no pin
 settles, the exception carries that count as ``free`` and its least
-value as ``least``.
+value as ``least``.  Zero steps rewrite a tree to itself, so when no
+branch's atoms hold for (t, t), the first branch whose scheme holds the
+empty sequence answers with its all-zero index.
+
+Every proof is certified from its goal before it is returned.  Its steps
+are undone from d, last first (``terms.undo``), back to the last step
+whose axiom drops a variable; the steps up to that one are replayed from
+t, and the two walks must meet in equal trees.  With no such step the
+undoing walk must land exactly on t, which is small, so a large proof
+costs one pass down from d and no rebuilt d to compare node by node.
+Undoing a step is a forward step checked, so nothing of the composed
+clauses or of sigma's fit is trusted.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from .errors import Ambiguous, InternalMismatch
 from .mathsolver import Equation, Free, LinearSystem, solve_concrete
 from .paths import IterGroup, Segment, SymbolicPath, apply_segments, eval_atom, eval_atomset
 from .schemes import instantiate
-from .terms import Proof, Term, replay, term_size
+from .terms import Proof, Term, replay, term_size, undo
 
 if TYPE_CHECKING:  # sigma imports this module, for Branch.scalar_stage
     from .sigma import Branch, SymbolicCharFn
@@ -224,18 +234,39 @@ def tune(fn: SymbolicCharFn, t: Term, d: Term) -> TuneResult:
     return None
 
 
+def _tuned(fn: SymbolicCharFn, t: Term, d: Term) -> TuneResult:
+    """tune(fn, t, d); else, when t equals d, the all-zero assignment of
+    the first branch whose scheme it instantiates to no step: zero steps
+    rewrite a tree to itself, whether or not the atoms hold there."""
+    result = tune(fn, t, d)
+    if result is None and t == d:
+        for bi, branch in enumerate(fn.branches):
+            zero = {v.name: () if v.kind == "multi" else 0 for v in branch.decls}
+            if not instantiate(branch.scheme, branch.index_of(zero)):
+                return TuneResult(bi, zero)
+    return result
+
+
 def decide(fn: SymbolicCharFn, t: Term, d: Term) -> bool:
-    return tune(fn, t, d) is not None
+    return _tuned(fn, t, d) is not None
 
 
 def extract_proof(theory, fn: SymbolicCharFn, t: Term, d: Term) -> Proof:
-    """A replayed axiom sequence rewriting t to d, or None."""
-    result = tune(fn, t, d)
+    """A certified axiom sequence rewriting t to d, or None."""
+    result = _tuned(fn, t, d)
     if result is None:
         return None
     branch = fn.branches[result.branch]
     index = branch.index_of(result.assignment)
     steps = tuple(instantiate(branch.scheme, index))
-    if replay(theory, t, steps) != d:
+    if not _reaches(theory, t, steps, d):
         raise InternalMismatch(f"tuned index {index} does not replay to the goal")
     return Proof(steps)
+
+
+def _reaches(theory, t: Term, steps: tuple, d: Term) -> bool:
+    """Whether *steps* rewrite t to d, checked from both ends: the steps
+    after the last one that drops a variable are undone from d, and the
+    rest replayed from t must meet the tree that gives."""
+    k, middle = undo(theory, d, steps)
+    return middle is not None and replay(theory, t, steps[:k]) == middle

@@ -13,8 +13,10 @@ than about 500 nodes remain out of scope.
 Root application is compiled.  ``apply_clause`` turns an axiom, the first
 time it applies it, into straight-line code that it keeps on the clause:
 a class, functor and arity test per lhs node, and an ``App`` call per rhs
-node that is not ground.  So brute-force search and proof replay match
-and substitute nothing per tree; ``substitute`` serves the clause fold.
+node that is not ground.  So brute-force search, proof replay and
+``undo``, which applies each axiom's inverse ``rhs -> lhs`` to walk a
+proof back from its goal, match and substitute nothing per tree;
+``substitute`` serves the clause fold.
 A path step (``paths.Step``) is no clause: it is one functor and arity
 test and a child read.  Node construction is one plain loop: ``App``
 computes its size, groundness and child hashes in a single pass over its
@@ -554,6 +556,9 @@ class Theory:
     axioms: tuple = ()
     goal: Term = None
     _by_name: dict = field(default_factory=dict, repr=False, compare=False)
+    # each axiom l -> r by name: its inverse r -> l, which undoes it, or
+    # None when l has a variable that r drops
+    _inverse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sentence(self.start, "start sentence")
@@ -568,6 +573,8 @@ class Theory:
                 raise TheorySyntaxError(f"duplicate axiom name {ax.name!r}")
             by_name[ax.name] = ax
             _check_arities([ax.lhs, ax.rhs], arities, ax.name)
+            undoable = free_vars(ax.lhs) <= free_vars(ax.rhs)
+            self._inverse[ax.name] = _clause(ax.name, ax.rhs, ax.lhs) if undoable else None
         self._by_name.update(by_name)
 
     def __hash__(self):
@@ -609,6 +616,28 @@ def replay(th: Theory, start: Term, steps) -> Term:
         if current is None:
             return None
     return current
+
+
+def undo(th: Theory, goal: Term, steps) -> tuple:
+    """*steps* undone from *goal*, last first, back to the last step whose
+    axiom drops a variable or is unknown: (k, s), where the first k steps
+    must replay to s for *steps* to rewrite to *goal*; s is None when a
+    step cannot be undone there.  Undoing ``l -> r`` applies its inverse
+    ``r -> l``: a match of r against a tree s binds every variable of l,
+    and ``l -> r`` applied to the tree that builds gives s again, so each
+    undone step is a checked forward step, and the only one that can end
+    in s."""
+    k = len(steps)
+    current = goal
+    while k:
+        inverse = th._inverse.get(steps[k - 1])
+        if inverse is None:
+            break
+        current = apply_clause(inverse, current)
+        if current is None:
+            break
+        k -= 1
+    return k, current
 
 
 def parse_theory(text: str) -> Theory:
@@ -654,16 +683,23 @@ def horn_to_tpc(facts, rules, goal) -> Theory:
 
     Facts F become ``x -> And(F, x)``; a rule B1 & ... & Bn -> H becomes
     ``And(B1, And(..., And(Bn, x)...)) -> And(H, x)``; the logic axioms
-    l1/l2 are appended and the start sentence is S.
+    l1/l2 are appended and the start sentence is S.  The tail x is named
+    ``x``, or, when a rule uses that name, the first of ``x1``, ``x2``,
+    ... that no rule uses.
     """
-    x = Var("x")
+    rules = [(tuple(body), head) for body, head in rules]
+    used = set().union(*(free_vars(atom) for body, head in rules for atom in (*body, head)))
+    tail, n = "x", 0
+    while tail in used:
+        n += 1
+        tail = f"x{n}"
+    x = Var(tail)
     axioms = []
     for i, fact in enumerate(facts, start=1):
         if not (isinstance(fact, App) and fact.is_ground):
             raise UnsupportedRule(f"fact {print_term(fact)} is not ground")
         axioms.append(Clause(f"p{i}", x, App("And", (fact, x))))
     for i, (body, head) in enumerate(rules, start=1):
-        body = tuple(body)
         if not body:
             raise UnsupportedRule(f"rule a{i} has an empty body")
         lhs = x

@@ -31,6 +31,12 @@ class TestExitCodes:
         assert main(["decide", "fg", *FG_PAIR]) == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    def test_a_tree_reaches_itself(self, capsys):
+        # no chain axiom matches Z, and zero steps rewrite it to itself
+        for method in ("auto", "generated", "oracle"):
+            assert main(["decide", "chain", "--method", method, "--from", "Z", "--to", "Z"]) == 0
+            assert capsys.readouterr().out.strip() == "true"
+
     def test_negative_decision(self, capsys):
         assert main(["decide", "fg", "--from", "P(Z, Z)", "--to", "P(Z, G(Z))"]) == 1
         assert capsys.readouterr().out.strip() == "false"

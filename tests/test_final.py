@@ -4,16 +4,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tpc import load_theory
-from tpc.errors import Ambiguous
-from tpc.final import TuneResult, _count_equation, _solve_some, decide, extract_proof, tune
+from tpc.errors import Ambiguous, InternalMismatch
+from tpc.final import TuneResult, _count_equation, _reaches, _solve_some, decide, extract_proof, tune
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Free, LinearSystem, reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import AtomSet, EqualsLR, GroundL, IterGroup, Segment, SymbolicPath, VarDecl, _unit_step
+from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
 from tpc.schemes import parse_scheme
 from tpc.sigma import Branch, SymbolicCharFn, sigma
-from tpc.terms import App, Proof, check_proof, parse_term, parse_theory, replay
+from tpc.terms import App, Proof, check_proof, parse_term, parse_theory, replay, undo
 
 from conftest import matched
 
@@ -295,6 +295,163 @@ class TestProofExtraction:
         th = load_theory("fg")
         fn = sigma(th, parse_scheme("b*.a*"))
         assert extract_proof(th, fn, th.start, parse_term("P(Z, G(Z))")) is None
+
+
+# a: P(x, y) -> P(Z, G(y)) drops x, so it cannot be undone
+ERASING = "start: P(Z, Z)\na: P(x, y) -> P(Z, G(y))\n"
+
+
+class TestZeroSteps:
+    """Zero steps rewrite a tree to itself, also where a decider's forms,
+    fitted from nonempty instances, do not hold."""
+
+    @pytest.mark.parametrize("name, tree", [
+        ("chain", "Z"), ("chain", "F(Z)"),
+        ("fg", "Z"), ("fg", "P(Z)"), ("fg", "Q(Z, Z)"),
+        ("mod2", "Z"), ("mod2", "G(Z)"),
+    ])
+    def test_a_tree_no_axiom_matches_reaches_itself(self, name, tree):
+        proc = pipeline(load_theory(name))
+        t = parse_term(tree)
+        assert tune(proc.charfn, t, t) is None  # the forms alone say no
+        assert proc.decide(t, t)
+        assert proc.prove(t, t) == Proof(())
+
+    @pytest.mark.parametrize("tree", ["P(F(Z), Z)", "P(F(Z), G(Z))", "P(R(Z, Z), F(R(Z, Z)))"])
+    def test_erasing_theory(self, tree):
+        proc = pipeline(parse_theory(ERASING))
+        t = parse_term(tree)
+        assert proc.decide(t, t)
+        assert proc.prove(t, t) == Proof(())
+        assert not proc.decide(t, parse_term("P(Z, Z)"))
+
+    def test_a_scheme_without_the_empty_instance_does_not_reach_itself(self):
+        th = load_theory("chain")
+        fn = sigma(th, parse_scheme("a.a*"))
+        t = parse_term("Z")
+        assert not decide(fn, t, t) and extract_proof(th, fn, t, t) is None
+
+
+def _off_by_one(scheme, decls, *atoms):
+    return SymbolicCharFn(parse_scheme(scheme), (Branch(parse_scheme(scheme), decls, AtomSet(atoms)),))
+
+
+class TestCertificate:
+    """A fitted form that tuning and its guard accept but whose index does
+    not rewrite t to d is caught before a proof is returned."""
+
+    def test_a_count_off_by_one_is_caught(self):
+        # chain's form reads d.P.F^n = t.P; this one reads F^{n + 1}
+        p, f = _unit_step("P", 1, 0), _unit_step("F", 1, 0)
+        n = AffineExpr.var("n")
+        fn = _off_by_one("a*", (VarDecl("n", "scalar"),),
+                         EqualsLR(SymbolicPath.of(Segment(p)), SymbolicPath.of(Segment(p), Segment(f, n + AffineExpr.const_(1)))))
+        th = load_theory("chain")
+        d = parse_term("P(F(F(F(Z))))")
+        assert tune(fn, th.start, d) == TuneResult(0, {"n": 2})
+        with pytest.raises(InternalMismatch, match=r"^tuned index 2 does not replay to the goal$"):
+            extract_proof(th, fn, th.start, d)
+
+    def test_a_count_off_by_one_is_caught_after_an_erasing_step(self):
+        # the erasing theory's form reads d.P.y = t.P.y.G^n and d.P.x = Z
+        p0, p1, g = _unit_step("P", 2, 0), _unit_step("P", 2, 1), _unit_step("G", 1, 0)
+        n = AffineExpr.var("n")
+        fn = _off_by_one("a*", (VarDecl("n", "scalar"),),
+                         EqualsLR(SymbolicPath.of(Segment(p1)), SymbolicPath.of(Segment(p1), Segment(g, n + AffineExpr.const_(1)))),
+                         GroundR(SymbolicPath.of(Segment(p0)), parse_term("Z")))
+        th = parse_theory(ERASING)
+        d = parse_term("P(Z, G(G(G(Z))))")
+        with pytest.raises(InternalMismatch, match=r"^tuned index 2 does not replay to the goal$"):
+            extract_proof(th, fn, th.start, d)
+
+
+# theories whose steps the certificate undoes, replays, or both: the six
+# bundled ones, an erasing one, and non-linear sides, with a repeated
+# variable in an rhs (undone by checking both copies equal) and in an lhs
+CERTIFIED = {name: load_theory(name) for name in ("chain", "fg", "mod2", "rotate", "rotate3", "ancestor")}
+CERTIFIED["erasing"] = parse_theory(ERASING + "b: P(x, y) -> P(F(x), y)\n")
+CERTIFIED["nonlinear"] = parse_theory(
+    "start: P(Z)\na: P(x) -> P(D(x, x))\nb: P(x) -> P(F(x))\nc: P(D(x, x)) -> P(G(x))\n"
+)
+
+
+def _leaves(tree):
+    """The paths (child indexes from the root) to *tree*'s leaves."""
+    if not tree.children:
+        return [()]
+    return [(i, *rest) for i, c in enumerate(tree.children) for rest in _leaves(c)]
+
+
+def _with_leaf(tree, path, leaf):
+    if not path:
+        return leaf
+    i, *rest = path
+    kids = list(tree.children)
+    kids[i] = _with_leaf(kids[i], rest, leaf)
+    return App(tree.functor, tuple(kids))
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A theory, a start, steps and a goal: the goal the steps replay to,
+    or that goal with a leaf changed, or the steps with one dropped or two
+    swapped."""
+    name = draw(st.sampled_from(sorted(CERTIFIED)))
+    th = CERTIFIED[name]
+    names = [ax.name for ax in th.axioms]
+    t = th.start
+    steps = []
+    tree = t
+    for _ in range(draw(st.integers(0, 8))):
+        # mostly a step that applies, so that most sequences reach a goal
+        fits = [a for a in names if replay(th, tree, (a,)) is not None]
+        a = draw(st.sampled_from(fits or names)) if draw(st.integers(0, 9)) else draw(st.sampled_from(names))
+        steps.append(a)
+        tree = replay(th, tree, (a,))
+        if tree is None:
+            break
+    d = replay(th, t, steps) or th.start
+    change = draw(st.sampled_from(["none", "leaf", "drop", "swap"]))
+    if change == "leaf":
+        d = _with_leaf(d, draw(st.sampled_from(_leaves(d))), App(draw(st.sampled_from(["Z", "Y0", "Adam", "W"]))))
+    elif change == "drop" and steps:
+        del steps[draw(st.integers(0, len(steps) - 1))]
+    elif change == "swap" and len(steps) > 1:
+        i, j = draw(st.lists(st.integers(0, len(steps) - 1), min_size=2, max_size=2, unique=True))
+        steps[i], steps[j] = steps[j], steps[i]
+    return name, t, tuple(steps), d
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_certificate_cases())
+# l2 in the middle, l1 then l2 at the end, and the seven-step proof
+@example(("ancestor", CERTIFIED["ancestor"].start, ("p1", "p2", "l2", "p3", "a1"),
+          parse_term("And(Ancestor(Peter, Olga), And(Parent(Adam, John), S))")))
+@example(("ancestor", CERTIFIED["ancestor"].start, ("p1", "p2", "l1", "p3", "a1", "l2"),
+          replay(CERTIFIED["ancestor"], CERTIFIED["ancestor"].start, ("p1", "p2", "l1", "p3", "a1", "l2"))))
+@example(("ancestor", CERTIFIED["ancestor"].start, ("p3", "a1", "p2", "a2", "p1", "a2", "l1"),
+          parse_term("Ancestor(Adam, Olga)")))
+@example(("ancestor", CERTIFIED["ancestor"].start, ("p3", "a1", "p2", "a2", "p1", "a2", "l1"),
+          parse_term("Ancestor(Adam, Peter)")))
+@example(("nonlinear", CERTIFIED["nonlinear"].start, ("b", "a", "c"), parse_term("P(G(F(Z)))")))
+@example(("erasing", CERTIFIED["erasing"].start, ("b", "a", "b", "b"), parse_term("P(F(F(Z)), G(Z))")))
+def test_certificate_agrees_with_forward_replay(case):
+    name, t, steps, d = case
+    th = CERTIFIED[name]
+    assert _reaches(th, t, steps, d) == (replay(th, t, steps) == d)
+
+
+class TestUndo:
+    def test_undoes_every_step_of_an_invertible_theory(self):
+        th = load_theory("chain")
+        assert undo(th, parse_term("P(F(F(Z)))"), ("a", "a")) == (0, th.start)
+        assert undo(th, parse_term("P(F(Z))"), ("a", "a")) == (1, None)
+
+    def test_stops_after_the_last_erasing_step(self):
+        th = load_theory("ancestor")
+        steps = ("p1", "l2", "p2", "p3")
+        assert undo(th, replay(th, th.start, steps), steps) == (2, th.start)
+        assert undo(th, th.start, ("p1", "l1")) == (2, th.start)
 
 
 # The counting walk as it was before it skipped an empty suffix and cut

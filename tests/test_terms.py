@@ -23,7 +23,7 @@ from tpc.errors import (
     NonGroundStart,
     TheorySyntaxError,
 )
-from tpc.oracle import SearchBudget, reachable_set
+from tpc.oracle import SearchBudget, find_proof, reachable_set
 from tpc.terms import IDENTITY, Theory, free_vars, substitute, term_size, unify
 
 from conftest import match, same_relation
@@ -540,3 +540,14 @@ class TestHornToTpc:
         th = horn_to_tpc([t("Q(A)")], [], None)
         assert str(th.axioms[0]) == "x -> And(Q(A), x)"
         assert [ax.name for ax in th.axioms] == ["p1", "l1", "l2"]
+
+    def test_a_rule_variable_named_x_is_not_captured(self):
+        fact = t("Parent(Adam, John)")
+        goal = t("Ancestor(Adam, John)")
+        proofs = []
+        for a, b in (("x", "y"), ("u", "v"), ("x", "x1")):
+            rule = ([t(f"Parent({a}, {b})")], t(f"Ancestor({a}, {b})"))
+            th = horn_to_tpc([fact], [rule], goal)
+            proofs.append(find_proof(th, goal, SearchBudget()).steps)
+        assert proofs == [("p1", "a1", "l1")] * 3
+        assert str(th.axioms[1]) == "And(Parent(x, x1), x2) -> And(Ancestor(x, x1), x2)"
