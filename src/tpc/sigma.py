@@ -17,17 +17,19 @@ sample envs, is reduced once; every count fitted over it is solved from
 the basis rows and checked on all rows in integers.  Verification
 expands the fitted atoms at each held-out index and compares them, as a
 multiset, with the atoms split from that sample: each atom is compared by
-its class, the unit steps of each side and its template.  Anything that
-fails to fit or verify raises NotLinearizable.
+its class, the unit steps of each side and its template.  A scheme that
+fails to lay out, fit or verify ends in a ``GiveUp`` record, which
+``sigma`` raises as NotLinearizable.
 
 When the fit grid lists every combination and has more than twice as
 many samples as a sub-grid of ``_PROBE_FIT_SAMPLES``, strided the same
-way, the fit runs first on that sub-grid.  A failure there that no
-larger grid can undo gives up at once: an empty instance, a feature that
-cannot be evaluated, or a fit whose design has full column rank, so that
-the counts have at most one affine form.  A rank-deficient failure, or a
-fit that passes, goes on to the full fit grid, so every form accepted is
-fitted and verified as without the sub-grid.
+way, the fit runs first on that sub-grid, in the same loop as the full
+fit grid.  A decisive give-up there, one that no larger grid can undo,
+is final: an empty instance, a feature that cannot be evaluated, or a
+fit whose design has full column rank, so that the counts have at most
+one affine form.  A rank-deficient give-up, or a fit that passes, goes
+on to the full fit grid, so every form accepted is fitted and verified
+as without the sub-grid.
 
 The samples of a branch share one ``reduce_specific`` state and are
 composed in sorted order of their axiom sequences, so each resumes from
@@ -92,27 +94,46 @@ _PROBE_FIT_SAMPLES = 40
 _MAX_VERIFY_SAMPLES = 64
 
 
+@dataclass(frozen=True)
+class GiveUp:
+    """Why a scheme has no verified form: the message and scheme, if any,
+    of the NotLinearizable it stands for, and whether it holds for every
+    list of fit envs holding the ones it was found on, so that no larger
+    grid could undo it; only a failed fit can be indecisive."""
+
+    message: str
+    scheme: IterExpr = None
+    decisive: bool = True
+
+    def error(self) -> NotLinearizable:
+        return NotLinearizable(self.message, self.scheme)
+
+
 # ---------------------------------------------------------------------------
 # variable layout
 
 
-def _layout(e: IterExpr, decls: list) -> None:
+def _layout(e: IterExpr, decls: list):
     """Appends one VarDecl per star of *e*, left to right, in the order
     ``index_from_stars`` takes their values, of the kind ``star_kind``
     gives: a scalar for a star that takes a count, a multi-index for one
-    that takes a tuple of counts."""
+    that takes a tuple of counts.  Returns None, or the give-up of the
+    first part of *e* that has no flat layout."""
     if isinstance(e, Star):
         kind = star_kind(e)
         if kind is None:
-            raise NotLinearizable("index nesting too deep to lay out", e)
+            return GiveUp("index nesting too deep to lay out", e)
         decls.append(VarDecl(fresh_name({d.name for d in decls}, kind), kind))
     elif isinstance(e, Dot):
         for p in e.parts:
-            _layout(p, decls)
+            failure = _layout(p, decls)
+            if failure is not None:
+                return failure
     elif isinstance(e, Alt):
-        raise NotLinearizable("alternatives must be at the top level", e)
+        return GiveUp("alternatives must be at the top level", e)
     elif not isinstance(e, (Axiom, Eps)):
         raise TypeError(e)
+    return None
 
 
 def fresh_name(taken, kind: str) -> str:
@@ -188,28 +209,24 @@ def _family_key(atom):
 
 
 def _design(envs, features):
-    """The ``fit`` of one list of sample envs: a count per env to the
-    fitted AffineExpr, or None when no integral fit exists.  It solves a
-    ``LinearSystem`` over the feature coefficients, one equation per
-    distinct row of the feature matrix, and requires the count of a
-    repeated row to equal that of its first.  The pivots are the features
-    independent of the ones before them, and a free coefficient is 0: a
-    consistent system's free-zero solution depends only on the row space,
-    so this is what reducing each count's system gives.
+    """(fit, decisive) of one list of sample envs.  ``fit`` takes a count
+    per env to the fitted AffineExpr, or None when no integral fit exists.
+    It solves a ``LinearSystem`` over the feature coefficients, one
+    equation per distinct row of the feature matrix, and requires the
+    count of a repeated row to equal that of its first.  The pivots are
+    the features independent of the ones before them, and a free
+    coefficient is 0: a consistent system's free-zero solution depends
+    only on the row space, so this is what reducing each count's system
+    gives.
 
-    ``fit.decisive`` tells whether counts with no fit here have none over
-    any list of envs that holds these either: the features are independent
-    on these envs, so a fit is unique where one exists, or a feature
-    cannot be evaluated on them."""
+    ``decisive`` tells whether counts with no fit here have none over any
+    list of envs that holds these either: the features are independent on
+    these envs, so a fit is unique where one exists, or a feature cannot
+    be evaluated on them."""
     try:
         rows = [tuple(f.evaluate(env) for f in features) for env in envs]
     except (IndexError, KeyError):
-
-        def fit(counts):
-            return None
-
-        fit.decisive = True
-        return fit
+        return (lambda counts: None), True
     first = {}
     for i, row in enumerate(rows):
         first.setdefault(row, i)
@@ -235,13 +252,7 @@ def _design(envs, features):
                 terms += [(c * b, it) for c, it in f.terms]
         return AffineExpr.of(const, *terms)
 
-    fit.decisive = not zero
-    return fit
-
-
-def _base_features(decls):
-    # a multi-index name in scalar position means its length
-    return [ONE] + [AffineExpr.var(d.name) for d in decls]
+    return fit, not zero
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +263,6 @@ def _merge_keys(keys):
     """Partition compatible keys around maximal skeletons.  Two keys are
     compatible when they share class and template and both step tuples of
     one embed into the other's."""
-    keys = list(keys)
     merged = {}  # representative key -> list of member keys
     for key in sorted(keys, key=lambda k: (-len(k[1]) - len(k[2]), str(k))):
         home = None
@@ -270,10 +280,6 @@ def _merge_keys(keys):
         else:
             merged[home].append(key)
     return merged
-
-
-def _path_from(skeleton, exprs) -> SymbolicPath:
-    return SymbolicPath.of(*(Segment(s, e) for s, e in zip(skeleton, exprs)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,9 @@ class SymbolicCharFn:
 def _family_atom(member, key, fitted):
     """*member*, one atom of the family *key*, rebuilt with the fitted
     paths."""
-    return member.with_paths(*(_path_from(skel, exprs) for skel, exprs in zip(key[1:3], fitted)))
+    return member.with_paths(
+        *(SymbolicPath.of(*map(Segment, skel, exprs)) for skel, exprs in zip(key[1:3], fitted))
+    )
 
 
 def _fit_family_runs(key, atoms, fit):
@@ -340,25 +348,26 @@ def _fit_family_runs(key, atoms, fit):
     return fitted
 
 
-def _synthesize_branch(theory, scheme) -> Branch:
+def _synthesize_branch(theory, scheme):
+    """The verified Branch of *scheme*, one alternative, or the GiveUp of
+    its layout, its fit or its verification."""
     decls = []
-    _layout(scheme, decls)
+    failure = _layout(scheme, decls)
+    if failure is not None:
+        return failure
     decls = tuple(decls)
-    # fitted in its own frame, so that a give-up in verification does not
-    # keep the fit samples alive through its traceback
     prefix = []
     fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
+    grids = [fit_envs]
     # a fit grid under its cap lists every combination, so it holds the
-    # sub-grid's samples, and a decisive failure there is one here too; the
+    # sub-grid's samples, and a decisive give-up there is one here too; the
     # sub-grid's instances stay composed in prefix for the full fit
     if 2 * _PROBE_FIT_SAMPLES < len(fit_envs) < _MAX_FIT_SAMPLES:
-        probe_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _PROBE_FIT_SAMPLES)
-        try:
-            _fit_branch(theory, scheme, decls, probe_envs, prefix)
-        except NotLinearizable as exc:
-            if exc.decisive:
-                raise
-    branch = _fit_branch(theory, scheme, decls, fit_envs, prefix)
+        grids.insert(0, _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _PROBE_FIT_SAMPLES))
+    for envs in grids:
+        branch = _fit_branch(theory, scheme, decls, envs, prefix)
+        if isinstance(branch, GiveUp) and (branch.decisive or envs is fit_envs):
+            return branch
     # the held-out grid, then the zero boundary less any empty instance:
     # its clause v0 -> v0 relates every tree, and no fitted form splits
     # like it
@@ -366,30 +375,21 @@ def _synthesize_branch(theory, scheme) -> Branch:
         env
         for env in _sample_grid(decls, _SCALAR_EDGE, _MULTI_EDGE, _MAX_VERIFY_SAMPLES)
         if any(not v or isinstance(v, tuple) and 0 in v for v in env.values())
-        and instantiate(scheme, index_from_stars(scheme, [env[d.name] for d in decls]))
+        and instantiate(scheme, branch.index_of(env))
     ]
-    _verify_branch(theory, branch, verify_envs, prefix)
-    return branch
+    return _verify_branch(theory, branch, verify_envs, prefix) or branch
 
 
-def _give_up(message, scheme, decisive):
-    """A NotLinearizable of _fit_branch; ``decisive`` tells whether it
-    holds for every list of fit envs that holds the ones it was raised on."""
-    exc = NotLinearizable(message, scheme)
-    exc.decisive = decisive
-    return exc
-
-
-def _fit_branch(theory, scheme, decls, fit_envs, prefix) -> Branch:
-    """The atoms fitted over *fit_envs*, not yet verified; *prefix* is the
-    branch's reduce_specific state.  An empty instance gives up decisively,
-    a failed fit only when the base design, whose fits decide which atoms
-    form iterated families, and, for such a family, every design it tried
-    are decisive (``_design``)."""
+def _fit_branch(theory, scheme, decls, fit_envs, prefix):
+    """The Branch of the atoms fitted over *fit_envs*, not yet verified,
+    or the GiveUp; *prefix* is the branch's reduce_specific state.  An
+    empty instance gives up decisively, a failed fit only when the base
+    design, whose fits decide which atoms form iterated families, and,
+    for such a family, every design it tried are decisive (``_design``)."""
     fit_atoms = [None] * len(fit_envs)
     for i, atoms in _sample_atoms(theory, scheme, decls, fit_envs, prefix):
         if atoms is None:
-            raise _give_up("an instance composes to the empty relation", scheme, True)
+            return GiveUp("an instance composes to the empty relation", scheme)
         fit_atoms[i] = atoms
     samples = list(zip(fit_envs, fit_atoms))
 
@@ -405,19 +405,18 @@ def _fit_branch(theory, scheme, decls, fit_envs, prefix) -> Branch:
                 first_atom[key] = atom
             groups[key][si].append((pos, atom))
 
-    base = _base_features(decls)
-    base_fit = _design([env for env, _ in samples], base)
+    # a multi-index name in scalar position means its length
+    base = [ONE] + [AffineExpr.var(d.name) for d in decls]
+    base_fit, base_decisive = _design([env for env, _ in samples], base)
     multis = [d.name for d in decls if d.kind == "multi"]
-    conjuncts = {}  # key -> list of symbolic atoms (placed at first appearance)
+    conjuncts = {}  # key -> symbolic atom, placed at the key's first appearance
     failing = []
 
-    for key in first_atom:
-        per_sample = groups[key]
-        counts = {len(lst) for lst in per_sample}
-        if counts == {1}:
+    for key, per_sample in groups.items():
+        if all(len(lst) == 1 for lst in per_sample):
             fitted = _fit_family_runs(key, [lst[0][1] for lst in per_sample], base_fit)
             if fitted is not None:
-                conjuncts[key] = [_family_atom(first_atom[key], key, fitted)]
+                conjuncts[key] = _family_atom(first_atom[key], key, fitted)
                 continue
         failing.append(key)
 
@@ -433,92 +432,86 @@ def _fit_branch(theory, scheme, decls, fit_envs, prefix) -> Branch:
         # group size must be affine in the base features
         upper = base_fit([len(o) for o in occ])
         if upper is None:
-            raise _give_up("family size is not affine in the index", scheme, base_fit.decisive)
-        fitted, decisive = _fit_iterated(rep, samples, occ, base, multis, itervar)
-        if fitted is None:
-            raise _give_up(
-                "repetition counts are not affine in the index", scheme, base_fit.decisive and decisive
-            )
+            return GiveUp("family size is not affine in the index", scheme, base_decisive)
+        fitted = _fit_iterated(scheme, rep, samples, occ, base, multis, itervar, base_decisive)
+        if isinstance(fitted, GiveUp):
+            return fitted
         body = _family_atom(first_atom[rep], rep, fitted)
-        conjuncts[rep] = [IterGroup(itervar, ONE, upper, (body,))]
+        conjuncts[rep] = IterGroup(itervar, ONE, upper, (body,))
 
-    ordered = []
-    for key in dict.fromkeys(rep_of.get(key, key) for key in first_atom):
-        ordered.extend(conjuncts[key])
-
-    return Branch(scheme, decls, AtomSet(tuple(ordered)))
+    order = dict.fromkeys(rep_of.get(key, key) for key in first_atom)
+    return Branch(scheme, decls, AtomSet(tuple(conjuncts[key] for key in order)))
 
 
-def _fit_iterated(key, samples, occ, base, multis, itervar):
+def _fit_iterated(scheme, key, samples, occ, base, multis, itervar, decisive):
     """Fit run counts over base features extended with the occurrence
     position and, per multi-index, the element at that position (tried
     both from the front and from the back).  Returns the fitted runs, or
-    None, and whether every design tried is decisive."""
+    the GiveUp, decisive when *decisive*, the base design's, and every
+    design tried are."""
     pos = AffineExpr.var(itervar)
     choices = [
         (AffineExpr.element(w, pos), AffineExpr.element(w, AffineExpr.var(w) + 1 - pos)) for w in multis
     ]
     envs = [{**env, itervar: i} for (env, _), o in zip(samples, occ) for i in range(1, len(o) + 1)]
     atoms = [atom for o in occ for atom in o]
-    decisive = True
     for sels in itertools.product(*choices):
-        fit = _design(envs, base + [pos] + list(sels))
+        fit, exact = _design(envs, base + [pos] + list(sels))
         fitted = _fit_family_runs(key, atoms, fit)
         if fitted is not None:
-            return fitted, True
-        decisive = decisive and fit.decisive
-    return None, decisive
+            return fitted
+        decisive = decisive and exact
+    return GiveUp("repetition counts are not affine in the index", scheme, decisive)
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def _unit_form(atom, env):
-    """Class, unit steps of each side under *env*, and template (None for
-    EqualsLR) of a non-iterated atom."""
-    (left, _), (right, template) = atom.sides()
-    form = (type(atom), left.expand(env), right.expand(env), template)
-    if None in form[1:3]:
-        raise NotLinearizable("a fitted count went negative during verification")
-    return form
-
-
-def _expand_symbolic(atoms, env, out: Counter):
+def _unit_forms(atoms, env, out: Counter) -> bool:
+    """Counts in *out* the unit form of each atom *atoms* expand to at
+    *env*: its class, the unit steps of each side and its template (None
+    for EqualsLR).  False, and stops, at the first negative count."""
     for atom in atoms:
         if isinstance(atom, IterGroup):
-            for scope in scopes(atom, env):
-                _expand_symbolic(atom.body, scope, out)
+            if not all(_unit_forms(atom.body, scope, out) for scope in scopes(atom, env)):
+                return False
         else:
-            out[_unit_form(atom, env)] += 1
+            (left, _), (right, template) = atom.sides()
+            form = (type(atom), left.expand(env), right.expand(env), template)
+            if None in form[1:3]:
+                return False
+            out[form] += 1
+    return True
 
 
 def _check_held_out(branch: Branch, env, atoms):
-    """The fitted atoms must expand at *env* to exactly the multiset of
-    the held-out sample's *atoms*.  A step is a unit step, compared as
-    its functor, arity and child, so a side's step sequence and the clause
-    it composes to determine each other, and comparing the sequences needs
-    no clause composition."""
+    """None when the fitted atoms expand at *env* to exactly the multiset
+    of the held-out sample's *atoms*, else the GiveUp.  A step is a unit
+    step, compared as its functor, arity and child, so a side's step
+    sequence and the clause it composes to determine each other, and
+    comparing the sequences needs no clause composition."""
     if atoms is None:
-        raise NotLinearizable("a held-out instance composes to the empty relation", branch.scheme)
-    got = Counter()
-    _expand_symbolic(branch.atoms.conjuncts, env, got)
-    if got != Counter(_unit_form(a, {}) for a in atoms):
-        raise NotLinearizable("fitted form failed held-out verification", branch.scheme)
+        return GiveUp("a held-out instance composes to the empty relation", branch.scheme)
+    got, want = Counter(), Counter()
+    if not _unit_forms(branch.atoms.conjuncts, env, got):
+        return GiveUp("a fitted count went negative during verification")
+    _unit_forms(atoms, {}, want)
+    if got != want:
+        return GiveUp("fitted form failed held-out verification", branch.scheme)
+    return None
 
 
 def _verify_branch(theory, branch: Branch, envs, prefix):
-    """Checks every held-out sample as it is composed, holding none after
-    its check, and raises the failure that comes first in grid order."""
-    first = None  # (position in envs, NotLinearizable)
+    """The GiveUp of the first held-out sample, in grid order, that
+    *branch* fails, or None.  Checks each sample as it is composed, and
+    holds none after its check; skips those after a known failure."""
+    at, first = len(envs), None  # the first failure in grid order so far
     for i, atoms in _sample_atoms(theory, branch.scheme, branch.decls, envs, prefix):
-        if first is None or i < first[0]:
-            try:
-                _check_held_out(branch, envs[i], atoms)
-            except NotLinearizable as exc:
-                first = (i, exc)
-    if first is not None:
-        raise first[1]
+        failure = _check_held_out(branch, envs[i], atoms) if i < at else None
+        if failure is not None:
+            at, first = i, failure
+    return first
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +523,26 @@ def check_layout(scheme: IterExpr) -> None:
     cheap (no sampling), usable as an early feasibility probe."""
     tops = scheme.parts if isinstance(scheme, Alt) else (scheme,)
     for part in tops:
-        _layout(part, [])
+        failure = _layout(part, [])
+        if failure is not None:
+            raise failure.error()
 
 
 def sigma(theory, scheme: IterExpr) -> SymbolicCharFn:
     """The symbolic characteristic function of *scheme* over *theory*.
     Each branch's form must hold at every held-out index and at the zero
     boundary (counts of 0, empty multi-indexes, zero elements), except
-    where the instance is empty; otherwise NotLinearizable is raised,
-    with no frame of the synthesis on its traceback: a caller that keeps
-    the exception does not keep the samples, their states and the fitted
-    forms alive, nor a cycle that only the collector could free."""
+    where the instance is empty; otherwise NotLinearizable is raised here,
+    from the first branch's give-up, so its traceback holds this frame
+    alone: a caller that keeps the exception does not keep the samples,
+    their states and the fitted forms alive, nor a cycle that only the
+    collector could free."""
     tops = scheme.parts if isinstance(scheme, Alt) else (scheme,)
-    try:
-        branches = tuple(_synthesize_branch(theory, part) for part in tops)
-    except NotLinearizable as exc:
-        raise exc.with_traceback(None)
-    return SymbolicCharFn(scheme, branches)
+    branches = []
+    for part in tops:
+        branch = _synthesize_branch(theory, part)
+        if isinstance(branch, GiveUp):
+            del branches  # a kept exception keeps this frame, and so no branch
+            raise branch.error()
+        branches.append(branch)
+    return SymbolicCharFn(scheme, tuple(branches))

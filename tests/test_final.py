@@ -1,14 +1,16 @@
 """Index tuning, the decision procedure, and proof extraction."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tpc import load_theory
-from tpc.errors import Ambiguous, InternalMismatch
+from tpc.errors import Ambiguous, InternalMismatch, TpcError
 from tpc.final import TuneResult, _count_equation, _reaches, _solve_some, decide, extract_proof, tune
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Free, LinearSystem, reduce_rows
-from tpc.oracle import SearchBudget, reachable_set
+from tpc.oracle import SearchBudget, decide_oracle, reachable_set
 from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
 from tpc.schemes import parse_scheme
@@ -16,6 +18,7 @@ from tpc.sigma import Branch, SymbolicCharFn, sigma
 from tpc.terms import App, Proof, check_proof, parse_term, parse_theory, replay, undo
 
 from conftest import matched
+from test_delta import _linear_theories
 
 
 class TestScalarTuning:
@@ -301,6 +304,31 @@ class TestProofExtraction:
 ERASING = "start: P(Z, Z)\na: P(x, y) -> P(Z, G(y))\n"
 
 
+def _signature(th):
+    """Functor to arity over the start sentence and the axioms of *th*."""
+    arities, todo = {}, [th.start] + [side for ax in th.axioms for side in (ax.lhs, ax.rhs)]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            arities[t.functor] = len(t.children)
+            todo.extend(t.children)
+    return arities
+
+
+def _ground_trees(arities, size):
+    """Every ground tree over *arities*, functor to arity, with at most
+    *size* nodes."""
+    trees = {1: [App(f) for f, k in arities.items() if not k]}
+    for n in range(2, size + 1):
+        trees[n] = [
+            App(f, kids)
+            for f, k in arities.items() if k
+            for sizes in itertools.product(range(1, n), repeat=k) if sum(sizes) == n - 1
+            for kids in itertools.product(*(trees[s] for s in sizes))
+        ]
+    return [t for level in trees.values() for t in level]
+
+
 class TestZeroSteps:
     """Zero steps rewrite a tree to itself, also where a decider's forms,
     fitted from nonempty instances, do not hold."""
@@ -325,11 +353,59 @@ class TestZeroSteps:
         assert proc.prove(t, t) == Proof(())
         assert not proc.decide(t, parse_term("P(Z, Z)"))
 
+    @pytest.mark.parametrize("name, count", [("chain", 63), ("fg", 196), ("mod2", 63)])
+    def test_every_small_tree_of_the_signature_reaches_itself(self, name, count):
+        th = load_theory(name)
+        proc = pipeline(th)
+        trees = _ground_trees(_signature(th), 6)
+        assert len(trees) == count
+        assert [t for t in trees if not proc.decide(t, t)] == []
+        assert [t for t in trees if proc.prove(t, t) != Proof(())] == []
+
+    # a tree outside the theory's signature, with a functor it does not
+    # have or one of another arity, is answered as the oracle answers it,
+    # as is Z: no axiom applies to it, so it reaches itself and nothing else
+    @pytest.mark.parametrize("name, t, d, want", [
+        ("fg", "P(Z)", "P(Z)", True),
+        ("fg", "P(Z)", "P(F(Z))", False),
+        ("fg", "Q(Z, Z)", "Q(Z, Z)", True),
+        ("fg", "Q(Z, Z)", "P(Z, Z)", False),
+        ("fg", "Z", "P(Z, Z)", False),
+        ("chain", "Q(Z)", "Q(Z)", True),
+        ("chain", "Z", "F(Z)", False),
+    ])
+    def test_a_tree_outside_the_signature_is_answered_as_the_oracle_answers(self, name, t, d, want):
+        th = load_theory(name)
+        proc = pipeline(th)
+        t, d = parse_term(t), parse_term(d)
+        assert decide_oracle(th, t, d, SearchBudget(max_depth=4)) == want
+        assert proc.decide(d, t) == want
+        assert proc.prove(d, t) == (Proof(()) if want else None)
+
     def test_a_scheme_without_the_empty_instance_does_not_reach_itself(self):
         th = load_theory("chain")
         fn = sigma(th, parse_scheme("a.a*"))
         t = parse_term("Z")
         assert not decide(fn, t, t) and extract_proof(th, fn, t, t) is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_linear_theories())
+# synthesizes, and its form read alone says no for Z -> Z
+@example("start: P(Z)\na: P(x0) -> P(F(x0))")
+def test_generated_deciders_accept_every_tree_paired_with_itself(text):
+    """Each generated theory that synthesizes: every tree of a small
+    reachable window, and a few trees outside it, reach themselves in zero
+    steps."""
+    th = parse_theory(text)
+    try:
+        proc = pipeline(th, selfcheck=False)
+    except TpcError:
+        return
+    window = reachable_set(th, th.start, SearchBudget(max_depth=2, max_tree_size=24))
+    for t in window + [parse_term(tree) for tree in ("Z", "F(Z)", "R(Z, Z)")]:
+        assert proc.decide(t, t), t
+        assert proc.prove(t, t) == Proof(()), t
 
 
 def _off_by_one(scheme, decls, *atoms):

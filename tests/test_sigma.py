@@ -33,6 +33,7 @@ from tpc.schemes import (
 import tpc.sigma
 from tpc.sigma import (
     Branch,
+    GiveUp,
     _MAX_FIT_SAMPLES,
     _MAX_VERIFY_SAMPLES,
     _MULTI_EDGE,
@@ -47,6 +48,7 @@ from tpc.sigma import (
     _layout,
     _sample_grid,
     _verify_branch,
+    check_layout,
     fresh_name,
     sigma,
 )
@@ -231,25 +233,29 @@ def sigma_inputs(run):
 
 
 def outcome(fit):
-    """The str of what *fit* returns, or the type and message of the
-    TpcError it raises."""
+    """The GiveUp *fit* returns, the str of the Branch it returns, or the
+    type and message of the TpcError it raises."""
     try:
-        return str(fit())
+        got = fit()
     except TpcError as exc:
         return type(exc), str(exc)
+    return got if isinstance(got, GiveUp) else str(got)
 
 
 def full_grid_fit(theory, scheme):
     decls = []
-    _layout(scheme, decls)
+    failure = _layout(scheme, decls)
+    if failure is not None:
+        return failure
     envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
     return _fit_branch(theory, scheme, tuple(decls), envs, [])
 
 
 def assert_sub_grid_keeps_the_full_grid_outcome(inputs):
     """Each branch's fit, the sub-grid tried first, ends as the fit over
-    the full fit grid alone does: the same unverified form or give-up.
-    Returns how many of *inputs* tried the sub-grid."""
+    the full fit grid alone does: the same unverified form or give-up
+    record, decisiveness included.  Returns how many of *inputs* tried the
+    sub-grid."""
     probed = 0
     fit_branch = tpc.sigma._fit_branch
 
@@ -295,9 +301,9 @@ class TestSubGrid:
         monkeypatch.setattr(tpc.sigma, "_PROBE_FIT_SAMPLES", 4)
         decls = []
         _layout(scheme, decls)
-        with pytest.raises(NotLinearizable, match="repetition counts") as info:
-            _fit_branch(th, scheme, tuple(decls), _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, 4), [])
-        assert not info.value.decisive
+        got = _fit_branch(th, scheme, tuple(decls), _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, 4), [])
+        assert got == GiveUp("repetition counts are not affine in the index", scheme, decisive=False)
+        assert not got.decisive
         assert str(sigma(th, scheme)) == want
 
     def test_bundled_pipelines_keep_the_full_grid_outcome(self):
@@ -385,7 +391,7 @@ class TestLayout:
     def test_index_of_matches_the_builder_spec(self, text):
         scheme = parse_scheme(text)
         decls, want_decls = [], []
-        _layout(scheme, decls)
+        assert _layout(scheme, decls) is None
         spec = _ref_layout(scheme, want_decls)
         assert decls == want_decls
         branch = Branch(scheme, tuple(decls), AtomSet(()))
@@ -396,11 +402,12 @@ class TestLayout:
     @pytest.mark.parametrize("text", ["(a*.b*)*", "((a*.b)*.a)*", "(a|b)*", "a*.(b|a*)", "a.(b*.c|a)*"])
     def test_rejections_match(self, text):
         scheme = parse_scheme(text)
-        with pytest.raises(NotLinearizable) as got:
-            _layout(scheme, [])
         with pytest.raises(NotLinearizable) as want:
             _ref_layout(scheme, [])
-        assert str(got.value) == str(want.value)
+        assert str(_layout(scheme, []).error()) == str(want.value)
+        with pytest.raises(NotLinearizable) as raised:
+            check_layout(scheme)
+        assert str(raised.value) == str(want.value)
 
 
 class TestHeldOutVerification:
@@ -411,7 +418,9 @@ class TestHeldOutVerification:
     def verify(theory, branch, conjuncts):
         envs = _sample_grid(branch.decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
         changed = dataclasses.replace(branch, atoms=AtomSet(tuple(conjuncts)))
-        _verify_branch(theory, changed, envs, [])
+        failure = _verify_branch(theory, changed, envs, [])
+        if failure is not None:
+            raise failure.error()
 
     def test_off_by_one_count_is_rejected(self):
         fg = load_theory("fg")
@@ -434,27 +443,41 @@ class TestHeldOutVerification:
         with pytest.raises(NotLinearizable, match="held-out"):
             self.verify(anc, branch, conj)
 
+    GIVE_UPS = [
+        # verification, after the full fit
+        ("rotate", "(a*.b)*.a*", "fitted form failed held-out verification"),
+        # the layout: rotate3's last pipeline scheme
+        ("rotate3", "((a*.b)*.a*.c)*.(a*.b)*.a*", "index nesting too deep to lay out"),
+        # the sub-grid
+        ("rotate3", "a*.b.a*.c.(a*.b)*.a*.c", "repetition counts are not affine in the index"),
+        # a second alternative, after a first one that holds
+        ("rotate", "a*|(a*.b)*.a*", "fitted form failed held-out verification"),
+    ]
+
     def test_a_give_up_keeps_no_synthesis_frame(self):
         # a caller that keeps the exception keeps every frame on its
         # traceback alive, and one that a frame holds in turn is freed only
         # by the cycle collector
-        gc.collect()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            try:
-                sigma(load_theory("rotate"), parse_scheme("(a*.b)*.a*"))
-            except NotLinearizable as exc:
-                assert "held-out" in str(exc)
-                frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(exc.__traceback__)]
+        for name, text, message in self.GIVE_UPS:
             gc.collect()
-            cyclic = {type(o).__name__ for o in gc.garbage}
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert frames[1:] == ["sigma"]
-        assert not cyclic & {"frame", "traceback", "NotLinearizable"}
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                try:
+                    sigma(load_theory(name), parse_scheme(text))
+                except NotLinearizable as exc:
+                    assert str(exc).startswith(message)
+                    frames = [frame for frame, _ in traceback.walk_tb(exc.__traceback__)]
+                gc.collect()
+                cyclic = {type(o).__name__ for o in gc.garbage}
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+            assert [frame.f_code.co_name for frame in frames[1:]] == ["sigma"], text
+            # nor the branches synthesized before the give-up
+            assert not any(isinstance(value, (Branch, list)) for value in frames[1].f_locals.values()), text
+            assert not cyclic & {"frame", "traceback", "NotLinearizable"}, text
 
 
 class TestBoundary:
@@ -629,24 +652,28 @@ N_ENVS = [{"n": n, "k": 0, "m": (1,), "i": 1} for n in range(4)]
 @example(([{"m": (1, 2), "i": 2}], [AffineExpr.element("m", I + 1)], [[1]]))
 def test_design_fit_matches_reference(case):
     envs, features, columns = case
-    fit = _design(envs, features)
+    fit, _ = _design(envs, features)
     for counts in columns:
         assert fit(counts) == reference_fit(list(zip(envs, counts)), features)
 
 
 class TestDesignFit:
     def test_rank_deficient_takes_the_first_pivot(self):
-        fit = _design(N_ENVS, [ONE, N, N, AffineExpr.const_(0)])
+        fit, decisive = _design(N_ENVS, [ONE, N, N, AffineExpr.const_(0)])
         assert fit([2 * n + 1 for n in range(4)]) == N * 2 + 1
+        assert not decisive
 
     def test_inconsistent_counts_have_no_fit(self):
-        assert _design(N_ENVS, [ONE, N])([n * n for n in range(4)]) is None
+        fit, decisive = _design(N_ENVS, [ONE, N])
+        assert fit([n * n for n in range(4)]) is None
+        assert decisive
 
     def test_non_integral_solution_has_no_fit(self):
-        fit = _design(N_ENVS, [N * 2])
+        fit, _ = _design(N_ENVS, [N * 2])
         assert fit([n for n in range(4)]) is None
         assert fit([4 * n for n in range(4)]) == N * 4
 
     def test_selector_out_of_range_has_no_fit(self):
-        fit = _design([{"m": (1, 2), "i": 2}], [AffineExpr.element("m", I + 1)])
+        fit, decisive = _design([{"m": (1, 2), "i": 2}], [AffineExpr.element("m", I + 1)])
         assert fit([1]) is None
+        assert decisive
