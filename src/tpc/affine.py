@@ -3,7 +3,8 @@
 A term is a reference into the index space: a scalar variable ``n``, the
 length of a multi-index ``m`` (written just ``m``), or
 an element ``m[i]`` whose selector is itself affine.  Everything is exact
-integer arithmetic.
+integer arithmetic.  The module knows no atoms: the values of an iterated
+group's variable are ranged over by ``paths.unroll`` alone.
 """
 
 from __future__ import annotations
@@ -132,13 +133,3 @@ class AffineExpr:
 ZERO = AffineExpr.const_(0)
 ONE = AffineExpr.const_(1)
 
-
-def scopes(group, env: dict):
-    """The scopes of an iterated *group* (anything with ``itervar``,
-    ``lower`` and ``upper``): ``{**env, itervar: i}`` for each i from its
-    lower to its upper bound.  Both bounds are evaluated before this
-    returns, so a bound that cannot be evaluated raises here, not during
-    the walk."""
-    lo = group.lower.evaluate(env)
-    hi = group.upper.evaluate(env)
-    return ({**env, group.itervar: i} for i in range(lo, hi + 1))

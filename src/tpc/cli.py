@@ -94,7 +94,7 @@ def _charfn_dump(fn):
         "branches": [
             {
                 "decls": [{"name": d.name, "kind": d.kind} for d in b.decls],
-                "atoms": [str(a) for a in b.atoms.conjuncts],
+                "atoms": [str(a) for a in b.atoms],
             }
             for b in fn.branches
         ],

@@ -15,13 +15,14 @@ depend on the branch alone, so a branch compiles that system once
 (``Branch.scalar_stage``), and each tune solves it at the observed counts
 in integers; a count it leaves free is the solve's outcome, with its
 least value, and is pinned from there to its least value that works, 0
-if no equation mentions it.  Each group then unrolls into
-ordinary atoms, its body once per scope with the scope's ints (the
-iteration variable, the scalars and the solved lengths) substituted into
-the counts, so that only the elements of the multi-indexes stay unknown;
+if no equation mentions it.  The groups then unroll into ordinary
+atoms (``paths.unroll``), each group's atom once per value of its
+variable, with the env's ints (the iteration variable, the scalars and the
+solved lengths) substituted into the counts (``paths.substitute_counts``),
+so that only the elements of the multi-indexes stay unknown;
 the same counting gives the second system, over those elements, which
 ``solve_concrete`` solves, since its shape follows the lengths.  A final
-full evaluation of the atom set guards against any bad fit.  Tuning gives
+full evaluation of the branch's atoms guards against any bad fit.  Tuning gives
 up with ``Ambiguous``; when a system leaves a count free that no pin
 settles, the exception carries that count as ``free`` and its least
 value as ``least``.  Zero steps rewrite a tree to itself, so when no
@@ -43,10 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .affine import AffineExpr, IndexTerm, scopes
+from .affine import AffineExpr, IndexTerm
 from .errors import Ambiguous, InternalMismatch
 from .mathsolver import Equation, Free, LinearSystem, solve_concrete
-from .paths import IterGroup, Segment, SymbolicPath, apply_segments, eval_atom, eval_atomset
+from .paths import IterGroup, apply_segments, eval_atom, eval_atomset, substitute_counts, unroll
 from .schemes import instantiate
 from .terms import Proof, Term, replay, term_size, undo
 
@@ -56,15 +57,15 @@ if TYPE_CHECKING:  # sigma imports this module, for Branch.scalar_stage
 _FREE_BOUND = 8
 
 
-def _solve_some(system: LinearSystem, values, pins):
-    """system.solve(values, pins), with each unknown it leaves free pinned
+def _solve_some(system: LinearSystem, values):
+    """system.solve(values, {}), with each unknown it leaves free pinned
     to its least value that works: 0 for an unknown no reduced equation
     mentions, as any value gives the same outcome, else least..least +
     _FREE_BOUND, where least is the smallest value the solved unknowns
     allow it (any witness will do; the caller verifies the full atom set
     afterwards).  Ambiguous, with the free unknown as ``free``, when every
     pin fails."""
-    outcome = _pin_free(system.solve(values, pins))
+    outcome = _pin_free(system.solve(values, {}))
     if isinstance(outcome, Free):
         raise outcome.ambiguous()
     return outcome
@@ -164,7 +165,7 @@ def compile_scalar_stage(branch: Branch):
     unknown counts over the scalars and lengths, reduced once.  Each
     tune reads the observed counts off its trees and solves the system
     at them."""
-    plan = list(_plan(a for a in branch.atoms.conjuncts if not isinstance(a, IterGroup)))
+    plan = list(_plan(a for a in branch.atoms if not isinstance(a, IterGroup)))
     counts = [
         next(s.count for s in atom.sides()[how][0].segments if not s.count.is_const)
         for atom, how in plan
@@ -174,19 +175,12 @@ def compile_scalar_stage(branch: Branch):
 
 
 def _unrolled(branch: Branch, env):
-    """The body atoms of every iterated group, once per scope, with the
-    scope's ints substituted into their counts, segment for segment: only
-    the elements of the multi-indexes stay unknown."""
-    for group in branch.atoms.conjuncts:
-        if not isinstance(group, IterGroup):
-            continue
-        for scope in scopes(group, env):
-            mapping = {k: AffineExpr.const_(v) for k, v in scope.items()}
-            for atom in group.body:
-                yield atom.with_paths(*(
-                    SymbolicPath(tuple(Segment(s.step, s.count.substitute(mapping)) for s in path.segments))
-                    for path, _ in atom.sides()
-                ))
+    """The atom of every iterated group, once per value of its variable,
+    with that scope's ints substituted into its counts: only the elements
+    of the multi-indexes stay unknown."""
+    groups = [a for a in branch.atoms if isinstance(a, IterGroup)]
+    for atom, scope in unroll(groups, env):
+        yield substitute_counts(atom, {k: AffineExpr.const_(v) for k, v in scope.items()})
 
 
 def _assignment(branch: Branch, t, d):
@@ -197,7 +191,7 @@ def _assignment(branch: Branch, t, d):
     if branch.decls:
         plan, system = branch.scalar_stage
         got = _observed(plan, t, d)
-        env = None if got is None else _solve_some(system, [j for _, j in got], {})
+        env = None if got is None else _solve_some(system, [j for _, j in got])
         if env is None:
             return None
     got = _observed(_plan(_unrolled(branch, env)), t, d)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .affine import ZERO, AffineExpr
 from .errors import Unsupported
 from .mathsolver import ConditionSystem, Equation, Region, eliminate
-from .paths import IterGroup, Segment, SymbolicPath, embed
+from .paths import IterGroup, SymbolicPath, embed, substitute_counts
 from .sigma import Branch, SymbolicCharFn, fresh_name
 
 
@@ -77,19 +77,17 @@ def includes(f, g) -> InclusionResult:
         taken.add(name)
         mapping[d.name] = name
     # element selectors occur only inside iterated groups, which are
-    # rejected, so renaming the scalar terms renames every variable
+    # rejected, so renaming the scalar terms renames every variable; a
+    # renamed count is zero, and two runs are mergeable, only if they were
     renamed = {old: AffineExpr.var(new) for old, new in mapping.items()}
 
     equations = []
-    for ga in gb.atoms.conjuncts:
+    for ga in gb.atoms:
         if isinstance(ga, IterGroup):
             raise Unsupported("iterated atom groups are not alignable")
-        ga = ga.with_paths(*(
-            SymbolicPath.of(*(Segment(s.step, s.count.substitute(renamed)) for s in path.segments))
-            for path, _ in ga.sides()
-        ))
+        ga = substitute_counts(ga, renamed)
         matched = None
-        for fa in fb.atoms.conjuncts:
+        for fa in fb.atoms:
             eqs = _atom_equations(fa, ga)
             if eqs is not None:
                 matched = eqs

@@ -1,19 +1,21 @@
-"""Paths (subtree extractors), symbolic paths with affine exponents, atoms
-and atom sets.
+"""Paths (subtree extractors), symbolic paths with affine exponents and
+atoms.
 
 A path step projects a tree into one child of its root, a node of one
 functor and arity; it is printed as the clause it applies, as in
 ``[F(x, y)->y]``.  A symbolic path is a step sequence where runs of one step carry an affine
-repetition count.  An atom set is the conjunction of path-equality atoms
-that characterizes a clause (or a whole iterative scheme) as a relation on
-tree pairs.
+repetition count.  A tuple of path-equality atoms, read as their
+conjunction, characterizes a clause (or a whole iterative scheme) as a
+relation on tree pairs; an iterated group stands for one atom at each
+value 1..upper of its index variable.
 
 Symbolic paths are walked one way each.  ``embed`` places one step
 sequence into another, each step at its leftmost free slot; sigma uses it
 to group atoms into families and to read their run counts, and inclusion
-to align two paths run by run.  The scopes of an iterated group, one env
-per value of its index variable, come from ``affine.scopes`` wherever a
-group is evaluated, expanded or tuned.
+to align two paths run by run.  ``unroll`` is the one expansion of a
+group: every evaluation, verification and tuning of atoms reads each atom
+with the env it yields.  ``substitute_counts`` is the one substitution
+into an atom's counts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .affine import AffineExpr, ONE, ZERO, scopes
+from .affine import AffineExpr, ONE, ZERO
 from .terms import App, Term, Var, print_term
 
 
@@ -89,9 +91,6 @@ class SymbolicPath:
                 return None
             out.extend([seg.step] * n)
         return tuple(out)
-
-    def apply(self, tree: Term, env: dict = None):
-        return apply_segments(self.segments, tree, env or {})
 
     def steps(self) -> tuple:
         """The step of each run: the path's skeleton."""
@@ -201,32 +200,20 @@ class GroundR:
 
 @dataclass(frozen=True)
 class IterGroup:
-    """Intersection of the body atoms over itervar in [lower, upper]."""
+    """The atom *atom* at each value 1..upper of itervar, conjoined."""
 
     itervar: str
-    lower: AffineExpr
     upper: AffineExpr
-    body: tuple
+    atom: object
 
     def __str__(self):
-        inner = ", ".join(str(a) for a in self.body)
-        return f"IterIntersect(lambda {self.itervar}:N. {inner}, {self.lower}, {self.upper})"
+        return f"IterIntersect(lambda {self.itervar}:N. {self.atom}, 1, {self.upper})"
 
 
 @dataclass(frozen=True)
 class VarDecl:
     name: str
     kind: str  # "scalar" | "multi"
-
-
-@dataclass(frozen=True)
-class AtomSet:
-    conjuncts: tuple = ()
-
-    def __str__(self):
-        if len(self.conjuncts) == 1:
-            return str(self.conjuncts[0])
-        return "Intersect(" + ", ".join(str(a) for a in self.conjuncts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +264,8 @@ def _runs_path(runs) -> SymbolicPath:
     return SymbolicPath(tuple(reversed(segments)))
 
 
-def split_axiom(c) -> AtomSet:
-    """The conjunction of atoms equivalent to root application of the
+def split_axiom(c) -> tuple:
+    """The atoms whose conjunction is equivalent to root application of the
     clause *c*: one EqualsLR per (lhs occurrence, rhs occurrence) pair of
     each rhs variable, plus GroundL/GroundR atoms for maximal ground
     subterms."""
@@ -287,30 +274,50 @@ def split_axiom(c) -> AtomSet:
     atoms = [EqualsLR(lpath, rpath) for v, rpaths in rhs_vars.items() for rpath in rpaths for lpath in lhs_vars[v]]
     atoms += [GroundL(path, sub) for path, sub in lhs_ground]
     atoms += [GroundR(path, sub) for path, sub in rhs_ground]
-    return AtomSet(tuple(atoms))
+    return tuple(atoms)
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# expansion and evaluation
+
+
+def unroll(atoms, env: dict):
+    """Each plain atom of *atoms* with the env it is read under: *env*
+    itself, or for the atom of an iterated group ``{**env, itervar: i}``
+    for each i from 1 to the group's upper bound under *env*.  Lazy, so a
+    bound that cannot be evaluated raises during the iteration."""
+    for atom in atoms:
+        if atom.__class__ is IterGroup:
+            for i in range(1, atom.upper.evaluate(env) + 1):
+                yield atom.atom, {**env, atom.itervar: i}
+        else:
+            yield atom, env
+
+
+def substitute_counts(atom, mapping: dict):
+    """*atom* with *mapping* substituted into every count of its paths,
+    segment for segment (``AffineExpr.substitute``): no run is merged or
+    dropped."""
+    return atom.with_paths(*(
+        SymbolicPath(tuple([Segment(s.step, s.count.substitute(mapping)) for s in path.segments]))
+        for path, _ in atom.sides()
+    ))
 
 
 def eval_atom(atom, env: dict, t: Term, d: Term) -> bool:
-    if isinstance(atom, IterGroup):
-        try:
-            inner = scopes(atom, env)
-        except (IndexError, KeyError):
-            return False
-        return all(eval_atom(a, scope, t, d) for scope in inner for a in atom.body)
+    """Whether the plain *atom* holds for (t, d) under *env*."""
     (lp, lt), (rp, rt) = atom.sides(t, d)
-    lv = lp.apply(lt, env)
-    return lv is not None and lv == rp.apply(rt, env)
+    lv = apply_segments(lp.segments, lt, env)
+    return lv is not None and lv == apply_segments(rp.segments, rt, env)
 
 
-def eval_atomset(s: AtomSet, assign: dict, t: Term, d: Term) -> bool:
-    """Conjunction semantics; *assign* maps index variable names to ints
-    (scalars) or tuples of ints (multi-indexes as element-length lists)."""
+def eval_atomset(atoms, assign: dict, t: Term, d: Term) -> bool:
+    """Conjunction semantics of the tuple *atoms*; *assign* maps index
+    variable names to ints (scalars) or tuples of ints (multi-indexes as
+    element-length lists).  False when a group bound or a selector cannot
+    be evaluated under *assign*."""
     env = dict(assign or {})
     try:
-        return all(eval_atom(a, env, t, d) for a in s.conjuncts)
-    except IndexError:
+        return all(eval_atom(a, scope, t, d) for a, scope in unroll(atoms, env))
+    except (IndexError, KeyError):
         return False

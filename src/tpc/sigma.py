@@ -1,8 +1,10 @@
 """Symbolic characteristic functions for iterative schemes.
 
 ``sigma`` turns a scheme into a function of its index variables whose
-value is an atom set: a pair of trees is related by some instance of the
-scheme exactly when the atoms hold under the corresponding assignment.
+value is a tuple of atoms: a pair of trees is related by some instance of
+the scheme exactly when the atoms hold under the corresponding
+assignment.  An iterated family is fitted as one ``IterGroup``: one atom,
+read at each value 1..upper of its position variable.
 
 The construction samples the scheme at small concrete indexes (every
 combination of pool values, or an evenly strided subset that still
@@ -15,8 +17,9 @@ the fitted form against held-out samples and at the zero boundary, which
 no fit sample reaches.  Each design, the feature matrix of one list of
 sample envs, is reduced once; every count fitted over it is solved from
 the basis rows and checked on all rows in integers.  Verification
-expands the fitted atoms at each held-out index and compares them, as a
-multiset, with the atoms split from that sample: each atom is compared by
+unrolls the fitted atoms at each held-out index (``paths.unroll``),
+expands each to unit steps and compares them, as a multiset, with the
+atoms split from that sample: each atom is compared by
 its class, the unit steps of each side and its template.  A scheme that
 fails to lay out, fit or verify ends in a ``GiveUp`` record, which
 ``sigma`` raises as NotLinearizable.
@@ -47,19 +50,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
 
-from .affine import AffineExpr, IndexTerm, ONE, scopes
+from .affine import AffineExpr, IndexTerm, ONE
 from .errors import NotLinearizable
 from .final import compile_scalar_stage
 from .mathsolver import LinearSystem
-from .paths import (
-    AtomSet,
-    IterGroup,
-    Segment,
-    SymbolicPath,
-    VarDecl,
-    embed,
-    split_axiom,
-)
+from .paths import IterGroup, Segment, SymbolicPath, VarDecl, embed, split_axiom, unroll
 from .schemes import (
     Alt,
     Axiom,
@@ -194,7 +189,7 @@ def _sample_atoms(theory, scheme, decls, envs, prefix):
     seqs = [instantiate(scheme, index_from_stars(scheme, [env[d.name] for d in decls])) for env in envs]
     for i in sorted(range(len(seqs)), key=seqs.__getitem__):
         clause = reduce_specific(theory, seqs[i], prefix)
-        yield i, None if clause is None else split_axiom(clause).conjuncts
+        yield i, None if clause is None else split_axiom(clause)
 
 
 def _family_key(atom):
@@ -289,11 +284,12 @@ def _merge_keys(keys):
 @dataclass(frozen=True)
 class Branch:
     """One alternative of the characteristic function: its scheme, the
-    declared index variables, one per star in order, and the atoms."""
+    declared index variables, one per star in order, and the tuple of
+    atoms, plain ones and iterated groups, whose conjunction it is."""
 
     scheme: IterExpr
     decls: tuple
-    atoms: AtomSet
+    atoms: tuple
 
     def index_of(self, assign: dict):
         return index_from_stars(self.scheme, [assign[d.name] for d in self.decls])
@@ -308,7 +304,9 @@ class Branch:
         lam = "".join(
             f"lambda {d.name}:{'M' if d.kind == 'multi' else 'N'}." for d in self.decls
         )
-        return lam + str(self.atoms)
+        if len(self.atoms) == 1:
+            return lam + str(self.atoms[0])
+        return lam + "Intersect(" + ", ".join(map(str, self.atoms)) + ")"
 
 
 @dataclass(frozen=True)
@@ -436,11 +434,10 @@ def _fit_branch(theory, scheme, decls, fit_envs, prefix):
         fitted = _fit_iterated(scheme, rep, samples, occ, base, multis, itervar, base_decisive)
         if isinstance(fitted, GiveUp):
             return fitted
-        body = _family_atom(first_atom[rep], rep, fitted)
-        conjuncts[rep] = IterGroup(itervar, ONE, upper, (body,))
+        conjuncts[rep] = IterGroup(itervar, upper, _family_atom(first_atom[rep], rep, fitted))
 
     order = dict.fromkeys(rep_of.get(key, key) for key in first_atom)
-    return Branch(scheme, decls, AtomSet(tuple(conjuncts[key] for key in order)))
+    return Branch(scheme, decls, tuple(conjuncts[key] for key in order))
 
 
 def _fit_iterated(scheme, key, samples, occ, base, multis, itervar, decisive):
@@ -469,19 +466,15 @@ def _fit_iterated(scheme, key, samples, occ, base, multis, itervar, decisive):
 
 
 def _unit_forms(atoms, env, out: Counter) -> bool:
-    """Counts in *out* the unit form of each atom *atoms* expand to at
+    """Counts in *out* the unit form of each atom *atoms* unroll to at
     *env*: its class, the unit steps of each side and its template (None
     for EqualsLR).  False, and stops, at the first negative count."""
-    for atom in atoms:
-        if isinstance(atom, IterGroup):
-            if not all(_unit_forms(atom.body, scope, out) for scope in scopes(atom, env)):
-                return False
-        else:
-            (left, _), (right, template) = atom.sides()
-            form = (type(atom), left.expand(env), right.expand(env), template)
-            if None in form[1:3]:
-                return False
-            out[form] += 1
+    for atom, scope in unroll(atoms, env):
+        (left, _), (right, template) = atom.sides()
+        form = (type(atom), left.expand(scope), right.expand(scope), template)
+        if None in form[1:3]:
+            return False
+        out[form] += 1
     return True
 
 
@@ -494,7 +487,7 @@ def _check_held_out(branch: Branch, env, atoms):
     if atoms is None:
         return GiveUp("a held-out instance composes to the empty relation", branch.scheme)
     got, want = Counter(), Counter()
-    if not _unit_forms(branch.atoms.conjuncts, env, got):
+    if not _unit_forms(branch.atoms, env, got):
         return GiveUp("a fitted count went negative during verification")
     _unit_forms(atoms, {}, want)
     if got != want:

@@ -6,17 +6,15 @@ immutable and safe to share.  Trees can get very deep (chains of thousands
 of nodes), so hashing is precomputed bottom-up, and equality, parsing,
 printing, compiling root application, unification, the occurs check and
 the clause walks (free variables, and resolving and renaming in
-``Clause.canonical`` and ``compose_clauses``) are all iterative.
-``substitute`` still recurses, but only over an axiom, so axioms deeper
-than about 500 nodes remain out of scope.
+``Clause.canonical`` and ``compose_clauses``) are all iterative, so an
+axiom may be as deep as a sentence.
 
 Root application is compiled.  ``apply_clause`` turns an axiom, the first
 time it applies it, into straight-line code that it keeps on the clause:
 a class, functor and arity test per lhs node, and an ``App`` call per rhs
 node that is not ground.  So brute-force search, proof replay and
 ``undo``, which applies each axiom's inverse ``rhs -> lhs`` to walk a
-proof back from its goal, match and substitute nothing per tree;
-``substitute`` serves the clause fold.
+proof back from its goal, match and substitute nothing per tree.
 A path step (``paths.Step``) is no clause: it is one functor and arity
 test and a child read.  Node construction is one plain loop: ``App``
 computes its size, groundness and child hashes in a single pass over its
@@ -268,17 +266,6 @@ def free_vars(t: Term) -> set:
     return out
 
 
-def substitute(pattern: Term, binding: dict) -> Term:
-    if isinstance(pattern, Var):
-        return binding.get(pattern.name, pattern)
-    if pattern.is_ground:
-        return pattern
-    children = ()
-    for c in pattern.children:
-        children += (substitute(c, binding),)
-    return App(pattern.functor, children)
-
-
 def _walk(t: Term, subst: dict) -> Term:
     while isinstance(t, Var) and t.name in subst:
         t = subst[t.name]
@@ -341,7 +328,8 @@ def _rebuild(t: Term, subst: dict, names: dict) -> Term:
     """*t* resolved through the unifier *subst*, with each variable renamed
     to the next of v0, v1, ... in left-to-right order.  *names* maps the
     variables seen so far to their new names; share it between the sides
-    of a clause.  A subtree that comes out unchanged, ground ones among
+    of a clause, or fill it beforehand, as ``compose_clauses`` does to
+    rename a clause apart.  A subtree that comes out unchanged, ground ones among
     them, is returned as it is.  Iterative."""
     done = []
     todo = [t]
@@ -430,7 +418,7 @@ def _compile_apply(c: Clause):
     per repeated occurrence of a variable; the rhs gives one ``App``
     statement per node that is not ground, children first.  Every
     statement is flat, so axioms of any depth compile.  Functors and
-    ground rhs subtrees (kept as they are, as ``substitute`` keeps them)
+    ground rhs subtrees (kept as they are, as ``_rebuild`` keeps them)
     are named constants ``k<i>``, so the source holds no text of the
     clause."""
     env = {"App": App}
@@ -520,7 +508,7 @@ def compose_clauses(first: Clause, *rest: Clause, state=None):
     for i in range(k, len(clauses)):
         c = clauses[i]
         apart = {v: Var(f"{v}'{i}") for v in free_vars(c.lhs)}
-        lhs, rhs = substitute(c.lhs, apart), substitute(c.rhs, apart)
+        lhs, rhs = _rebuild(c.lhs, {}, apart), _rebuild(c.rhs, {}, apart)
         bound = []
         if state and unify(state[-1][2], lhs, subst, {v.name for v in apart.values()}, bound) is None:
             for name in bound:

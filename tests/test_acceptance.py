@@ -101,7 +101,7 @@ def test_path_algebra():
     f = concrete((_unit_step("F", 1, 0),))
     assert str(power_path(f, 4)) == "[F(F(F(F(x))))->x]"
     axiom = Clause("b", parse_term("P(R(x, z), y)"), parse_term("P(x, R(y, z))"))
-    atoms = split_axiom(axiom).conjuncts
+    atoms = split_axiom(axiom)
     assert {str(a) for a in atoms} == {
         "EqualsLR([P(x, y)->x].[R(x, y)->x], [P(x, y)->x])",
         "EqualsLR([P(x, y)->y], [P(x, y)->y].[R(x, y)->x])",
@@ -118,9 +118,9 @@ def test_sigma_forms_and_agreement():
     rotate = load_theory("rotate")
     rfn = sigma(rotate, parse_scheme("(a*.b)*"))
     (branch,) = rfn.branches
-    names = [type(a).__name__ for a in branch.atoms.conjuncts]
+    names = [type(a).__name__ for a in branch.atoms]
     assert names == ["EqualsLR", "EqualsLR", "IterGroup"]
-    group = branch.atoms.conjuncts[2]
+    group = branch.atoms[2]
     assert "m[i]" in str(group) and "-i + m" in str(group)
 
     # agreement: for sampled indexes (instantiated length <= 6) the atoms

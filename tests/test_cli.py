@@ -16,7 +16,11 @@ import tpc.oracle
 from tpc.cli import main
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.pipeline import _SELFCHECK_BUDGET, _self_check
-from tpc.terms import print_term
+from tpc.schemes import reduce_specific
+from tpc.terms import parse_theory, print_term
+
+_DEEP_X = "F(" * 2000 + "x" + ")" * 2000
+_DEEP_Z = "F(" * 2000 + "Z" + ")" * 2000
 
 FG_PAIR = [
     "--from",
@@ -135,6 +139,22 @@ class TestExitCodes:
         text = "(" * depth + "a" + ")" * depth if shape == "parens" else "a" + "*" * depth
         assert main([command, "fg", "--scheme", text]) in codes
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["decide", "--from", f"P({_DEEP_Z})", "--to", f"P(G({_DEEP_Z}))"],
+        ["decide", "--method", "generated", "--from", f"P({_DEEP_Z})", "--to", f"P(G({_DEEP_Z}))"],
+        ["prove", "--goal", f"P(G({_DEEP_Z}))"],
+        ["sigma", "--scheme", "a*"],
+    ], ids=["decide", "decide-generated", "prove", "sigma"])
+    def test_deep_axiom_is_never_a_crash(self, capsys, tmp_path, command):
+        # composing renames each clause apart; a recursive renaming once
+        # exited 4 with a RecursionError on this 2000-deep axiom
+        path = tmp_path / "deep.tpc"
+        path.write_text(f"start: P({_DEEP_Z})\na: P({_DEEP_X}) -> P(G({_DEEP_X}))\n")
+        assert main([command[0], str(path), *command[1:]]) in {0, 1, 3}
+        assert "Traceback" not in capsys.readouterr().err
+        th = parse_theory(path.read_text())
+        assert reduce_specific(th, ["a"]) is not None
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_crash_is_an_internal_error(self, capsys, monkeypatch, json_flag):

@@ -216,23 +216,26 @@ def _term(draw, depth, leaf):
 def _linear_theories(draw):
     """Theory text with 1-3 axioms a, b, c over P of arity 1 or 2, unary F
     and G, binary R and the constant Z.  Each side of an axiom is linear:
-    no variable occurs twice in it."""
+    no variable occurs twice in it.  A left-hand side is at most one deep
+    below P and a leaf of it is Z one time in four, so that most axioms
+    compose and sigma has forms to fit; starts and right-hand sides are up
+    to two deep."""
     arity = draw(st.integers(1, 2))
 
-    def sentence(leaf):
-        return f"P({', '.join(_term(draw, 2, leaf) for _ in range(arity))})"
+    def sentence(leaf, depth=2):
+        return f"P({', '.join(_term(draw, depth, leaf) for _ in range(arity))})"
 
     lines = [f"start: {sentence(lambda: 'Z')}"]
     for name in "abc"[: draw(st.integers(1, 3))]:
         fresh = []
 
         def lhs_leaf():
-            if draw(st.booleans()):
+            if draw(st.integers(0, 3)) == 0:
                 return "Z"
             fresh.append(f"x{len(fresh)}")
             return fresh[-1]
 
-        lhs = sentence(lhs_leaf)
+        lhs = sentence(lhs_leaf, draw(st.integers(0, 1)))
         unused = list(fresh)
 
         def rhs_leaf():

@@ -11,9 +11,9 @@ from tpc.final import TuneResult, _count_equation, _reaches, _solve_some, decide
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Free, LinearSystem, reduce_rows
 from tpc.oracle import SearchBudget, decide_oracle, reachable_set
-from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, _unit_step
+from tpc.paths import EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
-from tpc.schemes import parse_scheme
+from tpc.schemes import instantiate, parse_scheme
 from tpc.sigma import Branch, SymbolicCharFn, sigma
 from tpc.terms import App, Proof, check_proof, parse_term, parse_theory, replay, undo
 
@@ -71,7 +71,7 @@ class TestScalarTuning:
             Segment(_unit_step("P", 2, 1), AffineExpr.var("k"))
         )
         decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
-        atoms = AtomSet((EqualsLR(left, right),))
+        atoms = (EqualsLR(left, right),)
         branch = Branch(parse_scheme("a*"), decls, atoms)
         fn = SymbolicCharFn(parse_scheme("a*"), (branch,))
         t = parse_term("P(Z, Z)")
@@ -199,18 +199,18 @@ class TestScalarTuning:
     def test_free_count_pinned_from_its_least_value(self):
         # k = n - 10, so every pin of n below 10 makes k negative
         n, k = AffineExpr.var("n"), AffineExpr.var("k")
-        assert _solve_some(LinearSystem([n - k], ["n", "k"]), [10], {}) == {"n": 10, "k": 0}
+        assert _solve_some(LinearSystem([n - k], ["n", "k"]), [10]) == {"n": 10, "k": 0}
 
     def test_free_count_no_pin_settles_is_ambiguous_with_it(self):
         # 10k = n + 1 needs n = 9, past the pins 0..8 that are tried
         n, k = AffineExpr.var("n"), AffineExpr.var("k")
         with pytest.raises(Ambiguous) as exc:
-            _solve_some(LinearSystem([k * 10 - n], ["n", "k"]), [1], {})
+            _solve_some(LinearSystem([k * 10 - n], ["n", "k"]), [1])
         assert (str(exc.value), exc.value.free, exc.value.least) == ("n is not determined", "n", 0)
 
 
 def _one_branch(decls, *atoms):
-    return SymbolicCharFn(parse_scheme("a*"), (Branch(parse_scheme("a*"), decls, AtomSet(atoms)),))
+    return SymbolicCharFn(parse_scheme("a*"), (Branch(parse_scheme("a*"), decls, atoms),))
 
 
 def _one_branch_over_m(template, *counts):
@@ -220,7 +220,7 @@ def _one_branch_over_m(template, *counts):
     p, f = _unit_step("P", 1, 0), _unit_step("F", 1, 0)
     length = GroundL(SymbolicPath((Segment(p), Segment(f, AffineExpr.var("m")))), parse_term("Z"))
     body = GroundL(SymbolicPath((Segment(p), *(Segment(f, count) for count in counts))), template)
-    group = IterGroup("k", AffineExpr.const_(1), AffineExpr.var("m"), (body,))
+    group = IterGroup("k", AffineExpr.var("m"), body)
     return _one_branch((VarDecl("m", "multi"),), length, group)
 
 
@@ -247,6 +247,20 @@ class TestMultiIndexTuning:
         fn = sigma(th, parse_scheme("(a*.b)*"))
         result = tune(fn, th.start, th.start)
         assert result.assignment == {"m": ()}
+
+    def test_rotation_round_trips_at_every_small_index(self):
+        # every multi-index of length <= 3 with elements <= 3, the empty
+        # one and zero elements included: the groups unrolled at each
+        # length and the element stage must find a proof of the instance
+        th = load_theory("rotate")
+        fn = sigma(th, parse_scheme("(a*.b)*"))
+        (branch,) = fn.branches
+        indexes = [m for k in range(4) for m in itertools.product(range(4), repeat=k)]
+        assert len(indexes) == 85
+        for m in indexes:
+            d = replay(th, th.start, instantiate(branch.scheme, branch.index_of({"m": m})))
+            proof = extract_proof(th, fn, th.start, d)
+            assert proof is not None and replay(th, th.start, proof.steps) == d, m
 
 
 class TestDecideAgainstOracle:
@@ -409,7 +423,7 @@ def test_generated_deciders_accept_every_tree_paired_with_itself(text):
 
 
 def _off_by_one(scheme, decls, *atoms):
-    return SymbolicCharFn(parse_scheme(scheme), (Branch(parse_scheme(scheme), decls, AtomSet(atoms)),))
+    return SymbolicCharFn(parse_scheme(scheme), (Branch(parse_scheme(scheme), decls, atoms),))
 
 
 class TestCertificate:

@@ -8,7 +8,7 @@ from math import ceil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpc.affine import AffineExpr, IndexTerm, ZERO, scopes
+from tpc.affine import AffineExpr, IndexTerm, ZERO
 from tpc.errors import Ambiguous, Unsupported
 from tpc.final import _FREE_BOUND, _solve_some
 from tpc.mathsolver import (
@@ -329,7 +329,7 @@ def test_compiled_system_agrees_with_the_fraction_solver(system):
     expected = _outcome(_reference_solve_concrete, eqs, unknowns)
     assert _outcome(compiled.solve, values, {}) == expected
     assert _outcome(solve_concrete, eqs, unknowns) == expected
-    assert _outcome(_solve_some, compiled, values, {}) == _outcome(_reference_solve_some, eqs, unknowns)
+    assert _outcome(_solve_some, compiled, values) == _outcome(_reference_solve_some, eqs, unknowns)
 
 
 @dataclass(frozen=True)
@@ -344,10 +344,11 @@ class Family:
 
 def _unroll(conditions, env):
     """Each condition with the env it is read in: a family gives its body
-    once per scope, anything else itself in *env*."""
+    once per value of its variable, anything else itself in *env*."""
     for cond in conditions:
         if isinstance(cond, Family):
-            yield from ((cond.body, scope) for scope in scopes(cond, env))
+            lo, hi = cond.lower.evaluate(env), cond.upper.evaluate(env)
+            yield from ((cond.body, {**env, cond.itervar: i}) for i in range(lo, hi + 1))
         else:
             yield cond, env
 

@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tpc.affine import ONE, AffineExpr, scopes
+from tpc.affine import ONE, AffineExpr
 from tpc.inclusion import _align
 from tpc.paths import (
-    AtomSet,
     EqualsLR,
     GroundL,
     GroundR,
@@ -18,13 +17,25 @@ from tpc.paths import (
     embed,
     eval_atomset,
     _unit_step,
+    apply_segments,
     split_axiom,
+    unroll,
 )
 from tpc import load_theory
 from tpc.schemes import reduce_specific
-from tpc.terms import App, Clause, Var, free_vars, parse_term, print_term, substitute
+from tpc.terms import App, Clause, Var, free_vars, parse_term, print_term
 
-from conftest import ComposedPath, compose_paths, concrete, matched, power_path, step_clause, step_key, step_notation
+from conftest import (
+    ComposedPath,
+    compose_paths,
+    concrete,
+    matched,
+    power_path,
+    step_clause,
+    step_key,
+    step_notation,
+    substitute,
+)
 
 
 def step(lhs, var):
@@ -122,7 +133,7 @@ class TestUnitSteps:
         s = step("F(a, b, c)", "b")
         assert s is _unit_step("F", 3, 1) and s == Step("F", 3, 1) and hash(s) == hash(Step("F", 3, 1))
         assert compose_paths(IDENTITY_PATH, concrete((s,))) == ComposedPath.of("F(a, b, c)", "b")
-        (atom,) = split_axiom(Clause("", parse_term("P(x, F(y))"), parse_term("y"))).conjuncts
+        (atom,) = split_axiom(Clause("", parse_term("P(x, F(y))"), parse_term("y")))
         assert [seg.step for seg in atom.left.segments] == [_unit_step("P", 2, 1), _unit_step("F", 1, 0)]
         for text in ("F(A, B, C)", "F(A, B)", "G(A, B, C)", "A"):
             tree = parse_term(text)
@@ -164,8 +175,8 @@ class TestComposition:
         f = step("F(x)", "x")
         p = SymbolicPath.of(Segment(f, AffineExpr.var("n")))
         tree = parse_term("F(F(F(Z)))")
-        assert p.apply(tree, {"n": 2}) == parse_term("F(Z)")
-        assert p.apply(tree, {"n": 5}) is None
+        assert apply_segments(p.segments, tree, {"n": 2}) == parse_term("F(Z)")
+        assert apply_segments(p.segments, tree, {"n": 5}) is None
         assert p.expand({"n": -1}) is None
 
     def test_str_forms(self):
@@ -254,7 +265,7 @@ def _reference_split(c):
     ]
     atoms += [GroundL(path(c.lhs, pos), sub) for pos, sub in lhs_ground]
     atoms += [GroundR(path(c.rhs, pos), sub) for pos, sub in rhs_ground]
-    return AtomSet(tuple(atoms))
+    return tuple(atoms)
 
 
 # nodes whose steps repeat (F/1, the left of G/2, the right of And/2) and
@@ -291,8 +302,8 @@ class TestSplit:
         # P(R(x,z),y) -> P(x,R(y,z)) splits into three variable links.
         c = Clause("b", parse_term("P(R(x, z), y)"), parse_term("P(x, R(y, z))"))
         s = split_axiom(c)
-        assert len(s.conjuncts) == 3
-        got = {(str(a.left), str(a.right)) for a in s.conjuncts}
+        assert len(s) == 3
+        got = {(str(a.left), str(a.right)) for a in s}
         assert got == {
             ("[P(x, y)->x].[R(x, y)->x]", "[P(x, y)->x]"),
             ("[P(x, y)->y]", "[P(x, y)->y].[R(x, y)->x]"),
@@ -303,13 +314,13 @@ class TestSplit:
         c = Clause("b", parse_term("P(R(x, z), y)"), parse_term("P(x, R(y, z))"))
         px, py = step("P(x, y)", "x"), step("P(x, y)", "y")
         rx, ry = step("R(x, y)", "x"), step("R(x, y)", "y")
-        first = split_axiom(c).conjuncts
+        first = split_axiom(c)
         assert first == (
             EqualsLR(concrete((px, rx)), concrete((px,))),
             EqualsLR(concrete((py,)), concrete((py, rx))),
             EqualsLR(concrete((px, ry)), concrete((py, ry))),
         )
-        for a, b in zip(first, split_axiom(c).conjuncts):
+        for a, b in zip(first, split_axiom(c)):
             for p, q in ((a.left, b.left), (a.right, b.right)):
                 assert all(s.step is u.step for s, u in zip(p.segments, q.segments))
 
@@ -324,9 +335,9 @@ class TestSplit:
     def test_ground_fact_clause(self):
         c = Clause("p3", parse_term("x"), parse_term("And(Parent(Adam, John), x)"))
         s = split_axiom(c)
-        kinds = [type(a).__name__ for a in s.conjuncts]
+        kinds = [type(a).__name__ for a in s]
         assert kinds == ["EqualsLR", "GroundR"]
-        eq, gr = s.conjuncts
+        eq, gr = s
         assert str(eq.left) == "[x->x]"
         assert str(eq.right) == "[And(x, y)->y]"
         assert gr.template == parse_term("Parent(Adam, John)")
@@ -334,21 +345,21 @@ class TestSplit:
 
     def test_identity_clause(self):
         s = split_axiom(Clause("", parse_term("x"), parse_term("x")))
-        assert len(s.conjuncts) == 1
-        a = s.conjuncts[0]
+        assert len(s) == 1
+        a = s[0]
         assert isinstance(a, EqualsLR)
         assert a.left == IDENTITY_PATH and a.right == IDENTITY_PATH
 
     def test_dropped_lhs_variable_emits_nothing(self):
         c = Clause("l1", parse_term("And(x, y)"), parse_term("x"))
         s = split_axiom(c)
-        assert len(s.conjuncts) == 1
-        assert str(s.conjuncts[0]) == "EqualsLR([And(x, y)->x], [x->x])"
+        assert len(s) == 1
+        assert str(s[0]) == "EqualsLR([And(x, y)->x], [x->x])"
 
     def test_nonlinear_rhs_variable(self):
         c = Clause("", parse_term("F(x)"), parse_term("Pair(x, x)"))
         s = split_axiom(c)
-        assert len(s.conjuncts) == 2
+        assert len(s) == 2
 
 
 def _matches_clause(c, t, d):
@@ -412,17 +423,13 @@ class TestEval:
     def test_itergroup(self):
         f = step("F(x)", "x")
         i = AffineExpr.var("i")
-        body = (
-            EqualsLR(
-                SymbolicPath.of(Segment(f, i)),
-                SymbolicPath.of(Segment(f, i)),
-            ),
-        )
-        g = IterGroup("i", AffineExpr.const_(1), AffineExpr.var("m"), body)
+        atom = EqualsLR(SymbolicPath.of(Segment(f, i)), SymbolicPath.of(Segment(f, i)))
+        g = IterGroup("i", AffineExpr.var("m"), atom)
         t = parse_term("F(F(F(Z)))")
-        assert eval_atomset(AtomSet((g,)), {"m": 3}, t, t)
-        assert not eval_atomset(AtomSet((g,)), {"m": 4}, t, t)
-        assert eval_atomset(AtomSet((g,)), {"m": 0}, t, parse_term("Z"))
+        assert eval_atomset((g,), {"m": 3}, t, t)
+        assert not eval_atomset((g,), {"m": 4}, t, t)
+        assert eval_atomset((g,), {"m": 0}, t, parse_term("Z"))
+        assert str(g) == "IterIntersect(lambda i:N. EqualsLR([F(x)->x]^{i}, [F(x)->x]^{i}), 1, m)"
 
     def test_multiindex_element_selector(self):
         f = step("F(x)", "x")
@@ -431,9 +438,9 @@ class TestEval:
             IDENTITY_PATH,
         )
         t = parse_term("F(F(Z))")
-        assert eval_atomset(AtomSet((a,)), {"m": (2, 5)}, t, parse_term("Z"))
+        assert eval_atomset((a,), {"m": (2, 5)}, t, parse_term("Z"))
         # out-of-range selector is simply false, not an error
-        assert not eval_atomset(AtomSet((a,)), {"m": ()}, t, parse_term("Z"))
+        assert not eval_atomset((a,), {"m": ()}, t, parse_term("Z"))
 
 
 class TestSides:
@@ -442,9 +449,9 @@ class TestSides:
 
     def test_ground_atoms_read_their_own_side(self):
         a, b = parse_term("A"), parse_term("B")
-        assert eval_atomset(AtomSet((GroundL(self.PX, a),)), {}, self.T, self.D)
-        assert not eval_atomset(AtomSet((GroundR(self.PX, a),)), {}, self.T, self.D)
-        assert eval_atomset(AtomSet((GroundR(self.PX, b),)), {}, self.T, self.D)
+        assert eval_atomset((GroundL(self.PX, a),), {}, self.T, self.D)
+        assert not eval_atomset((GroundR(self.PX, a),), {}, self.T, self.D)
+        assert eval_atomset((GroundR(self.PX, b),), {}, self.T, self.D)
         assert GroundR(self.PX, b).sides(self.T, self.D) == ((self.PX, self.D), (IDENTITY_PATH, b))
 
     def test_with_paths_rebuilds_from_sides(self):
@@ -533,12 +540,27 @@ class TestEmbed:
         assert _align(q, p) == _old_align(q, p)
 
 
-def test_scopes_evaluate_both_bounds_first():
-    group = IterGroup("i", ONE, AffineExpr.var("m"), ())
-    assert list(scopes(group, {"m": 2})) == [{"m": 2, "i": 1}, {"m": 2, "i": 2}]
-    assert list(scopes(group, {"m": 0, "i": 7})) == []
+def test_unroll_reads_a_group_at_each_value_of_its_variable():
+    f = step("F(x)", "x")
+    plain = EqualsLR(IDENTITY_PATH, IDENTITY_PATH)
+    inner = EqualsLR(SymbolicPath.of(Segment(f, AffineExpr.var("i"))), IDENTITY_PATH)
+    group = IterGroup("i", AffineExpr.var("m"), inner)
+    assert list(unroll((plain, group), {"m": 2})) == [
+        (plain, {"m": 2}),
+        (inner, {"m": 2, "i": 1}),
+        (inner, {"m": 2, "i": 2}),
+    ]
+    assert list(unroll((group,), {"m": 0, "i": 7})) == []
+    # lazy: the bound is evaluated when the iteration reaches the group
+    lazy = unroll((plain, group), {})
+    assert next(lazy) == (plain, {})
     with pytest.raises(KeyError):
-        scopes(group, {})
+        next(lazy)
+    # a bound that cannot be evaluated makes the conjunction false
+    t = parse_term("F(Z)")
+    assert eval_atomset((group,), {"m": 1}, t, parse_term("Z"))
+    assert not eval_atomset((group,), {}, t, parse_term("Z"))
+    assert not eval_atomset((plain, group), {}, t, t)
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from tpc.delta import reduce_scheme
 from tpc.errors import NotLinearizable, TpcError
 from tpc.mathsolver import reduce_rows
 from tpc.oracle import SearchBudget, reachable_set
-from tpc.paths import AtomSet, EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, eval_atomset
+from tpc.paths import EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, eval_atomset
 from tpc.pipeline import pipeline
 from tpc.schemes import (
     Alt,
@@ -58,7 +58,7 @@ from test_delta import _linear_theories, _template_schemes
 
 
 def atoms_of(fn, branch=0):
-    return fn.branches[branch].atoms.conjuncts
+    return fn.branches[branch].atoms
 
 
 class TestWorkedForms:
@@ -96,8 +96,8 @@ class TestWorkedForms:
         assert str(fixed1) == "EqualsLR([P(x, y)->x].[R(x, y)->x]^{m}, [P(x, y)->x])"
         assert str(fixed2) == "EqualsLR([P(x, y)->y], [P(x, y)->y].[R(x, y)->x]^{m})"
         assert group.itervar == "i"
-        assert (group.lower, group.upper) == (AffineExpr.const_(1), AffineExpr.var("m"))
-        (body,) = group.body
+        assert group.upper == AffineExpr.var("m")
+        body = group.atom
         assert str(body.left) == "[P(x, y)->x].[R(x, y)->x]^{i - 1}.[R(x, y)->y]"
         m, i = AffineExpr.var("m"), AffineExpr.var("i")
         assert body.right.segments[1].count == m - i
@@ -394,7 +394,7 @@ class TestLayout:
         assert _layout(scheme, decls) is None
         spec = _ref_layout(scheme, want_decls)
         assert decls == want_decls
-        branch = Branch(scheme, tuple(decls), AtomSet(()))
+        branch = Branch(scheme, tuple(decls), ())
         for grid in TestSampling.GRIDS:
             for env in _sample_grid(branch.decls, *grid):
                 assert branch.index_of(env) == _ref_build_index(spec, env)
@@ -417,7 +417,7 @@ class TestHeldOutVerification:
     @staticmethod
     def verify(theory, branch, conjuncts):
         envs = _sample_grid(branch.decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
-        changed = dataclasses.replace(branch, atoms=AtomSet(tuple(conjuncts)))
+        changed = dataclasses.replace(branch, atoms=tuple(conjuncts))
         failure = _verify_branch(theory, changed, envs, [])
         if failure is not None:
             raise failure.error()
@@ -425,7 +425,7 @@ class TestHeldOutVerification:
     def test_off_by_one_count_is_rejected(self):
         fg = load_theory("fg")
         (branch,) = sigma(fg, parse_scheme("a*")).branches
-        first, second = branch.atoms.conjuncts
+        first, second = branch.atoms
         *head, last = first.right.segments
         assert last.count == AffineExpr.var("n") * 2
         self.verify(fg, branch, (first, second))
@@ -436,7 +436,7 @@ class TestHeldOutVerification:
     def test_ground_side_is_checked(self):
         anc = load_theory("ancestor")
         (branch,) = sigma(anc, parse_scheme("p3*")).branches
-        conj = list(branch.atoms.conjuncts)
+        conj = list(branch.atoms)
         assert [type(a) for a in conj] == [EqualsLR, GroundR, IterGroup]
         self.verify(anc, branch, conj)
         conj[1] = GroundL(conj[1].path, conj[1].template)

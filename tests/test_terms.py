@@ -24,9 +24,9 @@ from tpc.errors import (
     TheorySyntaxError,
 )
 from tpc.oracle import SearchBudget, find_proof, reachable_set
-from tpc.terms import IDENTITY, Theory, free_vars, substitute, term_size, unify
+from tpc.terms import IDENTITY, Theory, free_vars, term_size, unify
 
-from conftest import match, same_relation
+from conftest import match, same_relation, substitute
 
 
 def t(text):
