@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, load_theory
+from .delta import order_axioms, reduce_scheme
 from .errors import Ambiguous, InternalMismatch, NotLinearizable, TpcError, Unsupported
 from .inclusion import includes
 from .oracle import SearchBudget, decide_oracle, find_proof, reachable_set
@@ -28,10 +29,10 @@ from .pipeline import pipeline
 from .schemes import build_scheme, parse_scheme, print_scheme
 from .sigma import sigma
 from .terms import (
-    check_proof,
     parse_term,
     parse_theory,
     print_theory,
+    replay,
     sentence,
 )
 
@@ -137,23 +138,24 @@ def _cmd_oracle(args) -> int:
     if proof is None:
         _emit(args, {"proof": None}, "no proof found within budget")
         return 1
-    check_proof(th, proof)
+    if replay(th, th.start, proof.steps) != goal:
+        raise InternalMismatch("found proof does not replay to the goal")
     _emit(args, {"proof": list(proof.steps)}, ".".join(proof.steps))
     return 0
 
 
 def _by_method(args, th, generated, oracle):
-    """generated(procedure) or oracle(budget), as --method picks; under
-    auto, a give-up in synthesis, self-check or tuning falls back to the
-    oracle."""
+    """(method, answer): "generated" and generated(procedure), or "oracle"
+    and oracle(budget), as --method picks; under auto, a give-up in
+    synthesis, self-check or tuning falls back to the oracle."""
     if args.method != "oracle":
         try:
-            return generated(pipeline(th, selfcheck=not args.no_selfcheck))
+            return "generated", generated(pipeline(th, selfcheck=not args.no_selfcheck))
         except GIVE_UPS:
             if args.method == "generated":
                 raise
             log.info("generated procedure gave up, falling back to oracle search")
-    return oracle(_budget(args))
+    return "oracle", oracle(_budget(args))
 
 
 def _cmd_prove(args) -> int:
@@ -161,14 +163,15 @@ def _cmd_prove(args) -> int:
     goal = _sentence(args.goal) if args.goal else th.goal
     if goal is None:
         raise TpcError("theory has no goal; pass --goal TERM")
-    proof = _by_method(
+    method, proof = _by_method(
         args, th, lambda proc: proc.prove(goal), lambda budget: find_proof(th, goal, budget)
     )
     if proof is None:
-        _emit(args, {"proof": None}, "no proof")
+        _emit(args, {"proof": None, "method": method}, "no proof")
         return 1
-    check_proof(th, proof)
-    _emit(args, {"proof": list(proof.steps)}, ".".join(proof.steps) or "eps")
+    if replay(th, th.start, proof.steps) != goal:
+        raise InternalMismatch("found proof does not replay to the goal")
+    _emit(args, {"proof": list(proof.steps), "method": method}, ".".join(proof.steps) or "eps")
     return 0
 
 
@@ -176,10 +179,10 @@ def _cmd_decide(args) -> int:
     th = _theory(args.file)
     t = _sentence(getattr(args, "from"))
     d = _sentence(args.to)
-    verdict = _by_method(
+    method, verdict = _by_method(
         args, th, lambda proc: proc.decide(d, t), lambda budget: decide_oracle(th, t, d, budget)
     )
-    _emit(args, {"decision": verdict}, "true" if verdict else "false")
+    _emit(args, {"decision": verdict, "method": method}, "true" if verdict else "false")
     return 0 if verdict else 1
 
 
@@ -205,8 +208,6 @@ def _cmd_includes(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .delta import order_axioms, reduce_scheme
-
     th = _theory(args.file)
     if args.scheme:
         scheme = parse_scheme(args.scheme)

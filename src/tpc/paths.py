@@ -3,11 +3,14 @@ atoms.
 
 A path step projects a tree into one child of its root, a node of one
 functor and arity; it is printed as the clause it applies, as in
-``[F(x, y)->y]``.  A symbolic path is a step sequence where runs of one step carry an affine
-repetition count.  A tuple of path-equality atoms, read as their
-conjunction, characterizes a clause (or a whole iterative scheme) as a
-relation on tree pairs; an iterated group stands for one atom at each
-value 1..upper of its index variable.
+``[F(x, y)->y]``.  A symbolic path is a step sequence where runs of one
+step carry an affine repetition count.  A path holds its segments as it
+is built: ``split_axiom`` reads maximal runs off a clause, sigma rebuilds
+a fitted path run for run, and ``substitute_counts`` substitutes segment
+for segment, so nothing merges runs or drops zero counts.  A tuple of
+path-equality atoms, read as their conjunction, characterizes a clause
+(or a whole iterative scheme) as a relation on tree pairs; an iterated
+group stands for one atom at each value 1..upper of its index variable.
 
 Symbolic paths are walked one way each.  ``embed`` places one step
 sequence into another, each step at its leftmost free slot; sigma uses it
@@ -23,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .affine import AffineExpr, ONE, ZERO
+from .affine import AffineExpr, ONE
 from .terms import App, Term, Var, print_term
 
 
@@ -67,20 +70,6 @@ class SymbolicPath:
     """A step sequence with affine repetition counts; () is the identity."""
 
     segments: tuple = ()
-
-    @staticmethod
-    def of(*segments) -> "SymbolicPath":
-        """Normalizing constructor: merges adjacent equal steps, drops
-        zero-count segments."""
-        merged = []
-        for seg in segments:
-            if seg.count == ZERO:
-                continue
-            if merged and merged[-1].step == seg.step:
-                merged[-1] = Segment(seg.step, merged[-1].count + seg.count)
-            else:
-                merged.append(seg)
-        return SymbolicPath(tuple(merged))
 
     def expand(self, env: dict):
         """Unit-step tuple under *env*; None when a count is negative."""
@@ -316,8 +305,7 @@ def eval_atomset(atoms, assign: dict, t: Term, d: Term) -> bool:
     variable names to ints (scalars) or tuples of ints (multi-indexes as
     element-length lists).  False when a group bound or a selector cannot
     be evaluated under *assign*."""
-    env = dict(assign or {})
     try:
-        return all(eval_atom(a, scope, t, d) for a, scope in unroll(atoms, env))
+        return all(eval_atom(a, scope, t, d) for a, scope in unroll(atoms, assign or {}))
     except (IndexError, KeyError):
         return False

@@ -265,22 +265,17 @@ def wrap_scheme(alpha: IterExpr, axiom_name: str) -> IterExpr:
 
 
 def reduce_specific(th: Theory, seq, prefix=None):
-    """Left fold of clause composition from the identity clause, which
-    names the result; the empty sequence is the identity clause.  None when
-    the composed relation is empty.
+    """The axioms of *seq* composed in order onto the identity clause: the
+    left fold of clause composition from ``eps``, named ``eps.a.b`` by
+    :func:`compose_clauses`, so the empty sequence is the identity clause
+    ``eps: v0 -> v0``.  None when the composed relation is empty.
 
     *prefix*, when given, is a caller-owned list that carries the fold from
     one call to the next: the ``state`` of :func:`compose_clauses` over the
-    axioms of *seq*.  It never holds more entries than *seq* has names.
-    The entries are only valid for the theory that made them; use one list
-    per theory."""
-    seq = tuple(seq)
-    if not seq:
-        if prefix:
-            del prefix[:]
-        return IDENTITY.canonical()
-    clause = compose_clauses(*map(th.axiom, seq), state=prefix)
-    return None if clause is None else clause.with_name(f"{IDENTITY.name}.{clause.name}")
+    identity clause and the axioms of *seq*.  It never holds more than
+    ``len(seq) + 1`` entries.  The entries are only valid for the theory
+    that made them; use one list per theory."""
+    return compose_clauses(IDENTITY, *map(th.axiom, seq), state=prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -320,9 +320,12 @@ class SymbolicCharFn:
 
 def _family_atom(member, key, fitted):
     """*member*, one atom of the family *key*, rebuilt with the fitted
-    paths."""
+    paths, one segment per run of key's skeletons.  The paths need no
+    normalising: a skeleton is the runs of an atom ``split_axiom`` made,
+    so no two adjacent runs share a step, and each run counts at least 1
+    in the sample whose atom is *member*, so no fitted count is 0."""
     return member.with_paths(
-        *(SymbolicPath.of(*map(Segment, skel, exprs)) for skel, exprs in zip(key[1:3], fitted))
+        *(SymbolicPath(tuple(map(Segment, skel, exprs))) for skel, exprs in zip(key[1:3], fitted))
     )
 
 

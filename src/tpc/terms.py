@@ -6,8 +6,8 @@ immutable and safe to share.  Trees can get very deep (chains of thousands
 of nodes), so hashing is precomputed bottom-up, and equality, parsing,
 printing, compiling root application, unification, the occurs check and
 the clause walks (free variables, and resolving and renaming in
-``Clause.canonical`` and ``compose_clauses``) are all iterative, so an
-axiom may be as deep as a sentence.
+``compose_clauses``) are all iterative, so an axiom may be as deep as a
+sentence.
 
 Root application is compiled.  ``apply_clause`` turns an axiom, the first
 time it applies it, into straight-line code that it keeps on the clause:
@@ -376,14 +376,6 @@ class Clause:
         if extra:
             raise FreeRhsVariable(sorted(extra)[0], self.name)
 
-    def canonical(self) -> "Clause":
-        """Variables renamed v0, v1, ... in DFS order over lhs then rhs."""
-        names = {}
-        return Clause(self.name, _rebuild(self.lhs, {}, names), _rebuild(self.rhs, {}, names))
-
-    def with_name(self, name: str) -> "Clause":
-        return _clause(name, self.lhs, self.rhs)
-
     def __str__(self):
         return f"{print_term(self.lhs)} -> {print_term(self.rhs)}"
 
@@ -479,8 +471,10 @@ def _compile_apply(c: Clause):
 
 def compose_clauses(first: Clause, *rest: Clause, state=None):
     """The clause equivalent to applying the clauses in order, or None if
-    the composed relation is empty.  The result is canonical and named by
-    the clauses' non-empty names joined with dots.
+    the composed relation is empty.  The result is canonical, its variables
+    named v0, v1, ... in order of first occurrence over lhs then rhs, so
+    the fold of one clause is that clause renamed canonically; it is named
+    by the clauses' non-empty names joined with dots.
 
     One triangular substitution serves the whole fold.  Step i renames
     clause i apart with the suffix ``'i``, which no parsed or canonical
@@ -660,7 +654,7 @@ def parse_theory(text: str) -> Theory:
 def print_theory(th: Theory) -> str:
     lines = [f"start: {print_term(th.start)}"]
     for ax in th.axioms:
-        lines.append(f"{ax.name}: {print_term(ax.lhs)} -> {print_term(ax.rhs)}")
+        lines.append(f"{ax.name}: {ax}")
     if th.goal is not None:
         lines.append(f"goal: {print_term(th.goal)}")
     return "\n".join(lines) + "\n"

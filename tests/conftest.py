@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from tpc import load_theory, parse_scheme
-from tpc.affine import AffineExpr
+from tpc.affine import ZERO, AffineExpr
 from tpc.mathsolver import Congruence, Equation, Ineq
 from tpc.paths import Segment, Step, SymbolicPath, VarDecl
 from tpc.pipeline import DecisionProcedure
@@ -40,7 +40,7 @@ def sequences(e, budget):
 def same_relation(a, b) -> bool:
     """Whether clauses *a* and *b* are the same relation: equal once each
     has its variables renamed in order of first occurrence."""
-    a, b = a.canonical(), b.canonical()
+    a, b = compose_clauses(a), compose_clauses(b)
     return a.lhs == b.lhs and a.rhs == b.rhs
 
 
@@ -117,6 +117,20 @@ def concrete(steps) -> SymbolicPath:
     ))
 
 
+def symbolic_path(*segments) -> SymbolicPath:
+    """The path of *segments* normalised: adjacent runs of one step merged,
+    zero-count runs dropped.  A builder for hand-written paths."""
+    merged = []
+    for seg in segments:
+        if seg.count == ZERO:
+            continue
+        if merged and merged[-1].step == seg.step:
+            merged[-1] = Segment(seg.step, merged[-1].count + seg.count)
+        else:
+            merged.append(seg)
+    return SymbolicPath(tuple(merged))
+
+
 @dataclass(frozen=True)
 class ComposedPath:
     """A path composed into the one clause ``lhs -> var``, canonically
@@ -128,7 +142,7 @@ class ComposedPath:
 
     @staticmethod
     def of(lhs: str, var: str) -> "ComposedPath":
-        c = Clause("", parse_term(lhs), Var(var)).canonical()
+        c = compose_clauses(Clause("", parse_term(lhs), Var(var)))
         return ComposedPath(c.lhs, c.rhs.name)
 
     def clause(self) -> Clause:
@@ -220,7 +234,7 @@ def undecidable_procedure():
     (branch,) = sigma(chain, parse_scheme("a*")).branches
     (atom,) = branch.atoms
     run = atom.right.segments[-1]
-    left = SymbolicPath.of(*atom.left.segments, Segment(run.step, AffineExpr.var("k")))
+    left = symbolic_path(*atom.left.segments, Segment(run.step, AffineExpr.var("k")))
     decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
     charfn = SymbolicCharFn(scheme, (Branch(scheme, decls, (atom.with_paths(left, atom.right),)),))
     return DecisionProcedure(chain, scheme, charfn)

@@ -17,7 +17,7 @@ from tpc.cli import main
 from tpc.oracle import SearchBudget, reachable_set
 from tpc.pipeline import _SELFCHECK_BUDGET, _self_check
 from tpc.schemes import reduce_specific
-from tpc.terms import parse_theory, print_term
+from tpc.terms import Proof, parse_theory, print_term
 
 _DEEP_X = "F(" * 2000 + "x" + ")" * 2000
 _DEEP_Z = "F(" * 2000 + "Z" + ")" * 2000
@@ -105,6 +105,18 @@ class TestExitCodes:
         assert "held-out verification" in capsys.readouterr().err
         assert main(argv) == 0
         assert capsys.readouterr().out == "true\n"
+
+    @pytest.mark.parametrize("command", [["oracle"], ["prove", "--method", "oracle"]], ids=["oracle", "prove"])
+    @pytest.mark.parametrize("theory, goal, steps", [
+        ("chain", ["--goal", "P(F(F(Z)))"], ("a",)),  # a proof of P(F(Z))
+        ("ancestor", [], ("l1",)),  # l1 does not apply to the start S
+    ], ids=["wrong-tree", "step-does-not-apply"])
+    def test_a_found_proof_that_does_not_replay_is_not_printed(self, capsys, monkeypatch, command, theory, goal, steps):
+        monkeypatch.setattr(tpc.cli, "find_proof", lambda th, goal, budget: Proof(steps))
+        assert main([command[0], theory, *command[1:], *goal]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: found proof does not replay to the goal\n"
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -291,6 +303,28 @@ class TestCommands:
             "commutation",
             "normalize",
         ]
+
+    @pytest.mark.parametrize("argv, method", [
+        (["decide", "chain", "--from", "P(Z)", "--to", "P(F(Z))"], "generated"),
+        (["prove", "chain", "--goal", "P(F(Z))"], "generated"),
+        (["decide", "chain", "--method", "oracle", "--from", "P(Z)", "--to", "P(F(Z))"], "oracle"),
+        (["prove", "chain", "--method", "oracle", "--goal", "P(F(Z))"], "oracle"),
+    ], ids=["decide", "prove", "decide-oracle", "prove-oracle"])
+    def test_json_names_the_method_that_answered(self, capsys, argv, method):
+        assert main(["--json", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == method
+
+    @pytest.mark.parametrize("command", [
+        ["decide", "--from", f"P({_DEEP_Z})", "--to", f"P(G({_DEEP_Z}))"],
+        ["prove", "--goal", f"P(G({_DEEP_Z}))"],
+    ], ids=["decide", "prove"])
+    def test_json_names_the_oracle_after_a_give_up(self, capsys, tmp_path, command):
+        # the generated procedure gives up on this 2000-deep axiom, and
+        # the oracle's tree-size bound cuts its search short of the goal
+        path = tmp_path / "deep.tpc"
+        path.write_text(f"start: P({_DEEP_Z})\na: P({_DEEP_X}) -> P(G({_DEEP_X}))\n")
+        assert main(["--json", command[0], str(path), *command[1:]]) == 1
+        assert json.loads(capsys.readouterr().out)["method"] == "oracle"
 
     def test_theory_from_file(self, tmp_path, capsys):
         f = tmp_path / "tiny.tpc"

@@ -64,12 +64,8 @@ class TestScalarTuning:
         assert k + 2 * n == 3
 
     def test_two_unknown_runs_is_ambiguous(self):
-        left = SymbolicPath.of(
-            Segment(_unit_step("P", 2, 0), AffineExpr.var("n"))
-        )
-        right = SymbolicPath.of(
-            Segment(_unit_step("P", 2, 1), AffineExpr.var("k"))
-        )
+        left = SymbolicPath((Segment(_unit_step("P", 2, 0), AffineExpr.var("n")),))
+        right = SymbolicPath((Segment(_unit_step("P", 2, 1), AffineExpr.var("k")),))
         decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
         atoms = (EqualsLR(left, right),)
         branch = Branch(parse_scheme("a*"), decls, atoms)
@@ -79,7 +75,7 @@ class TestScalarTuning:
             tune(fn, t, t)
 
     def test_two_unknown_runs_on_one_side_is_ambiguous(self):
-        # built without SymbolicPath.of, which would merge the two F runs
+        # two adjacent F runs, each with its own unknown count
         p, f = _unit_step("P", 1, 0), _unit_step("F", 1, 0)
         left = SymbolicPath((Segment(p), Segment(f, AffineExpr.var("n")), Segment(f, AffineExpr.var("k"))))
         decls = (VarDecl("n", "scalar"), VarDecl("k", "scalar"))
@@ -435,7 +431,7 @@ class TestCertificate:
         p, f = _unit_step("P", 1, 0), _unit_step("F", 1, 0)
         n = AffineExpr.var("n")
         fn = _off_by_one("a*", (VarDecl("n", "scalar"),),
-                         EqualsLR(SymbolicPath.of(Segment(p)), SymbolicPath.of(Segment(p), Segment(f, n + AffineExpr.const_(1)))))
+                         EqualsLR(SymbolicPath((Segment(p),)), SymbolicPath((Segment(p), Segment(f, n + AffineExpr.const_(1))))))
         th = load_theory("chain")
         d = parse_term("P(F(F(F(Z))))")
         assert tune(fn, th.start, d) == TuneResult(0, {"n": 2})
@@ -447,8 +443,8 @@ class TestCertificate:
         p0, p1, g = _unit_step("P", 2, 0), _unit_step("P", 2, 1), _unit_step("G", 1, 0)
         n = AffineExpr.var("n")
         fn = _off_by_one("a*", (VarDecl("n", "scalar"),),
-                         EqualsLR(SymbolicPath.of(Segment(p1)), SymbolicPath.of(Segment(p1), Segment(g, n + AffineExpr.const_(1)))),
-                         GroundR(SymbolicPath.of(Segment(p0)), parse_term("Z")))
+                         EqualsLR(SymbolicPath((Segment(p1),)), SymbolicPath((Segment(p1), Segment(g, n + AffineExpr.const_(1))))),
+                         GroundR(SymbolicPath((Segment(p0),)), parse_term("Z")))
         th = parse_theory(ERASING)
         d = parse_term("P(Z, G(G(G(Z))))")
         with pytest.raises(InternalMismatch, match=r"^tuned index 2 does not replay to the goal$"):

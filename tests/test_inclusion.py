@@ -64,6 +64,10 @@ class TestWorkedQueries:
         with pytest.raises(Unsupported):
             includes(f, g)
 
+    def test_alternatives_are_unsupported(self, fg):
+        with pytest.raises(Unsupported, match="^inclusion queries need single-alternative functions$"):
+            includes(sigma(fg, parse_scheme("a|b")), sigma(fg, parse_scheme("a")))
+
 
 @pytest.mark.parametrize(
     "ftext, gtext, existentials",
@@ -80,7 +84,7 @@ def test_clashing_names_are_renamed_fresh(fg, ftext, gtext, existentials):
 
 
 class TestAtomEquations:
-    PATH = SymbolicPath.of(Segment(_unit_step("And", 2, 1), AffineExpr.var("n")))
+    PATH = SymbolicPath((Segment(_unit_step("And", 2, 1), AffineExpr.var("n")),))
     ADAM = parse_term("Parent(Adam, John)")
 
     def test_same_ground_atoms_align(self):

@@ -117,6 +117,13 @@ class TestEliminate:
                 eliminate(sys)
 
 
+    def test_existential_depending_on_another_is_unsupported(self):
+        j = AffineExpr.var("j")
+        sys = ConditionSystem(("k", "j"), (Equation(k + j, n),))
+        with pytest.raises(Unsupported, match="^existential k not isolated: depends on j$"):
+            eliminate(sys)
+
+
 class TestEliminateSoundness:
     @settings(max_examples=40, deadline=None)
     @given(

@@ -24,7 +24,7 @@ from tpc.errors import ShapeError, TheorySyntaxError
 from tpc.paths import split_axiom
 from tpc.schemes import PRINT_CHARS, PRINT_DEPTH, PRINT_ITEMS, Eps, index_from_stars, print_index
 from tpc.sigma import sigma
-from tpc.terms import IDENTITY, Clause, Var, _rebuild, free_vars
+from tpc.terms import IDENTITY, Clause, Var, _rebuild, compose_clauses, free_vars
 
 from conftest import same_relation, sequences, substitute
 
@@ -417,12 +417,12 @@ class TestReduceSpecific:
                 assert got is None
             else:
                 assert same_relation(got, want)
-            assert len(state) <= len(seq)
+            assert len(state) <= len(seq) + 1
         assert reduce_specific(th, ("a1", "a1")) is None
         assert same_relation(
             reduce_specific(th, long, state), Clause("", parse_term("x"), parse_term("Ancestor(Adam, Olga)"))
         )
-        assert len(state) == len(long)
+        assert len(state) == len(long) + 1
 
     def test_deep_chain_is_iterative(self):
         # far past the recursion limit: composing, renaming and splitting
@@ -430,7 +430,7 @@ class TestReduceSpecific:
         start = time.perf_counter()
         got = reduce_specific(load_theory("chain"), ["a"] * 3000)
         assert got.rhs.size == 3002
-        assert got == got.canonical()
+        assert got == compose_clauses(got)
         (atom,) = split_axiom(got)
         assert str(atom) == "EqualsLR([P(x)->x], [P(x)->x].[F(x)->x]^3000)"
         # a fold that walked the whole clause at every step took about 6 s
@@ -495,7 +495,7 @@ def _stepwise_compose(c1, c2):
 
 def _stepwise_fold(th, seq):
     if not seq:
-        return IDENTITY.canonical()
+        return Clause(IDENTITY.name, Var("v0"), Var("v0"))
     clause = IDENTITY
     for name in seq:
         clause = _stepwise_compose(clause, th.axiom(name))
@@ -547,7 +547,7 @@ def test_fold_matches_stepwise_fold(call):
             assert got is None
         else:
             assert (got.name, got.lhs, got.rhs) == (want.name, want.lhs, want.rhs)
-        assert len(state) <= len(seq)
+        assert len(state) <= len(seq) + 1
 
 
 class TestSyntax:

@@ -429,7 +429,7 @@ class TestHeldOutVerification:
         *head, last = first.right.segments
         assert last.count == AffineExpr.var("n") * 2
         self.verify(fg, branch, (first, second))
-        wrong = SymbolicPath.of(*head, Segment(last.step, last.count + 1))
+        wrong = SymbolicPath((*head, Segment(last.step, last.count + 1)))
         with pytest.raises(NotLinearizable, match="held-out"):
             self.verify(fg, branch, (first.with_paths(first.left, wrong), second))
 

@@ -467,11 +467,13 @@ def test_compose_matches_rename_both_reference(c1, c2):
         assert got is None
     else:
         assert (got.name, got.lhs, got.rhs) == (want.name, want.lhs, want.rhs)
-    assert c1.canonical() == _reference_canonical(c1.name, c1.lhs, c1.rhs)
+    # the fold of one clause is that clause renamed canonically
+    assert compose_clauses(c1) == _reference_canonical(c1.name, c1.lhs, c1.rhs)
 
 
 def _reference_fold(clauses):
-    folded = clauses[0].canonical()
+    first = clauses[0]
+    folded = _reference_canonical(first.name, first.lhs, first.rhs)
     for c in clauses[1:]:
         folded = _reference_compose(folded, c)
         if folded is None:
