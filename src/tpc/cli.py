@@ -1,14 +1,17 @@
 """Command-line interface: theory inspection, brute-force search, and the
-synthesized decision procedures.
+synthesized decision procedures.  ``oracle`` without ``--dump`` is
+``prove --method oracle``: one path finds a proof, certifies it from its
+goal with ``final.reaches`` and prints it.
 
 Exit codes: 0 success, 1 negative decision or nothing found, 2 usage
 error, 3 the generated procedure gave up (NotLinearizable/Unsupported
-during synthesis, InternalMismatch when it fails its self-check or a
-replay, Ambiguous during tuning), 4 any other exception, an internal
-error.  Exits 2-4 print ``error: ...`` on stderr, or argparse's usage text
-for a command line that does not parse; under ``--json`` they also print a
-``tpc/1`` object on stdout whose ``error`` holds the exception type
-(``InternalError`` for exit 4), its message and the exit code.
+during synthesis, InternalMismatch when it fails its self-check or a proof
+fails ``reaches``, Ambiguous during tuning), 4 any other exception, an
+internal error.  Exits 2-4 print ``error: ...`` on stderr, or argparse's
+usage text for a command line that does not parse; under ``--json`` they
+also print a ``tpc/1`` object on stdout whose ``error`` holds the
+exception type (``InternalError`` for exit 4), its message and the exit
+code.
 """
 
 from __future__ import annotations
@@ -23,18 +26,13 @@ from pathlib import Path
 from . import __version__, load_theory
 from .delta import order_axioms, reduce_scheme
 from .errors import Ambiguous, InternalMismatch, NotLinearizable, TpcError, Unsupported
+from .final import reaches
 from .inclusion import includes
 from .oracle import SearchBudget, decide_oracle, find_proof, reachable_set
 from .pipeline import pipeline
 from .schemes import build_scheme, parse_scheme, print_scheme
 from .sigma import sigma
-from .terms import (
-    parse_term,
-    parse_theory,
-    print_theory,
-    replay,
-    sentence,
-)
+from .terms import parse_term, parse_theory, print_theory, sentence
 
 SCHEMA = "tpc/1"
 
@@ -124,23 +122,13 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    """--dump lists the reachable sentences; else ``prove --method oracle``."""
+    if not args.dump:
+        return _cmd_prove(args)
     th = _theory(args.file)
-    budget = _budget(args)
-    if args.dump:
-        memo = {}
-        trees = [memo[t] for t in reachable_set(th, th.start, budget, memo)]
-        _emit(args, {"reachable": trees}, "\n".join(trees))
-        return 0
-    goal = _sentence(args.goal) if args.goal else th.goal
-    if goal is None:
-        raise TpcError("theory has no goal; pass --goal TERM or use --dump")
-    proof = find_proof(th, goal, budget)
-    if proof is None:
-        _emit(args, {"proof": None}, "no proof found within budget")
-        return 1
-    if replay(th, th.start, proof.steps) != goal:
-        raise InternalMismatch("found proof does not replay to the goal")
-    _emit(args, {"proof": list(proof.steps)}, ".".join(proof.steps))
+    memo = {}
+    trees = [memo[t] for t in reachable_set(th, th.start, _budget(args), memo)]
+    _emit(args, {"reachable": trees}, "\n".join(trees))
     return 0
 
 
@@ -167,9 +155,10 @@ def _cmd_prove(args) -> int:
         args, th, lambda proc: proc.prove(goal), lambda budget: find_proof(th, goal, budget)
     )
     if proof is None:
-        _emit(args, {"proof": None, "method": method}, "no proof")
+        human = "no proof found within budget" if method == "oracle" else "no proof"
+        _emit(args, {"proof": None, "method": method}, human)
         return 1
-    if replay(th, th.start, proof.steps) != goal:
+    if not reaches(th, th.start, proof.steps, goal):
         raise InternalMismatch("found proof does not replay to the goal")
     _emit(args, {"proof": list(proof.steps), "method": method}, ".".join(proof.steps) or "eps")
     return 0
@@ -249,7 +238,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--goal", default=None)
     sp.add_argument("--dump", action="store_true", help="list reachable sentences")
-    sp.set_defaults(func=_cmd_oracle)
+    sp.set_defaults(func=_cmd_oracle, method="oracle")
 
     sp = sub.add_parser("prove", help="produce a replayable proof of the goal")
     sp.add_argument("file")

@@ -25,11 +25,12 @@ the same counting gives the second system, over those elements, which
 full evaluation of the branch's atoms guards against any bad fit.  Tuning gives
 up with ``Ambiguous``; when a system leaves a count free that no pin
 settles, the exception carries that count as ``free`` and its least
-value as ``least``.  Zero steps rewrite a tree to itself, so when no
-branch's atoms hold for (t, t), the first branch whose scheme holds the
-empty sequence answers with its all-zero index.
+value as ``least``.  Zero steps rewrite a tree to itself, so for (t, t)
+the first branch whose scheme holds the empty sequence answers with its
+all-zero index before any tuning, even where tuning would be Ambiguous.
 
-Every proof is certified from its goal before it is returned.  Its steps
+Every proof is certified from its goal before it is returned
+(``reaches``, which the CLI also runs on every proof it prints).  Its steps
 are undone from d, last first (``terms.undo``), back to the last step
 whose axiom drops a variable; the steps up to that one are replayed from
 t, and the two walks must meet in equal trees.  With no such step the
@@ -229,16 +230,16 @@ def tune(fn: SymbolicCharFn, t: Term, d: Term) -> TuneResult:
 
 
 def _tuned(fn: SymbolicCharFn, t: Term, d: Term) -> TuneResult:
-    """tune(fn, t, d); else, when t equals d, the all-zero assignment of
-    the first branch whose scheme it instantiates to no step: zero steps
-    rewrite a tree to itself, whether or not the atoms hold there."""
-    result = tune(fn, t, d)
-    if result is None and t == d:
+    """When t equals d, the all-zero assignment of the first branch whose
+    scheme it instantiates to no step: zero steps rewrite a tree to itself,
+    whether or not the atoms hold there.  Else, or when no branch has one,
+    tune(fn, t, d)."""
+    if t == d:
         for bi, branch in enumerate(fn.branches):
             zero = {v.name: () if v.kind == "multi" else 0 for v in branch.decls}
             if not instantiate(branch.scheme, branch.index_of(zero)):
                 return TuneResult(bi, zero)
-    return result
+    return tune(fn, t, d)
 
 
 def decide(fn: SymbolicCharFn, t: Term, d: Term) -> bool:
@@ -253,12 +254,12 @@ def extract_proof(theory, fn: SymbolicCharFn, t: Term, d: Term) -> Proof:
     branch = fn.branches[result.branch]
     index = branch.index_of(result.assignment)
     steps = tuple(instantiate(branch.scheme, index))
-    if not _reaches(theory, t, steps, d):
+    if not reaches(theory, t, steps, d):
         raise InternalMismatch(f"tuned index {index} does not replay to the goal")
     return Proof(steps)
 
 
-def _reaches(theory, t: Term, steps: tuple, d: Term) -> bool:
+def reaches(theory, t: Term, steps: tuple, d: Term) -> bool:
     """Whether *steps* rewrite t to d, checked from both ends: the steps
     after the last one that drops a variable are undone from d, and the
     rest replayed from t must meet the tree that gives."""

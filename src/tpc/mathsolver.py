@@ -78,9 +78,6 @@ class ConditionSystem:
     existentials: tuple = ()
     conditions: tuple = ()
 
-    def __str__(self):
-        return " and ".join(str(c) for c in self.conditions) or "true"
-
 
 @dataclass(frozen=True)
 class Region:

@@ -24,13 +24,13 @@ class SearchBudget:
 
 
 def _bfs(th: Theory, start: Term, b: SearchBudget):
-    """Yields (tree, depth, parent, axiom_name) in BFS order with duplicate
+    """Yields (tree, parent, axiom_name) in BFS order with duplicate
     suppression.  Expansion order: frontier order, then axiom declaration
     order, so the first path found to any tree is shortest and
     lexicographically least by axiom order."""
     seen = {start}
     frontier = [start]
-    yield start, 0, None, None
+    yield start, None, None
     for depth in range(1, b.max_depth + 1):
         nxt = []
         for t in frontier:
@@ -44,7 +44,7 @@ def _bfs(th: Theory, start: Term, b: SearchBudget):
                     raise BudgetExceeded(
                         f"frontier bound {b.max_frontier} hit at depth {depth}"
                     )
-                yield d, depth, t, ax.name
+                yield d, t, ax.name
         if not nxt:
             return
         frontier = nxt
@@ -62,7 +62,7 @@ def reachable_set(th: Theory, start: Term, b: SearchBudget, memo: dict = None):
     return it holds the text of every tree returned."""
     if memo is None:
         memo = {}
-    trees = sorted((t for t, _, _, _ in _bfs(th, start, b)), key=lambda t: print_term(t, memo))
+    trees = sorted((t for t, _, _ in _bfs(th, start, b)), key=lambda t: print_term(t, memo))
     # stable, so equal sizes keep text order; two sorts build no key tuples
     trees.sort(key=term_size)
     return trees
@@ -71,14 +71,14 @@ def reachable_set(th: Theory, start: Term, b: SearchBudget, memo: dict = None):
 def decide_oracle(th: Theory, t: Term, d: Term, b: SearchBudget) -> bool:
     if term_size(d) > b.max_tree_size:
         return False
-    return any(r == d for r, _, _, _ in _bfs(th, t, b))
+    return any(r == d for r, _, _ in _bfs(th, t, b))
 
 
 def find_proof(th: Theory, goal: Term, b: SearchBudget):
     """A shortest proof of *goal* from th.start (ties broken by axiom
     declaration order), or None within budget."""
     parents = {}
-    for t, _, parent, ax_name in _bfs(th, th.start, b):
+    for t, parent, ax_name in _bfs(th, th.start, b):
         if parent is not None:
             parents[t] = (parent, ax_name)
         if t == goal:

@@ -253,10 +253,7 @@ def _instantiate(e: IterExpr, m, path, out) -> None:
 def build_scheme(axiom_names) -> IterExpr:
     """wrap_scheme folded over the names from eps: step 1 gives a1*, step n
     wraps the previous scheme as (alpha.an)*.alpha."""
-    names = list(axiom_names)
-    if not names:
-        raise ValueError("axiom list must be non-empty")
-    return functools.reduce(wrap_scheme, names, EPS)
+    return functools.reduce(wrap_scheme, axiom_names, EPS)
 
 
 def wrap_scheme(alpha: IterExpr, axiom_name: str) -> IterExpr:

@@ -548,7 +548,8 @@ class Theory:
             sentence(self.goal, "goal sentence")
         object.__setattr__(self, "axioms", tuple(self.axioms))
         arities = {}
-        _check_arities([self.start] + ([self.goal] if self.goal is not None else []), arities, "start")
+        _check_arities([self.start], arities, "start")
+        _check_arities([self.goal] if self.goal is not None else [], arities, "goal")
         by_name = {}
         for ax in self.axioms:
             if ax.name in by_name:
@@ -558,9 +559,6 @@ class Theory:
             undoable = free_vars(ax.lhs) <= free_vars(ax.rhs)
             self._inverse[ax.name] = _clause(ax.name, ax.rhs, ax.lhs) if undoable else None
         self._by_name.update(by_name)
-
-    def __hash__(self):
-        return hash((self.start, self.axioms, self.goal))
 
     def axiom(self, name: str) -> Clause:
         try:

@@ -229,7 +229,8 @@ def rejecting_procedure():
 @pytest.fixture
 def undecidable_procedure():
     """A decider for chain's a*.a* whose one atom has an unknown count on
-    each side, F^k(x) = F^n(x), so tuning is Ambiguous on every pair."""
+    each side, F^k(x) = F^n(x), so tuning is Ambiguous on every pair; a
+    pair (t, t) is answered by zero steps before any tuning."""
     chain, scheme = load_theory("chain"), parse_scheme("a*.a*")
     (branch,) = sigma(chain, parse_scheme("a*")).branches
     (atom,) = branch.atoms

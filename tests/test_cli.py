@@ -83,6 +83,12 @@ class TestExitCodes:
         assert main(["--no-selfcheck", "decide", "chain", "--from", "P(Z)", "--to", "P(F(Z))"]) == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    def test_zero_steps_answer_a_tree_tuning_cannot_count(self, capsys, monkeypatch, undecidable_procedure):
+        self.use_procedure(monkeypatch, undecidable_procedure)
+        argv = ["--no-selfcheck", "decide", "chain", "--method", "generated", "--from", "P(Z)", "--to", "P(Z)"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_ambiguous_tuning_is_a_give_up(self, capsys, monkeypatch, undecidable_procedure):
         self.use_procedure(monkeypatch, undecidable_procedure)
         argv = ["--no-selfcheck", "decide", "chain", "--method", "generated", "--from", "P(Z)", "--to", "P(F(Z))"]
@@ -275,6 +281,37 @@ class TestCommands:
     def test_prove_falls_back_to_oracle(self, capsys):
         assert main(["prove", "ancestor"]) == 0
         assert capsys.readouterr().out.strip() == "p3.a1.p2.a2.p1.a2.l1"
+
+    @pytest.mark.parametrize("flags, argv, code, human", [
+        ([], ["chain", "--goal", "P(F(F(Z)))"], 0, "a.a"),
+        ([], ["chain", "--goal", "P(Z)"], 0, "eps"),
+        ([], ["ancestor"], 0, "p3.a1.p2.a2.p1.a2.l1"),
+        (["--max-depth", "1"], ["chain", "--goal", "P(F(F(Z)))"], 1, "no proof found within budget"),
+    ], ids=["chain", "empty-proof", "theory-goal", "out-of-budget"])
+    def test_oracle_is_prove_by_the_oracle(self, capsys, flags, argv, code, human):
+        commands = (["oracle", *argv], ["prove", *argv, "--method", "oracle"])
+        for json_flag in ([], ["--json"]):
+            runs = [(main([*json_flag, *flags, *command]), capsys.readouterr()) for command in commands]
+            assert runs[0] == runs[1]
+            ((got, (out, err)), _) = runs
+            assert (got, err) == (code, "")
+            if json_flag:
+                assert json.loads(out)["method"] == "oracle"
+            else:
+                assert out == human + "\n"
+
+    def test_a_theory_without_a_goal_gives_one_message(self, capsys, tmp_path):
+        path = tmp_path / "nogoal.tpc"
+        path.write_text("start: P(Z)\na: P(x) -> P(F(x))\n")
+        for command in (["oracle"], ["prove"], ["prove", "--method", "generated"]):
+            assert main([command[0], str(path), *command[1:]]) == 2
+            assert capsys.readouterr().err == "error: theory has no goal; pass --goal TERM\n"
+
+    def test_reduce_without_axioms(self, capsys, tmp_path):
+        path = tmp_path / "bare.tpc"
+        path.write_text("start: P(Z)\n")
+        assert main(["reduce", str(path)]) == 0
+        assert capsys.readouterr().out == "reduced: eps\n"
 
     def test_sigma_json(self, capsys):
         assert main(["--json", "sigma", "chain", "--scheme", "a*"]) == 0

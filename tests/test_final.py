@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tpc import load_theory
 from tpc.errors import Ambiguous, InternalMismatch, TpcError
-from tpc.final import TuneResult, _count_equation, _reaches, _solve_some, decide, extract_proof, tune
+from tpc.final import TuneResult, _count_equation, _solve_some, decide, extract_proof, reaches, tune
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Free, LinearSystem, reduce_rows
 from tpc.oracle import SearchBudget, decide_oracle, reachable_set
@@ -180,7 +180,8 @@ class TestScalarTuning:
     def test_mod2_decides_pin_their_free_count_without_an_exception(self, monkeypatch):
         # b*.a*'s one equation k + 2n = j leaves n free on every query; the
         # compiled system reports it as data, and pinning it goes on from
-        # the rows already evaluated
+        # the rows already evaluated; the first decide, of the start
+        # itself, is zero steps and solves nothing
         proc = pipeline(load_theory("mod2"))
         solves, raised = [], []
         solve, init = LinearSystem.solve, Ambiguous.__init__
@@ -190,7 +191,7 @@ class TestScalarTuning:
         for _ in range(17):
             assert proc.decide(parse_term(f"P({tree})"))
             tree = f"F({tree})"
-        assert (len(solves), raised) == (17, [])
+        assert (len(solves), raised) == (16, [])
 
     def test_free_count_pinned_from_its_least_value(self):
         # k = n - 10, so every pin of n below 10 makes k negative
@@ -392,6 +393,13 @@ class TestZeroSteps:
         assert proc.decide(d, t) == want
         assert proc.prove(d, t) == (Proof(()) if want else None)
 
+    def test_zero_steps_answer_where_tuning_is_ambiguous(self, undecidable_procedure):
+        t = parse_term("P(Z)")
+        with pytest.raises(Ambiguous, match="both sides of an atom have undetermined counts"):
+            tune(undecidable_procedure.charfn, t, t)
+        assert undecidable_procedure.decide(t, t)
+        assert undecidable_procedure.prove(t, t) == Proof(())
+
     def test_a_scheme_without_the_empty_instance_does_not_reach_itself(self):
         th = load_theory("chain")
         fn = sigma(th, parse_scheme("a.a*"))
@@ -524,7 +532,7 @@ def _certificate_cases(draw):
 def test_certificate_agrees_with_forward_replay(case):
     name, t, steps, d = case
     th = CERTIFIED[name]
-    assert _reaches(th, t, steps, d) == (replay(th, t, steps) == d)
+    assert reaches(th, t, steps, d) == (replay(th, t, steps) == d)
 
 
 class TestUndo:

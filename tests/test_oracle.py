@@ -45,7 +45,7 @@ class TestReachableSet:
     def test_order_is_size_then_text(self, name, depth):
         th = load_theory(name)
         b = SearchBudget(max_depth=depth)
-        want = sorted((d for d, _, _, _ in _bfs(th, th.start, b)), key=lambda d: (term_size(d), print_term(d)))
+        want = sorted((d for d, _, _ in _bfs(th, th.start, b)), key=lambda d: (term_size(d), print_term(d)))
         got = reachable_set(th, th.start, b)
         assert [print_term(d) for d in got] == [print_term(d) for d in want]
         assert got == want
@@ -94,3 +94,9 @@ class TestFindProof:
         th = load_theory("ancestor")
         b = SearchBudget(max_depth=8, max_tree_size=30)
         assert find_proof(th, th.goal, b) == find_proof(th, th.goal, b)
+
+
+@pytest.mark.parametrize("bound", ["max_depth", "max_tree_size", "max_frontier"])
+def test_negative_budget_is_rejected(bound):
+    with pytest.raises(ValueError, match="^search bounds must be >= 0$"):
+        SearchBudget(**{bound: -1})

@@ -84,9 +84,10 @@ class TestPipeline:
 
     def test_undecidable_reachable_sentence_fails_the_selfcheck(self, undecidable_procedure):
         # the self-check gives up with the same type whichever reachable
-        # sentence fails first
+        # sentence fails first; the start itself is zero steps, so the
+        # window must hold P(F(Z)) too
         with pytest.raises(InternalMismatch, match="cannot decide a reachable sentence") as exc:
-            _self_check(undecidable_procedure, SearchBudget(max_depth=0))
+            _self_check(undecidable_procedure, SearchBudget(max_depth=1))
         assert isinstance(exc.value.__cause__, Ambiguous)
 
     def test_selfcheck_can_be_skipped(self, monkeypatch):

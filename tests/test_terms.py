@@ -22,6 +22,7 @@ from tpc.errors import (
     InvalidProofStep,
     NonGroundStart,
     TheorySyntaxError,
+    UnsupportedRule,
 )
 from tpc.oracle import SearchBudget, find_proof, reachable_set
 from tpc.terms import IDENTITY, Theory, free_vars, term_size, unify
@@ -56,6 +57,15 @@ class TestParsing:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             parse_theory("start: P(Z)\na: P(x, y) -> P(x, y)\n")
+
+    def test_goal_arity_mismatch_names_the_goal(self):
+        with pytest.raises(ArityMismatch, match="^functor 'P' used with arity 2 in 'goal' but previously with arity 1$"):
+            parse_theory("start: P(Z)\ngoal: P(Z, Z)\n")
+
+    def test_hash_is_that_of_the_compared_fields(self):
+        th = load_theory("fg")
+        assert hash(th) == hash((th.start, th.axioms, th.goal))
+        assert hash(parse_theory(print_theory(th))) == hash(th)
 
     def test_non_ground_start(self):
         with pytest.raises(NonGroundStart):
@@ -542,6 +552,17 @@ class TestHornToTpc:
         th = horn_to_tpc([t("Q(A)")], [], None)
         assert str(th.axioms[0]) == "x -> And(Q(A), x)"
         assert [ax.name for ax in th.axioms] == ["p1", "l1", "l2"]
+
+    @pytest.mark.parametrize("facts, rules, message", [
+        (["Parent(Adam, c)"], [], "fact Parent(Adam, c) is not ground"),
+        ([], [([], "Q(A)")], "rule a1 has an empty body"),
+        ([], [(["Parent(p, c)", "b"], "Q(p)")], "rule a1 has a non-atomic body element"),
+    ], ids=["non-ground-fact", "empty-body", "variable-body-element"])
+    def test_unsupported_rule(self, facts, rules, message):
+        rules = [([t(b) for b in body], t(head)) for body, head in rules]
+        with pytest.raises(UnsupportedRule) as exc:
+            horn_to_tpc([t(f) for f in facts], rules, None)
+        assert str(exc.value) == message
 
     def test_a_rule_variable_named_x_is_not_captured(self):
         fact = t("Parent(Adam, John)")

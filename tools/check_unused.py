@@ -9,9 +9,11 @@ class there, must be used by other code in src/tpc, by bench/ or by the
 README's code (its fenced blocks and inline code spans, not its prose); a
 name used only by tests is test code living in the library.
 Docstrings do not count as a use, and neither does a keyword argument,
-which writes a field but never reads it.  A private top-level name there
-must be used by another statement of src/tpc, and every name a module
-there imports must be used by that module.
+which writes a field but never reads it.  A method or field is used only
+where it is read as an attribute, so a local variable of the same name
+does not count.  A private top-level name there must be used by another
+statement of src/tpc, and every name a module there imports must be used
+by that module.
 
 Prints one line per unused name and one per KEPT name that has a use
 now, and exits 1 if an unused name is not in KEPT or a KEPT name has a
@@ -26,7 +28,10 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-KEPT = {}
+KEPT = {
+    "Region.raw": "the conditions before subsumption, which the acceptance report checks",
+    "DecisionProcedure.traces": "the reduction traces that tests/fingerprint.txt pins",
+}
 
 
 def uses(node):
@@ -42,6 +47,12 @@ def uses(node):
         elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docstrings:
             out.update(re.findall(r"\w+", n.value))
     return out
+
+
+def reads(node):
+    """The attributes *node* reads: the only use of a method or field, so
+    that a local variable of the same name does not count as one."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
 def readme_code(text):
@@ -68,18 +79,19 @@ def unused_names():
     readme = set(re.findall(r"\w+", " ".join(readme_code((ROOT / "README.md").read_text()))))
     # a use site is a top-level statement, or a statement of a class body or
     # the class's bases and decorators, so that a member is not its own use
-    sites = []  # (file, top-level statement, statement, names it uses)
+    sites = []  # (file, top-level statement, statement, names it uses, attributes it reads)
     defs = []  # (file, what is reported, name, top-level statement, member statement or None)
     for path in src + sorted((ROOT / "bench").rglob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, ast.ClassDef):
-                sites.append((path, node, node, uses(node)))
+                sites.append((path, node, node, uses(node), reads(node)))
                 parts = []
             else:
-                sites.append((path, node, node, set().union(*map(uses, node.bases + node.decorator_list))))
-                sites += [(path, node, part, uses(part)) for part in node.body]
+                heads = node.bases + node.decorator_list
+                sites.append((path, node, node, set().union(*map(uses, heads)), set().union(*map(reads, heads))))
+                sites += [(path, node, part, uses(part), reads(part)) for part in node.body]
                 parts = [] if node.name.startswith("_") else node.body
             if path in src:
                 defs += [(path, name, name, node, None) for name in defines(node)]
@@ -89,10 +101,14 @@ def unused_names():
         if name.startswith("__") or member and name.startswith("_"):
             continue
         if name.startswith("_"):
-            if not any(name in used for p, top, stmt, used in sites if p in src and top is not node):
+            if not any(name in used for p, top, stmt, used, _ in sites if p in src and top is not node):
                 unused[what] = (path, "no use in src/tpc")
         elif name not in readme:
-            if not any(name in used for p, top, stmt, used in sites if (stmt is not member if member else top is not node)):
+            if member:
+                found = any(name in read for p, top, stmt, _, read in sites if stmt is not member)
+            else:
+                found = any(name in used for p, top, stmt, used, _ in sites if top is not node)
+            if not found:
                 unused[what] = (path, "no caller outside tests")
     for path in src:
         if path.name == "__init__.py":
