@@ -125,6 +125,8 @@ def _cmd_oracle(args) -> int:
     """--dump lists the reachable sentences; else ``prove --method oracle``."""
     if not args.dump:
         return _cmd_prove(args)
+    if args.goal is not None:
+        raise TpcError("--dump lists the sentences reachable from the start; it takes no --goal")
     th = _theory(args.file)
     memo = {}
     trees = [memo[t] for t in reachable_set(th, th.start, _budget(args), memo)]

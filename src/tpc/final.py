@@ -1,14 +1,14 @@
 """Turning a symbolic characteristic function into a decision procedure.
 
 Tuning pins the index variables down for one concrete tree pair.  A
-repetition count is unknown when it is not a constant.  Every atom whose
-paths contain exactly one unknown count can be counted greedily: apply
-the known side to get the target subtree, walk the unknown run step by
-step, and stop at the unique depth where the known suffix reproduces the
-target.  The counting walk reads tree sizes, which strictly decrease
-along a run: it gives up once the run's tree is smaller than the target,
-and when no suffix follows the run, it compares trees only at the
-target's size.  Each count contributes one linear equation.  The atoms
+repetition count is unknown when it is not a constant.  An atom whose
+paths contain exactly one unknown count is counted: apply the known side
+to get the target subtree, walk the unknown run, and compare once, at the
+one tree of the run that can match.  Sizes strictly decrease along a run,
+so with no suffix after the run that is the tree of the target's size;
+with a suffix, the tree where the run ends, since the plan (``_plan``)
+gives up on a suffix that starts with the run's functor and arity, which
+could match at two depths.  Each count gives one linear equation.  The atoms
 outside the iterated groups give the first system, over the scalars and
 multi-index lengths.  Which atoms it counts, and their count expressions,
 depend on the branch alone, so a branch compiles that system once
@@ -91,52 +91,48 @@ class TuneResult:
     assignment: dict  # scalars to ints, multi-indexes to tuples of ints
 
 
-def _count_equation(segments, base: Term, target: Term):
-    """segments applied to *base* must yield *target*; exactly one segment
-    count is unknown, that is, not a constant.  Returns (count expression,
-    observed count) or None when no count matches."""
-    idx = next(i for i, s in enumerate(segments) if not s.count.is_const)
+def _count_equation(segments, idx: int, base: Term, target: Term):
+    """The count of the run segments[idx], every other count a constant,
+    at which the segments rewrite *base* to *target*, or None.  Only one
+    tree of the run can match (see the module docstring): the walk stops
+    there, at the target's size or where the run ends, and compares once."""
     tree = apply_segments(segments[:idx], base, {})
     if tree is None:
         return None
     step = segments[idx].step
-    suffix = segments[idx + 1:]
     size = term_size(target)
     j = 0
-    # sizes strictly decrease along the run, and the suffix only descends,
-    # so the first match is the only one, and none can follow once the
-    # run's tree is smaller than the target; with no suffix, only the tree
-    # of the target's size can match
-    while tree is not None:
-        n = term_size(tree)
-        if n < size:
-            return None
-        if suffix:
-            if apply_segments(suffix, tree, {}) == target:
-                return segments[idx].count, j
-        elif n == size:
-            return (segments[idx].count, j) if tree == target else None
-        tree = step.apply(tree)
+    while term_size(tree) > size and (child := step.apply(tree)) is not None:
+        tree = child
         j += 1
-    return None
+    return j if apply_segments(segments[idx + 1:], tree, {}) == target else None
 
 
 def _plan(atoms):
     """What tuning reads off each atom, which its paths alone fix, as
     (atom, how) pairs: how is None for an atom without an unknown count,
-    which is checked; the side whose one unknown count is counted; or the
-    message of the Ambiguous the atom gives up with."""
+    which is checked; (side, segment index) for the one unknown count,
+    which is counted; or the message of the Ambiguous the atom gives up
+    with."""
     for atom in atoms:
         paths = [path for path, _ in atom.sides()]
-        unknown = [i for i, path in enumerate(paths) if not all(s.count.is_const for s in path.segments)]
+        unknown = [
+            (side, i) for side, path in enumerate(paths) for i, s in enumerate(path.segments) if not s.count.is_const
+        ]
         if not unknown:
             yield atom, None
-        elif len(unknown) != 1:
+        elif len({side for side, _ in unknown}) != 1:
             yield atom, "both sides of an atom have undetermined counts"
-        elif sum(1 for s in paths[unknown[0]].segments if not s.count.is_const) != 1:
+        elif len(unknown) != 1:
             yield atom, "an atom has two undetermined counts on one side"
         else:
-            yield atom, unknown[0]
+            side, idx = unknown[0]
+            run, *suffix = paths[side].segments[idx:]
+            first = next((s.step for s in suffix if s.count.const > 0), None)
+            if first is not None and (first.functor, first.arity) == (run.step.functor, run.step.arity):
+                yield atom, "an atom's count can match at two depths of its run"
+            else:
+                yield atom, unknown[0]
 
 
 def _observed(plan, t, d):
@@ -150,13 +146,14 @@ def _observed(plan, t, d):
             continue
         if isinstance(how, str):
             raise Ambiguous(how)
+        side, idx = how
         sides = atom.sides(t, d)
-        (upath, ubase), (kpath, kbase) = sides[how], sides[1 - how]
+        (upath, ubase), (kpath, kbase) = sides[side], sides[1 - side]
         target = apply_segments(kpath.segments, kbase, {})
-        got = None if target is None else _count_equation(upath.segments, ubase, target)
-        if got is None:
+        j = None if target is None else _count_equation(upath.segments, idx, ubase, target)
+        if j is None:
             return None
-        out.append(got)
+        out.append((upath.segments[idx].count, j))
     return out
 
 
@@ -167,11 +164,7 @@ def compile_scalar_stage(branch: Branch):
     tune reads the observed counts off its trees and solves the system
     at them."""
     plan = list(_plan(a for a in branch.atoms if not isinstance(a, IterGroup)))
-    counts = [
-        next(s.count for s in atom.sides()[how][0].segments if not s.count.is_const)
-        for atom, how in plan
-        if isinstance(how, int)
-    ]
+    counts = [atom.sides()[how[0]][0].segments[how[1]].count for atom, how in plan if isinstance(how, tuple)]
     return plan, LinearSystem(counts, [v.name for v in branch.decls])
 
 

@@ -70,7 +70,7 @@ def reachable_set(th: Theory, start: Term, b: SearchBudget, memo: dict = None):
 
 def decide_oracle(th: Theory, t: Term, d: Term, b: SearchBudget) -> bool:
     if term_size(d) > b.max_tree_size:
-        return False
+        return d == t
     return any(r == d for r, _, _ in _bfs(th, t, b))
 
 

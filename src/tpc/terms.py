@@ -537,7 +537,7 @@ class Theory:
     start: Term
     axioms: tuple = ()
     goal: Term = None
-    _by_name: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_name: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # each axiom l -> r by name: its inverse r -> l, which undoes it, or
     # None when l has a variable that r drops
     _inverse: dict = field(default_factory=dict, init=False, repr=False, compare=False)

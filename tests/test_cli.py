@@ -41,6 +41,26 @@ class TestExitCodes:
             assert main(["decide", "chain", "--method", method, "--from", "Z", "--to", "Z"]) == 0
             assert capsys.readouterr().out.strip() == "true"
 
+    def test_a_tree_past_the_search_size_bound_reaches_itself(self, capsys):
+        tree = "P(F(F(F(Z))))"
+        for method in ("generated", "oracle"):
+            argv = ["--max-tree-size", "3", "decide", "chain", "--method", method, "--from", tree, "--to", tree]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == "true\n"
+
+    def test_a_count_that_can_match_at_two_depths_is_not_a_false(self, capsys, tmp_path):
+        # a.a rewrites the pair; the decider's atom
+        # [P(x, y)->x].[R(x, y)->x]^{n}.[R(x, y)->y] = [P(x, y)->x].[R(x, y)->y]
+        # also matches at n = 1, on the inner T
+        path = tmp_path / "two_depths.tpc"
+        path.write_text("start: P(R(R(R(A, B), C), D), Z)\na: P(R(R(x, y), v), z) -> P(R(x, y), v)\n")
+        argv = ["decide", str(path), "--from", "P(R(R(R(A, T), T), V), Z)", "--to", "P(R(A, T), T)"]
+        assert main(["--json", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["decision"], payload["method"]) == (True, "oracle")
+        assert main(["--no-selfcheck", *argv, "--method", "generated"]) == 3
+        assert capsys.readouterr().err == "error: an atom's count can match at two depths of its run\n"
+
     def test_negative_decision(self, capsys):
         assert main(["decide", "fg", "--from", "P(Z, Z)", "--to", "P(Z, G(Z))"]) == 1
         assert capsys.readouterr().out.strip() == "false"
@@ -249,6 +269,14 @@ class TestJsonErrors:
         assert payload["schema"] == "tpc/1"
         assert payload["error"] == {"type": "TpcError", "message": message, "exit_code": 2}
         assert err.startswith("usage: tpc") and err.endswith(f": error: {message}\n")
+
+    def test_dump_with_a_goal_prints_an_error_object(self, capsys):
+        error = self.error_of(capsys, ["oracle", "chain", "--dump", "--goal", "P(F(Z))"], 2)
+        assert error == {
+            "type": "TpcError",
+            "message": "--dump lists the sentences reachable from the start; it takes no --goal",
+            "exit_code": 2,
+        }
 
     def test_usage_error_prints_an_error_object(self, capsys):
         error = self.error_of(capsys, ["parse", "no_such_theory"], 2)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tpc import load_theory
 from tpc.errors import Ambiguous, InternalMismatch, TpcError
-from tpc.final import TuneResult, _count_equation, _solve_some, decide, extract_proof, reaches, tune
+from tpc.final import TuneResult, _count_equation, _plan, _solve_some, decide, extract_proof, reaches, tune
 from tpc.affine import AffineExpr
 from tpc.mathsolver import Free, LinearSystem, reduce_rows
 from tpc.oracle import SearchBudget, decide_oracle, reachable_set
@@ -83,6 +83,16 @@ class TestScalarTuning:
         t = parse_term("P(F(Z))")
         with pytest.raises(Ambiguous, match="^an atom has two undetermined counts on one side$"):
             tune(fn, t, t)
+
+    def test_a_count_that_can_match_at_two_depths_is_ambiguous(self):
+        # the atom [P(x, y)->x].[R(x, y)->x]^{n}.[R(x, y)->y] = [P(x, y)->x].[R(x, y)->y]
+        # matches at n = 1, on the inner T, and at n = 2, the count a.a needs
+        th = parse_theory("start: P(R(R(R(A, B), C), D), Z)\na: P(R(R(x, y), v), z) -> P(R(x, y), v)\n")
+        t, d = parse_term("P(R(R(R(A, T), T), V), Z)"), parse_term("P(R(A, T), T)")
+        assert replay(th, t, ["a", "a"]) == d
+        fn = sigma(th, parse_scheme("a*"))
+        with pytest.raises(Ambiguous, match="^an atom's count can match at two depths of its run$"):
+            tune(fn, t, d)
 
     def test_known_side_that_does_not_apply_gives_none(self):
         p, f = _unit_step("P", 1, 0), _unit_step("F", 1, 0)
@@ -548,8 +558,8 @@ class TestUndo:
         assert undo(th, th.start, ("p1", "l1")) == (2, th.start)
 
 
-# The counting walk as it was before it skipped an empty suffix and cut
-# off at the target's size, with every step applied by matching its lhs.
+# The counting walk as a search: the suffix applied at every depth of the
+# run, with every step applied by matching its lhs.
 
 
 def _reference_apply(segments, tree, env):
@@ -573,19 +583,18 @@ def _reference_is_known(expr, env):
 
 
 def _reference_count(segments, base, target, env):
+    """Every depth j of the unknown run at which the suffix, applied to
+    the run's j-th tree, gives *target*."""
     idx = next(i for i, s in enumerate(segments) if not _reference_is_known(s.count, env))
     tree = _reference_apply(segments[:idx], base, env)
-    if tree is None:
-        return None
-    step = segments[idx].step
-    suffix = segments[idx + 1:]
+    depths = set()
     j = 0
     while tree is not None:
-        if _reference_apply(suffix, tree, env) == target:
-            return segments[idx].count, j
-        tree = matched(step, tree)
+        if _reference_apply(segments[idx + 1:], tree, env) == target:
+            depths.add(j)
+        tree = matched(segments[idx].step, tree)
         j += 1
-    return None
+    return depths
 
 
 # a spine node is (functor, arity, child the spine goes on in); siblings
@@ -630,10 +639,25 @@ def _count_cases(draw):
     ),
     2,
 )
+@example(  # a suffix that starts with the run's functor and arity: A is read at depths 0 and 1
+    (
+        (Segment(_unit_step("F", 2, 1), AffineExpr.var("n")), Segment(_unit_step("F", 2, 0))),
+        _spine([("F", 2, 1), ("F", 2, 1)])[0],
+        App("A"),
+    ),
+    0,
+)
 def test_count_equation_matches_the_stepwise_walk(case, k):
     segments, base, target = case
     known = tuple(Segment(s.step, s.count.substitute({"k": AffineExpr.const_(k)})) for s in segments)
-    assert _count_equation(known, base, target) == _reference_count(segments, base, target, {"k": k})
+    depths = _reference_count(segments, base, target, {"k": k})
+    [(_, how)] = _plan([GroundL(SymbolicPath(known), target)])
+    # two matching depths are only ever met by the plan's give-up
+    if isinstance(how, str):
+        assert how == "an atom's count can match at two depths of its run"
+    else:
+        assert len(depths) <= 1
+        assert _count_equation(known, how[1], base, target) == next(iter(depths), None)
 
 
 class TestLargeTrees:

@@ -65,6 +65,12 @@ class TestDecideOracle:
         th = load_theory("fg")
         assert decide_oracle(th, th.start, th.start, SearchBudget(max_depth=0))
 
+    def test_a_tree_past_the_size_bound_reaches_itself(self):
+        th = load_theory("chain")
+        tree, budget = t("P(F(F(F(Z))))"), SearchBudget(max_tree_size=3)
+        assert decide_oracle(th, tree, tree, budget)
+        assert not decide_oracle(th, t("P(F(F(Z)))"), tree, budget)
+
     def test_fg_needs_more_f_than_g(self):
         th = load_theory("fg")
         assert not decide_oracle(th, t("P(Z, Z)"), t("P(F(Z), G(G(Z)))"), SearchBudget(max_depth=4))

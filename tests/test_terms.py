@@ -111,6 +111,12 @@ class TestParsing:
             th = load_theory(name)
             assert parse_theory(print_theory(th)) == th
 
+    def test_the_axiom_table_is_built_from_the_axioms(self):
+        # a table passed in would answer names the theory has no axiom for
+        a = parse_theory("start: P(Z)\na: P(x) -> P(F(x))\n").axiom("a")
+        with pytest.raises(TypeError):
+            Theory(parse_term("P(Z)"), (), None, {"a": a})
+
     def test_deep_chain_parses_iteratively(self):
         n = 5000
         text = "P(" + "F(" * n + "Z" + ")" * n + ")"
