@@ -13,18 +13,19 @@ outside the iterated groups give the first system, over the scalars and
 multi-index lengths.  Which atoms it counts, and their count expressions,
 depend on the branch alone, so a branch compiles that system once
 (``Branch.scalar_stage``), and each tune solves it at the observed counts
-in integers; a count it leaves free is the solve's outcome, with its
-least value, and is pinned from there to its least value that works, 0
-if no equation mentions it.  The groups then unroll into ordinary
+in integers; the solve pins a count it leaves free by the rule in
+``mathsolver``.  The groups then unroll into ordinary
 atoms (``paths.unroll``), each group's atom once per value of its
 variable, with the env's ints (the iteration variable, the scalars and the
 solved lengths) substituted into the counts (``paths.substitute_counts``),
 so that only the elements of the multi-indexes stay unknown;
 the same counting gives the second system, over those elements, which
-``solve_concrete`` solves, since its shape follows the lengths.  A final
-full evaluation of the branch's atoms guards against any bad fit.  Tuning gives
-up with ``Ambiguous``; when a system leaves a count free that no pin
-settles, the exception carries that count as ``free`` and its least
+``solve_concrete`` solves by the same rule, since its shape follows the
+lengths.  A final evaluation of the branch's atoms (``eval_atomset``)
+re-reads the atoms that tuning solved, so it cannot see a wrong fit: only
+``reaches`` (prove) and the pipeline's self-check test the fit.  Tuning
+gives up with ``Ambiguous``; when a system leaves a count free that no
+pin settles, the exception carries that count as ``free`` and its least
 value as ``least``.  Zero steps rewrite a tree to itself, so for (t, t)
 the first branch whose scheme holds the empty sequence answers with its
 all-zero index before any tuning, even where tuning would be Ambiguous.
@@ -47,43 +48,13 @@ from typing import TYPE_CHECKING
 
 from .affine import AffineExpr, IndexTerm
 from .errors import Ambiguous, InternalMismatch
-from .mathsolver import Equation, Free, LinearSystem, solve_concrete
+from .mathsolver import Equation, LinearSystem, solve_concrete
 from .paths import IterGroup, apply_segments, eval_atom, eval_atomset, substitute_counts, unroll
 from .schemes import instantiate
 from .terms import Proof, Term, replay, term_size, undo
 
 if TYPE_CHECKING:  # sigma imports this module, for Branch.scalar_stage
     from .sigma import Branch, SymbolicCharFn
-
-_FREE_BOUND = 8
-
-
-def _solve_some(system: LinearSystem, values):
-    """system.solve(values, {}), with each unknown it leaves free pinned
-    to its least value that works: 0 for an unknown no reduced equation
-    mentions, as any value gives the same outcome, else least..least +
-    _FREE_BOUND, where least is the smallest value the solved unknowns
-    allow it (any witness will do; the caller verifies the full atom set
-    afterwards).  Ambiguous, with the free unknown as ``free``, when every
-    pin fails."""
-    outcome = _pin_free(system.solve(values, {}))
-    if isinstance(outcome, Free):
-        raise outcome.ambiguous()
-    return outcome
-
-
-def _pin_free(outcome):
-    """*outcome* with its free unknown pinned to each value in turn: the
-    first assignment found, or *outcome* itself when no pin gives one."""
-    if not isinstance(outcome, Free):
-        return outcome
-    used = outcome.system.uses[outcome.column]
-    for v in range(outcome.least, outcome.least + _FREE_BOUND + 1) if used else (0,):
-        sol = _pin_free(outcome.pin(v))
-        if isinstance(sol, dict):
-            return sol
-    return outcome
-
 
 @dataclass(frozen=True)
 class TuneResult:
@@ -181,13 +152,11 @@ def _assignment(branch: Branch, t, d):
     """The index assignment the atoms of *branch* give for (t, d): the
     scalars and lengths from the branch's compiled scalar stage, then the
     elements from the unrolled groups; None when an atom cannot hold."""
-    env = {}
-    if branch.decls:
-        plan, system = branch.scalar_stage
-        got = _observed(plan, t, d)
-        env = None if got is None else _solve_some(system, [j for _, j in got])
-        if env is None:
-            return None
+    plan, system = branch.scalar_stage
+    got = _observed(plan, t, d)
+    env = None if got is None else system.solve([j for _, j in got])
+    if env is None:
+        return None
     got = _observed(_plan(_unrolled(branch, env)), t, d)
     if got is None:
         return None

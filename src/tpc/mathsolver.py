@@ -11,11 +11,21 @@ numerators over one denominator.  Two front-ends share it:
 * ``LinearSystem`` reduces equations ``expr = value`` once, the values as
   tag columns, into integer rows, and solves them at any values by
   integer dot products.  The unknowns it leaves free, and the rows that
-  bound each, are fixed then; a solve returns the first one left unpinned
-  as a ``Free`` outcome, with its least value, to be pinned in turn.
-  Tuning solves every count, length and element with it (elements through
-  ``solve_concrete``, a system compiled for one solve), and sigma's fit
-  (``sigma._design``) every feature coefficient, in integers.
+  bound each, are fixed then.  Tuning solves every count, length and
+  element with it (elements through ``solve_concrete``, a system compiled
+  for one solve), and sigma's fit (``sigma._design``) every feature
+  coefficient, in integers.
+
+A solve settles the free unknowns itself, in declared order, each pinned
+to the first value that leads to an assignment.  Over the naturals that
+is its least value that works in least..least + ``_FREE_BOUND``, where
+least is the smallest value the solved unknowns depending on it alone
+allow, or 0 when no solved row mentions it, since any value then gives
+the same outcome; any witness will do, as tuning needs one.  When no pin
+works the solve gives up with ``Ambiguous``, naming the first free
+unknown and its least value.  Over the integers, sigma's fit, a free
+unknown is 0: a consistent system's free-zero solution depends only on
+the row space.
 """
 
 from __future__ import annotations
@@ -226,16 +236,19 @@ def eliminate(system: ConditionSystem) -> Region:
 # ---------------------------------------------------------------------------
 # compiled solving
 
+_FREE_BOUND = 8
+
 
 class LinearSystem:
     """The equations ``exprs[i] = values[i]`` over *unknowns*, naturals or,
     when *natural* is false, integers, reduced once with a tag column per
-    equation for its value; ``solve`` reads the outcome at given values off
-    the reduced rows with integer dot products.  An unknown is a name (a
-    scalar or a multi-index length) or an index term such as ``m[3]``.
+    equation for its value; ``solve`` reads the assignment at given values
+    off the reduced rows with integer dot products.  An unknown is a name
+    (a scalar or a multi-index length) or an index term such as ``m[3]``.
     Pivoting them last-declared first fixes the ones left ``free``
-    (columns, in declared order) and, for each, the solved rows that bound
-    it from below once the free ones before it are pinned."""
+    (columns, in declared order) and, for each, the solved rows that
+    mention it and those that bound it from below once the free ones
+    before it are pinned."""
 
     def __init__(self, exprs: list, unknowns, natural: bool = True):
         self.unknowns, self.natural = list(unknowns), natural
@@ -260,7 +273,6 @@ class LinearSystem:
         self.checks = [(const, tags) for const, tags, terms in rest if not terms]
         self.others = any(c >= size for _, _, terms in self.rows + rest for c, _ in terms)
         self.free = [c for c in range(size) if c not in solved]
-        self.column = dict(zip(self.unknowns, range(size)))
         self.uses = {c: [] for c in self.free}
         self.bounds = {c: [] for c in self.free}
         for r, (_, _, terms) in enumerate(self.rows):
@@ -273,37 +285,60 @@ class LinearSystem:
             if last < size and a > 0:
                 self.bounds[last].append((r, a))
 
-    def solve(self, values, pins: dict):
-        """The outcome at *values* with the free unknowns in *pins* set, all
-        keyed as the unknowns were given: the unique assignment, ``Free``
-        for the first free unknown left unpinned, or None.  None when the
-        equations contradict each other or a solved value is not integral
-        or, for naturals, negative, also while unknowns are left free once
-        a solved unknown is negative with no positive coefficient left to
-        raise it.  Ambiguous when every unknown is pinned down but an
-        equation mentions an index term that is not one."""
+    def solve(self, values):
+        """The assignment at *values*, keyed as the unknowns were given,
+        each free unknown pinned in turn by the rule in the module
+        docstring, or None.  None when the equations contradict each other
+        or a solved value is not integral or, for naturals, negative, also
+        before any pin once a solved unknown is negative with no positive
+        coefficient left to raise it.  Ambiguous, with the first free
+        unknown as ``free`` and its least value as ``least``, when no pin
+        over the naturals gives an assignment, or when an equation mentions
+        an index term that is not an unknown, since no pin then settles it
+        (without a free unknown, a plain Ambiguous)."""
         for const, tags in self.checks:
             if const + sum([a * values[i] for i, a in tags]):
                 return None
         at = [const + sum([a * values[i] for i, a in tags]) for const, tags, _ in self.rows]
-        return self._pinned(at, {}, {self.column[u]: v for u, v in pins.items()})
-
-    def _pinned(self, at, pinned: dict, pins: dict):
-        """The outcome from *at*, the solved rows' values with the columns
-        in *pinned* set, once the columns in *pins* are set in it too."""
-        for c, v in pins.items():
-            for r, a in self.uses[c]:
-                at[r] += a * v
-        pinned = {**pinned, **pins}
-        if self.natural and any(
-            v < 0 and all(c in pinned for c, a in terms if a > 0) for v, (_, _, terms) in zip(at, self.rows)
-        ):
+        if self._hopeless(at, {}):
             return None
-        for c in self.free:
-            if c not in pinned:
-                return Free(self, at, pinned, c, max([0] + [-(at[r] // a) for r, a in self.bounds[c]]))
-        if self.others:
+        if not self.others:
+            sol = self._settled(at, {})
+            if sol is not None or not (self.free and self.natural):
+                return sol
+        if not self.free:
             raise Ambiguous("equations mention index terms that are not unknowns")
+        c = self.free[0]
+        raise Ambiguous(f"{self.unknowns[c]} is not determined", self.unknowns[c], self._least(at, c))
+
+    def _hopeless(self, at, pinned: dict) -> bool:
+        """Whether, over the naturals, a solved row is negative at *at*
+        with every term that could raise it in *pinned*."""
+        return self.natural and any(
+            v < 0 and all(c in pinned for c, a in terms if a > 0) for v, (_, _, terms) in zip(at, self.rows)
+        )
+
+    def _least(self, at, c: int) -> int:
+        """The least natural value of free column *c* that the solved rows
+        bounding it allow at *at*."""
+        return max([0] + [-(at[r] // a) for r, a in self.bounds[c]])
+
+    def _settled(self, at, pinned: dict):
+        """The assignment from *at*, the solved rows' values with the free
+        columns in *pinned* set, once each later free column is pinned to
+        its first value by the rule that gives one, or None."""
+        if len(pinned) < len(self.free):
+            c = self.free[len(pinned)]
+            if self.natural and self.uses[c]:
+                least = self._least(at, c)
+                pins = range(least, least + _FREE_BOUND + 1)
+            else:
+                pins = (0,)
+            for v in pins:
+                sol = self._pinned(at, pinned, c, v)
+                if sol is not None:
+                    return sol
+            return None
         out = [pinned.get(c) for c in range(len(self.unknowns))]
         for (c, d), v in zip(self.pivots, at):
             if v % d or v < 0 and self.natural:
@@ -311,29 +346,14 @@ class LinearSystem:
             out[c] = v // d
         return dict(zip(self.unknowns, out))
 
-
-@dataclass(frozen=True)
-class Free:
-    """``LinearSystem.solve``'s outcome when it leaves an unknown free: the
-    first one unpinned, by its ``column``, with ``least``, the least
-    natural value of it that the solved unknowns depending on it alone
-    allow, and the system's rows evaluated so far."""
-
-    system: LinearSystem
-    at: list
-    pinned: dict
-    column: int
-    least: int
-
-    def pin(self, value: int):
-        """The outcome with the unknown pinned to *value* too: None when an
-        equation mentions an index term that is not an unknown, since no
-        assignment of the unknowns alone then holds."""
-        return None if self.system.others else self.system._pinned(list(self.at), self.pinned, {self.column: value})
-
-    def ambiguous(self) -> Ambiguous:
-        unknown = self.system.unknowns[self.column]
-        return Ambiguous(f"{unknown} is not determined", unknown, self.least)
+    def _pinned(self, at, pinned: dict, c: int, v: int):
+        """One pin: the assignment ``_settled`` gives once free column *c*
+        is set to *v* too, or None."""
+        at = list(at)
+        for r, a in self.uses[c]:
+            at[r] += a * v
+        pinned = {**pinned, c: v}
+        return None if self._hopeless(at, pinned) else self._settled(at, pinned)
 
 
 def _parts(nums: dict) -> tuple:
@@ -343,11 +363,8 @@ def _parts(nums: dict) -> tuple:
 
 
 def solve_concrete(equations, unknowns) -> dict:
-    """The unique natural assignment of *unknowns* satisfying all
-    *equations*, keyed as given, or None: ``LinearSystem.solve`` of a
-    system compiled for this one solve, with Ambiguous for a free unknown."""
+    """A natural assignment of *unknowns* satisfying all *equations*, keyed
+    as given, or None: ``LinearSystem.solve`` of a system compiled for this
+    one solve, its free unknowns pinned by the same rule."""
     diffs = [eq.diff for eq in equations]
-    outcome = LinearSystem(diffs, unknowns).solve([0] * len(diffs), {})
-    if isinstance(outcome, Free):
-        raise outcome.ambiguous()
-    return outcome
+    return LinearSystem(diffs, unknowns).solve([0] * len(diffs))

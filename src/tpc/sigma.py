@@ -230,14 +230,13 @@ def _design(envs, features):
     # declared last first, since the system pivots the last-declared first
     exprs = [AffineExpr(0, tuple((v, b) for v, b in zip(row, coeffs) if v)) for row in first]
     system = LinearSystem(exprs, coeffs[::-1], natural=False)
-    zero = {system.unknowns[c]: 0 for c in system.free}
 
     def fit(counts):
         if repeats:
             if any(counts[i] != counts[j] for i, j in repeats):
                 return None
             counts = [counts[i] for i in first.values()]
-        sol = system.solve(counts, zero)
+        sol = system.solve(counts)
         if sol is None:
             return None
         const, terms = 0, []
@@ -247,7 +246,7 @@ def _design(envs, features):
                 terms += [(c * b, it) for c, it in f.terms]
         return AffineExpr.of(const, *terms)
 
-    return fit, not zero
+    return fit, not system.free
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tpc import load_theory
+from tpc import final, load_theory
 from tpc.errors import Ambiguous, InternalMismatch, TpcError
-from tpc.final import TuneResult, _count_equation, _plan, _solve_some, decide, extract_proof, reaches, tune
+from tpc.final import TuneResult, _count_equation, _plan, decide, extract_proof, reaches, tune
 from tpc.affine import AffineExpr
-from tpc.mathsolver import Free, LinearSystem, reduce_rows
+from tpc.mathsolver import LinearSystem, reduce_rows
 from tpc.oracle import SearchBudget, decide_oracle, reachable_set
 from tpc.paths import EqualsLR, GroundL, GroundR, IterGroup, Segment, SymbolicPath, VarDecl, _unit_step
 from tpc.pipeline import pipeline
@@ -19,6 +19,7 @@ from tpc.terms import App, Proof, check_proof, parse_term, parse_theory, replay,
 
 from conftest import matched
 from test_delta import _linear_theories
+from test_fingerprint import tuning
 
 
 class TestScalarTuning:
@@ -112,6 +113,12 @@ class TestScalarTuning:
         t = parse_term("P(F(Z))")
         assert tune(fn, t, t) is None
 
+    def test_group_element_left_free_is_pinned(self):
+        # the group reads F^{1} for m[1], which no count mentions; the
+        # element stage pins it as the scalar stage pins a free count
+        fn = _one_branch_over_m(parse_term("Z"), AffineExpr.const_(1))
+        assert tune(fn, parse_term("P(F(Z))"), parse_term("P(Z)")) == TuneResult(0, {"m": (0,)})
+
     def test_group_scope_keeps_runs_apart(self):
         # k = 1 zeroes the middle run; merging the runs around it would read
         # F^{2 m[1]}, one count
@@ -130,7 +137,7 @@ class TestScalarTuning:
     def test_identity_axiom_pins_only_free_counts(self, monkeypatch):
         # a is the identity, so every a* count in the scheme is free; pinning
         # each in turn, determined or not, took over 100 000 solves for one
-        # decide here; a pin of a free count solves again too
+        # decide here; each pin the solve tries counts as a solve too
         calls = []
 
         def fresh_tune(*args):
@@ -148,25 +155,27 @@ class TestScalarTuning:
 
         monkeypatch.setattr("tpc.final.tune", fresh_tune)
         monkeypatch.setattr(LinearSystem, "solve", counted(LinearSystem.solve))
-        monkeypatch.setattr(Free, "pin", counted(Free.pin))
+        monkeypatch.setattr(LinearSystem, "_pinned", counted(LinearSystem._pinned))
         th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(F(x))\nc: P(x) -> P(F(F(x)))")
         proc = pipeline(th)
-        assert proc.decide(parse_term("P(Z)"))
+        calls.clear()
+        assert proc.decide(parse_term("P(F(Z))"))
+        assert calls
         goal = parse_term("P(F(F(F(F(F(Z))))))")
         assert replay(th, th.start, proc.prove(goal).steps) == goal
 
     def test_infeasible_branches_are_not_pinned(self, monkeypatch):
         # the first two branches leave equations such as j + 2n + n2 + 4 = 0,
         # which no naturals satisfy; pinning their free counts anyway took
-        # 292 solves for this decide
+        # 292 solves for a decide here; each pin the solve tries counts
         th = parse_theory("start: P(Z)\na: P(x) -> P(x)\nb: P(x) -> P(F(x))\nc: P(x) -> P(F(F(x)))")
         proc = pipeline(th, selfcheck=False)
         calls = []
-        solve, pin = LinearSystem.solve, Free.pin
+        solve, pinned = LinearSystem.solve, LinearSystem._pinned
         monkeypatch.setattr(LinearSystem, "solve", lambda *args: calls.append(1) or solve(*args))
-        monkeypatch.setattr(Free, "pin", lambda *args: calls.append(1) or pin(*args))
-        assert proc.decide(parse_term("P(Z)"))
-        assert len(calls) <= 8
+        monkeypatch.setattr(LinearSystem, "_pinned", lambda *args: calls.append(1) or pinned(*args))
+        assert proc.decide(parse_term("P(F(Z))"))
+        assert 0 < len(calls) <= 8
 
     def test_fg_decides_reduce_their_index_system_once(self, monkeypatch):
         # the branch's system is reduced on its first tune; every later
@@ -189,8 +198,8 @@ class TestScalarTuning:
 
     def test_mod2_decides_pin_their_free_count_without_an_exception(self, monkeypatch):
         # b*.a*'s one equation k + 2n = j leaves n free on every query; the
-        # compiled system reports it as data, and pinning it goes on from
-        # the rows already evaluated; the first decide, of the start
+        # solve pins it from the rows already evaluated, with no exception
+        # on the way; the first decide, of the start
         # itself, is zero steps and solves nothing
         proc = pipeline(load_theory("mod2"))
         solves, raised = [], []
@@ -206,14 +215,30 @@ class TestScalarTuning:
     def test_free_count_pinned_from_its_least_value(self):
         # k = n - 10, so every pin of n below 10 makes k negative
         n, k = AffineExpr.var("n"), AffineExpr.var("k")
-        assert _solve_some(LinearSystem([n - k], ["n", "k"]), [10]) == {"n": 10, "k": 0}
+        assert LinearSystem([n - k], ["n", "k"]).solve([10]) == {"n": 10, "k": 0}
 
     def test_free_count_no_pin_settles_is_ambiguous_with_it(self):
         # 10k = n + 1 needs n = 9, past the pins 0..8 that are tried
         n, k = AffineExpr.var("n"), AffineExpr.var("k")
         with pytest.raises(Ambiguous) as exc:
-            _solve_some(LinearSystem([k * 10 - n], ["n", "k"]), [1])
+            LinearSystem([k * 10 - n], ["n", "k"]).solve([1])
         assert (str(exc.value), exc.value.free, exc.value.least) == ("n is not determined", "n", 0)
+
+
+def test_the_tune_guard_never_rejects_a_tuned_assignment(monkeypatch):
+    # _observed checks every atom without an unknown count, of every branch,
+    # each counted atom matched at its observed count, and a solve returns
+    # only assignments that satisfy every count equation, so eval_atomset
+    # in tune re-reads what tuning solved; chain's a.a has no index
+    # variables, and its negatives are rejected before the guard
+    verdicts = []
+    guard = final.eval_atomset
+    monkeypatch.setattr(final, "eval_atomset", lambda *args: verdicts.append(guard(*args)) or verdicts[-1])
+    tuning()
+    fn = sigma(load_theory("chain"), parse_scheme("a.a"))
+    for text in ("P(Z)", "P(F(Z))", "P(F(F(Z)))", "P(F(F(F(Z))))"):
+        tune(fn, parse_term("P(Z)"), parse_term(text))
+    assert verdicts and False not in verdicts
 
 
 def _one_branch(decls, *atoms):

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from tpc.affine import AffineExpr, IndexTerm, ZERO
 from tpc.errors import Ambiguous, Unsupported
-from tpc.final import _FREE_BOUND, _solve_some
 from tpc.mathsolver import (
+    _FREE_BOUND,
     Congruence,
     ConditionSystem,
     Equation,
-    Free,
     Ineq,
     LinearSystem,
     _row_of,
@@ -173,10 +172,8 @@ class TestSolveConcrete:
         assert solve_concrete((Equation(k * 2, one),), ("k",)) is None
 
     def test_underdetermined(self):
-        # k is pivoted first, so n is the one reported free
-        with pytest.raises(Ambiguous) as exc:
-            solve_concrete((Equation(n + k, two),), ("n", "k"))
-        assert exc.value.free == "n"
+        # k is pivoted first, so n is the one left free, and pinned to 0
+        assert solve_concrete((Equation(n + k, two),), ("n", "k")) == {"n": 0, "k": 2}
 
     def test_hopeless_with_free_unknowns_returns_none(self):
         # n2 = -j - 2n - 4 is negative whatever naturals j and n take, and
@@ -189,14 +186,14 @@ class TestSolveConcrete:
         assert solve_concrete(eqs, ("n", "k", "j")) is None
 
     def test_underdetermined_carries_the_least_free_value(self):
-        # k = n - 10 needs n >= 10; k + 2n = 7 leaves n free with k = 7 - 2n,
-        # which bounds n only from above
+        # k = n - 10 needs n >= 10, so n is pinned from 10; k + 2n = 7
+        # leaves n free with k = 7 - 2n, which bounds n only from above
+        assert solve_concrete((Equation(n - k, AffineExpr.const_(10)),), ("n", "k")) == {"n": 10, "k": 0}
+        assert solve_concrete((Equation(k + n * 2, AffineExpr.const_(7)),), ("n", "k")) == {"n": 0, "k": 7}
+        # 10k = n + 1 needs n = 9, past the pins 0..8 that are tried
         with pytest.raises(Ambiguous) as exc:
-            solve_concrete((Equation(n - k, AffineExpr.const_(10)),), ("n", "k"))
-        assert (exc.value.free, exc.value.least) == ("n", 10)
-        with pytest.raises(Ambiguous) as exc:
-            solve_concrete((Equation(k + n * 2, AffineExpr.const_(7)),), ("n", "k"))
-        assert (exc.value.free, exc.value.least) == ("n", 0)
+            solve_concrete((Equation(k * 10 - n, one),), ("n", "k"))
+        assert (str(exc.value), exc.value.free, exc.value.least) == ("n is not determined", "n", 0)
 
     def test_element_unknowns(self):
         # m[1] and m[2] are fixed jointly: one equation mentions both
@@ -218,22 +215,21 @@ class TestSolveConcrete:
 class TestCompiledSystem:
     def test_free_count_is_reported_as_data(self):
         # k + 2n = j: k is pivoted first, so n is left free, and k = j - 2n
-        # bounds n only from above
+        # bounds n only from above: the solve pins n from 0
         system = LinearSystem([k + n * 2], ["n", "k"])
-        assert system.free == [0]
-        outcome = system.solve([7], {})
-        assert isinstance(outcome, Free)
-        assert (outcome.column, outcome.least) == (0, 0) and system.uses == {0: [(0, -2)]}
-        assert outcome.pin(2) == {"n": 2, "k": 3} == system.solve([7], {"n": 2})
-        assert outcome.pin(4) is None
-        # n - k = j bounds n from below by j
-        assert system.solve([7], {"n": 4}) is None
-        outcome = LinearSystem([n - k], ["n", "k"]).solve([10], {})
-        assert (outcome.column, outcome.least) == (0, 10)
+        assert (system.free, system.uses, system.bounds) == ([0], {0: [(0, -2)]}, {0: []})
+        assert system.solve([7]) == {"n": 0, "k": 7}
+        # n - k = j bounds n from below by j, so the first pin is n = j
+        system = LinearSystem([n - k], ["n", "k"])
+        assert (system.free, system.bounds) == ([0], {0: [(0, 1)]})
+        assert system.solve([10]) == {"n": 10, "k": 0}
 
     def test_integer_unknowns_may_be_negative(self):
-        assert LinearSystem([k + n * 2], ["n", "k"]).solve([1], {"n": 3}) is None
-        assert LinearSystem([k + n * 2], ["n", "k"], natural=False).solve([1], {"n": 3}) == {"n": 3, "k": -5}
+        # k = -1 - 2n is negative for every natural n; a free integer
+        # unknown is 0, and the solved one may be negative
+        assert LinearSystem([k + n * 2], ["n", "k"]).solve([-1]) is None
+        assert LinearSystem([k + n * 2], ["n", "k"], natural=False).solve([-1]) == {"n": 0, "k": -1}
+        assert LinearSystem([k + n * 2], ["n", "k"], natural=False).solve([7]) == {"n": 0, "k": 7}
 
 
 def _reference_solve_concrete(equations, unknowns):
@@ -267,7 +263,7 @@ def _reference_solve_concrete(equations, unknowns):
 
 
 def _reference_solve_some(eqs, unknowns):
-    """Tuning's pin loop as it was: each free unknown pinned by one more
+    """The pin rule by Fractions: each free unknown pinned by one more
     equation, and the whole system solved again."""
     try:
         return _reference_solve_concrete(eqs, unknowns)
@@ -289,12 +285,8 @@ def _reference_solve_some(eqs, unknowns):
 
 
 def _outcome(solve, *args):
-    # a Free outcome of LinearSystem.solve reads as the Ambiguous that
-    # solve_concrete and _solve_some raise for it
     try:
         got = solve(*args)
-        if isinstance(got, Free):
-            raise got.ambiguous()
     except Ambiguous as exc:
         return "Ambiguous", str(exc), exc.free, exc.least
     return got if got is None else list(got.items())
@@ -327,16 +319,14 @@ def _systems(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_systems())
 def test_compiled_system_agrees_with_the_fraction_solver(system):
-    # the compiled rows, evaluated at the values and at every pin tuning
-    # tries, give what one Fraction reduction per solve gave: the same
+    # the compiled rows, evaluated at the values and at every pin the
+    # solve tries, give what one Fraction reduction per pin gave: the same
     # assignment in the same key order, None, or the same Ambiguous
     exprs, unknowns, values = system
     eqs = [Equation(e, AffineExpr.const_(v)) for e, v in zip(exprs, values)]
-    compiled = LinearSystem(exprs, unknowns)
-    expected = _outcome(_reference_solve_concrete, eqs, unknowns)
-    assert _outcome(compiled.solve, values, {}) == expected
+    expected = _outcome(_reference_solve_some, eqs, unknowns)
+    assert _outcome(LinearSystem(exprs, unknowns).solve, values) == expected
     assert _outcome(solve_concrete, eqs, unknowns) == expected
-    assert _outcome(_solve_some, compiled, values) == _outcome(_reference_solve_some, eqs, unknowns)
 
 
 @dataclass(frozen=True)
