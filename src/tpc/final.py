@@ -38,7 +38,14 @@ t, and the two walks must meet in equal trees.  With no such step the
 undoing walk must land exactly on t, which is small, so a large proof
 costs one pass down from d and no rebuilt d to compare node by node.
 Undoing a step is a forward step checked, so nothing of the composed
-clauses or of sigma's fit is trusted.
+clauses or of sigma's fit is trusted.  A run of n steps of one pumping
+axiom, ``C[z1, ...] -> C[D1[z1], ...]`` with the context C shared by its
+sides and each Di a one-hole context whose other subtrees are ground, is
+undone in one walk: its last step as above, then each Di stripped n - 1
+more times off its hole, each strip testing every node of Di, and C built
+once.  That trusts one more thing, a lemma checked per axiom on its syntax
+(``terms._holes``): n steps of such an axiom rewrite ``C[t1, ...]`` to
+``C[D1^n[t1], ...]``.
 """
 
 from __future__ import annotations

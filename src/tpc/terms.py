@@ -14,7 +14,12 @@ time it applies it, into straight-line code that it keeps on the clause:
 a class, functor and arity test per lhs node, and an ``App`` call per rhs
 node that is not ground.  So brute-force search, proof replay and
 ``undo``, which applies each axiom's inverse ``rhs -> lhs`` to walk a
-proof back from its goal, match and substitute nothing per tree.
+proof back from its goal, match and substitute nothing per tree.  A run
+of one pumping axiom ``C[z1, ...] -> C[D1[z1], ...]`` (``_holes``) is
+undone in one walk: the inverse undoes its last step, each compiled
+``Di[zi] -> zi`` strips the rest of the run off its hole, and C is built
+once.  That trusts one lemma, checked per axiom on its syntax: n steps
+rewrite ``C[t1, ...]`` to ``C[D1^n[t1], ...]``.
 A path step (``paths.Step``) is no clause: it is one functor and arity
 test and a child read.  Node construction is one plain loop: ``App``
 computes its size, groundness and child hashes in a single pass over its
@@ -396,11 +401,7 @@ def apply_clause(c: Clause, t: Term):
     *c*'s rhs with each variable replaced by the subtree of *t* its lhs
     binds, where repeated lhs variables must bind equal subtrees.  Runs
     code compiled for *c* the first time it is applied."""
-    apply = c._apply
-    if apply is None:
-        apply = _compile_apply(c)
-        object.__setattr__(c, "_apply", apply)
-    return apply(t)
+    return (c._apply or _compile_apply(c))(t)
 
 
 def _compile_apply(c: Clause):
@@ -412,7 +413,7 @@ def _compile_apply(c: Clause):
     statement is flat, so axioms of any depth compile.  Functors and
     ground rhs subtrees (kept as they are, as ``_rebuild`` keeps them)
     are named constants ``k<i>``, so the source holds no text of the
-    clause."""
+    clause.  The function is kept on *c*, for every later application."""
     env = {"App": App}
 
     def const(value):
@@ -466,7 +467,9 @@ def _compile_apply(c: Clause):
     lines.append(f" return {done[0]}")
     exec("\n".join(lines), env)
     # taken out, so that the function and its globals form no cycle
-    return env.pop("apply")
+    apply = env.pop("apply")
+    object.__setattr__(c, "_apply", apply)
+    return apply
 
 
 def compose_clauses(first: Clause, *rest: Clause, state=None):
@@ -532,6 +535,44 @@ def _check_arities(terms, arities, owner):
             stack.extend(node.children)
 
 
+def _holes(ax: Clause):
+    """The holes of *ax* when it pumps, else None.
+
+    *ax* pumps when it reads ``C[z1, ..., zm] -> C[D1[z1], ..., Dm[zm]]``:
+    C is a context with m >= 1 holes, which the sides share, and whose
+    other variables recur unchanged; each Di is a one-hole context whose
+    other subtrees are ground; and each zi occurs once in the lhs, so once
+    in the rhs too.  Then, by induction on n, n steps of *ax* rewrite
+    ``C[t1, ...]`` to ``C[D1^n[t1], ...]``.  Each hole is kept as zi's name
+    mapped to the clause ``Di[zi] -> zi``, which strips one Di off a tree.
+    Iterative, so an axiom may be as deep as a sentence."""
+    holes = {}
+    seen = {}  # lhs variable -> its occurrences
+    todo = [(ax.lhs, ax.rhs)]
+    while todo:
+        lhs, rhs = todo.pop()
+        if isinstance(lhs, Var):
+            seen[lhs.name] = seen.get(lhs.name, 0) + 1
+            if rhs == lhs:  # a variable of C
+                continue
+            node = rhs  # down Di's one non-ground child per node, to zi
+            while isinstance(node, App):
+                spine = [c for c in node.children if not (isinstance(c, App) and c.is_ground)]
+                if len(spine) != 1:
+                    return None
+                (node,) = spine
+            if node != lhs:
+                return None
+            holes[lhs.name] = _clause(ax.name, rhs, lhs)
+        elif isinstance(rhs, App) and rhs.functor == lhs.functor and len(rhs.children) == len(lhs.children):
+            todo.extend(zip(lhs.children, rhs.children))
+        else:
+            return None
+    if not holes or any(seen[name] != 1 for name in holes):
+        return None
+    return holes
+
+
 @dataclass(frozen=True)
 class Theory:
     start: Term
@@ -541,6 +582,9 @@ class Theory:
     # each axiom l -> r by name: its inverse r -> l, which undoes it, or
     # None when l has a variable that r drops
     _inverse: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # each pumping axiom by name: its holes, which undo strips a run of it
+    # from (see _holes)
+    _holes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sentence(self.start, "start sentence")
@@ -558,6 +602,9 @@ class Theory:
             _check_arities([ax.lhs, ax.rhs], arities, ax.name)
             undoable = free_vars(ax.lhs) <= free_vars(ax.rhs)
             self._inverse[ax.name] = _clause(ax.name, ax.rhs, ax.lhs) if undoable else None
+            holes = _holes(ax)
+            if holes is not None:
+                self._holes[ax.name] = holes
         self._by_name.update(by_name)
 
     def axiom(self, name: str) -> Clause:
@@ -606,18 +653,72 @@ def undo(th: Theory, goal: Term, steps) -> tuple:
     ``r -> l``: a match of r against a tree s binds every variable of l,
     and ``l -> r`` applied to the tree that builds gives s again, so each
     undone step is a checked forward step, and the only one that can end
-    in s."""
+    in s.
+
+    A run of n steps of a pumping axiom ``C[z1, ...] -> C[D1[z1], ...]``
+    (``_holes``) is undone in one walk: its last step by the inverse, with
+    every check above, then each Di stripped n - 1 more times off its hole,
+    each strip a test of every node of Di, and C built once.  This trusts
+    one lemma, checked on the axiom's syntax: n steps rewrite
+    ``C[t1, ...]`` to ``C[D1^n[t1], ...]``.  The result is the one the
+    steps undone one by one give, also when a strip fails: then k counts
+    the steps before the first that one-by-one undoing could not undo."""
     k = len(steps)
     current = goal
     while k:
-        inverse = th._inverse.get(steps[k - 1])
+        name = steps[k - 1]
+        inverse = th._inverse.get(name)
         if inverse is None:
             break
         current = apply_clause(inverse, current)
         if current is None:
             break
         k -= 1
+        holes = th._holes.get(name)
+        if holes is not None:
+            n = 0  # the run's steps before this one
+            while n < k and steps[k - 1 - n] == name:
+                n += 1
+            if n:  # the inverse's rhs is the axiom's lhs, C[z1, ...]
+                stripped, current = _strip_run(inverse.rhs, current, holes, n)
+                k -= stripped
+                if current is None:
+                    break
     return k, current
+
+
+def _strip_run(pattern: Term, tree: Term, holes: dict, n: int) -> tuple:
+    """(j, s): *tree*, an instance of *pattern*, with each hole's clause
+    (see ``_holes``) applied n times to the subtree at the hole's variable,
+    and the non-ground nodes of *pattern* built once around them.  When a
+    clause stops applying, s is None, and j is the fewest times that any
+    hole's clause applied; else j is n.  Iterative."""
+    least = n
+    done = []
+    todo = [(pattern, tree)]
+    while todo:
+        p, t = todo.pop()
+        if p is None:  # t: an App whose children are done
+            arity = len(t.children)
+            children = tuple(done[-arity:])
+            del done[-arity:]
+            done.append(App(t.functor, children))
+        elif isinstance(p, Var):
+            strip = holes.get(p.name)
+            if strip is not None:
+                strip = strip._apply or _compile_apply(strip)
+                j = 0
+                while j < least and (s := strip(t)) is not None:
+                    t = s
+                    j += 1
+                least = j
+            done.append(t)
+        elif p.is_ground:
+            done.append(t)
+        else:
+            todo.append((None, t))
+            todo.extend(zip(reversed(p.children), reversed(t.children)))
+    return least, done[0] if least == n else None
 
 
 def parse_theory(text: str) -> Theory:

@@ -11,7 +11,7 @@ from tpc.paths import Segment, Step, SymbolicPath, VarDecl
 from tpc.pipeline import DecisionProcedure
 from tpc.schemes import Alt, Axiom, Dot, Eps
 from tpc.sigma import Branch, SymbolicCharFn, sigma
-from tpc.terms import IDENTITY, App, Clause, Var, compose_clauses, parse_term, print_term
+from tpc.terms import IDENTITY, App, Clause, Var, apply_clause, compose_clauses, free_vars, parse_term, print_term
 
 
 def sequences(e, budget):
@@ -64,6 +64,25 @@ def match(pattern, tree, binding=None):
             return None
         stack.extend(zip(p.children, t.children))
     return binding
+
+
+def stepwise_undo(th, goal, steps) -> tuple:
+    """*steps* undone from *goal* one at a time, last first, each by
+    applying its axiom's inverse ``rhs -> lhs``, back to the last step
+    whose axiom drops a variable or is unknown: (k, s) as ``terms.undo``
+    gives it, the reference that undoes a pumping run in one walk."""
+    inverses = {ax.name: Clause(ax.name, ax.rhs, ax.lhs) for ax in th.axioms if free_vars(ax.lhs) <= free_vars(ax.rhs)}
+    k = len(steps)
+    current = goal
+    while k:
+        inverse = inverses.get(steps[k - 1])
+        if inverse is None:
+            break
+        current = apply_clause(inverse, current)
+        if current is None:
+            break
+        k -= 1
+    return k, current
 
 
 def step_key(lhs: str, var: str) -> tuple:

@@ -21,6 +21,7 @@ from tpc.terms import Proof, parse_theory, print_term
 
 _DEEP_X = "F(" * 2000 + "x" + ")" * 2000
 _DEEP_Z = "F(" * 2000 + "Z" + ")" * 2000
+_DEEP_F_OF = "F(" * 2000 + "{}" + ")" * 2000
 
 FG_PAIR = [
     "--from",
@@ -178,21 +179,29 @@ class TestExitCodes:
         assert main([command, "fg", "--scheme", text]) in codes
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [
-        ["decide", "--from", f"P({_DEEP_Z})", "--to", f"P(G({_DEEP_Z}))"],
-        ["decide", "--method", "generated", "--from", f"P({_DEEP_Z})", "--to", f"P(G({_DEEP_Z}))"],
-        ["prove", "--goal", f"P(G({_DEEP_Z}))"],
-        ["sigma", "--scheme", "a*"],
-    ], ids=["decide", "decide-generated", "prove", "sigma"])
-    def test_deep_axiom_is_never_a_crash(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("rhs, command", [
+        (f"G({_DEEP_X})", ["decide", "--from", f"P({_DEEP_Z})", "--to", f"P(G({_DEEP_Z}))"]),
+        (f"G({_DEEP_X})", ["decide", "--method", "generated", "--from", f"P({_DEEP_Z})", "--to", f"P(G({_DEEP_Z}))"]),
+        (f"G({_DEEP_X})", ["prove", "--goal", f"P(G({_DEEP_Z}))"]),
+        (f"G({_DEEP_X})", ["sigma", "--scheme", "a*"]),
+        # a pumping axiom whose context P(F^2000(.)) is 2001 nodes deep
+        (_DEEP_F_OF.format("G(x)"), ["prove", "--goal", f"P({_DEEP_F_OF.format('G(G(G(Z)))')})"]),
+    ], ids=["decide", "decide-generated", "prove", "sigma", "prove-pumping"])
+    def test_deep_axiom_is_never_a_crash(self, capsys, tmp_path, rhs, command):
         # composing renames each clause apart; a recursive renaming once
         # exited 4 with a RecursionError on this 2000-deep axiom
         path = tmp_path / "deep.tpc"
-        path.write_text(f"start: P({_DEEP_Z})\na: P({_DEEP_X}) -> P(G({_DEEP_X}))\n")
+        path.write_text(f"start: P({_DEEP_Z})\na: P({_DEEP_X}) -> P({rhs})\n")
         assert main([command[0], str(path), *command[1:]]) in {0, 1, 3}
         assert "Traceback" not in capsys.readouterr().err
         th = parse_theory(path.read_text())
         assert reduce_specific(th, ["a"]) is not None
+
+    def test_a_deep_pumping_axiom_proves_in_three_steps(self, capsys, tmp_path):
+        path = tmp_path / "deep.tpc"
+        path.write_text(f"start: P({_DEEP_Z})\na: P({_DEEP_X}) -> P({_DEEP_F_OF.format('G(x)')})\n")
+        assert main(["prove", str(path), "--goal", f"P({_DEEP_F_OF.format('G(G(G(Z)))')})"]) == 0
+        assert capsys.readouterr() == ("a.a.a\n", "")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_crash_is_an_internal_error(self, capsys, monkeypatch, json_flag):

@@ -1,5 +1,6 @@
 """Index tuning, the decision procedure, and proof extraction."""
 
+import functools
 import itertools
 
 import pytest
@@ -17,7 +18,7 @@ from tpc.schemes import instantiate, parse_scheme
 from tpc.sigma import Branch, SymbolicCharFn, sigma
 from tpc.terms import App, Proof, check_proof, parse_term, parse_theory, replay, undo
 
-from conftest import matched
+from conftest import matched, stepwise_undo
 from test_delta import _linear_theories
 from test_fingerprint import tuning
 
@@ -581,6 +582,139 @@ class TestUndo:
         steps = ("p1", "l2", "p2", "p3")
         assert undo(th, replay(th, th.start, steps), steps) == (2, th.start)
         assert undo(th, th.start, ("p1", "l1")) == (2, th.start)
+
+
+# the axioms of the theories above that pump, C[z1, ...] -> C[D1[z1], ...]
+PUMPING = {
+    "chain": {"a"}, "mod2": {"a", "b"}, "fg": {"a", "b"}, "rotate": {"a"}, "rotate3": {"a"},
+    "ancestor": {"p1", "p2", "p3"}, "erasing": {"b"}, "nonlinear": {"b"},
+}
+
+
+@pytest.mark.parametrize("name, axiom", [(name, ax.name) for name, th in CERTIFIED.items() for ax in th.axioms])
+def test_which_axioms_pump(name, axiom):
+    assert (axiom in CERTIFIED[name]._holes) == (axiom in PUMPING[name])
+
+
+@pytest.mark.parametrize("axiom, holes", [
+    ("P(x, y) -> P(F(F(x)), G(y))", {"x": "F(F(x)) -> x", "y": "G(y) -> y"}),
+    ("x -> And(Parent(Adam, John), x)", {"x": "And(Parent(Adam, John), x) -> x"}),
+    ("P(R(x, z), y) -> P(R(x, F(z)), y)", {"z": "F(z) -> z"}),
+    ("P(x) -> P(D(x, Z))", {"x": "D(x, Z) -> x"}),
+    ("P(x, x, z) -> P(x, x, F(z))", {"z": "F(z) -> z"}),
+    ("P(Z, x) -> P(Z, D(Z, F(x)))", {"x": "D(Z, F(x)) -> x"}),
+    ("P(x) -> P(D(x, x))", None),  # x twice in Di
+    ("P(x, y) -> P(y, x)", None),  # no hole, and x and y do not recur
+    ("P(x, y, z) -> P(y, x, F(z))", None),  # x and y do not recur
+    ("P(x, y) -> P(Z, G(y))", None),  # drops x
+    ("P(x) -> P(x)", None),  # no hole
+    ("P(x, y) -> P(F(x, y), y)", None),  # Di's other subtree is not ground
+    ("P(x, x) -> P(x, F(x))", None),  # zi twice in the lhs
+    ("P(Z, x) -> P(Y, F(x))", None),  # the sides' contexts differ
+])
+def test_the_holes_of_an_axiom(axiom, holes):
+    th = parse_theory(f"start: Z\na: {axiom}\n")
+    got = th._holes.get("a")
+    assert (None if got is None else {z: str(strip) for z, strip in got.items()}) == holes
+
+
+# CERTIFIED, plus a Di with a ground sibling on either side, a context
+# variable that repeats, and an axiom that pumps no hole
+UNDONE = {
+    **CERTIFIED,
+    "sibling": parse_theory("start: P(Z)\na: P(x) -> P(D(x, Z))\nb: P(x) -> P(D(Z, x))\n"),
+    "repeated": parse_theory("start: P(Z, Z, Z)\na: P(x, x, z) -> P(x, x, F(z))\nb: P(x, y, z) -> P(F(x), y, z)\n"),
+    "swap": parse_theory(
+        "start: P(Z, F(Z), Z)\na: P(x, y, z) -> P(y, x, z)\nb: P(x, y, z) -> P(F(x), y, z)\n"
+        "c: P(x, y, z) -> P(y, x, F(z))\n"
+    ),
+}
+
+
+@functools.cache
+def _small_trees(name):
+    return _ground_trees(_signature(UNDONE[name]), 5)
+
+
+def _runs(names):
+    return st.lists(st.tuples(st.sampled_from(names), st.integers(1, 5)), max_size=4)
+
+
+def _replayed(th, runs):
+    """The start rewritten by each step of *runs* that applies."""
+    tree = th.start
+    for a, n in runs:
+        for _ in range(n):
+            tree = replay(th, tree, (a,)) or tree
+    return tree
+
+
+@st.composite
+def _undo_cases(draw):
+    """A theory, steps in runs of one axiom, and a goal: the tree the same
+    runs, the runs with other counts, or other runs rewrite the start to,
+    with a leaf changed or not; or a small tree of the signature."""
+    # fg, whose axioms pump two holes, is drawn four times as often as each other theory
+    name = draw(st.sampled_from(sorted(UNDONE) + ["fg"] * 3))
+    th = UNDONE[name]
+    names = [ax.name for ax in th.axioms]
+    runs = draw(_runs(names))
+    steps = tuple(a for a, n in runs for _ in range(n))
+    source = draw(st.sampled_from(["same", "counts", "other", "small"]))
+    if source == "small":
+        return name, steps, draw(st.sampled_from(_small_trees(name)))
+    if source == "counts":
+        runs = [(a, max(0, n + draw(st.integers(-2, 2)))) for a, n in runs]
+    elif source == "other":
+        runs = draw(_runs(names))
+    d = _replayed(th, runs)
+    if draw(st.booleans()):
+        d = _with_leaf(d, draw(st.sampled_from(_leaves(d))), App(draw(st.sampled_from(["Z", "Y0", "Adam", "W"]))))
+    return name, steps, d
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_undo_cases())
+# fg's run fails midway, in x's hole first, then in y's, and right after
+# the root step in either hole
+@example(("fg", ("a",) * 3, parse_term("P(F(F(F(Z))), G(G(G(Z))))")))
+@example(("fg", ("a",) * 3, parse_term("P(F(F(F(F(F(F(Z)))))), G(Z))")))
+@example(("fg", ("a",) * 4, parse_term("P(F(F(F(F(F(Z))))), G(G(G(G(Z)))))")))
+@example(("fg", ("b", "a", "a", "a", "a"), parse_term("P(F(F(F(F(F(F(F(F(F(Z))))))))), G(G(G(Z))))")))
+# d's that C does not match at the root
+@example(("chain", ("a",) * 3, parse_term("Q(F(F(F(Z))))")))
+@example(("repeated", ("a",) * 3, parse_term("P(F(Z), Z, F(F(F(Z))))")))
+# a ground sibling that differs one layer down
+@example(("sibling", ("a",) * 3, parse_term("P(D(D(D(Z, Z), W), Z))")))
+@example(("ancestor", ("p1",) * 3,
+          parse_term("And(Parent(Adam, John), And(Parent(John, Peter), And(Parent(Adam, John), S)))")))
+# context variables that recur unchanged or repeat
+@example(("rotate", ("a",) * 3, replay(CERTIFIED["rotate"], CERTIFIED["rotate"].start, ("a",) * 3)))
+@example(("repeated", ("b", "a", "a", "a"), parse_term("P(F(Z), F(Z), F(F(F(Z))))")))
+# axioms that do not pump, undone one step at a time
+@example(("nonlinear", ("b", "a", "a", "a"), replay(CERTIFIED["nonlinear"], CERTIFIED["nonlinear"].start, ("b", "a", "a", "a"))))
+@example(("swap", ("b", "b", "a", "a", "a"), parse_term("P(Z, F(F(F(Z))), Z)")))
+@example(("swap", ("c",) * 3, parse_term("P(F(Z), Z, F(F(F(Z))))")))
+@example(("erasing", ("a", "b", "b", "b"), parse_term("P(F(F(F(Z))), G(Z))")))
+# mixed runs
+@example(("mod2", ("a",) * 2 + ("b",) * 3 + ("a",) * 2, parse_term("P(" + "F(" * 10 + "Z" + ")" * 10 + ")")))
+def test_undo_agrees_with_the_stepwise_reference(case):
+    name, steps, d = case
+    th = UNDONE[name]
+    assert undo(th, d, steps) == stepwise_undo(th, d, steps)
+
+
+def test_a_deep_pumping_axiom_is_undone_as_the_reference_undoes_it():
+    # C is P(F^2000(.)), 2001 nodes deep: the shape check, the root step
+    # and the rebuilt context must all be iterative
+    deep = "F(" * 2000 + "{}" + ")" * 2000
+    th = parse_theory(f"start: P({deep.format('Z')})\na: P({deep.format('x')}) -> P({deep.format('G(x)')})\n")
+    assert {z: str(strip) for z, strip in th._holes["a"].items()} == {"x": "G(x) -> x"}
+    steps = ("a",) * 3
+    assert undo(th, replay(th, th.start, steps), steps) == (0, th.start)
+    for inner in ("G(G(Z))", "G(G(G(Z)))", "G(G(G(G(Z))))", "G(F(G(Z)))"):
+        d = parse_term(f"P({deep.format(inner)})")
+        assert undo(th, d, steps) == stepwise_undo(th, d, steps)
 
 
 # The counting walk as a search: the suffix applied at every depth of the
