@@ -11,15 +11,18 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded
 from .terms import Proof, Term, Theory, apply_clause, print_term, term_size
 
+# the most distinct trees one search may see: a fuse against a search that
+# the depth and tree-size bounds leave too wide
+_MAX_FRONTIER = 200_000
+
 
 @dataclass(frozen=True)
 class SearchBudget:
     max_depth: int = 8
     max_tree_size: int = 64
-    max_frontier: int = 200_000
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.max_tree_size < 0 or self.max_frontier < 0:
+        if self.max_depth < 0 or self.max_tree_size < 0:
             raise ValueError("search bounds must be >= 0")
 
 
@@ -40,10 +43,8 @@ def _bfs(th: Theory, start: Term, b: SearchBudget):
                     continue
                 seen.add(d)
                 nxt.append(d)
-                if len(seen) > b.max_frontier:
-                    raise BudgetExceeded(
-                        f"frontier bound {b.max_frontier} hit at depth {depth}"
-                    )
+                if len(seen) > _MAX_FRONTIER:
+                    raise BudgetExceeded(f"frontier bound {_MAX_FRONTIER} hit at depth {depth}")
                 yield d, t, ax.name
         if not nxt:
             return

@@ -24,16 +24,6 @@ its class, the unit steps of each side and its template.  A scheme that
 fails to lay out, fit or verify ends in a ``GiveUp`` record, which
 ``sigma`` raises as NotLinearizable.
 
-When the fit grid lists every combination and has more than twice as
-many samples as a sub-grid of ``_PROBE_FIT_SAMPLES``, strided the same
-way, the fit runs first on that sub-grid, in the same loop as the full
-fit grid.  A decisive give-up there, one that no larger grid can undo,
-is final: an empty instance, a feature that cannot be evaluated, or a
-fit whose design has full column rank, so that the counts have at most
-one affine form.  A rank-deficient give-up, or a fit that passes, goes
-on to the full fit grid, so every form accepted is fitted and verified
-as without the sub-grid.
-
 The samples of a branch share one ``reduce_specific`` state and are
 composed in sorted order of their axiom sequences, so each resumes from
 the longest prefix any earlier one left.  Fitting stops at the first
@@ -82,23 +72,22 @@ _MULTI_VERIFY = ((3,), (1, 3), (4, 1, 2), (2, 1, 3, 2))
 _SCALAR_EDGE = (0, 1)
 _MULTI_EDGE = ((), (0,), (0, 1), (1, 0))
 
-_MAX_FIT_SAMPLES = 400
-# the sub-grid a branch is fitted on first: the least cap at which every
-# variable of a layout of up to five still takes every value of its pool
-_PROBE_FIT_SAMPLES = 40
+# the least cap at which every variable of a layout of up to five takes
+# every value of its pool (``_sample_grid``).  The base design [1, v1, ...]
+# has full column rank on it for every layout of up to four variables, so a
+# fit there is unique where one exists; 1 of the 32 layouts of five and 5 of
+# the 64 of six, each with four or more multi-indexes, lose one rank
+_MAX_FIT_SAMPLES = 40
 _MAX_VERIFY_SAMPLES = 64
 
 
 @dataclass(frozen=True)
 class GiveUp:
     """Why a scheme has no verified form: the message and scheme, if any,
-    of the NotLinearizable it stands for, and whether it holds for every
-    list of fit envs holding the ones it was found on, so that no larger
-    grid could undo it; only a failed fit can be indecisive."""
+    of the NotLinearizable it stands for."""
 
     message: str
     scheme: IterExpr = None
-    decisive: bool = True
 
     def error(self) -> NotLinearizable:
         return NotLinearizable(self.message, self.scheme)
@@ -152,8 +141,8 @@ def _sample_grid(decls, scalar_pool, multi_pool, cap):
     the innermost variable, whose pool size divides len, takes every
     value; a stride sharing a factor with that size would freeze it.  The
     tests check that every variable takes every value in each layout of
-    up to five variables on the fit pools, at both fit caps, and six on
-    the verify pools.
+    up to five variables on the fit pools and six on the verify pools;
+    on the fit pools, 9 of the 64 layouts of six miss a value.
 
     combos is the ``itertools.product`` of the pools, but it is never
     listed: each kept index is decoded in mixed radix, last variable
@@ -204,24 +193,19 @@ def _family_key(atom):
 
 
 def _design(envs, features):
-    """(fit, decisive) of one list of sample envs.  ``fit`` takes a count
-    per env to the fitted AffineExpr, or None when no integral fit exists.
-    It solves a ``LinearSystem`` over the feature coefficients, one
-    equation per distinct row of the feature matrix, and requires the
-    count of a repeated row to equal that of its first.  The pivots are
+    """The fit of one list of sample envs: it takes a count per env to
+    the fitted AffineExpr, or None when no integral fit exists.  It
+    solves a ``LinearSystem`` over the feature coefficients, one equation
+    per distinct row of the feature matrix, and requires the count of a
+    repeated row to equal that of its first.  The pivots are
     the features independent of the ones before them, and a free
     coefficient is 0: a consistent system's free-zero solution depends
     only on the row space, so this is what reducing each count's system
-    gives.
-
-    ``decisive`` tells whether counts with no fit here have none over any
-    list of envs that holds these either: the features are independent on
-    these envs, so a fit is unique where one exists, or a feature cannot
-    be evaluated on them."""
+    gives.  A feature that cannot be evaluated on *envs* fits nothing."""
     try:
         rows = [tuple(f.evaluate(env) for f in features) for env in envs]
     except (IndexError, KeyError):
-        return (lambda counts: None), True
+        return lambda counts: None
     first = {}
     for i, row in enumerate(rows):
         first.setdefault(row, i)
@@ -246,7 +230,7 @@ def _design(envs, features):
                 terms += [(c * b, it) for c, it in f.terms]
         return AffineExpr.of(const, *terms)
 
-    return fit, not system.free
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +342,9 @@ def _synthesize_branch(theory, scheme):
     decls = tuple(decls)
     prefix = []
     fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
-    grids = [fit_envs]
-    # a fit grid under its cap lists every combination, so it holds the
-    # sub-grid's samples, and a decisive give-up there is one here too; the
-    # sub-grid's instances stay composed in prefix for the full fit
-    if 2 * _PROBE_FIT_SAMPLES < len(fit_envs) < _MAX_FIT_SAMPLES:
-        grids.insert(0, _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _PROBE_FIT_SAMPLES))
-    for envs in grids:
-        branch = _fit_branch(theory, scheme, decls, envs, prefix)
-        if isinstance(branch, GiveUp) and (branch.decisive or envs is fit_envs):
-            return branch
+    branch = _fit_branch(theory, scheme, decls, fit_envs, prefix)
+    if isinstance(branch, GiveUp):
+        return branch
     # the held-out grid, then the zero boundary less any empty instance:
     # its clause v0 -> v0 relates every tree, and no fitted form splits
     # like it
@@ -382,10 +359,7 @@ def _synthesize_branch(theory, scheme):
 
 def _fit_branch(theory, scheme, decls, fit_envs, prefix):
     """The Branch of the atoms fitted over *fit_envs*, not yet verified,
-    or the GiveUp; *prefix* is the branch's reduce_specific state.  An
-    empty instance gives up decisively, a failed fit only when the base
-    design, whose fits decide which atoms form iterated families, and,
-    for such a family, every design it tried are decisive (``_design``)."""
+    or the GiveUp; *prefix* is the branch's reduce_specific state."""
     fit_atoms = [None] * len(fit_envs)
     for i, atoms in _sample_atoms(theory, scheme, decls, fit_envs, prefix):
         if atoms is None:
@@ -407,7 +381,7 @@ def _fit_branch(theory, scheme, decls, fit_envs, prefix):
 
     # a multi-index name in scalar position means its length
     base = [ONE] + [AffineExpr.var(d.name) for d in decls]
-    base_fit, base_decisive = _design([env for env, _ in samples], base)
+    base_fit = _design([env for env, _ in samples], base)
     multis = [d.name for d in decls if d.kind == "multi"]
     conjuncts = {}  # key -> symbolic atom, placed at the key's first appearance
     failing = []
@@ -432,8 +406,8 @@ def _fit_branch(theory, scheme, decls, fit_envs, prefix):
         # group size must be affine in the base features
         upper = base_fit([len(o) for o in occ])
         if upper is None:
-            return GiveUp("family size is not affine in the index", scheme, base_decisive)
-        fitted = _fit_iterated(scheme, rep, samples, occ, base, multis, itervar, base_decisive)
+            return GiveUp("family size is not affine in the index", scheme)
+        fitted = _fit_iterated(scheme, rep, samples, occ, base, multis, itervar)
         if isinstance(fitted, GiveUp):
             return fitted
         conjuncts[rep] = IterGroup(itervar, upper, _family_atom(first_atom[rep], rep, fitted))
@@ -442,12 +416,11 @@ def _fit_branch(theory, scheme, decls, fit_envs, prefix):
     return Branch(scheme, decls, tuple(conjuncts[key] for key in order))
 
 
-def _fit_iterated(scheme, key, samples, occ, base, multis, itervar, decisive):
+def _fit_iterated(scheme, key, samples, occ, base, multis, itervar):
     """Fit run counts over base features extended with the occurrence
     position and, per multi-index, the element at that position (tried
     both from the front and from the back).  Returns the fitted runs, or
-    the GiveUp, decisive when *decisive*, the base design's, and every
-    design tried are."""
+    the GiveUp."""
     pos = AffineExpr.var(itervar)
     choices = [
         (AffineExpr.element(w, pos), AffineExpr.element(w, AffineExpr.var(w) + 1 - pos)) for w in multis
@@ -455,12 +428,10 @@ def _fit_iterated(scheme, key, samples, occ, base, multis, itervar, decisive):
     envs = [{**env, itervar: i} for (env, _), o in zip(samples, occ) for i in range(1, len(o) + 1)]
     atoms = [atom for o in occ for atom in o]
     for sels in itertools.product(*choices):
-        fit, exact = _design(envs, base + [pos] + list(sels))
-        fitted = _fit_family_runs(key, atoms, fit)
+        fitted = _fit_family_runs(key, atoms, _design(envs, base + [pos] + list(sels)))
         if fitted is not None:
             return fitted
-        decisive = decisive and exact
-    return GiveUp("repetition counts are not affine in the index", scheme, decisive)
+    return GiveUp("repetition counts are not affine in the index", scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_a_field_read_only_as_a_local_name_is_reported(tmp_path, monkeypatch):
     # a new field named like a local of oracle._bfs, which never reads it
     oracle = tmp_path / "src" / "tpc" / "oracle.py"
     text = oracle.read_text()
-    oracle.write_text(text.replace("    max_frontier: int = 200_000\n", "    max_frontier: int = 200_000\n    frontier: int = 0\n"))
+    oracle.write_text(text.replace("    max_tree_size: int = 64\n", "    max_tree_size: int = 64\n    frontier: int = 0\n"))
     monkeypatch.setattr(check_unused, "ROOT", tmp_path)
     assert check_unused.unused_names().keys() - check_unused.KEPT.keys() == {"SearchBudget.frontier"}
     oracle.write_text(oracle.read_text() + "\n\ndef _width(b):\n    return b.frontier\n\n\n_width(SearchBudget())\n")

@@ -361,6 +361,14 @@ class TestCommands:
         assert main(["includes", "fg", "--left", "a.b.a*.b", "--right", "b.a*.b"]) == 0
         assert "all naturals" in capsys.readouterr().out
 
+    def test_includes_empty_region(self, capsys):
+        # a.a relates no pair that a does: an answer, not an error
+        argv = ["includes", "chain", "--left", "a.a", "--right", "a"]
+        assert main(argv) == 0
+        assert "region: empty" in capsys.readouterr().out.splitlines()
+        assert main(["--json", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["region"]["kind"] == "unsat"
+
     def test_reduce_trace(self, capsys):
         assert main(["reduce", "fg"]) == 0
         out = capsys.readouterr().out

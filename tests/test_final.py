@@ -611,6 +611,7 @@ def test_which_axioms_pump(name, axiom):
     ("P(x, y) -> P(F(x, y), y)", None),  # Di's other subtree is not ground
     ("P(x, x) -> P(x, F(x))", None),  # zi twice in the lhs
     ("P(Z, x) -> P(Y, F(x))", None),  # the sides' contexts differ
+    ("P(x, Z) -> P(F(x), Z)", {"x": "F(x) -> x"}),  # C has a ground subtree
 ])
 def test_the_holes_of_an_axiom(axiom, holes):
     th = parse_theory(f"start: Z\na: {axiom}\n")
@@ -618,11 +619,13 @@ def test_the_holes_of_an_axiom(axiom, holes):
     assert (None if got is None else {z: str(strip) for z, strip in got.items()}) == holes
 
 
-# CERTIFIED, plus a Di with a ground sibling on either side, a context
-# variable that repeats, and an axiom that pumps no hole
+# CERTIFIED, plus a Di with a ground sibling on either side, a C with a
+# ground subtree, a context variable that repeats, and an axiom that pumps
+# no hole
 UNDONE = {
     **CERTIFIED,
     "sibling": parse_theory("start: P(Z)\na: P(x) -> P(D(x, Z))\nb: P(x) -> P(D(Z, x))\n"),
+    "ground": parse_theory("start: P(Z, Z)\na: P(x, Z) -> P(F(x), Z)\nb: P(x, y) -> P(x, G(y))\n"),
     "repeated": parse_theory("start: P(Z, Z, Z)\na: P(x, x, z) -> P(x, x, F(z))\nb: P(x, y, z) -> P(F(x), y, z)\n"),
     "swap": parse_theory(
         "start: P(Z, F(Z), Z)\na: P(x, y, z) -> P(y, x, z)\nb: P(x, y, z) -> P(F(x), y, z)\n"
@@ -688,6 +691,12 @@ def _undo_cases(draw):
 @example(("sibling", ("a",) * 3, parse_term("P(D(D(D(Z, Z), W), Z))")))
 @example(("ancestor", ("p1",) * 3,
           parse_term("And(Parent(Adam, John), And(Parent(John, Peter), And(Parent(Adam, John), S)))")))
+# a C with a ground subtree, rebuilt around the stripped hole, or a run
+# that fails after one strip, or next to a run of b
+@example(("ground", ("a",) * 3, parse_term("P(F(F(F(Z))), Z)")))
+@example(("ground", ("a",) * 3, parse_term("P(F(F(Z)), Z)")))
+@example(("ground", ("a", "a", "a", "b"), parse_term("P(F(F(F(Z))), G(Z))")))
+@example(("ground", ("b", "a", "a", "a"), parse_term("P(F(F(F(Z))), Z)")))
 # context variables that recur unchanged or repeat
 @example(("rotate", ("a",) * 3, replay(CERTIFIED["rotate"], CERTIFIED["rotate"].start, ("a",) * 3)))
 @example(("repeated", ("b", "a", "a", "a"), parse_term("P(F(Z), F(Z), F(F(F(Z))))")))

@@ -14,7 +14,7 @@ A third fingerprints ``sigma`` on generated theories: for each theory
 drawn from a seeded ``random.Random``, its text, then the form or the
 exception of ``sigma`` on the schemes the generated theories of
 ``test_delta`` are reduced from, and on two schemes whose fit grids are
-large enough to try the sub-grid first.
+larger than the 40-sample cap.
 
 Run as a script to compare against the golden files, or with ``--write``
 to regenerate them:
@@ -136,7 +136,7 @@ def _random_theory(rng) -> str:
 
 
 SIGMA_THEORIES = 50
-# fit grids of 81 and 121 samples, which try the sub-grid first
+# fit grids of 81 and 121 combinations, larger than the 40-sample cap
 SUB_GRID_TEMPLATES = ("{a}*.{b}*.{a}*.{b}*", "({a}*.{b})*.({b}*.{a})*")
 
 

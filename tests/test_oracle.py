@@ -10,6 +10,7 @@ from tpc import (
     parse_term,
     reachable_set,
 )
+import tpc.oracle
 from tpc.errors import BudgetExceeded
 from tpc.oracle import _bfs
 from tpc.terms import print_term, term_size
@@ -50,10 +51,11 @@ class TestReachableSet:
         assert [print_term(d) for d in got] == [print_term(d) for d in want]
         assert got == want
 
-    def test_frontier_budget(self):
+    def test_frontier_budget(self, monkeypatch):
+        monkeypatch.setattr(tpc.oracle, "_MAX_FRONTIER", 20)
         th = load_theory("ancestor")
-        with pytest.raises(BudgetExceeded):
-            reachable_set(th, th.start, SearchBudget(max_depth=10, max_tree_size=40, max_frontier=20))
+        with pytest.raises(BudgetExceeded, match="^frontier bound 20 hit at depth "):
+            reachable_set(th, th.start, SearchBudget(max_depth=10, max_tree_size=40))
 
 
 class TestDecideOracle:
@@ -102,7 +104,7 @@ class TestFindProof:
         assert find_proof(th, th.goal, b) == find_proof(th, th.goal, b)
 
 
-@pytest.mark.parametrize("bound", ["max_depth", "max_tree_size", "max_frontier"])
+@pytest.mark.parametrize("bound", ["max_depth", "max_tree_size"])
 def test_negative_budget_is_rejected(bound):
     with pytest.raises(ValueError, match="^search bounds must be >= 0$"):
         SearchBudget(**{bound: -1})

@@ -33,18 +33,15 @@ from tpc.schemes import (
 import tpc.sigma
 from tpc.sigma import (
     Branch,
-    GiveUp,
     _MAX_FIT_SAMPLES,
     _MAX_VERIFY_SAMPLES,
     _MULTI_EDGE,
     _MULTI_FIT,
     _MULTI_VERIFY,
-    _PROBE_FIT_SAMPLES,
     _SCALAR_EDGE,
     _SCALAR_FIT,
     _SCALAR_VERIFY,
     _design,
-    _fit_branch,
     _layout,
     _sample_grid,
     _verify_branch,
@@ -144,7 +141,6 @@ class TestSampling:
         (_SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES),
         (_SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES),
         (_SCALAR_EDGE, _MULTI_EDGE, _MAX_VERIFY_SAMPLES),
-        (_SCALAR_FIT, _MULTI_FIT, _PROBE_FIT_SAMPLES),
     )
 
     @staticmethod
@@ -157,12 +153,12 @@ class TestSampling:
         return envs
 
     def test_thinned_fit_grid_varies_every_variable(self):
-        # a stride of 3 over these 11 * 3 * 11 * 3 fit combos kept k = 1 in
-        # all 363 samples, so no fit could see k
+        # a stride of 3 over these 11 * 3 * 11 * 3 fit combos would keep k
+        # at one value in every sample, so no fit could see k
         decls = []
         _layout(parse_scheme("(a*.b)*.a*.c.(a*.b)*.a*.c"), decls)
         assert [(d.name, d.kind) for d in decls] == [("m", "multi"), ("n", "scalar"), ("u", "multi"), ("k", "scalar")]
-        assert len(self.assert_covers(decls, *self.GRIDS[0])) == 400
+        assert len(self.assert_covers(decls, *self.GRIDS[0])) == _MAX_FIT_SAMPLES
         assert len(self.assert_covers(decls, *self.GRIDS[1])) == 64
 
     @staticmethod
@@ -172,7 +168,7 @@ class TestSampling:
                 yield [VarDecl(f"x{i}", kind) for i, kind in enumerate(kinds)]
 
     def test_every_small_layout_is_covered(self):
-        for grid, most in zip(self.GRIDS, (5, 6, 6, 5)):
+        for grid, most in zip(self.GRIDS, (5, 6, 6)):
             for decls in self.layouts(most):
                 if decls:
                     self.assert_covers(decls, *grid)
@@ -190,7 +186,7 @@ class TestSampling:
         return [dict(zip((d.name for d in decls), combo)) for combo in combos]
 
     def test_decoded_grid_matches_the_listed_grid(self):
-        for grid, most in zip(self.GRIDS, (4, 6, 6, 4)):
+        for grid, most in zip(self.GRIDS, (4, 6, 6)):
             for decls in self.layouts(most):
                 got = _sample_grid(decls, *grid)
                 want = self.listed_grid(decls, *grid)
@@ -199,10 +195,22 @@ class TestSampling:
 
     def test_wide_layout_does_not_list_the_product(self):
         # 11 ** 9 fit combinations of nine multi-indexes: listing them is
-        # out of reach, decoding the 400 kept ones is not
+        # out of reach, decoding the 40 kept ones is not
         decls = [VarDecl(f"x{i}", "multi") for i in range(9)]
         envs = _sample_grid(decls, *self.GRIDS[0])
         assert len({tuple(env.values()) for env in envs}) == len(envs) == _MAX_FIT_SAMPLES
+
+    def test_base_design_has_full_rank_on_small_layouts(self):
+        # so a fit of up to four variables is unique where one exists; a
+        # rank lost here could hide a fit that the whole product admits
+        for decls in self.layouts(4):
+            base = [ONE] + [AffineExpr.var(d.name) for d in decls]
+            rows = [
+                {col: v for col, f in enumerate(base) if (v := f.evaluate(env))}
+                for env in _sample_grid(decls, *self.GRIDS[0])
+            ]
+            solved, _ = reduce_rows(rows, range(len(base)))
+            assert len(solved) == len(base), decls
 
     def test_stops_at_the_first_empty_sample(self, monkeypatch):
         # a1 leaves an Ancestor atom on top, which a1 cannot take again
@@ -232,54 +240,42 @@ def sigma_inputs(run):
     return list(seen)
 
 
-def outcome(fit):
-    """The GiveUp *fit* returns, the str of the Branch it returns, or the
-    type and message of the TpcError it raises."""
+def outcome(theory, scheme):
+    """The str of sigma's form of *scheme*, or the type and message of the
+    TpcError it raises."""
     try:
-        got = fit()
+        return str(sigma(theory, scheme))
     except TpcError as exc:
         return type(exc), str(exc)
-    return got if isinstance(got, GiveUp) else str(got)
 
 
-def full_grid_fit(theory, scheme):
-    decls = []
-    failure = _layout(scheme, decls)
-    if failure is not None:
-        return failure
-    envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
-    return _fit_branch(theory, scheme, tuple(decls), envs, [])
-
-
-def assert_sub_grid_keeps_the_full_grid_outcome(inputs):
-    """Each branch's fit, the sub-grid tried first, ends as the fit over
-    the full fit grid alone does: the same unverified form or give-up
-    record, decisiveness included.  Returns how many of *inputs* tried the
-    sub-grid."""
-    probed = 0
-    fit_branch = tpc.sigma._fit_branch
-
-    def counted(theory, scheme, decls, envs, prefix):
-        nonlocal probed
-        # no fit grid, a product of pool sizes 3 and 11, has 40 samples
-        probed += len(envs) == _PROBE_FIT_SAMPLES
-        return fit_branch(theory, scheme, decls, envs, prefix)
-
-    with mock.patch.object(tpc.sigma, "_verify_branch", lambda *args: None):
-        with mock.patch.object(tpc.sigma, "_fit_branch", counted):
-            got = [outcome(lambda: tpc.sigma._synthesize_branch(th, scheme)) for th, scheme in inputs]
-    for (theory, scheme), form in zip(inputs, got):
-        assert form == outcome(lambda: full_grid_fit(theory, scheme)), scheme
-    return probed
+def assert_the_fit_cap_keeps_the_full_grid_outcome(inputs):
+    """Each branch's sigma, verification included, ends as it does with
+    the fit cap raised to 400, where each fit grid here lists the whole
+    product of the pools: the same form, or the same give-up type and
+    message.  Returns how many of *inputs* have more fit combinations than
+    the cap."""
+    combos = []
+    for _, scheme in inputs:
+        decls = []
+        _layout(scheme, decls)
+        combos.append(math.prod(len(_SCALAR_FIT if d.kind == "scalar" else _MULTI_FIT) for d in decls))
+    assert max(combos) <= 400
+    got = [outcome(theory, scheme) for theory, scheme in inputs]
+    with mock.patch.object(tpc.sigma, "_MAX_FIT_SAMPLES", 400):
+        assert [outcome(theory, scheme) for theory, scheme in inputs] == got
+    return sum(n > _MAX_FIT_SAMPLES for n in combos)
 
 
 class TestSubGrid:
+    """The fit grid is a strided sub-grid of the product of the pools."""
+
     @pytest.mark.parametrize("name, text, message", [
         ("rotate3", "a*.b.a*.c.(a*.b)*.a*.c", "repetition counts are not affine in the index"),
         ("ancestor", "p1*.p2.p1*.p3.(p1*.p2)*.p1*.p3", "family size is not affine in the index"),
     ])
     def test_gives_up_within_the_sub_grid(self, monkeypatch, name, text, message):
-        # both fit grids have 3 * 3 * 11 * 3 = 297 samples
+        # of the 3 * 3 * 11 * 3 = 297 fit combinations
         composed = []
         reduce_specific = tpc.sigma.reduce_specific
         monkeypatch.setattr(
@@ -288,23 +284,7 @@ class TestSubGrid:
         with pytest.raises(NotLinearizable) as info:
             sigma(load_theory(name), parse_scheme(text))
         assert str(info.value) == f"{message}: {text}"
-        assert len(composed) <= _PROBE_FIT_SAMPLES
-
-    def test_rank_deficient_sub_grid_falls_through(self, monkeypatch):
-        # four samples of four scalar counts cannot pin five base
-        # coefficients, so a fit that fails on them may still exist over
-        # all 81: the full grid must decide
-        th = parse_theory("start: P(Z, Z)\na: P(x, y) -> P(F(F(x)), G(y))\nb: P(x, y) -> P(F(x), G(y))")
-        scheme = parse_scheme("a*.b*.a*.b*")
-        monkeypatch.setattr(tpc.sigma, "_PROBE_FIT_SAMPLES", _MAX_FIT_SAMPLES)
-        want = str(sigma(th, scheme))
-        monkeypatch.setattr(tpc.sigma, "_PROBE_FIT_SAMPLES", 4)
-        decls = []
-        _layout(scheme, decls)
-        got = _fit_branch(th, scheme, tuple(decls), _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, 4), [])
-        assert got == GiveUp("repetition counts are not affine in the index", scheme, decisive=False)
-        assert not got.decisive
-        assert str(sigma(th, scheme)) == want
+        assert len(composed) <= _MAX_FIT_SAMPLES
 
     def test_bundled_pipelines_keep_the_full_grid_outcome(self):
         def run():
@@ -314,17 +294,16 @@ class TestSubGrid:
                 except TpcError:
                     pass
 
-        assert assert_sub_grid_keeps_the_full_grid_outcome(sigma_inputs(run)) >= 2
+        assert assert_the_fit_cap_keeps_the_full_grid_outcome(sigma_inputs(run)) >= 2
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_linear_theories())
     def test_generated_theories_keep_the_full_grid_outcome(self, text):
         th = parse_theory(text)
         inputs = sigma_inputs(lambda: [reduce_scheme(th, scheme) for scheme in _template_schemes(th)])
-        # and schemes whose fit grids, of 81 and 121 samples, are large
-        # enough to try the sub-grid first
+        # and schemes with 81 and 121 fit combinations, more than the cap
         inputs += [(th, scheme) for scheme in _template_schemes(th, ("{a}*.{b}*.{a}*.{b}*", "({a}*.{b})*.({b}*.{a})*"))]
-        assert assert_sub_grid_keeps_the_full_grid_outcome(inputs) >= 2
+        assert assert_the_fit_cap_keeps_the_full_grid_outcome(inputs) >= 2
 
 
 # _layout and _build_index as they were when sigma wrote out the layout rule
@@ -652,28 +631,25 @@ N_ENVS = [{"n": n, "k": 0, "m": (1,), "i": 1} for n in range(4)]
 @example(([{"m": (1, 2), "i": 2}], [AffineExpr.element("m", I + 1)], [[1]]))
 def test_design_fit_matches_reference(case):
     envs, features, columns = case
-    fit, _ = _design(envs, features)
+    fit = _design(envs, features)
     for counts in columns:
         assert fit(counts) == reference_fit(list(zip(envs, counts)), features)
 
 
 class TestDesignFit:
     def test_rank_deficient_takes_the_first_pivot(self):
-        fit, decisive = _design(N_ENVS, [ONE, N, N, AffineExpr.const_(0)])
+        fit = _design(N_ENVS, [ONE, N, N, AffineExpr.const_(0)])
         assert fit([2 * n + 1 for n in range(4)]) == N * 2 + 1
-        assert not decisive
 
     def test_inconsistent_counts_have_no_fit(self):
-        fit, decisive = _design(N_ENVS, [ONE, N])
+        fit = _design(N_ENVS, [ONE, N])
         assert fit([n * n for n in range(4)]) is None
-        assert decisive
 
     def test_non_integral_solution_has_no_fit(self):
-        fit, _ = _design(N_ENVS, [N * 2])
+        fit = _design(N_ENVS, [N * 2])
         assert fit([n for n in range(4)]) is None
         assert fit([4 * n for n in range(4)]) == N * 4
 
     def test_selector_out_of_range_has_no_fit(self):
-        fit, decisive = _design([{"m": (1, 2), "i": 2}], [AffineExpr.element("m", I + 1)])
+        fit = _design([{"m": (1, 2), "i": 2}], [AffineExpr.element("m", I + 1)])
         assert fit([1]) is None
-        assert decisive
