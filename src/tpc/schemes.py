@@ -261,18 +261,14 @@ def wrap_scheme(alpha: IterExpr, axiom_name: str) -> IterExpr:
     return dot(Star(dot(alpha, Axiom(axiom_name))), alpha)
 
 
-def reduce_specific(th: Theory, seq, prefix=None):
+def reduce_specific(th: Theory, seq):
     """The axioms of *seq* composed in order onto the identity clause: the
     left fold of clause composition from ``eps``, named ``eps.a.b`` by
     :func:`compose_clauses`, so the empty sequence is the identity clause
-    ``eps: v0 -> v0``.  None when the composed relation is empty.
-
-    *prefix*, when given, is a caller-owned list that carries the fold from
-    one call to the next: the ``state`` of :func:`compose_clauses` over the
-    identity clause and the axioms of *seq*.  It never holds more than
-    ``len(seq) + 1`` entries.  The entries are only valid for the theory
-    that made them; use one list per theory."""
-    return compose_clauses(IDENTITY, *map(th.axiom, seq), state=prefix)
+    ``eps: v0 -> v0``.  None when the composed relation is empty.  Each
+    call folds from scratch; a step costs one unification the size of its
+    axiom."""
+    return compose_clauses(IDENTITY, *map(th.axiom, seq))
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,10 @@ its class, the unit steps of each side and its template.  A scheme that
 fails to lay out, fit or verify ends in a ``GiveUp`` record, which
 ``sigma`` raises as NotLinearizable.
 
-The samples of a branch share one ``reduce_specific`` state and are
-composed in sorted order of their axiom sequences, so each resumes from
-the longest prefix any earlier one left.  Fitting stops at the first
-instance that composes to the empty relation; everything else, the
-samples, the families and every check, keeps the order of the grid, so
-the first failure reported is the same whatever the composition order.
+Each sample is composed from scratch by ``reduce_specific``, in the
+order of the grid.  Fitting stops at the first instance that composes to
+the empty relation, and verification at the first held-out sample that
+fails.
 """
 
 from __future__ import annotations
@@ -169,16 +167,13 @@ def _sample_grid(decls, scalar_pool, multi_pool, cap):
 # concrete atoms of the samples
 
 
-def _sample_atoms(theory, scheme, decls, envs, prefix):
-    """Yields (position in *envs*, atoms or None when empty) of each env's
-    instance.  The instances are composed in sorted order of their axiom
-    sequences, so that each resumes from the longest prefix the
-    reduce_specific state *prefix*, shared by the samples of one branch,
-    can offer: the state acts as a trie."""
-    seqs = [instantiate(scheme, index_from_stars(scheme, [env[d.name] for d in decls])) for env in envs]
-    for i in sorted(range(len(seqs)), key=seqs.__getitem__):
-        clause = reduce_specific(theory, seqs[i], prefix)
-        yield i, None if clause is None else split_axiom(clause)
+def _sample_atoms(theory, scheme, decls, envs):
+    """Yields the atoms of each env's instance in the order of *envs*, or
+    None for one that composes to the empty relation."""
+    for env in envs:
+        seq = instantiate(scheme, index_from_stars(scheme, [env[d.name] for d in decls]))
+        clause = reduce_specific(theory, seq)
+        yield None if clause is None else split_axiom(clause)
 
 
 def _family_key(atom):
@@ -340,9 +335,8 @@ def _synthesize_branch(theory, scheme):
     if failure is not None:
         return failure
     decls = tuple(decls)
-    prefix = []
     fit_envs = _sample_grid(decls, _SCALAR_FIT, _MULTI_FIT, _MAX_FIT_SAMPLES)
-    branch = _fit_branch(theory, scheme, decls, fit_envs, prefix)
+    branch = _fit_branch(theory, scheme, decls, fit_envs)
     if isinstance(branch, GiveUp):
         return branch
     # the held-out grid, then the zero boundary less any empty instance:
@@ -354,18 +348,17 @@ def _synthesize_branch(theory, scheme):
         if any(not v or isinstance(v, tuple) and 0 in v for v in env.values())
         and instantiate(scheme, branch.index_of(env))
     ]
-    return _verify_branch(theory, branch, verify_envs, prefix) or branch
+    return _verify_branch(theory, branch, verify_envs) or branch
 
 
-def _fit_branch(theory, scheme, decls, fit_envs, prefix):
+def _fit_branch(theory, scheme, decls, fit_envs):
     """The Branch of the atoms fitted over *fit_envs*, not yet verified,
-    or the GiveUp; *prefix* is the branch's reduce_specific state."""
-    fit_atoms = [None] * len(fit_envs)
-    for i, atoms in _sample_atoms(theory, scheme, decls, fit_envs, prefix):
+    or the GiveUp."""
+    samples = []
+    for env, atoms in zip(fit_envs, _sample_atoms(theory, scheme, decls, fit_envs)):
         if atoms is None:
             return GiveUp("an instance composes to the empty relation", scheme)
-        fit_atoms[i] = atoms
-    samples = list(zip(fit_envs, fit_atoms))
+        samples.append((env, atoms))
 
     # group occurrences by exact key; first_atom holds the keys in order
     # of appearance, each with the atom a fitted family is rebuilt from
@@ -468,16 +461,15 @@ def _check_held_out(branch: Branch, env, atoms):
     return None
 
 
-def _verify_branch(theory, branch: Branch, envs, prefix):
-    """The GiveUp of the first held-out sample, in grid order, that
-    *branch* fails, or None.  Checks each sample as it is composed, and
-    holds none after its check; skips those after a known failure."""
-    at, first = len(envs), None  # the first failure in grid order so far
-    for i, atoms in _sample_atoms(theory, branch.scheme, branch.decls, envs, prefix):
-        failure = _check_held_out(branch, envs[i], atoms) if i < at else None
+def _verify_branch(theory, branch: Branch, envs):
+    """The GiveUp of the first held-out sample, in the order of *envs*,
+    that *branch* fails, or None.  Checks each sample as it is composed,
+    and holds none after its check."""
+    for env, atoms in zip(envs, _sample_atoms(theory, branch.scheme, branch.decls, envs)):
+        failure = _check_held_out(branch, env, atoms)
         if failure is not None:
-            at, first = i, failure
-    return first
+            return failure
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +493,7 @@ def sigma(theory, scheme: IterExpr) -> SymbolicCharFn:
     where the instance is empty; otherwise NotLinearizable is raised here,
     from the first branch's give-up, so its traceback holds this frame
     alone: a caller that keeps the exception does not keep the samples,
-    their states and the fitted forms alive, nor a cycle that only the
+    their atoms and the fitted forms alive, nor a cycle that only the
     collector could free."""
     tops = scheme.parts if isinstance(scheme, Alt) else (scheme,)
     branches = []

@@ -25,12 +25,13 @@ test and a child read.  Node construction is one plain loop: ``App``
 computes its size, groundness and child hashes in a single pass over its
 children, with no generator.
 
-``compose_clauses`` is the one clause fold: it keeps one substitution for
-the whole fold, so a step costs the size of its clause and only the result
-is resolved, and a caller-owned state lets the next fold resume from a
-shared prefix.  The occurs check of a step's fresh variable follows only
-the bindings that step made, until the step binds an older variable; from
-then on it follows every binding.
+``compose_clauses`` is the one clause fold.  A variable of the fold is
+the pair (its name, the step of its clause), so no clause is renamed
+apart: one substitution serves the whole fold, a step costs one
+unification the size of its clause, and only the result is resolved.  The
+occurs check of a step's fresh variable follows only the bindings that
+step made, until the step binds an older variable; from then on it
+follows every binding.
 """
 
 from __future__ import annotations
@@ -271,77 +272,78 @@ def free_vars(t: Term) -> set:
     return out
 
 
-def _walk(t: Term, subst: dict) -> Term:
-    while isinstance(t, Var) and t.name in subst:
-        t = subst[t.name]
-    return t
+def _walk(t: Term, i: int, subst: dict) -> tuple:
+    """(term, step) that *t*, read at step *i*, resolves to through *subst*."""
+    while isinstance(t, Var) and (t.name, i) in subst:
+        t, i = subst[t.name, i]
+    return t, i
 
 
-def _occurs(name: str, t: Term, subst: dict, follow=None) -> bool:
-    """Does variable *name* occur in *t* resolved through *subst*?  With
-    *follow*, only the bindings of the variables named in it are followed;
-    any other variable is taken as it stands."""
-    stack = [t]
+def _occurs(v: tuple, t: Term, i: int, subst: dict, follow=None) -> bool:
+    """Does the variable *v*, a (name, step) pair, occur in *t* read at step
+    *i* and resolved through *subst*?  With *follow* a step, only the
+    bindings of that step's variables are followed; any other variable is
+    taken as it stands."""
+    stack = [(t, i)]
     while stack:
-        node = stack.pop()
-        while isinstance(node, Var) and node.name in subst and (follow is None or node.name in follow):
-            node = subst[node.name]
+        node, i = stack.pop()
+        while isinstance(node, Var) and (follow is None or i == follow) and (node.name, i) in subst:
+            node, i = subst[node.name, i]
         if isinstance(node, Var):
-            if node.name == name:
+            if node.name == v[0] and i == v[1]:
                 return True
         elif not node.is_ground:
-            stack.extend(node.children)
+            stack.extend([(c, i) for c in node.children])
     return False
 
 
-def unify(a: Term, b: Term, subst: dict, fresh, trail: list):
-    """Syntactic unification with occurs check, extending the triangular
-    substitution *subst* (resolve with :func:`_rebuild`).  Returns it, or
-    None when *a* and *b* do not unify.
+def unify(a: Term, i: int, b: Term, j: int, subst: dict):
+    """Syntactic unification with occurs check of *a* read at step *i* with
+    *b* read at step *j*, extending the triangular substitution *subst*
+    from (name, step) to (term, step) (resolve with :func:`_rebuild`).
+    Returns it, or None when they do not unify.
 
-    *fresh* names variables that no binding in *subst* mentions yet.  Of
-    two variables a fresh one is bound, and until a variable that is not
-    fresh gets bound, the occurs check for a fresh one follows only the
-    bindings of fresh variables, since no other binding can lead to one.
-    *trail* gets the name of each variable bound, also when unification
-    fails, so that the caller can undo the bindings."""
-    follow = fresh  # None from the first binding of a variable not in fresh
-    stack = [(a, b)]
+    The variables of step *j* are fresh: no binding in *subst* mentions
+    them yet.  Of two variables a fresh one is bound, and until a variable
+    of another step gets bound, the occurs check for a fresh one follows
+    only the bindings of fresh variables, since no other binding can lead
+    to one."""
+    follow = j  # None from the first binding of a variable of another step
+    stack = [(a, i, b, j)]
     while stack:
-        x, y = stack.pop()
-        x = _walk(x, subst)
-        y = _walk(y, subst)
-        if x is y or x == y:
+        x, xi, y, yi = stack.pop()
+        x, xi = _walk(x, xi, subst)
+        y, yi = _walk(y, yi, subst)
+        # equal terms are the same tree at the same step, or ground
+        if (xi == yi or x.__class__ is App and x.is_ground) and (x is y or x == y):
             continue
-        if isinstance(y, Var) and (y.name in fresh or not isinstance(x, Var)):
-            x, y = y, x
+        if isinstance(y, Var) and (yi == j or not isinstance(x, Var)):
+            x, xi, y, yi = y, yi, x, xi
         if isinstance(x, Var):
-            if x.name not in fresh:
+            if xi != j:
                 follow = None
-            if _occurs(x.name, y, subst, follow):
+            if _occurs((x.name, xi), y, yi, subst, follow):
                 return None
-            subst[x.name] = y
-            trail.append(x.name)
+            subst[x.name, xi] = (y, yi)
             continue
         if x.functor != y.functor or len(x.children) != len(y.children):
             return None
-        stack.extend(zip(x.children, y.children))
+        stack.extend([(cx, xi, cy, yi) for cx, cy in zip(x.children, y.children)])
     return subst
 
 
-def _rebuild(t: Term, subst: dict, names: dict) -> Term:
-    """*t* resolved through the unifier *subst*, with each variable renamed
-    to the next of v0, v1, ... in left-to-right order.  *names* maps the
-    variables seen so far to their new names; share it between the sides
-    of a clause, or fill it beforehand, as ``compose_clauses`` does to
-    rename a clause apart.  A subtree that comes out unchanged, ground ones among
-    them, is returned as it is.  Iterative."""
+def _rebuild(t: Term, i: int, subst: dict, names: dict) -> Term:
+    """*t*, read at step *i*, resolved through the unifier *subst*, with
+    each variable renamed to the next of v0, v1, ... in left-to-right
+    order.  *names* maps the (name, step) pairs seen so far to their new
+    variables; share it between the sides of a clause.  A subtree that
+    comes out unchanged, ground ones among them, is returned as it is.
+    Iterative."""
     done = []
-    todo = [t]
+    todo = [(t, i)]
     while todo:
-        node = todo.pop()
-        if node.__class__ is tuple:  # (app,): its children are done
-            (node,) = node
+        node, i = todo.pop()
+        if i is None:  # its children are done
             arity = len(node.children)
             children = tuple(done[-arity:])
             del done[-arity:]
@@ -349,18 +351,18 @@ def _rebuild(t: Term, subst: dict, names: dict) -> Term:
             # from the one it replaces, so this costs no deep comparison
             done.append(node if children == node.children else App(node.functor, children))
             continue
-        node = _walk(node, subst)
+        node, i = _walk(node, i, subst)
         if isinstance(node, Var):
-            new = names.get(node.name)
+            new = names.get((node.name, i))
             if new is None:
                 new = f"v{len(names)}"
-                new = names[node.name] = node if node.name == new else Var(new)
+                new = names[node.name, i] = node if node.name == new else Var(new)
             done.append(new)
         elif node.is_ground:
             done.append(node)
         else:
-            todo.append((node,))
-            todo.extend(reversed(node.children))
+            todo.append((node, None))
+            todo.extend([(c, i) for c in reversed(node.children)])
     return done[0]
 
 
@@ -472,49 +474,27 @@ def _compile_apply(c: Clause):
     return apply
 
 
-def compose_clauses(first: Clause, *rest: Clause, state=None):
+def compose_clauses(first: Clause, *rest: Clause):
     """The clause equivalent to applying the clauses in order, or None if
     the composed relation is empty.  The result is canonical, its variables
     named v0, v1, ... in order of first occurrence over lhs then rhs, so
     the fold of one clause is that clause renamed canonically; it is named
     by the clauses' non-empty names joined with dots.
 
-    One triangular substitution serves the whole fold.  Step i renames
-    clause i apart with the suffix ``'i``, which no parsed or canonical
-    name carries, and unifies the previous step's renamed rhs, unresolved,
-    with the renamed lhs, so a step costs the size of its clause, not of
-    the fold.  Only the result is resolved and renamed.
-
-    *state*, when given, is a caller-owned list that carries the fold from
-    one call to the next: entry i is ``(clause i, its renamed lhs, its
-    renamed rhs, the variables its step bound, the substitution)``.  A call
-    resumes after the longest prefix of its clauses that the entries hold,
-    undoes the bindings of the entries it drops and appends an entry per
-    step it composes, so the list never holds more entries than clauses."""
+    One triangular substitution serves the whole fold, and a variable of
+    clause i is the pair (its name, i), so no clause is renamed apart.
+    Step i unifies clause i - 1's rhs, unresolved, with clause i's lhs,
+    so a step costs the size of its clause, not of the fold.  Only the
+    result is resolved and renamed."""
     clauses = (first,) + rest
-    if state is None:
-        state = []
-    k = 0
-    while k < len(state) and k < len(clauses) and state[k][0] == clauses[k]:
-        k += 1
-    for _, _, _, bound, subst in state[k:]:
-        for name in bound:
-            del subst[name]
-    del state[k:]
-    subst = state[0][4] if state else {}
-    for i in range(k, len(clauses)):
-        c = clauses[i]
-        apart = {v: Var(f"{v}'{i}") for v in free_vars(c.lhs)}
-        lhs, rhs = _rebuild(c.lhs, {}, apart), _rebuild(c.rhs, {}, apart)
-        bound = []
-        if state and unify(state[-1][2], lhs, subst, {v.name for v in apart.values()}, bound) is None:
-            for name in bound:
-                del subst[name]
+    subst = {}
+    for i in range(1, len(clauses)):
+        if unify(clauses[i - 1].rhs, i - 1, clauses[i].lhs, i, subst) is None:
             return None
-        state.append((c, lhs, rhs, bound, subst))
     names = {}
-    lhs = _rebuild(state[0][1], subst, names)
-    return _clause(".".join(c.name for c in clauses if c.name), lhs, _rebuild(state[-1][2], subst, names))
+    lhs = _rebuild(first.lhs, 0, subst, names)
+    rhs = _rebuild(clauses[-1].rhs, len(clauses) - 1, subst, names)
+    return _clause(".".join(c.name for c in clauses if c.name), lhs, rhs)
 
 
 def _check_arities(terms, arities, owner):

@@ -138,3 +138,14 @@ def test_region_soundness(theory_name, ftext, gtext):
             assert covered, (env, t, d)
             checked += 1
     assert checked >= 25
+
+
+@pytest.mark.xfail(strict=True, reason="sigma's forms are wrong at zero repetitions (ROADMAP item 4(iii))")
+@pytest.mark.parametrize("name, right", [("chain", "a*"), ("fg", "b*.a*")])
+def test_the_empty_sequence_is_in_every_star(name, right):
+    # zero repetitions are the identity, so eps is included at every index;
+    # but the a* form reads a P node at n = 0, so the region comes out empty
+    # (`tpc includes chain --left eps --right "a*"` prints `region: empty`)
+    th = load_theory(name)
+    res = includes(sigma(th, parse_scheme("eps")), sigma(th, parse_scheme(right)))
+    assert str(res.region) == "all naturals"

@@ -437,6 +437,15 @@ class TestEval:
         # out-of-range selector is simply false, not an error
         assert not eval_atomset((a,), {"m": ()}, t, parse_term("Z"))
 
+    def test_a_selector_on_a_count_is_false(self):
+        # n[1] with n a count, not a multi-index: there is no element to read
+        selected = AffineExpr.element("n", AffineExpr.const_(1))
+        with pytest.raises(KeyError) as info:
+            selected.evaluate({"n": 2})
+        assert info.value.args == ("n has no elements to select from",)
+        a = EqualsLR(SymbolicPath((Segment(step("F(x)", "x"), selected),)), IDENTITY_PATH)
+        assert not eval_atomset((a,), {"n": 2}, parse_term("F(F(Z))"), parse_term("Z"))
+
 
 class TestSides:
     PX = concrete((step("P(x, y)", "x"),))

@@ -24,7 +24,7 @@ from tpc.errors import ShapeError, TheorySyntaxError
 from tpc.paths import split_axiom
 from tpc.schemes import PRINT_CHARS, PRINT_DEPTH, PRINT_ITEMS, Eps, index_from_stars, print_index
 from tpc.sigma import sigma
-from tpc.terms import IDENTITY, Clause, Var, _rebuild, compose_clauses, free_vars
+from tpc.terms import IDENTITY, App, Clause, Var, compose_clauses, free_vars
 
 from conftest import same_relation, sequences, substitute
 
@@ -398,7 +398,7 @@ class TestReduceSpecific:
         got = reduce_specific(th, ["l1", "l1"])
         assert same_relation(got, Clause("", parse_term("And(And(x, y), z)"), parse_term("x")))
 
-    def test_shared_prefix_state_matches_fresh_folds(self):
+    def test_sequences_that_share_prefixes_fold_as_the_stepwise_fold(self):
         th = load_theory("ancestor")
         long = ("p3", "a1", "p2", "a2", "p1", "a2", "l1")
         calls = [
@@ -409,20 +409,16 @@ class TestReduceSpecific:
             ("a1", "a1"),  # the empty relation
             ("a1", "a1", "a2"),
         ]
-        state = []
         for seq in calls:
-            got = reduce_specific(th, seq, state)
-            want = reduce_specific(th, seq)
+            got = reduce_specific(th, seq)
+            want = _stepwise_fold(th, seq)
             if want is None:
                 assert got is None
             else:
-                assert same_relation(got, want)
-            assert len(state) <= len(seq) + 1
+                assert (got.name, got.lhs, got.rhs) == (want.name, want.lhs, want.rhs)
         assert reduce_specific(th, ("a1", "a1")) is None
-        assert same_relation(
-            reduce_specific(th, long, state), Clause("", parse_term("x"), parse_term("Ancestor(Adam, Olga)"))
-        )
-        assert len(state) == len(long) + 1
+        assert reduce_specific(th, ("a1", "a1", "a2")) is None
+        assert same_relation(reduce_specific(th, long), Clause("", parse_term("x"), parse_term("Ancestor(Adam, Olga)")))
 
     def test_deep_chain_is_iterative(self):
         # far past the recursion limit: composing, renaming and splitting
@@ -439,7 +435,8 @@ class TestReduceSpecific:
 
 # The fold as it was before it kept one substitution: one compose_clauses
 # per step, which renames the next axiom apart with a prime, unifies with a
-# full occurs check and resolves and renames the whole clause.
+# full occurs check and resolves and renames the whole clause, with code of
+# its own.
 
 
 def _stepwise_unify(a, b):
@@ -483,6 +480,16 @@ def _stepwise_unify(a, b):
     return subst
 
 
+def _stepwise_resolve(t, subst, names):
+    # t resolved through subst, each variable renamed v0, v1, ... in
+    # left-to-right order; names holds the renames so far
+    while isinstance(t, Var) and t.name in subst:
+        t = subst[t.name]
+    if isinstance(t, Var):
+        return names.setdefault(t.name, Var(f"v{len(names)}"))
+    return App(t.functor, tuple(_stepwise_resolve(c, subst, names) for c in t.children))
+
+
 def _stepwise_compose(c1, c2):
     apart = {v: Var(v + "'") for v in free_vars(c2.lhs)}
     subst = _stepwise_unify(c1.rhs, substitute(c2.lhs, apart))
@@ -490,7 +497,8 @@ def _stepwise_compose(c1, c2):
         return None
     name = f"{c1.name}.{c2.name}" if c1.name and c2.name else (c1.name or c2.name)
     names = {}
-    return Clause(name, _rebuild(c1.lhs, subst, names), _rebuild(substitute(c2.rhs, apart), subst, names))
+    lhs = _stepwise_resolve(c1.lhs, subst, names)
+    return Clause(name, lhs, _stepwise_resolve(substitute(c2.rhs, apart), subst, names))
 
 
 def _stepwise_fold(th, seq):
@@ -539,15 +547,13 @@ def _fold_calls(draw):
 def test_fold_matches_stepwise_fold(call):
     name, seqs = call
     th = _FOLD_THEORIES[name]
-    state = []
     for seq in seqs:
-        got = reduce_specific(th, seq, state)
+        got = reduce_specific(th, seq)
         want = _stepwise_fold(th, seq)
         if want is None:
             assert got is None
         else:
             assert (got.name, got.lhs, got.rhs) == (want.name, want.lhs, want.rhs)
-        assert len(state) <= len(seq) + 1
 
 
 class TestSyntax:

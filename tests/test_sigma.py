@@ -217,7 +217,7 @@ class TestSampling:
         composed = []
         reduce_specific = tpc.sigma.reduce_specific
         monkeypatch.setattr(
-            tpc.sigma, "reduce_specific", lambda th, seq, prefix: composed.append(seq) or reduce_specific(th, seq, prefix)
+            tpc.sigma, "reduce_specific", lambda th, seq: composed.append(seq) or reduce_specific(th, seq)
         )
         with pytest.raises(NotLinearizable, match="an instance composes to the empty relation"):
             sigma(load_theory("ancestor"), parse_scheme("l1*.a1.a1"))
@@ -279,7 +279,7 @@ class TestSubGrid:
         composed = []
         reduce_specific = tpc.sigma.reduce_specific
         monkeypatch.setattr(
-            tpc.sigma, "reduce_specific", lambda th, seq, prefix: composed.append(seq) or reduce_specific(th, seq, prefix)
+            tpc.sigma, "reduce_specific", lambda th, seq: composed.append(seq) or reduce_specific(th, seq)
         )
         with pytest.raises(NotLinearizable) as info:
             sigma(load_theory(name), parse_scheme(text))
@@ -397,7 +397,7 @@ class TestHeldOutVerification:
     def verify(theory, branch, conjuncts):
         envs = _sample_grid(branch.decls, _SCALAR_VERIFY, _MULTI_VERIFY, _MAX_VERIFY_SAMPLES)
         changed = dataclasses.replace(branch, atoms=tuple(conjuncts))
-        failure = _verify_branch(theory, changed, envs, [])
+        failure = _verify_branch(theory, changed, envs)
         if failure is not None:
             raise failure.error()
 
